@@ -62,9 +62,9 @@
 //! traffic. The throttle set is part of [`RouterState`], so `route()`
 //! stays a pure function of `(state, features)`.
 
-use std::collections::{HashMap, VecDeque};
-
 use distserve_faults::InstanceHealth;
+
+use crate::lru::LruMap;
 
 /// Index of a replica within [`RouterState`] (and within the engine's
 /// instance vector when the state was built from a simulator).
@@ -187,12 +187,11 @@ pub struct RouterState {
     /// Tenants under burn-rate throttling, indexed by tenant id (grows
     /// on demand; absent entries mean unthrottled).
     throttled: Vec<bool>,
-    /// Which replica last served each prefix group, with a lazy-deletion
-    /// FIFO bounding memory (stale queue entries are skipped when their
-    /// stamp no longer matches the map's).
-    prefix_holders: HashMap<u64, (ReplicaId, u64)>,
-    prefix_order: VecDeque<(u64, u64)>,
-    prefix_stamp: u64,
+    /// Which replica last served each prefix group, forgetting the group
+    /// noted longest ago at `PREFIX_GROUP_CAP`. Keeps std's randomly
+    /// seeded hasher: group ids also arrive from decision logs read as
+    /// JSON (`log_from_json`), which may carry ids crafted to collide.
+    prefix_holders: LruMap<ReplicaId>,
 }
 
 /// Bound on tracked prefix groups: past this, the oldest noted group is
@@ -296,9 +295,7 @@ impl RouterState {
             seed,
             index,
             throttled: Vec::new(),
-            prefix_holders: HashMap::new(),
-            prefix_order: VecDeque::new(),
-            prefix_stamp: 0,
+            prefix_holders: LruMap::new(PREFIX_GROUP_CAP),
         }
     }
 
@@ -366,35 +363,11 @@ impl RouterState {
     /// *after* acting on a decision — like [`Self::set_tenant_throttle`],
     /// mutation stays outside `route()` so the core remains pure. Group
     /// 0 (no reusable prefix) is ignored. Tracking is bounded at
-    /// `PREFIX_GROUP_CAP` groups, oldest forgotten first.
+    /// `PREFIX_GROUP_CAP` groups, the least recently noted forgotten
+    /// first; each note is O(1).
     pub fn note_prefix_served(&mut self, group: u64, replica: ReplicaId) {
-        if group == 0 {
-            return;
-        }
-        self.prefix_stamp += 1;
-        self.prefix_holders
-            .insert(group, (replica, self.prefix_stamp));
-        self.prefix_order.push_back((group, self.prefix_stamp));
-        // Re-notes leave stale queue entries behind; compact (amortized
-        // O(1)) once they dominate so the queue stays O(live groups).
-        if self.prefix_order.len() >= 2 * PREFIX_GROUP_CAP {
-            let holders = &self.prefix_holders;
-            self.prefix_order
-                .retain(|&(g, s)| holders.get(&g).is_some_and(|&(_, st)| st == s));
-        }
-        while self.prefix_holders.len() > PREFIX_GROUP_CAP {
-            let Some((old_group, old_stamp)) = self.prefix_order.pop_front() else {
-                break;
-            };
-            // Lazy deletion: only drop the mapping if this queue entry
-            // is still the group's latest note.
-            if self
-                .prefix_holders
-                .get(&old_group)
-                .is_some_and(|&(_, s)| s == old_stamp)
-            {
-                self.prefix_holders.remove(&old_group);
-            }
+        if group != 0 {
+            self.prefix_holders.upsert(group, |_| replica);
         }
     }
 
@@ -404,7 +377,7 @@ impl RouterState {
         if group == 0 {
             return None;
         }
-        self.prefix_holders.get(&group).map(|&(r, _)| r)
+        self.prefix_holders.get(group)
     }
 
     /// Whether `tenant` is currently throttled.
@@ -1052,20 +1025,20 @@ mod tests {
         state.note_prefix_served(0, ReplicaId(0));
         assert_eq!(state.prefix_holder(0), None);
         // Overflow the cap; the earliest groups are forgotten, the
-        // newest survive, and re-notes don't leak queue memory.
-        for g in 1..=(PREFIX_GROUP_CAP as u64 + 10) {
+        // newest survive, and re-notes neither grow the map nor let a
+        // still-noted group age out.
+        let last = PREFIX_GROUP_CAP as u64 + 10;
+        for g in 1..=last {
             state.note_prefix_served(g, ReplicaId(0));
+            state.note_prefix_served(7, ReplicaId(0));
         }
         for _ in 0..(4 * PREFIX_GROUP_CAP) {
             state.note_prefix_served(7, ReplicaId(0));
         }
         assert_eq!(state.prefix_holder(1), None);
-        assert_eq!(
-            state.prefix_holder(PREFIX_GROUP_CAP as u64 + 10),
-            Some(ReplicaId(0))
-        );
+        assert_eq!(state.prefix_holder(last), Some(ReplicaId(0)));
         assert_eq!(state.prefix_holder(7), Some(ReplicaId(0)));
-        assert!(state.prefix_order.len() <= 2 * PREFIX_GROUP_CAP);
+        assert_eq!(state.prefix_holders.len(), PREFIX_GROUP_CAP);
     }
 
     #[test]

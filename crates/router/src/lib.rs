@@ -16,6 +16,10 @@
 //!   with tens of millions of requests per wall-clock minute
 //!   (`examples/router_scale.rs`, BENCH_sim.json).
 //!
+//! Both prefix-lineage directories (the router's holder map and the
+//! simulator's per-replica caches) are one bounded O(1) LRU type,
+//! `lru::LruMap`.
+//!
 //! The engine integration lives in `distserve-engine` (`with_router` /
 //! replay builders on `ServingSim`), and `distserve-core` exposes
 //! `serve_trace_routed` so routed runs flow through the same telemetry
@@ -23,6 +27,7 @@
 
 pub mod decision;
 pub mod log;
+mod lru;
 pub mod scale;
 
 pub use decision::{

@@ -6,8 +6,9 @@
 //! frontend tier must be tested at. This module trades token granularity
 //! for *request* granularity: each replica is a calibrated service
 //! model (serial prefill clock, concurrency-priced decode pool), so one
-//! request costs O(1) routing work plus two future-event-list
-//! operations, and 10M+ requests stream through in seconds.
+//! request costs a bounded amount of routing work plus two
+//! future-event-list operations, and 10M+ requests stream through in
+//! seconds.
 //!
 //! Hot-path design, per the profile of `engine/src/sim.rs`:
 //!
@@ -16,7 +17,15 @@
 //!   log, records, and hash maps of the engine path are all absent.
 //! - **No fleet scans.** The router's `(role, load-bucket)` index is
 //!   maintained incrementally ([`RouterState::update`], O(1) bucket
-//!   relocation) instead of being rebuilt per arrival.
+//!   relocation) instead of being rebuilt per arrival; `route()` stops
+//!   at the emptiest load bucket holding an eligible replica (it scans
+//!   the fleet only when no replica is eligible).
+//! - **O(1) prefix directories.** A request with a prefix lineage adds
+//!   a fixed number of hash probes, whatever the directories hold: two
+//!   holder lookups and one read of the holder's directory while routing,
+//!   then one upsert into the target's directory (returning what it
+//!   cached before) and one into the router's holder map when prefill is
+//!   booked.
 //! - **Streaming workload.** Arrivals come from any
 //!   `Iterator<Item = Request>` (see `distserve_workload`'s streaming
 //!   generators), so the trace is never materialized.
@@ -37,9 +46,10 @@
 //!
 //! Everything is deterministic given the workload stream and seed.
 
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
-use distserve_simcore::{EventQueue, SimTime};
+use distserve_simcore::{EventQueue, FxHasher, SimTime};
 use distserve_telemetry::{
     span_flags, trace_id, SpanEvent, SpanKind, TelemetrySink, TraceCtx, NOOP,
 };
@@ -49,6 +59,7 @@ use crate::decision::{
     route, Decision, ReplicaId, ReplicaRole, ReplicaSnapshot, RequestFeatures, RouterPolicy,
     RouterState,
 };
+use crate::lru::LruMap;
 
 /// Calibrated per-replica service model, seconds.
 #[derive(Debug, Clone, Copy)]
@@ -278,50 +289,16 @@ struct Server {
 const GROUPS_PER_SERVER: usize = 256;
 
 /// Emulated per-replica prefix-cache directory: a bounded LRU of
-/// `(group → cached prefix tokens)`. This is the request-granular
+/// `(group → cached prefix tokens)`, refreshed each time the replica
+/// prefills a prompt of the group. This is the request-granular
 /// abstraction of `distserve_prefix::PrefixCache` — no token content,
 /// just how much of a lineage's prompt the replica could serve from
-/// cache. Linear scans are fine: only grouped requests consult it, and
-/// the map is a few hundred entries.
-#[derive(Debug, Clone, Default)]
-struct GroupCache {
-    /// `(group, cached tokens, recency stamp)`.
-    entries: Vec<(u64, u32, u64)>,
-    stamp: u64,
-}
-
-impl GroupCache {
-    /// Cached prefix tokens for `group`, without touching recency.
-    fn peek(&self, group: u64) -> u32 {
-        self.entries
-            .iter()
-            .find(|e| e.0 == group)
-            .map_or(0, |e| e.1)
-    }
-
-    /// Records that this replica now caches `tokens` prefix tokens of
-    /// `group` (after prefilling a prompt of that length), touching
-    /// recency and evicting the stalest lineage at capacity.
-    fn record(&mut self, group: u64, tokens: u32) {
-        self.stamp += 1;
-        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == group) {
-            e.1 = e.1.max(tokens);
-            e.2 = self.stamp;
-            return;
-        }
-        if self.entries.len() >= GROUPS_PER_SERVER {
-            let stalest = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.2)
-                .map(|(i, _)| i)
-                .expect("entries non-empty at capacity");
-            self.entries.swap_remove(stalest);
-        }
-        self.entries.push((group, tokens, self.stamp));
-    }
-}
+/// cache. In session workloads every request carries a group and
+/// consults directories twice (a read while routing, an upsert when
+/// prefill is booked), each an O(1) hash probe. Group ids come from
+/// in-process workload generators, so the directories hash them with the
+/// fixed-multiplier [`FxHasher`] instead of SipHash.
+type GroupCache = LruMap<u32, BuildHasherDefault<FxHasher>>;
 
 /// The request-granular simulator.
 pub struct ScaleSim {
@@ -385,7 +362,7 @@ impl ScaleSim {
                 active: 0,
             })
             .collect();
-        let prefix_dirs = vec![GroupCache::default(); fleet.total() as usize];
+        let prefix_dirs = vec![GroupCache::new(GROUPS_PER_SERVER); fleet.total() as usize];
         ScaleSim {
             fleet,
             slo,
@@ -669,7 +646,8 @@ impl ScaleSim {
                 // probability is 1 whenever any prefix is cached there.
                 let matched = match self.state.prefix_holder(s.prefix_group) {
                     Some(h) => self.prefix_dirs[h.0 as usize]
-                        .peek(s.prefix_group)
+                        .get(s.prefix_group)
+                        .unwrap_or(0)
                         .min(s.prompt.saturating_sub(1)),
                     None => 0,
                 };
@@ -774,11 +752,13 @@ impl ScaleSim {
         // does — its logits seed decoding, mirroring
         // `distserve_prefix::PrefixCache`'s match cap). The full prompt's
         // KV still exists on the replica, so the split-path transfer is
-        // never discounted.
+        // never discounted. Booking the prompt makes the target cache it:
+        // one upsert records that and returns what was cached before.
         let cached = if s.prefix_group != 0 {
-            self.prefix_dirs[target.0 as usize]
-                .peek(s.prefix_group)
-                .min(s.prompt.saturating_sub(1))
+            let before = self.prefix_dirs[target.0 as usize]
+                .upsert(s.prefix_group, |t| t.map_or(s.prompt, |t| t.max(s.prompt)));
+            self.state.note_prefix_served(s.prefix_group, target);
+            before.unwrap_or(0).min(s.prompt.saturating_sub(1))
         } else {
             0
         };
@@ -786,10 +766,6 @@ impl ScaleSim {
         if cached > 0 {
             self.outcome.prefix_hits += 1;
             self.outcome.cached_prompt_tokens += u64::from(cached);
-        }
-        if s.prefix_group != 0 {
-            self.prefix_dirs[target.0 as usize].record(s.prefix_group, s.prompt);
-            self.state.note_prefix_served(s.prefix_group, target);
         }
         let prefill_secs = p.prefill_fixed_s + p.prefill_per_token_s * f64::from(billed);
         let srv = &mut self.servers[target.0 as usize];
@@ -930,6 +906,83 @@ mod tests {
     use distserve_simcore::SimRng;
     use distserve_telemetry::Recorder;
     use distserve_workload::{Dataset, TraceBuilder};
+    use proptest::prelude::*;
+
+    /// The linear-scan directory [`GroupCache`] replaced, kept as the
+    /// reference its O(1) successor must match decision for decision.
+    #[derive(Default)]
+    struct LinearGroupCache {
+        /// `(group, cached tokens, recency stamp)`.
+        entries: Vec<(u64, u32, u64)>,
+        stamp: u64,
+    }
+
+    impl LinearGroupCache {
+        fn peek(&self, group: u64) -> u32 {
+            self.entries
+                .iter()
+                .find(|e| e.0 == group)
+                .map_or(0, |e| e.1)
+        }
+
+        /// Returns the group evicted to make room, if any.
+        fn record(&mut self, group: u64, tokens: u32) -> Option<u64> {
+            self.stamp += 1;
+            if let Some(e) = self.entries.iter_mut().find(|e| e.0 == group) {
+                e.1 = e.1.max(tokens);
+                e.2 = self.stamp;
+                return None;
+            }
+            let mut victim = None;
+            if self.entries.len() >= GROUPS_PER_SERVER {
+                let stalest = self
+                    .entries
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, e)| e.2)
+                    .map(|(i, _)| i)
+                    .expect("entries non-empty at capacity");
+                victim = Some(self.entries.swap_remove(stalest).0);
+            }
+            self.entries.push((group, tokens, self.stamp));
+            victim
+        }
+    }
+
+    proptest! {
+        /// Random peek/record sequences over more groups than a directory
+        /// holds (a hot set that keeps hitting plus a cold tail that
+        /// forces evictions): the LRU directory returns the reference's
+        /// peeks and evicts the reference's victims.
+        #[test]
+        fn group_cache_matches_linear_reference(
+            ops in prop::collection::vec(
+                (0u8..4, 0u64..24, 0u64..(3 * GROUPS_PER_SERVER as u64), 1u32..4_000),
+                0..3_000,
+            ),
+        ) {
+            let mut fast = GroupCache::new(GROUPS_PER_SERVER);
+            let mut reference = LinearGroupCache::default();
+            for (op, hot, cold, tokens) in ops {
+                let group = if op % 2 == 0 { hot } else { cold };
+                if op < 2 {
+                    prop_assert_eq!(fast.get(group).unwrap_or(0), reference.peek(group));
+                } else {
+                    let before = fast
+                        .upsert(group, |t| t.map_or(tokens, |t| t.max(tokens)))
+                        .unwrap_or(0);
+                    prop_assert_eq!(before, reference.peek(group));
+                    if let Some(victim) = reference.record(group, tokens) {
+                        prop_assert_eq!(fast.get(victim), None);
+                    }
+                    prop_assert_eq!(fast.len(), reference.entries.len());
+                }
+            }
+            for &(group, tokens, _) in &reference.entries {
+                prop_assert_eq!(fast.get(group), Some(tokens));
+            }
+        }
+    }
 
     fn small_fleet() -> FleetSpec {
         FleetSpec {

@@ -4,6 +4,12 @@
 //! popped in non-decreasing time order; events scheduled for the same
 //! instant pop in insertion order (FIFO), which makes every simulation run
 //! bit-for-bit reproducible regardless of heap internals.
+//!
+//! Both rules fold into one integer key per entry: the time's IEEE-754 bit
+//! pattern in the high 64 bits and the push sequence number in the low 64.
+//! For the finite, non-negative times [`SimTime`] holds, the bit patterns
+//! order exactly like the times, so comparing keys as `u128` is the
+//! `(time, seq)` order without a float comparison in the heap's sift loops.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -13,14 +19,20 @@ use crate::time::SimTime;
 /// An entry in the future-event list.
 #[derive(Debug)]
 struct Entry<E> {
-    time: SimTime,
-    seq: u64,
+    /// `time bits << 64 | seq` (see the module docs).
+    key: u128,
     event: E,
+}
+
+impl<E> Entry<E> {
+    fn time(&self) -> SimTime {
+        SimTime::from_bits((self.key >> 64) as u64)
+    }
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key == other.key
     }
 }
 
@@ -36,10 +48,7 @@ impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // `BinaryHeap` is a max-heap; reverse so the earliest (and, within a
         // tie, the first-inserted) entry is the maximum.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key.cmp(&self.key)
     }
 }
 
@@ -92,10 +101,13 @@ impl<E> EventQueue<E> {
             "scheduled event at {time} before current time {}",
             self.now
         );
+        // The clamp also keeps the key's sign bit clear: `now` starts at
+        // `+0.0`, and `SimTime`'s order puts every valid time at or above it.
         let time = time.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { time, seq, event });
+        let key = u128::from(time.to_bits()) << 64 | u128::from(seq);
+        self.heap.push(Entry { key, event });
     }
 
     /// Schedules `event` at `delay` seconds after the current clock.
@@ -107,14 +119,14 @@ impl<E> EventQueue<E> {
     /// Pops the earliest event, advancing the simulation clock to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let entry = self.heap.pop()?;
-        self.now = entry.time;
-        Some((entry.time, entry.event))
+        self.now = entry.time();
+        Some((self.now, entry.event))
     }
 
     /// Returns the time of the next event without popping it.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        self.heap.peek().map(Entry::time)
     }
 
     /// Number of pending events.
@@ -139,6 +151,68 @@ impl<E> Default for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Push times with duplicates, both zeros, and a subnormal.
+    const TIMES: [f64; 8] = [-0.0, 0.0, 5e-324, 0.5, 0.5, 1.0, 2.0, 7.25];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Pushing everything and then popping everything yields a stable
+        /// sort by time: push order within equal times, `-0.0 == 0.0`.
+        #[test]
+        fn pops_equal_stable_sort(picks in prop::collection::vec(0usize..TIMES.len(), 0..64)) {
+            let mut q = EventQueue::new();
+            for (i, &p) in picks.iter().enumerate() {
+                q.push(SimTime::from_secs(TIMES[p]), i);
+            }
+            let mut expected: Vec<(f64, usize)> =
+                picks.iter().enumerate().map(|(i, &p)| (TIMES[p], i)).collect();
+            expected.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN"));
+            let popped: Vec<(f64, usize)> =
+                std::iter::from_fn(|| q.pop()).map(|(t, i)| (t.as_secs(), i)).collect();
+            prop_assert_eq!(popped.len(), expected.len());
+            for (got, want) in popped.iter().zip(&expected) {
+                prop_assert_eq!(got.1, want.1);
+                // `-0.0 + 0.0` is `+0.0`: a pushed `-0.0` pops as zero.
+                prop_assert_eq!(got.0.to_bits(), (want.0 + 0.0).to_bits());
+            }
+        }
+
+        /// Interleaved pushes (at or after the clock) and pops match a
+        /// model that pops the earliest time, first-pushed among equals.
+        #[test]
+        fn interleaved_pops_match_model(
+            ops in prop::collection::vec((0usize..TIMES.len(), 0u8..3), 0..96),
+        ) {
+            let mut q = EventQueue::new();
+            let mut model: Vec<(f64, usize)> = Vec::new();
+            let check_pop = |q: &mut EventQueue<usize>, model: &mut Vec<(f64, usize)>| {
+                let want = model
+                    .iter()
+                    .enumerate()
+                    .min_by(|a, b| a.1 .0.partial_cmp(&b.1 .0).expect("no NaN"))
+                    .map(|(at, _)| at)
+                    .map(|at| model.remove(at));
+                let got = q.pop().map(|(t, i)| (t.as_secs(), i));
+                prop_assert_eq!(got, want);
+            };
+            for (i, &(p, op)) in ops.iter().enumerate() {
+                if op == 0 {
+                    check_pop(&mut q, &mut model);
+                } else {
+                    let t = SimTime::from_secs(TIMES[p]).max(q.now());
+                    q.push(t, i);
+                    model.push((t.as_secs(), i));
+                }
+            }
+            while !model.is_empty() {
+                check_pop(&mut q, &mut model);
+            }
+            prop_assert!(q.is_empty());
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {

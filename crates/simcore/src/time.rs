@@ -32,7 +32,8 @@ impl SimTime {
     /// The start of the simulation.
     pub const ZERO: SimTime = SimTime(0.0);
 
-    /// Creates a time from seconds.
+    /// Creates a time from seconds. `-0.0` (what `-(1.0f64).ln()` yields)
+    /// becomes `+0.0`, so equal times always compare `Equal`.
     ///
     /// # Panics
     ///
@@ -44,7 +45,7 @@ impl SimTime {
             secs.is_finite() && secs >= 0.0,
             "SimTime must be finite and non-negative, got {secs}"
         );
-        SimTime(secs)
+        SimTime(if secs == 0.0 { 0.0 } else { secs })
     }
 
     /// Creates a time from milliseconds.
@@ -100,6 +101,18 @@ impl SimTime {
         } else {
             other
         }
+    }
+
+    /// The IEEE-754 bit pattern of the seconds value. For the finite,
+    /// non-negative values `SimTime` holds, ordering the patterns as
+    /// integers orders the times.
+    pub(crate) fn to_bits(self) -> u64 {
+        self.0.to_bits()
+    }
+
+    /// Inverse of [`SimTime::to_bits`].
+    pub(crate) fn from_bits(bits: u64) -> Self {
+        SimTime(f64::from_bits(bits))
     }
 
     /// Returns the earlier of two times.
@@ -199,6 +212,23 @@ mod tests {
         assert_eq!(a.max(b), b);
         assert_eq!(a.min(b), a);
         assert_eq!(a.cmp(&a), std::cmp::Ordering::Equal);
+    }
+
+    #[test]
+    fn negative_zero_is_zero() {
+        let z = SimTime::from_secs(-0.0);
+        assert_eq!(z.cmp(&SimTime::ZERO), std::cmp::Ordering::Equal);
+        assert!(z.as_secs().is_sign_positive());
+    }
+
+    #[test]
+    fn bit_order_is_time_order() {
+        let times = [0.0, 1e-300, 0.25, 1.0, 1.5, 1e9];
+        for w in times.windows(2) {
+            let (a, b) = (SimTime::from_secs(w[0]), SimTime::from_secs(w[1]));
+            assert!(a.to_bits() < b.to_bits());
+            assert_eq!(SimTime::from_bits(b.to_bits()), b);
+        }
     }
 
     #[test]

@@ -86,9 +86,10 @@ pub struct BatchRow {
     pub token: u32,
 }
 
-/// Per-layer weights re-packed for the blocked kernels (built once at
-/// model construction). Each projection is a [`Kernel`] — f32 packed or
-/// int8 quantized, chosen by the model's [`Precision`].
+/// Per-layer weights packed for the blocked kernels (built once at
+/// model construction). Each projection is a [`Kernel`] — f32 packed
+/// (sharing the reference [`Weights`]' storage) or int8 quantized, chosen
+/// by the model's [`Precision`].
 #[derive(Debug, Clone)]
 struct PackedLayer {
     wqkv: Kernel,
@@ -579,7 +580,7 @@ impl Model {
             &lw.ln1_scale,
             &lw.ln1_shift,
         )
-        .data
+        .into_vec()
     }
 
     /// Pre-FFN LayerNorm.
@@ -591,7 +592,7 @@ impl Model {
             &lw.ln2_scale,
             &lw.ln2_shift,
         )
-        .data
+        .into_vec()
     }
 
     /// Attention for the shard's heads at `(seq, pos)`: projects Q/K/V,
@@ -687,7 +688,7 @@ impl Model {
         // Output projection: rows outside the shard's dims are zero in
         // `attn_out`, and the matmul skips zero inputs, so this computes
         // exactly the shard's partial sum.
-        Matrix::from_vec(1, h, attn_out).matmul(&lw.wo).data
+        Matrix::from_vec(1, h, attn_out).matmul(&lw.wo).into_vec()
     }
 
     /// FFN for the shard's columns: `relu(x·W1[:, lo..hi]) · W2[lo..hi, :]`.
@@ -702,7 +703,7 @@ impl Model {
         padded[shard.ffn_lo..shard.ffn_hi].copy_from_slice(&mid.data);
         Matrix::from_vec(1, self.cfg.ffn, padded)
             .matmul(&lw.w2)
-            .data
+            .into_vec()
     }
 
     /// Output logits from a final hidden state (tied embeddings).
@@ -1449,6 +1450,33 @@ mod tests {
         assert_eq!(fused, exact, "block-online oracle must match bitwise");
         for (a, b) in fused.iter().zip(&two_pass) {
             assert!((a - b).abs() < 1e-5, "two-pass softmax: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn f32_kernels_share_reference_weights() {
+        // The batch tier's f32 projections read the reference tier's
+        // weight storage: one allocation per projection, not two.
+        let m = Model::random_with(
+            &TinyConfig::tiny(),
+            42,
+            ComputeConfig {
+                precision: Precision::F32,
+                threads: 1,
+            },
+        );
+        for (packed, lw) in m.packed.layers.iter().zip(&m.weights.layers) {
+            for (kernel, w) in [
+                (&packed.wqkv, &lw.wqkv),
+                (&packed.wo, &lw.wo),
+                (&packed.w1, &lw.w1),
+                (&packed.w2, &lw.w2),
+            ] {
+                let Kernel::F32(p) = kernel else {
+                    panic!("an f32 model packs f32 kernels");
+                };
+                assert!(Arc::ptr_eq(p.storage(), &w.data));
+            }
         }
     }
 

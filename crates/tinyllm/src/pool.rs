@@ -652,7 +652,7 @@ mod tests {
         let mut out = vec![0.0; m * n];
         pool.gemm(&w, &a, m, k, 0, 0, n, &mut out);
         let reference = Matrix::from_vec(m, k, a).matmul(&mat);
-        assert_eq!(out, reference.data);
+        assert_eq!(out, *reference.data);
     }
 
     #[test]

@@ -2,13 +2,15 @@
 //!
 //! Two tiers live here. [`Matrix`] is the readable reference
 //! implementation that the property tests compare against. [`PackedMatrix`]
-//! is the performance tier: weights copied once into a k-major (input-dim
-//! contiguous) layout, multiplied by register-tiled kernels ([`MR`] rows
-//! × [`NR`] outputs of accumulators held across the k-loop) that write
-//! into caller-owned scratch — no per-call allocation, no data-dependent
-//! branches in the inner loops. tinyllm owns a real performance budget
-//! (the bench crate records its trajectory in `BENCH_tinyllm.json`); the
-//! simulation crates model timing, this crate has to earn it.
+//! is the performance tier: weights in a k-major (input-dim contiguous)
+//! layout (for f32 projections, the reference matrix's own storage,
+//! shared rather than copied), multiplied by register-tiled kernels
+//! ([`MR`] rows × [`NR`] outputs of accumulators held across the k-loop)
+//! that write into caller-owned scratch — no per-call allocation, no
+//! data-dependent branches in the inner loops. tinyllm owns a real
+//! performance budget (the bench crate records its trajectory in
+//! `BENCH_tinyllm.json`); the simulation crates model timing, this crate
+//! has to earn it.
 //!
 //! Every packed kernel accumulates each output element over `k` in
 //! ascending order with a single accumulator — the same association the
@@ -25,7 +27,10 @@
 
 use std::sync::Arc;
 
-/// A row-major matrix (reference tier).
+/// A row-major matrix (reference tier). The elements sit behind an
+/// [`Arc`] so a weight's f32 kernel ([`PackedMatrix::pack`]) shares its
+/// storage instead of copying it; writers go through [`Arc::make_mut`],
+/// which copies only storage that is actually shared.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     /// Number of rows.
@@ -33,18 +38,14 @@ pub struct Matrix {
     /// Number of columns.
     pub cols: usize,
     /// Row-major elements, `rows * cols` long.
-    pub data: Vec<f32>,
+    pub data: Arc<Vec<f32>>,
 }
 
 impl Matrix {
     /// Creates a zero matrix.
     #[must_use]
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
+        Matrix::from_vec(rows, cols, vec![0.0; rows * cols])
     }
 
     /// Wraps existing data.
@@ -55,7 +56,17 @@ impl Matrix {
     #[must_use]
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
         assert_eq!(data.len(), rows * cols, "shape mismatch");
-        Matrix { rows, cols, data }
+        Matrix {
+            rows,
+            cols,
+            data: Arc::new(data),
+        }
+    }
+
+    /// The row-major elements, copied only if the storage is shared.
+    #[must_use]
+    pub fn into_vec(self) -> Vec<f32> {
+        Arc::unwrap_or_clone(self.data)
     }
 
     /// Immutable row view.
@@ -66,7 +77,7 @@ impl Matrix {
 
     /// Mutable row view.
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
+        &mut Arc::make_mut(&mut self.data)[r * self.cols..(r + 1) * self.cols]
     }
 
     /// `self × other`, where `other` is `(self.cols × n)`. Reference
@@ -132,10 +143,10 @@ pub(crate) const MR: usize = 4;
 /// stay in L1 while the packed weights stream through once.
 pub(crate) const NR: usize = 16;
 
-/// A weight matrix packed for the fast path: an owned, contiguous,
-/// k-major copy (`k` = input dimension indexes rows, outputs are
-/// contiguous within each row). Packing happens once at model build;
-/// every forward pass then runs unit-stride inner loops.
+/// A weight matrix packed for the fast path: contiguous and k-major
+/// (`k` = input dimension indexes rows, outputs are contiguous within
+/// each row). Packing happens once at model build; every forward pass
+/// then runs unit-stride inner loops.
 #[derive(Debug, Clone)]
 pub struct PackedMatrix {
     /// Input dimension (rows of the logical weight).
@@ -150,14 +161,22 @@ pub struct PackedMatrix {
 }
 
 impl PackedMatrix {
-    /// Packs a `(k × n)` weight already stored input-major.
+    /// Packs a `(k × n)` weight already stored input-major. That is
+    /// already the kernel's layout, so the result shares `w`'s storage
+    /// rather than copying it.
     #[must_use]
     pub fn pack(w: &Matrix) -> Self {
         PackedMatrix {
             k: w.rows,
             n: w.cols,
-            data: Arc::new(w.data.clone()),
+            data: Arc::clone(&w.data),
         }
+    }
+
+    /// The packed elements (to check what storage a kernel shares).
+    #[cfg(test)]
+    pub(crate) fn storage(&self) -> &Arc<Vec<f32>> {
+        &self.data
     }
 
     /// Packs the *transpose* of a `(n × k)` matrix, producing the same
@@ -414,9 +433,8 @@ impl QuantMatrix {
     /// inspection helper, never on the hot path.
     #[must_use]
     pub fn dequantized(&self) -> Matrix {
-        let mut m = Matrix::zeros(self.k, self.n);
-        for (row, qrow) in m
-            .data
+        let mut out = vec![0.0; self.k * self.n];
+        for (row, qrow) in out
             .chunks_exact_mut(self.n)
             .zip(self.data.chunks_exact(self.n))
         {
@@ -424,7 +442,7 @@ impl QuantMatrix {
                 *v = s * f32::from(q);
             }
         }
-        m
+        Matrix::from_vec(self.k, self.n, out)
     }
 
     /// Dense product into caller scratch, mirroring
@@ -592,7 +610,7 @@ pub fn add_bias(m: &mut Matrix, bias: &[f32]) {
 
 /// ReLU in place (OPT's FFN activation).
 pub fn relu(m: &mut Matrix) {
-    relu_slice(&mut m.data);
+    relu_slice(Arc::make_mut(&mut m.data).as_mut_slice());
 }
 
 /// ReLU in place over a raw slice (fast path).
@@ -610,9 +628,9 @@ pub fn relu_slice(xs: &mut [f32]) {
 /// Panics if `scale` or `shift` length differs from `m.cols`.
 #[must_use]
 pub fn layer_norm(m: &Matrix, scale: &[f32], shift: &[f32]) -> Matrix {
-    let mut out = Matrix::zeros(m.rows, m.cols);
-    layer_norm_into(&m.data, m.rows, scale, shift, &mut out.data);
-    out
+    let mut out = vec![0.0; m.rows * m.cols];
+    layer_norm_into(&m.data, m.rows, scale, shift, &mut out);
+    Matrix::from_vec(m.rows, m.cols, out)
 }
 
 /// LayerNorm of an `(m × cols)` activation block into caller scratch.
@@ -817,7 +835,7 @@ mod tests {
         let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = Matrix::from_vec(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
         let c = a.matmul(&b);
-        assert_eq!(c.data, vec![58.0, 64.0, 139.0, 154.0]);
+        assert_eq!(*c.data, vec![58.0, 64.0, 139.0, 154.0]);
     }
 
     #[test]
@@ -862,7 +880,7 @@ mod tests {
             let packed = PackedMatrix::pack(&b);
             let mut out = vec![0.0; m * n];
             packed.matmul_into(&a.data, m, &mut out);
-            assert_eq!(out, reference.data, "m={m} k={k} n={n}");
+            assert_eq!(out, *reference.data, "m={m} k={k} n={n}");
         }
     }
 
@@ -913,7 +931,7 @@ mod tests {
         let packed = PackedMatrix::pack(&b);
         let mut out = vec![0.0; m * n];
         packed.matmul_rows_into(&a.data, m, lo, hi, &mut out);
-        assert_eq!(out, reference.data);
+        assert_eq!(out, *reference.data);
     }
 
     #[test]
@@ -936,7 +954,7 @@ mod tests {
         let mut m = Matrix::from_vec(1, 3, vec![-1.0, 0.5, 2.0]);
         add_bias(&mut m, &[0.5, 0.5, 0.5]);
         relu(&mut m);
-        assert_eq!(m.data, vec![0.0, 1.0, 2.5]);
+        assert_eq!(*m.data, vec![0.0, 1.0, 2.5]);
     }
 
     #[test]
@@ -957,7 +975,7 @@ mod tests {
         let reference = layer_norm(&m, &scale, &shift);
         let mut out = vec![7.0; 5 * 12];
         layer_norm_into(&m.data, 5, &scale, &shift, &mut out);
-        assert_eq!(out, reference.data);
+        assert_eq!(out, *reference.data);
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! - assigned work is conserved end to end — no request is executed
 //!   twice or silently dropped — in both the request-granular scale
 //!   simulator and the token-granular engine, and engine runs replay
-//!   exactly from their decision logs.
+//!   exactly from their decision logs;
+//! - the benchmark's routed session fleet reproduces a pinned outcome
+//!   bit for bit.
 //!
 //! Case counts honor the `PROPTEST_CASES` environment variable (the CI
 //! router job runs with `PROPTEST_CASES=512`).
@@ -28,10 +30,11 @@ use distserve::models::{OptModel, ParallelismConfig, RooflineModel};
 use distserve::observe::ObserverSink;
 use distserve::router::{
     route, Assignment, Decision, FleetSpec, ReplicaId, ReplicaRole, ReplicaSnapshot,
-    RequestFeatures, RouterPolicy, RouterState, ScaleSim, ScaleSlo, ServiceProfile, ShedReason,
+    RequestFeatures, RouterPolicy, RouterState, ScaleOutcome, ScaleSim, ScaleSlo, ServiceProfile,
+    ShedReason,
 };
 use distserve::telemetry::{metrics, TelemetrySink};
-use distserve::workload::{Dataset, RequestStream};
+use distserve::workload::{ChatConfig, ChatSessionStream, Dataset, RequestStream};
 
 /// Case count from `PROPTEST_CASES`, falling back to `default`.
 fn cases(default: u32) -> u32 {
@@ -320,6 +323,111 @@ proptest! {
         prop_assert_eq!(replayed.failed, outcome.failed);
         prop_assert_eq!(replay_log, log, "replay must re-emit the identical log");
     }
+}
+
+/// The benchmark's routed fleet: 6 prefill, 10 decode and 8 colocated
+/// replicas behind the cache-affine router, fed multi-turn chat
+/// sessions at `session_rate` conversations per second.
+fn session_fleet(session_rate: f64, n: usize) -> ScaleOutcome {
+    const SEED: u64 = 20_240_624;
+    let fleet = FleetSpec {
+        prefill: 6,
+        decode: 10,
+        colocated: 8,
+        profile: ServiceProfile::a100_13b(),
+    };
+    let policy = RouterPolicy {
+        queue_cap: 4,
+        max_wait_secs: 0.5,
+        retry_gap_secs: 0.1,
+        ..RouterPolicy::default()
+    };
+    let sessions = ChatSessionStream::new(
+        ChatConfig {
+            session_rate,
+            mean_turns: 5.0,
+            think_mean_s: 2.0,
+            branch_prob: 0.1,
+            system_prompt_tokens: 256,
+            tenant: 0,
+        },
+        Dataset::ShareGpt.sampler(),
+        SEED,
+    );
+    let slo = ScaleSlo {
+        ttft_s: 0.4,
+        tpot_s: 0.1,
+    };
+    ScaleSim::new(fleet, policy, slo, Assignment::Routed, SEED).run_sessions(sessions.take(n))
+}
+
+/// Every `ScaleOutcome` field, f64s as bit patterns. The exhaustive
+/// destructure makes a new field a compile error here until it is
+/// pinned too.
+fn outcome_bits(out: ScaleOutcome) -> [u64; 10] {
+    let ScaleOutcome {
+        offered,
+        completed,
+        shed,
+        slo_ok,
+        requeues,
+        sim_secs,
+        mean_ttft_s,
+        mean_tpot_s,
+        prefix_hits,
+        cached_prompt_tokens,
+    } = out;
+    [
+        offered,
+        completed,
+        shed,
+        slo_ok,
+        requeues,
+        prefix_hits,
+        cached_prompt_tokens,
+        sim_secs.to_bits(),
+        mean_ttft_s.to_bits(),
+        mean_tpot_s.to_bits(),
+    ]
+}
+
+/// Golden fleet outcomes over 40,000 session requests each: the
+/// benchmark's load (6 sessions/s, every request served) and twice it
+/// (requeues and sheds). Any change to routing, prefix-cache
+/// bookkeeping, or event ordering that alters a single decision moves
+/// at least one of these numbers.
+#[test]
+fn fleet_outcome_matches_golden() {
+    assert_eq!(
+        outcome_bits(session_fleet(6.0, 40_000)),
+        [
+            40_000,
+            40_000,
+            0,
+            35_840,
+            0,
+            30_230,
+            63_369_630,
+            0x4095_a939_591e_bc73,
+            0x3fc6_b7bf_b10b_8cbb,
+            0x3f9b_f7b4_81fd_4c57,
+        ]
+    );
+    assert_eq!(
+        outcome_bits(session_fleet(12.0, 40_000)),
+        [
+            40_000,
+            22_478,
+            17_522,
+            3_216,
+            125_409,
+            8_367,
+            11_373_296,
+            0x4086_80b9_8cc8_caef,
+            0x3ffb_7103_56c5_5bbd,
+            0x3fa1_2daa_b1af_90ad,
+        ]
+    );
 }
 
 /// The tentpole's observe integration: per-instance load read from
