@@ -1192,7 +1192,7 @@ mod tests {
                 Assignment::Routed,
                 3,
             );
-            let stream = ChatSessionStream::new(cfg.clone(), Dataset::ShareGpt.sampler(), 21)
+            let stream = ChatSessionStream::new(cfg, Dataset::ShareGpt.sampler(), 21)
                 .take(4000)
                 .map(move |mut sr| {
                     if !warm {
@@ -1284,7 +1284,7 @@ mod tests {
         for (i, r) in trace.requests().iter().enumerate() {
             let mut r = r.clone();
             r.tenant = (i % 2) as u32;
-            offered[(i % 2) as usize] += 1;
+            offered[i % 2] += 1;
             sim.offer(&r);
         }
         sim.drain();

@@ -386,7 +386,7 @@ fn fused_attn_row(
         // Unnormalized value accumulation: positions ascending, each
         // head's broadcast weight times its `d`-float V chunk.
         for s in 0..take {
-            let v_s = &region[s * 2 * h + h..s * 2 * h + 2 * h];
+            let v_s = &region[s * h..(s + 1) * h];
             for hd in 0..heads {
                 let w = scr.sb[hd * bs + s];
                 for (a, &vv) in out_row[hd * d..(hd + 1) * d]
@@ -463,7 +463,7 @@ fn fused_attn_row_w<const W: usize, const D: usize>(
             lr[hd] = l;
         }
         for s in 0..take {
-            let v_s: &[f32; W] = region[s * 2 * h + h + lo..][..W]
+            let v_s: &[f32; W] = region[s * h + lo..][..W]
                 .try_into()
                 .expect("W-wide V slice");
             for hd in 0..heads {
@@ -630,6 +630,7 @@ impl Model {
         let hi = shard.head_hi * d;
         kv.append_range(seq, layer, pos, lo, &k[lo..hi], &v[lo..hi])
             .expect("KV append within capacity");
+        let view = kv.layer_view(seq, layer);
 
         // Per-head causal attention over the cache, evaluated with the
         // *block-online* softmax recurrence: positions are visited in
@@ -642,7 +643,7 @@ impl Model {
         // two-pass softmax would associate the sums differently and break
         // the exact-equality tests.)
         let scale = 1.0 / (d as f32).sqrt();
-        let bs = kv.block_size();
+        let bs = view.block_size();
         let mut attn_out = vec![0.0; h];
         let mut scores = Vec::with_capacity(bs);
         for head in shard.head_lo..shard.head_hi {
@@ -655,7 +656,8 @@ impl Model {
                 let take = (pos + 1 - chunk).min(bs);
                 scores.clear();
                 for p in chunk..chunk + take {
-                    let k_p = &kv.key(seq, layer, p)[hl..hl + d];
+                    // Key dims read in place from the transposed panel.
+                    let k_p = view.key_dims(p, hl..hl + d);
                     let dot: f32 = q_h.iter().zip(k_p).map(|(a, b)| a * b).sum();
                     scores.push(dot * scale);
                 }
@@ -672,7 +674,7 @@ impl Model {
                 for (off, &s) in scores.iter().enumerate() {
                     let e = exp_fast(s - m_new);
                     l_run += e;
-                    let v_p = &kv.value(seq, layer, chunk + off)[hl..hl + d];
+                    let v_p = &view.value(chunk + off)[hl..hl + d];
                     for (o, &vv) in attn_out[hl..hl + d].iter_mut().zip(v_p) {
                         *o += e * vv;
                     }
@@ -1402,8 +1404,12 @@ mod tests {
             // Materialize every score for this head.
             let scores: Vec<f32> = (0..ctx)
                 .map(|p| {
-                    let k_p = &kv.key(0, 0, p)[hl..hl + d];
-                    let dot: f32 = q[hl..hl + d].iter().zip(k_p).map(|(a, b)| a * b).sum();
+                    let k_p = kv.key(0, 0, p);
+                    let dot: f32 = q[hl..hl + d]
+                        .iter()
+                        .zip(&k_p[hl..hl + d])
+                        .map(|(a, b)| a * b)
+                        .sum();
                     dot * scale
                 })
                 .collect();

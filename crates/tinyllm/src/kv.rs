@@ -5,9 +5,11 @@
 //! positions to physical blocks. Allocation takes blocks from a free
 //! list; freeing a sequence returns them. This is the same structure
 //! `distserve-engine`'s block manager accounts for — here it holds actual
-//! floats that the attention kernel reads back.
+//! floats that the attention kernel reads back, at the same
+//! `2 · layers · hidden` floats per token position.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A sequence identifier.
@@ -47,14 +49,16 @@ impl std::error::Error for PagedKvError {}
 
 /// Paged K/V storage for one model.
 ///
-/// Physical layout per `(block, layer)`: `block_size` slots of
-/// `[key hidden | value hidden]`, followed by a *transposed key panel* —
-/// the same keys stored dim-major (`kt[dim][slot]`, `hidden × block_size`
-/// floats). Each block holds `block_size` consecutive token positions
-/// for *all* layers. The panel is written on append alongside the
-/// position-major copy; batched attention's score pass reads it so the
-/// per-head dot products vectorize across a whole block of positions
-/// (contiguous in the position index) instead of striding row to row.
+/// Physical layout per `(block, layer)`: `block_size` position-major
+/// value slots (`hidden` floats each), followed by the block's keys
+/// stored dim-major as a *transposed key panel* (`kt[dim][slot]`,
+/// `hidden × block_size` floats). Each block holds `block_size`
+/// consecutive token positions for *all* layers. Every key and value is
+/// stored exactly once, so a position costs `2 × hidden` floats per
+/// layer ([`Self::bytes_per_token`]). Attention's score pass reads the
+/// panel, so the per-head dot products vectorize across a whole block of
+/// positions (contiguous in the position index); its value pass reads
+/// the slots.
 #[derive(Debug)]
 pub struct PagedKv {
     layers: usize,
@@ -108,7 +112,7 @@ impl PagedKv {
     #[must_use]
     pub fn new(layers: usize, hidden: usize, block_size: usize, num_blocks: usize) -> Self {
         assert!(layers > 0 && hidden > 0 && block_size > 0 && num_blocks > 0);
-        let block_floats = layers * block_size * 3 * hidden;
+        let block_floats = layers * block_size * 2 * hidden;
         PagedKv {
             layers,
             hidden,
@@ -194,10 +198,18 @@ impl PagedKv {
         self.storage.len() / (self.layers * self.layer_stride())
     }
 
-    /// Floats per `(block, layer)` region: the position-major slots plus
-    /// the transposed key panel.
+    /// Floats per `(block, layer)` region: the value slots plus the
+    /// transposed key panel.
     fn layer_stride(&self) -> usize {
-        self.block_size * 3 * self.hidden
+        self.block_size * 2 * self.hidden
+    }
+
+    /// Bytes of K/V storage one token position takes across all layers,
+    /// derived from the block layout — comparable with the simulators'
+    /// `ModelArch::kv_bytes_per_token`.
+    #[must_use]
+    pub fn bytes_per_token(&self) -> usize {
+        self.layers * self.layer_stride() / self.block_size * std::mem::size_of::<f32>()
     }
 
     /// Appends the K and V vectors of one token position for one layer.
@@ -242,9 +254,14 @@ impl PagedKv {
         k: &[f32],
         v: &[f32],
     ) -> Result<(), PagedKvError> {
-        debug_assert_eq!(k.len(), v.len());
-        debug_assert!(dim_lo + k.len() <= self.hidden);
-        debug_assert!(layer < self.layers);
+        assert_eq!(k.len(), v.len(), "K and V widths differ");
+        assert!(
+            dim_lo + k.len() <= self.hidden,
+            "dims {dim_lo}..{} past hidden {}",
+            dim_lo + k.len(),
+            self.hidden
+        );
+        assert!(layer < self.layers, "layer {layer} of {}", self.layers);
         let block_size = self.block_size;
         let table = self
             .tables
@@ -288,33 +305,33 @@ impl PagedKv {
             "write to shared block {block} (seq {seq} pos {pos})"
         );
         let slot = pos % block_size;
-        let base = self.slot_base(block, layer, slot);
         let h = self.hidden;
-        let w = k.len();
-        // Mirror the key into the block's dim-major transposed panel
-        // (this position's column of each written dim's row).
-        let kt = block * self.layers * self.layer_stride()
-            + layer * self.layer_stride()
-            + 2 * h * block_size;
+        let region = (block * self.layers + layer) * self.layer_stride();
+        // The value goes to the position's slot; the key only to this
+        // position's column of each written dim's row in the panel.
+        let vb = region + slot * h + dim_lo;
+        let kt = region + h * block_size;
         let storage = self.storage_mut();
-        storage[base + dim_lo..base + dim_lo + w].copy_from_slice(k);
-        storage[base + h + dim_lo..base + h + dim_lo + w].copy_from_slice(v);
+        storage[vb..vb + v.len()].copy_from_slice(v);
         for (j, &kval) in k.iter().enumerate() {
             storage[kt + (dim_lo + j) * block_size + slot] = kval;
         }
         Ok(())
     }
 
-    /// Reads the K vector at `(seq, layer, pos)`.
+    /// The K vector at `(seq, layer, pos)`, gathered from its block's
+    /// transposed key panel into an owned row (keys are stored only
+    /// dim-major; attention reads the panel in place).
     ///
     /// # Panics
     ///
     /// Panics on unknown sequence or out-of-range position — attention
     /// must never read unwritten cache.
     #[must_use]
-    pub fn key(&self, seq: SeqId, layer: usize, pos: usize) -> &[f32] {
-        let (base, h) = self.read_base(seq, layer, pos);
-        &self.storage[base..base + h]
+    pub fn key(&self, seq: SeqId, layer: usize, pos: usize) -> Vec<f32> {
+        self.layer_view(seq, layer)
+            .key_dims(pos, 0..self.hidden)
+            .collect()
     }
 
     /// Reads the V vector at `(seq, layer, pos)`.
@@ -324,8 +341,7 @@ impl PagedKv {
     /// Panics on unknown sequence or out-of-range position.
     #[must_use]
     pub fn value(&self, seq: SeqId, layer: usize, pos: usize) -> &[f32] {
-        let (base, h) = self.read_base(seq, layer, pos);
-        &self.storage[base + h..base + 2 * h]
+        self.layer_view(seq, layer).value(pos)
     }
 
     /// A read view of one `(seq, layer)` pair that resolves the block
@@ -337,7 +353,7 @@ impl PagedKv {
     /// Panics if the sequence is not registered.
     #[must_use]
     pub fn layer_view(&self, seq: SeqId, layer: usize) -> KvLayerView<'_> {
-        debug_assert!(layer < self.layers);
+        assert!(layer < self.layers, "layer {layer} of {}", self.layers);
         let table = self.tables.get(&seq).expect("sequence registered");
         KvLayerView {
             storage: &self.storage[..],
@@ -348,26 +364,6 @@ impl PagedKv {
             block_floats: self.layers * self.layer_stride(),
             layer_base: layer * self.layer_stride(),
         }
-    }
-
-    fn read_base(&self, seq: SeqId, layer: usize, pos: usize) -> (usize, usize) {
-        let table = self.tables.get(&seq).expect("sequence registered");
-        assert!(
-            pos < table.len,
-            "read past KV length {} at {pos}",
-            table.len
-        );
-        let block = table.blocks[pos / self.block_size];
-        (
-            self.slot_base(block, layer, pos % self.block_size),
-            self.hidden,
-        )
-    }
-
-    fn slot_base(&self, block: usize, layer: usize, slot: usize) -> usize {
-        block * self.layers * self.layer_stride()
-            + layer * self.layer_stride()
-            + slot * 2 * self.hidden
     }
 
     /// Drops one reference from each of a sequence's blocks and removes
@@ -502,9 +498,7 @@ impl<'a> KvLayerView<'a> {
             layer_base,
         }
     }
-}
 
-impl KvLayerView<'_> {
     /// Tokens stored for the sequence.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -517,23 +511,33 @@ impl KvLayerView<'_> {
         self.len == 0
     }
 
+    /// The float offset of the `(block, layer)` region holding `pos`,
+    /// and `pos`'s slot within that block. Checked in every build: a
+    /// read past the stored length would return whatever the block's
+    /// previous owner left there.
     #[inline]
-    fn slot_base(&self, pos: usize) -> usize {
-        debug_assert!(pos < self.len, "read past KV length {} at {pos}", self.len);
+    fn locate(&self, pos: usize) -> (usize, usize) {
+        assert!(pos < self.len, "read past KV length {} at {pos}", self.len);
         let block = self.blocks[pos / self.block_size];
-        block * self.block_floats + self.layer_base + (pos % self.block_size) * 2 * self.hidden
+        (
+            block * self.block_floats + self.layer_base,
+            pos % self.block_size,
+        )
     }
 
-    /// The K vector at `pos`.
+    /// Dims `dims` of the K vector at `pos`, read in place down `pos`'s
+    /// column of its block's transposed key panel (the token-at-a-time
+    /// reference tier's score pass).
     ///
     /// # Panics
     ///
-    /// Panics if `pos` is past the stored length.
+    /// Panics if `pos` is past the stored length or `dims` past `hidden`.
     #[inline]
-    #[must_use]
-    pub fn key(&self, pos: usize) -> &[f32] {
-        let base = self.slot_base(pos);
-        &self.storage[base..base + self.hidden]
+    pub fn key_dims(&self, pos: usize, dims: Range<usize>) -> impl Iterator<Item = f32> + 'a {
+        let (region, slot) = self.locate(pos);
+        let bs = self.block_size;
+        let panel = &self.storage[region + self.hidden * bs..region + 2 * self.hidden * bs];
+        dims.map(move |l| panel[l * bs + slot])
     }
 
     /// The V vector at `pos`.
@@ -543,37 +547,10 @@ impl KvLayerView<'_> {
     /// Panics if `pos` is past the stored length.
     #[inline]
     #[must_use]
-    pub fn value(&self, pos: usize) -> &[f32] {
-        let base = self.slot_base(pos) + self.hidden;
+    pub fn value(&self, pos: usize) -> &'a [f32] {
+        let (region, slot) = self.locate(pos);
+        let base = region + slot * self.hidden;
         &self.storage[base..base + self.hidden]
-    }
-
-    /// Walks the block table once, yielding K or V rows for positions
-    /// `0..ctx` in order — no per-position divide like [`Self::key`].
-    fn rows(&self, ctx: usize, kv_off: usize) -> impl Iterator<Item = &'_ [f32]> {
-        debug_assert!(ctx <= self.len, "read past KV length {} at {ctx}", self.len);
-        let storage = self.storage;
-        let h = self.hidden;
-        let (bs, bf, lb) = (self.block_size, self.block_floats, self.layer_base);
-        self.blocks
-            .iter()
-            .flat_map(move |&b| {
-                let base = b * bf + lb + kv_off;
-                (0..bs).map(move |s| &storage[base + s * 2 * h..base + s * 2 * h + h])
-            })
-            .take(ctx)
-    }
-
-    /// The K vectors at positions `0..ctx`, in order (attention's
-    /// score pass).
-    pub fn keys(&self, ctx: usize) -> impl Iterator<Item = &'_ [f32]> {
-        self.rows(ctx, 0)
-    }
-
-    /// The V vectors at positions `0..ctx`, in order (attention's
-    /// weighted-sum pass).
-    pub fn values(&self, ctx: usize) -> impl Iterator<Item = &'_ [f32]> {
-        self.rows(ctx, self.hidden)
     }
 
     /// Positions per block.
@@ -582,16 +559,20 @@ impl KvLayerView<'_> {
         self.block_size
     }
 
-    /// The position-major slot regions covering positions `0..ctx`, one
-    /// per block in order, each paired with its count of valid slots.
-    /// A region is the block's `block_size × [key hidden | value hidden]`
-    /// floats; slot `s`'s V vector starts at `s * 2 * hidden + hidden`.
-    /// Hot loops index slots with plain arithmetic on the region instead
-    /// of driving a per-position iterator.
-    pub fn slot_regions(&self, ctx: usize) -> impl Iterator<Item = (&'_ [f32], usize)> {
-        debug_assert!(ctx <= self.len, "read past KV length {} at {ctx}", self.len);
+    /// The value-slot regions covering positions `0..ctx`, one per block
+    /// in order, each paired with its count of valid slots. A region is
+    /// the block's `block_size × hidden` position-major V floats; slot
+    /// `s`'s V vector starts at `s * hidden`. Hot loops index slots with
+    /// plain arithmetic on the region instead of driving a per-position
+    /// iterator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ctx` is past the stored length.
+    pub fn slot_regions(&self, ctx: usize) -> impl Iterator<Item = (&'a [f32], usize)> {
+        assert!(ctx <= self.len, "read past KV length {} at {ctx}", self.len);
         let storage = self.storage;
-        let region = 2 * self.hidden * self.block_size;
+        let region = self.hidden * self.block_size;
         let (bs, bf, lb) = (self.block_size, self.block_floats, self.layer_base);
         self.blocks
             .iter()
@@ -610,17 +591,20 @@ impl KvLayerView<'_> {
     /// (attention's score pass vectorizes over it). The last panel may
     /// extend past `ctx`; its trailing columns are unwritten garbage the
     /// caller must ignore.
-    pub fn key_panels(&self, ctx: usize) -> impl Iterator<Item = &'_ [f32]> {
-        debug_assert!(ctx <= self.len, "read past KV length {} at {ctx}", self.len);
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ctx` is past the stored length.
+    pub fn key_panels(&self, ctx: usize) -> impl Iterator<Item = &'a [f32]> {
+        assert!(ctx <= self.len, "read past KV length {} at {ctx}", self.len);
         let storage = self.storage;
         let panel = self.hidden * self.block_size;
         let (bf, lb) = (self.block_floats, self.layer_base);
-        let kt_off = 2 * self.hidden * self.block_size;
         self.blocks
             .iter()
             .take(ctx.div_ceil(self.block_size))
             .map(move |&b| {
-                let base = b * bf + lb + kt_off;
+                let base = b * bf + lb + panel;
                 &storage[base..base + panel]
             })
     }
@@ -743,43 +727,56 @@ mod tests {
     fn layer_view_matches_point_reads() {
         let mut kv = kv();
         kv.register(3);
+        // Distinct floats per (layer, pos, dim, K/V).
+        let row = |base: usize| -> Vec<f32> { (0..4).map(|d| (base + d) as f32).collect() };
         for pos in 0..6 {
-            let k = [pos as f32; 4];
-            let v = [pos as f32 + 0.5; 4];
-            kv.append(3, 0, pos, &k, &v).unwrap();
-            kv.append(3, 1, pos, &v, &k).unwrap();
+            kv.append(3, 0, pos, &row(pos * 10), &row(500 + pos * 10))
+                .unwrap();
+            kv.append(3, 1, pos, &row(100 + pos * 10), &row(600 + pos * 10))
+                .unwrap();
         }
         for layer in 0..2 {
             let view = kv.layer_view(3, layer);
             assert_eq!(view.len(), 6);
             assert!(!view.is_empty());
             for pos in 0..6 {
-                assert_eq!(view.key(pos), kv.key(3, layer, pos));
+                let key: Vec<f32> = view.key_dims(pos, 0..4).collect();
+                assert_eq!(key, row(layer * 100 + pos * 10));
+                assert_eq!(key, kv.key(3, layer, pos));
+                let mid: Vec<f32> = view.key_dims(pos, 1..3).collect();
+                assert_eq!(mid, key[1..3]);
+                assert_eq!(view.value(pos), row(500 + layer * 100 + pos * 10));
                 assert_eq!(view.value(pos), kv.value(3, layer, pos));
             }
-            // The block-walking iterators agree with point reads at
-            // every prefix length (block_size is 4, so ctx 5..6 spans
-            // a block boundary).
+            // The value-slot regions agree with point reads at every
+            // prefix length (block_size is 4, so ctx 5..6 spans a block
+            // boundary).
             for ctx in 0..=6 {
-                let keys: Vec<&[f32]> = view.keys(ctx).collect();
-                let values: Vec<&[f32]> = view.values(ctx).collect();
-                assert_eq!(keys.len(), ctx);
-                for pos in 0..ctx {
-                    assert_eq!(keys[pos], view.key(pos));
-                    assert_eq!(values[pos], view.value(pos));
+                let mut pos = 0;
+                for (region, take) in view.slot_regions(ctx) {
+                    assert_eq!(region.len(), 4 * 4);
+                    for s in 0..take {
+                        assert_eq!(&region[s * 4..(s + 1) * 4], view.value(pos));
+                        pos += 1;
+                    }
                 }
+                assert_eq!(pos, ctx);
             }
         }
     }
 
     #[test]
-    fn key_panels_transpose_point_reads() {
+    fn key_panels_transpose_appended_keys() {
         let mut kv = kv(); // 2 layers, hidden 4, block size 4.
         kv.register(3);
+        let key = |layer: usize, pos: usize| -> Vec<f32> {
+            (0..4)
+                .map(|d| (layer * 100 + pos * 10 + d) as f32)
+                .collect()
+        };
         for pos in 0..6 {
-            let k: Vec<f32> = (0..4).map(|d| (pos * 10 + d) as f32).collect();
-            kv.append(3, 0, pos, &k, &[0.0; 4]).unwrap();
-            kv.append(3, 1, pos, &k, &[1.0; 4]).unwrap();
+            kv.append(3, 0, pos, &key(0, pos), &[0.0; 4]).unwrap();
+            kv.append(3, 1, pos, &key(1, pos), &[1.0; 4]).unwrap();
         }
         for layer in 0..2 {
             let view = kv.layer_view(3, layer);
@@ -788,12 +785,64 @@ mod tests {
                 assert_eq!(panels.len(), ctx.div_ceil(4));
                 for pos in 0..ctx {
                     let (pan, slot) = (panels[pos / 4], pos % 4);
-                    for d in 0..4 {
-                        assert_eq!(pan[d * 4 + slot], view.key(pos)[d], "pos {pos} dim {d}");
+                    for (d, &k) in key(layer, pos).iter().enumerate() {
+                        assert_eq!(pan[d * 4 + slot], k, "layer {layer} pos {pos} dim {d}");
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn stores_two_hidden_floats_per_position_per_layer() {
+        // Each key and value is stored once: V slots plus the key panel.
+        let kv = kv(); // 2 layers, hidden 4, block size 4, 8 blocks.
+        assert_eq!(kv.storage.len(), 8 * 4 * 2 * (2 * 4));
+        assert_eq!(kv.bytes_per_token(), 2 * (2 * 4) * 4);
+    }
+
+    /// One position written into a 4-slot block: slots 1..4 of the block
+    /// are allocated but past the stored length.
+    fn one_position() -> PagedKv {
+        let mut kv = kv();
+        kv.register(1);
+        kv.append(1, 0, 0, &[1.0; 4], &[2.0; 4]).unwrap();
+        kv
+    }
+
+    #[test]
+    #[should_panic(expected = "read past KV length")]
+    fn value_read_past_length_panics() {
+        let kv = one_position();
+        let _ = kv.layer_view(1, 0).value(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "read past KV length")]
+    fn key_read_past_length_panics() {
+        let kv = one_position();
+        let _ = kv.layer_view(1, 0).key_dims(1, 0..4);
+    }
+
+    #[test]
+    #[should_panic(expected = "read past KV length")]
+    fn slot_regions_past_length_panic() {
+        let kv = one_position();
+        let _ = kv.layer_view(1, 0).slot_regions(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "read past KV length")]
+    fn key_panels_past_length_panic() {
+        let kv = one_position();
+        let _ = kv.layer_view(1, 0).key_panels(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "past hidden")]
+    fn append_range_past_hidden_panics() {
+        let mut kv = one_position();
+        let _ = kv.append_range(1, 0, 0, 3, &[0.0; 2], &[0.0; 2]);
     }
 
     #[test]

@@ -727,83 +727,6 @@ pub fn softmax(xs: &mut [f32]) {
     }
 }
 
-/// Column-wise softmax over a row-major `(rows × cols)` matrix: each
-/// *column* is one distribution. Every pass (max, exponentiate, sum,
-/// normalize) sweeps rows in ascending order and vectorizes across the
-/// `cols` independent columns, so per column the operations and their
-/// order are exactly those of [`softmax`] on that column's values —
-/// bit-identical results, without the serial per-distribution reduction
-/// that keeps the flat version scalar. `tmp` is caller scratch (resized
-/// to `2 * cols`).
-///
-/// The batched attention path stores scores position-major
-/// (`scores[pos * heads + head]`) and softmaxes all of a row's heads in
-/// one call.
-pub fn softmax_cols(xs: &mut [f32], rows: usize, cols: usize, tmp: &mut Vec<f32>) {
-    debug_assert_eq!(xs.len(), rows * cols);
-    if rows == 0 || cols == 0 {
-        return;
-    }
-    // Common head counts take the const-width kernel: the running
-    // max/sum vectors live in registers instead of round-tripping
-    // through memory every row, and each row is one straight-line
-    // vector operation. Identical operations in identical order.
-    match cols {
-        2 => return softmax_cols_w::<2>(xs),
-        4 => return softmax_cols_w::<4>(xs),
-        8 => return softmax_cols_w::<8>(xs),
-        16 => return softmax_cols_w::<16>(xs),
-        _ => {}
-    }
-    tmp.resize(2 * cols, 0.0);
-    let (maxs, sums) = tmp.split_at_mut(cols);
-    maxs.fill(f32::NEG_INFINITY);
-    for r in 0..rows {
-        for (mx, &v) in maxs.iter_mut().zip(&xs[r * cols..(r + 1) * cols]) {
-            *mx = mx.max(v);
-        }
-    }
-    // Exp and sum fuse into one sweep: every op is column-width-wide
-    // (nothing serial within a row), and each column still accumulates
-    // its exp values in row-ascending order — same sums, one fewer
-    // pass over the score block.
-    sums.fill(0.0);
-    for r in 0..rows {
-        let row = &mut xs[r * cols..(r + 1) * cols];
-        for ((v, &mx), sm) in row.iter_mut().zip(&*maxs).zip(sums.iter_mut()) {
-            *v = exp_fast(*v - mx);
-            *sm += *v;
-        }
-    }
-    for r in 0..rows {
-        for (v, &sm) in xs[r * cols..(r + 1) * cols].iter_mut().zip(&*sums) {
-            *v /= sm;
-        }
-    }
-}
-
-/// [`softmax_cols`] monomorphized for a const column count.
-fn softmax_cols_w<const W: usize>(xs: &mut [f32]) {
-    let mut maxs = [f32::NEG_INFINITY; W];
-    for chunk in xs.chunks_exact(W) {
-        for (mx, &v) in maxs.iter_mut().zip(chunk) {
-            *mx = mx.max(v);
-        }
-    }
-    let mut sums = [0.0f32; W];
-    for chunk in xs.chunks_exact_mut(W) {
-        for ((v, &mx), sm) in chunk.iter_mut().zip(&maxs).zip(sums.iter_mut()) {
-            *v = exp_fast(*v - mx);
-            *sm += *v;
-        }
-    }
-    for chunk in xs.chunks_exact_mut(W) {
-        for (v, &sm) in chunk.iter_mut().zip(&sums) {
-            *v /= sm;
-        }
-    }
-}
-
 /// Index of the maximum element (greedy sampling), ties to the lowest
 /// index for determinism.
 #[must_use]
@@ -1021,31 +944,6 @@ mod tests {
         let sum: f32 = exact.iter().sum();
         for (f, e) in fast.iter().zip(&exact) {
             assert!((f - e / sum).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn softmax_cols_bit_matches_per_column_softmax() {
-        // The transposed form must be *bit*-identical to running the flat
-        // softmax on each column — the batched attention path relies on
-        // it to stay exactly equal to the reference path.
-        // Width 8 exercises the const-width kernel, 5 the generic one.
-        for cols in [8usize, 5] {
-            let rows = 13;
-            let mut m: Vec<f32> = (0..rows * cols)
-                .map(|i| ((i * 37 + 11) % 41) as f32 * 0.23 - 4.5)
-                .collect();
-            let mut cols_ref = vec![0.0f32; rows * cols];
-            for c in 0..cols {
-                let mut col: Vec<f32> = (0..rows).map(|r| m[r * cols + c]).collect();
-                softmax(&mut col);
-                for (r, v) in col.into_iter().enumerate() {
-                    cols_ref[r * cols + c] = v;
-                }
-            }
-            let mut tmp = Vec::new();
-            softmax_cols(&mut m, rows, cols, &mut tmp);
-            assert_eq!(m, cols_ref, "cols {cols}");
         }
     }
 
