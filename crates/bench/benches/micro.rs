@@ -5,10 +5,14 @@
 //!
 //! After all groups run, the tinyllm numbers are written to
 //! `BENCH_tinyllm.json` at the repository root so the compute tier's
-//! trajectory is recorded alongside the code.
+//! trajectory is recorded alongside the code. Every decode number runs
+//! `distserve_bench::overhead`'s batch fixture.
+
+use std::time::Instant;
 
 use criterion::{BatchSize, Criterion};
 
+use distserve_bench::overhead::{self, prefilled, step_times, BATCH, DECODE_STEPS, PROMPT_LEN};
 use distserve_engine::pipeline::Pipeline;
 use distserve_engine::KvBlockManager;
 use distserve_models::{
@@ -16,11 +20,10 @@ use distserve_models::{
 };
 use distserve_simcore::{EventQueue, SimRng, SimTime};
 use distserve_workload::{Dataset, RequestId, TraceBuilder};
-use tinyllm::tensor::{Matrix, PackedMatrix};
-use tinyllm::{ComputeConfig, ContinuousBatcher, GenRequest, Precision, TinyConfig};
-
-mod seed_path;
-use seed_path::{seed_argmax, SeedModel};
+use tinyllm::tensor::{argmax, Matrix, PackedMatrix};
+use tinyllm::{
+    ComputeConfig, ContinuousBatcher, GenRequest, Model, PagedKv, Precision, TinyConfig,
+};
 
 fn bench_cost_model(c: &mut Criterion) {
     let cost = RooflineModel::a100();
@@ -157,35 +160,39 @@ fn bench_gemm_shapes(c: &mut Criterion) {
     }
 }
 
-// Serving-shaped decode workload: real traces (e.g. ShareGPT, §6 of the
-// paper) carry prompts of tens-to-hundreds of tokens and comparable
-// outputs, so decode attends over substantial context. 32-token prompts
-// with 64 decoded tokens keep the bench fast while exercising contexts
-// of 32..96 positions rather than toy single-digit ones.
-const DECODE_STEPS: usize = 64;
-const PROMPT_LEN: usize = 32;
+/// The token-at-a-time reference tier on the fixture's prompts: a KV
+/// cache holding `BATCH` prompts, prefilled one `forward_token` per
+/// prompt token, and each sequence's `(id, position, next token)`.
+fn reference_prefilled(model: &Model) -> (PagedKv, Vec<(u64, usize, u32)>) {
+    let mut kv = model.make_kv(8192, 16);
+    let seqs = (0..BATCH)
+        .map(|i| {
+            let seq = i as u64;
+            kv.register(seq);
+            let mut logits = Vec::new();
+            for (pos, &t) in overhead::prompt(i).iter().enumerate() {
+                logits = model.forward_token(seq, pos, t, &mut kv);
+            }
+            (seq, PROMPT_LEN, argmax(&logits) as u32)
+        })
+        .collect();
+    (kv, seqs)
+}
 
-/// A batcher with `batch` requests already prefilled and ready to decode
-/// `DECODE_STEPS` tokens each.
-fn prefilled_batcher(model: &tinyllm::Model, batch: usize) -> ContinuousBatcher {
-    let mut b = ContinuousBatcher::new(model.clone(), 8192);
-    for i in 0..batch {
-        b.submit(GenRequest {
-            id: i as u64,
-            prompt: (0..PROMPT_LEN)
-                .map(|p| ((i * 17 + p * 5) % 512) as u32)
-                .collect(),
-            max_new: DECODE_STEPS + 2,
-        });
+/// One reference-tier decode step: one `forward_token` (plus argmax)
+/// per sequence.
+fn reference_step(model: &Model, kv: &mut PagedKv, seqs: &mut [(u64, usize, u32)]) {
+    for (seq, pos, tok) in seqs {
+        let logits = model.forward_token(*seq, *pos, *tok, kv);
+        *pos += 1;
+        *tok = argmax(&logits) as u32;
     }
-    b.step(); // Prefill all requests (well under the token budget).
-    b
 }
 
 /// Prefill and decode throughput on `TinyConfig::small()`: the fused
-/// batched scheduler at batch 1/4/16 versus the token-at-a-time seed
-/// path (one `forward_token` per sequence per step) on the same batch-16
-/// workload.
+/// batched scheduler at batch 1/4/16 versus the token-at-a-time
+/// reference tier (one `forward_token` per sequence per step) on the
+/// same batch-16 workload.
 fn bench_tinyllm_throughput(c: &mut Criterion) {
     let model = tinyllm::Model::random(&TinyConfig::small(), 5);
 
@@ -209,8 +216,8 @@ fn bench_tinyllm_throughput(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    // Token-at-a-time prefill of the same prompt (the seed path: one
-    // forward_token — logits included — per prompt token).
+    // Token-at-a-time prefill of the same prompt (the reference tier:
+    // one forward_token — logits included — per prompt token).
     c.bench_function("tinyllm/prefill_reference_64", |b| {
         b.iter_batched(
             || {
@@ -233,142 +240,26 @@ fn bench_tinyllm_throughput(c: &mut Criterion) {
     for batch in [1usize, 4, 16] {
         c.bench_function(&format!("tinyllm/decode_batch{batch}"), |b| {
             b.iter_batched(
-                || prefilled_batcher(&model, batch),
-                |mut batcher| {
-                    for _ in 0..DECODE_STEPS {
-                        batcher.step();
-                    }
-                    std::hint::black_box(batcher.steps())
-                },
+                || prefilled(&model, batch, None),
+                |mut batcher| step_times(&mut batcher),
                 BatchSize::SmallInput,
             )
         });
     }
 
-    // The seed token-at-a-time decode path on the batch-16 workload: each
-    // step runs one forward_token (plus argmax) per sequence.
+    // The reference tier's decode on the batch-16 workload.
     c.bench_function("tinyllm/decode_reference_batch16", |b| {
         b.iter_batched(
-            || {
-                let mut kv = model.make_kv(8192, 16);
-                let mut seqs = Vec::new();
-                for i in 0..16usize {
-                    let seq = i as u64;
-                    kv.register(seq);
-                    let prompt: Vec<u32> = (0..PROMPT_LEN)
-                        .map(|p| ((i * 17 + p * 5) % 512) as u32)
-                        .collect();
-                    let mut logits = Vec::new();
-                    for (pos, &t) in prompt.iter().enumerate() {
-                        logits = model.forward_token(seq, pos, t, &mut kv);
-                    }
-                    let first = tinyllm::tensor::argmax(&logits) as u32;
-                    seqs.push((seq, PROMPT_LEN, first));
-                }
-                (kv, seqs)
-            },
+            || reference_prefilled(&model),
             |(mut kv, mut seqs)| {
                 for _ in 0..DECODE_STEPS {
-                    for (seq, pos, tok) in &mut seqs {
-                        let logits = model.forward_token(*seq, *pos, *tok, &mut kv);
-                        *pos += 1;
-                        *tok = tinyllm::tensor::argmax(&logits) as u32;
-                    }
+                    reference_step(&model, &mut kv, &mut seqs);
                 }
                 std::hint::black_box(seqs[0].2)
             },
             BatchSize::SmallInput,
         )
     });
-
-    // The *seed's* token-at-a-time path (pinned in `seed_path.rs`, same
-    // weights and workload): the acceptance baseline that stays fixed
-    // while the library improves.
-    let seed_model = SeedModel::random(&TinyConfig::small(), 5);
-    c.bench_function("tinyllm/decode_seed_batch16", |b| {
-        b.iter_batched(
-            || {
-                let mut kv = seed_model.make_kv(8192, 16);
-                let mut seqs = Vec::new();
-                for i in 0..16usize {
-                    let seq = i as u64;
-                    kv.register(seq);
-                    let prompt: Vec<u32> = (0..PROMPT_LEN)
-                        .map(|p| ((i * 17 + p * 5) % 512) as u32)
-                        .collect();
-                    let mut logits = Vec::new();
-                    for (pos, &t) in prompt.iter().enumerate() {
-                        logits = seed_model.forward_token(seq, pos, t, &mut kv);
-                    }
-                    let first = seed_argmax(&logits) as u32;
-                    seqs.push((seq, PROMPT_LEN, first));
-                }
-                (kv, seqs)
-            },
-            |(mut kv, mut seqs)| {
-                for _ in 0..DECODE_STEPS {
-                    for (seq, pos, tok) in &mut seqs {
-                        let logits = seed_model.forward_token(*seq, *pos, *tok, &mut kv);
-                        *pos += 1;
-                        *tok = seed_argmax(&logits) as u32;
-                    }
-                }
-                std::hint::black_box(seqs[0].2)
-            },
-            BatchSize::SmallInput,
-        )
-    });
-}
-
-/// Paired decode comparison: each round times one fused batch-16 decode
-/// and one seed token-at-a-time decode back to back on the same workload.
-/// The separately-timed `tinyllm/decode_*` rows above sit minutes apart
-/// in the run, so on a shared machine an interference spell can land in
-/// one window and not the other, swinging their ratio by ±20%;
-/// alternating the two paths sample-by-sample exposes both to the same
-/// noise, making the headline speedup reproducible. Returns mean
-/// `(fused_s, seed_s)` per `DECODE_STEPS`-step run.
-fn paired_decode_times(model: &tinyllm::Model, seed_model: &SeedModel) -> (f64, f64) {
-    const ROUNDS: usize = 12;
-    let mut fused_s = 0.0;
-    let mut seed_s = 0.0;
-    for _ in 0..ROUNDS {
-        let mut batcher = prefilled_batcher(model, 16);
-        let t = std::time::Instant::now();
-        for _ in 0..DECODE_STEPS {
-            batcher.step();
-        }
-        std::hint::black_box(batcher.steps());
-        fused_s += t.elapsed().as_secs_f64();
-
-        // Seed setup (prefill via its own forward_token), untimed.
-        let mut kv = seed_model.make_kv(8192, 16);
-        let mut seqs = Vec::new();
-        for i in 0..16usize {
-            let seq = i as u64;
-            kv.register(seq);
-            let prompt: Vec<u32> = (0..PROMPT_LEN)
-                .map(|p| ((i * 17 + p * 5) % 512) as u32)
-                .collect();
-            let mut logits = Vec::new();
-            for (pos, &t) in prompt.iter().enumerate() {
-                logits = seed_model.forward_token(seq, pos, t, &mut kv);
-            }
-            let first = seed_argmax(&logits) as u32;
-            seqs.push((seq, PROMPT_LEN, first));
-        }
-        let t = std::time::Instant::now();
-        for _ in 0..DECODE_STEPS {
-            for (seq, pos, tok) in &mut seqs {
-                let logits = seed_model.forward_token(*seq, *pos, *tok, &mut kv);
-                *pos += 1;
-                *tok = seed_argmax(&logits) as u32;
-            }
-        }
-        std::hint::black_box(seqs[0].2);
-        seed_s += t.elapsed().as_secs_f64();
-    }
-    (fused_s / ROUNDS as f64, seed_s / ROUNDS as f64)
 }
 
 /// One decode measurement of the thread × batch scaling sweep.
@@ -383,20 +274,17 @@ struct ScalePoint {
 /// numbers are recorded honestly) and decode batch sizes `{1, 4, 16}`
 /// on `TinyConfig::small()`, plus an int8 batch-16 point at full width.
 /// Times whole scheduler decode steps — the end-to-end hot loop — with
-/// direct wall-clock rounds, like [`paired_decode_times`].
+/// direct wall-clock rounds of the shared fixture.
 fn scaling_sweep() -> (usize, Vec<ScalePoint>, f64) {
     const ROUNDS: usize = 4;
-    let time_decode = |model: &tinyllm::Model, batch: usize| -> f64 {
-        let mut total = 0.0;
-        for _ in 0..ROUNDS {
-            let mut batcher = prefilled_batcher(model, batch);
-            let start = std::time::Instant::now();
-            for _ in 0..DECODE_STEPS {
-                batcher.step();
-            }
-            std::hint::black_box(batcher.steps());
-            total += start.elapsed().as_secs_f64();
-        }
+    let time_decode = |model: &Model, batch: usize| -> f64 {
+        let total: f64 = (0..ROUNDS)
+            .map(|_| {
+                step_times(&mut prefilled(model, batch, None))
+                    .iter()
+                    .sum::<f64>()
+            })
+            .sum();
         (ROUNDS * DECODE_STEPS * batch) as f64 / total
     };
     let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
@@ -405,7 +293,7 @@ fn scaling_sweep() -> (usize, Vec<ScalePoint>, f64) {
     threads.dedup();
     let mut points = Vec::new();
     for &t in &threads {
-        let model = tinyllm::Model::random_with(
+        let model = Model::random_with(
             &TinyConfig::small(),
             5,
             ComputeConfig {
@@ -421,7 +309,7 @@ fn scaling_sweep() -> (usize, Vec<ScalePoint>, f64) {
             });
         }
     }
-    let int8_model = tinyllm::Model::random_with(
+    let int8_model = Model::random_with(
         &TinyConfig::small(),
         5,
         ComputeConfig {
@@ -435,10 +323,14 @@ fn scaling_sweep() -> (usize, Vec<ScalePoint>, f64) {
 
 /// Writes the tinyllm benchmark numbers (plus derived tokens/sec and the
 /// fused-vs-reference speedup) to `BENCH_tinyllm.json` at the repo root.
-/// `paired` is the interference-matched `(fused_s, seed_s)` decode pair
-/// from [`paired_decode_times`]; the headline seed speedup derives from
-/// it rather than from the separately-timed rows.
-fn write_tinyllm_json(c: &Criterion, paired: (f64, f64), scaling: (usize, Vec<ScalePoint>, f64)) {
+/// `paired` is the batch-16 decode estimate with fused decode off and
+/// the reference tier on; the headline speedup derives from it rather
+/// than from dividing two rows timed minutes apart.
+fn write_tinyllm_json(
+    c: &Criterion,
+    paired: overhead::Estimate,
+    scaling: (usize, Vec<ScalePoint>, f64),
+) {
     use serde::Value;
 
     let find =
@@ -456,34 +348,17 @@ fn write_tinyllm_json(c: &Criterion, paired: (f64, f64), scaling: (usize, Vec<Sc
             )),
         ));
     }
-    let reference_tok_s = tok_s("tinyllm/decode_reference_batch16", DECODE_STEPS * 16);
     decode.push((
         "reference_batch16_tok_s".into(),
-        Value::Float(reference_tok_s),
+        Value::Float(tok_s("tinyllm/decode_reference_batch16", DECODE_STEPS * 16)),
     ));
-    let seed_tok_s = tok_s("tinyllm/decode_seed_batch16", DECODE_STEPS * 16);
-    decode.push(("seed_batch16_tok_s".into(), Value::Float(seed_tok_s)));
-    let batch16_tok_s = tok_s("tinyllm/decode_batch16", DECODE_STEPS * 16);
-    let vs_reference = if reference_tok_s > 0.0 {
-        batch16_tok_s / reference_tok_s
-    } else {
-        0.0
-    };
+    let speedup = paired.on_s() / paired.base_s;
+    decode.push(("paired_fused_ms".into(), Value::Float(paired.base_s * 1e3)));
     decode.push((
-        "speedup_batch16_vs_reference".into(),
-        Value::Float(vs_reference),
+        "paired_reference_ms".into(),
+        Value::Float(paired.on_s() * 1e3),
     ));
-    // The headline speedup comes from the interference-matched pair, not
-    // from dividing two rows timed minutes apart (see paired_decode_times).
-    let (paired_fused_s, paired_seed_s) = paired;
-    decode.push(("paired_fused_ms".into(), Value::Float(paired_fused_s * 1e3)));
-    decode.push(("paired_seed_ms".into(), Value::Float(paired_seed_s * 1e3)));
-    let speedup = if paired_fused_s > 0.0 {
-        paired_seed_s / paired_fused_s
-    } else {
-        0.0
-    };
-    decode.push(("speedup_batch16_vs_seed".into(), Value::Float(speedup)));
+    decode.push(("speedup_batch16_vs_reference".into(), Value::Float(speedup)));
 
     let prefill = vec![
         (
@@ -554,7 +429,7 @@ fn write_tinyllm_json(c: &Criterion, paired: (f64, f64), scaling: (usize, Vec<Sc
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tinyllm.json");
     let json = serde_json::to_string_pretty(&doc).expect("serialize bench results");
     std::fs::write(path, json + "\n").expect("write BENCH_tinyllm.json");
-    println!("wrote {path} (decode batch16 speedup: {speedup:.2}x vs seed, {vs_reference:.2}x vs current reference)");
+    println!("wrote {path} (decode batch16 speedup: {speedup:.2}x vs the reference tier)");
 }
 
 fn main() {
@@ -567,9 +442,22 @@ fn main() {
     bench_tinyllm(&mut c);
     bench_gemm_shapes(&mut c);
     bench_tinyllm_throughput(&mut c);
-    let model = tinyllm::Model::random(&TinyConfig::small(), 5);
-    let seed_model = SeedModel::random(&TinyConfig::small(), 5);
-    let paired = paired_decode_times(&model, &seed_model);
+    // Fused decode is the off arm and the reference tier the on arm, so
+    // the estimate's on/base ratio is the reference's cost in fused runs.
+    let model = Model::random(&TinyConfig::small(), 5);
+    let paired = overhead::paired(|reference| {
+        if !reference {
+            return step_times(&mut prefilled(&model, BATCH, None));
+        }
+        let (mut kv, mut seqs) = reference_prefilled(&model);
+        (0..DECODE_STEPS)
+            .map(|_| {
+                let t = Instant::now();
+                reference_step(&model, &mut kv, &mut seqs);
+                t.elapsed().as_secs_f64()
+            })
+            .collect()
+    });
     let scaling = scaling_sweep();
     write_tinyllm_json(&c, paired, scaling);
 }

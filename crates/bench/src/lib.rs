@@ -7,6 +7,7 @@
 //! measurement against full-system simulations, and uniform headers so
 //! `bench_output.txt` is self-describing.
 
+pub mod overhead;
 pub mod sentinel;
 
 use distserve_cluster::Cluster;

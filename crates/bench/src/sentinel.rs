@@ -321,7 +321,8 @@ pub struct Verdict {
     pub regressed: bool,
 }
 
-fn median(sorted: &[f64]) -> f64 {
+/// Median of an ascending-sorted slice (NaN when empty).
+pub(crate) fn median(sorted: &[f64]) -> f64 {
     let n = sorted.len();
     if n == 0 {
         return f64::NAN;

@@ -14,11 +14,10 @@
 //! - `profile_dashboard.html` — the flamegraph and per-worker pool
 //!   utilization panels as one offline dashboard page.
 //! - `BENCH_prof.json` — profiler overhead on the batch-16 decode loop
-//!   (paired off/on rounds, per-step-position minima; budget <3%),
-//!   decode and sim
-//!   throughput, and the sentinel's verdicts against the bench-history
-//!   ledger. The run's key metrics are appended to `BENCH_history.jsonl`
-//!   with a full provenance stamp.
+//!   (`distserve_bench::overhead`'s paired estimator; budget <3%),
+//!   decode and sim throughput, and the sentinel's verdicts against the
+//!   bench-history ledger. The run's key metrics are appended to
+//!   `BENCH_history.jsonl` with a full provenance stamp.
 //!
 //! Self-validates: the flamegraph's leaf re-sum (Σ self time) must match
 //! the profile total within 1%, and the profile must contain both the
@@ -37,117 +36,17 @@ use distserve::observe::{pool_panel, profile_panel};
 use distserve::prof;
 use distserve::router::{Assignment, FleetSpec, RouterPolicy, ScaleSim, ScaleSlo, ServiceProfile};
 use distserve::workload::{Dataset, DiurnalCurve, RequestStream};
+use distserve_bench::overhead::{
+    paired, prefilled, step_times, BATCH, BUDGET_PCT, DECODE_STEPS, ROUNDS,
+};
 use distserve_bench::sentinel::{
     self, append_record, check, load_ledger, render_verdicts, BenchRecord, KEY_METRICS,
 };
 use serde::Value;
-use tinyllm::{ContinuousBatcher, GenRequest, Model, TinyConfig};
+use tinyllm::{Model, TinyConfig};
 
-const BATCH: usize = 16;
-const PROMPT_LEN: usize = 32;
-const DECODE_STEPS: usize = 64;
-const WARMUP_ROUNDS: usize = 2;
-const ROUNDS: usize = 96;
-const EXTRA_OFF_ROUNDS: usize = 24;
 const SIM_RUNS: usize = 3;
-const BUDGET_PCT: f64 = 3.0;
 const SENTINEL_K: f64 = 3.0;
-
-/// One batch-16 decode run (prefill excluded), fresh batcher each time
-/// so rounds measure the same KV-growth trajectory. Each of the
-/// `DECODE_STEPS` steps is timed individually and returned by position:
-/// step `s` always runs at the same KV length, so its cost is a fixed
-/// quantity that run-to-run interference can only inflate.
-fn decode_once(model: &Model) -> Vec<f64> {
-    let mut b = ContinuousBatcher::new(model.clone(), 8192);
-    for i in 0..BATCH {
-        b.submit(GenRequest {
-            id: i as u64,
-            prompt: (0..PROMPT_LEN)
-                .map(|p| ((i * 17 + p * 5) % 512) as u32)
-                .collect(),
-            max_new: DECODE_STEPS + 2,
-        });
-    }
-    b.step();
-    let mut steps = Vec::with_capacity(DECODE_STEPS);
-    for _ in 0..DECODE_STEPS {
-        let t = Instant::now();
-        b.step();
-        steps.push(t.elapsed().as_secs_f64());
-    }
-    std::hint::black_box(b.steps());
-    steps
-}
-
-/// Median of `xs` (which it sorts in place).
-fn median_mut(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
-}
-
-/// Profiler overhead on the decode loop, built for a noisy shared host.
-///
-/// Interleaved off/on rounds with alternating order cancel slow drift.
-/// Step `s` of every round runs at the same KV length, so per-position
-/// statistics compare like with like:
-///
-/// - **Overhead** is the per-position *median of paired within-round
-///   deltas* `on[s] − off[s]`, summed across positions. A neighbor-VM
-///   spike inflates one side of one round at one position; the median
-///   over all rounds shrugs it off, where a mean (or a pair of
-///   independent minima) would carry it into the estimate.
-/// - **Baseline decode time** (the denominator, and the tok/s fed to
-///   the sentinel ledger) is the per-position *minimum* over all
-///   profiler-off rounds, summed. Interference only ever slows a step
-///   down, so each position's minimum converges to that KV length's
-///   true cost, and summing 64 independently-converged minima averages
-///   away the residual a single global minimum would keep. A few extra
-///   off-only rounds widen the sampling window for this minimum.
-///
-/// Returns `(off decode secs, on decode secs, overhead pct)` where the
-/// decode secs cover all `DECODE_STEPS` steps.
-fn decode_overhead(model: &Model) -> (f64, f64, f64) {
-    let mut min_off = vec![f64::INFINITY; DECODE_STEPS];
-    let mut deltas: Vec<Vec<f64>> = (0..DECODE_STEPS)
-        .map(|_| Vec::with_capacity(ROUNDS))
-        .collect();
-    for round in 0..WARMUP_ROUNDS + ROUNDS {
-        let (off, on) = if round % 2 == 0 {
-            let off = decode_once(model);
-            prof::set_enabled(true);
-            let on = decode_once(model);
-            prof::set_enabled(false);
-            (off, on)
-        } else {
-            prof::set_enabled(true);
-            let on = decode_once(model);
-            prof::set_enabled(false);
-            (decode_once(model), on)
-        };
-        if round >= WARMUP_ROUNDS {
-            for s in 0..DECODE_STEPS {
-                min_off[s] = min_off[s].min(off[s]);
-                deltas[s].push(on[s] - off[s]);
-            }
-        }
-    }
-    for _ in 0..EXTRA_OFF_ROUNDS {
-        let off = decode_once(model);
-        for s in 0..DECODE_STEPS {
-            min_off[s] = min_off[s].min(off[s]);
-        }
-    }
-    let off_s: f64 = min_off.iter().sum();
-    let overhead_s: f64 = deltas.iter_mut().map(|d| median_mut(d)).sum();
-    let on_s = off_s + overhead_s;
-    (off_s, on_s, overhead_s / off_s * 100.0)
-}
 
 /// The routed fleet-scale run under the profiler, same fleet and diurnal
 /// overload shape as `router_scale`. Returns simulated requests/sec —
@@ -212,7 +111,13 @@ fn main() {
 
     // --- Part 1: profiler overhead on the real decode hot path ----------
     let model = Model::random(&TinyConfig::small(), 5);
-    let (off_s, on_s, overhead_pct) = decode_overhead(&model);
+    let est = paired(|on| {
+        prof::set_enabled(on);
+        let steps = step_times(&mut prefilled(&model, BATCH, None));
+        prof::set_enabled(false);
+        steps
+    });
+    let (off_s, on_s, overhead_pct) = (est.base_s, est.on_s(), est.overhead_pct());
     let decode_tok_s = (BATCH * DECODE_STEPS) as f64 / off_s;
     println!(
         "  decode: {DECODE_STEPS} steps off {:.1} µs/step, on {:.1} µs/step → overhead \
