@@ -98,15 +98,15 @@ struct PackedLayer {
     w2: Kernel,
 }
 
-/// All packed weights: the per-layer projections plus the transposed
-/// embedding (`hidden × vocab`) so tied-embedding logits are one GEMM.
-/// The logits projection stays f32 at every precision: it feeds argmax
-/// directly, where quantization noise would flip tokens rather than
-/// merely perturb activations.
+/// All packed weights: the per-layer projections plus the tied-embedding
+/// logits kernel, which shares [`Weights::embed`]'s `(hidden × vocab)`
+/// storage. The logits projection stays f32 at every precision: it feeds
+/// argmax directly, where quantization noise would flip tokens rather
+/// than merely perturb activations.
 #[derive(Debug, Clone)]
 struct PackedWeights {
     layers: Vec<PackedLayer>,
-    embed_t: Kernel,
+    embed: Kernel,
 }
 
 impl PackedWeights {
@@ -126,7 +126,7 @@ impl PackedWeights {
                     w2: kernel(&lw.w2),
                 })
                 .collect(),
-            embed_t: Kernel::F32(PackedMatrix::pack_transposed(&w.embed)),
+            embed: Kernel::F32(PackedMatrix::pack(&w.embed)),
         }
     }
 }
@@ -552,6 +552,12 @@ impl Model {
         &self.pool
     }
 
+    /// Token `t`'s embedding: column `t` of the `(hidden × vocab)`
+    /// [`Weights::embed`].
+    fn embed_col(&self, t: usize) -> impl Iterator<Item = &f32> {
+        self.weights.embed.data[t..].iter().step_by(self.cfg.vocab)
+    }
+
     /// Token plus learned position embedding.
     ///
     /// # Panics
@@ -562,10 +568,7 @@ impl Model {
         let t = token as usize;
         assert!(t < self.cfg.vocab, "token {t} out of vocab");
         assert!(pos < self.cfg.max_seq, "position {pos} past max_seq");
-        self.weights
-            .embed
-            .row(t)
-            .iter()
+        self.embed_col(t)
             .zip(self.weights.pos.row(pos))
             .map(|(a, b)| a + b)
             .collect()
@@ -716,16 +719,7 @@ impl Model {
             &self.weights.lnf_scale,
             &self.weights.lnf_shift,
         );
-        let mut out = vec![0.0; self.cfg.vocab];
-        for (t, o) in out.iter_mut().enumerate() {
-            *o = normed
-                .row(0)
-                .iter()
-                .zip(self.weights.embed.row(t))
-                .map(|(a, b)| a * b)
-                .sum();
-        }
-        out
+        normed.matmul(&self.weights.embed).into_vec()
     }
 
     /// Embeds every batch row (token + learned position) into
@@ -748,7 +742,7 @@ impl Model {
             let out = &mut scratch.x[i * h..(i + 1) * h];
             for ((o, e), p) in out
                 .iter_mut()
-                .zip(self.weights.embed.row(t))
+                .zip(self.embed_col(t))
                 .zip(self.weights.pos.row(row.pos))
             {
                 *o = e + p;
@@ -1012,8 +1006,8 @@ impl Model {
     }
 
     /// Logits for the selected rows of the last [`Model::forward_batch`]:
-    /// final LayerNorm plus one `(picks × vocab)` GEMM against the
-    /// pre-transposed embedding. Results are read back with
+    /// final LayerNorm plus one `(picks × vocab)` GEMM that reads the
+    /// `(hidden × vocab)` embedding in place. Results are read back with
     /// [`Scratch::logits_row`]. Prefill only pays for the rows it needs
     /// (each prompt's last position) instead of projecting every token.
     ///
@@ -1041,7 +1035,7 @@ impl Model {
         scratch.logits.resize(r * vocab, 0.0);
         scratch.logits_width = vocab;
         self.pool.gemm(
-            &self.packed.embed_t,
+            &self.packed.embed,
             &scratch.normed[..r * h],
             r,
             h,
@@ -1462,26 +1456,37 @@ mod tests {
     #[test]
     fn f32_kernels_share_reference_weights() {
         // The batch tier's f32 projections read the reference tier's
-        // weight storage: one allocation per projection, not two.
-        let m = Model::random_with(
-            &TinyConfig::tiny(),
-            42,
-            ComputeConfig {
-                precision: Precision::F32,
-                threads: 1,
-            },
-        );
-        for (packed, lw) in m.packed.layers.iter().zip(&m.weights.layers) {
-            for (kernel, w) in [
-                (&packed.wqkv, &lw.wqkv),
-                (&packed.wo, &lw.wo),
-                (&packed.w1, &lw.w1),
-                (&packed.w2, &lw.w2),
-            ] {
-                let Kernel::F32(p) = kernel else {
-                    panic!("an f32 model packs f32 kernels");
-                };
-                assert!(Arc::ptr_eq(p.storage(), &w.data));
+        // weight storage: one allocation per projection, not two. The
+        // tied-embedding logits kernel is f32 at every precision and
+        // reads the embedding in place.
+        for precision in [Precision::F32, Precision::Int8] {
+            let m = Model::random_with(
+                &TinyConfig::tiny(),
+                42,
+                ComputeConfig {
+                    precision,
+                    threads: 1,
+                },
+            );
+            let Kernel::F32(logits) = &m.packed.embed else {
+                panic!("{precision:?}: the logits kernel is f32");
+            };
+            assert!(Arc::ptr_eq(logits.storage(), &m.weights.embed.data));
+            if precision != Precision::F32 {
+                continue;
+            }
+            for (packed, lw) in m.packed.layers.iter().zip(&m.weights.layers) {
+                for (kernel, w) in [
+                    (&packed.wqkv, &lw.wqkv),
+                    (&packed.wo, &lw.wo),
+                    (&packed.w1, &lw.w1),
+                    (&packed.w2, &lw.w2),
+                ] {
+                    let Kernel::F32(p) = kernel else {
+                        panic!("an f32 model packs f32 kernels");
+                    };
+                    assert!(Arc::ptr_eq(p.storage(), &w.data));
+                }
             }
         }
     }

@@ -1,5 +1,6 @@
 //! Model configuration and deterministic random weights.
 
+use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
@@ -12,7 +13,8 @@ use crate::tensor::Matrix;
 /// projection weights per output channel at pack time
 /// ([`crate::tensor::QuantMatrix`]) and dequantizes in-register inside
 /// the GEMM microkernel; embeddings, LayerNorms, and the tied-embedding
-/// logits projection stay f32. Int8 outputs carry the documented
+/// logits projection stay f32 (the logits GEMM reads [`Weights::embed`]
+/// in place at either precision). Int8 outputs carry the documented
 /// per-channel error bound relative to the f32 reference — bounded, not
 /// bit-exact — but remain fully deterministic (threaded output is
 /// bit-identical to serial at either precision).
@@ -142,7 +144,9 @@ pub struct LayerWeights {
 /// Full model weights.
 #[derive(Debug, Clone)]
 pub struct Weights {
-    /// Token embeddings, `(vocab × hidden)`.
+    /// Token embeddings, `(hidden × vocab)`: column `t` is token `t`'s
+    /// vector. Input-major like every projection, so the tied-embedding
+    /// logits GEMM reads this storage in place.
     pub embed: Matrix,
     /// Learned position embeddings, `(max_seq × hidden)`.
     pub pos: Matrix,
@@ -160,22 +164,16 @@ impl Weights {
     /// activations stay well-conditioned.
     #[must_use]
     pub fn random(cfg: &TinyConfig, seed: u64) -> Self {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut mat = |rows: usize, cols: usize, scale: f32| -> Matrix {
-            let data = (0..rows * cols)
-                .map(|_| (rng.gen::<f32>() * 2.0 - 1.0) * scale)
-                .collect();
-            Matrix::from_vec(rows, cols, data)
-        };
+        let mut rng = StdRng::seed_from_u64(seed);
         let h = cfg.hidden;
         let att_scale = 0.5 / (h as f32).sqrt();
         let ffn_scale = 0.5 / (cfg.ffn as f32).sqrt();
         let layers = (0..cfg.layers)
             .map(|_| LayerWeights {
-                wqkv: mat(h, 3 * h, att_scale),
-                wo: mat(h, h, att_scale),
-                w1: mat(h, cfg.ffn, att_scale),
-                w2: mat(cfg.ffn, h, ffn_scale),
+                wqkv: random_matrix(&mut rng, h, 3 * h, att_scale),
+                wo: random_matrix(&mut rng, h, h, att_scale),
+                w1: random_matrix(&mut rng, h, cfg.ffn, att_scale),
+                w2: random_matrix(&mut rng, cfg.ffn, h, ffn_scale),
                 ln1_scale: vec![1.0; h],
                 ln1_shift: vec![0.0; h],
                 ln2_scale: vec![1.0; h],
@@ -183,13 +181,45 @@ impl Weights {
             })
             .collect();
         Weights {
-            embed: mat(cfg.vocab, h, 0.1),
-            pos: mat(cfg.max_seq, h, 0.05),
+            embed: random_matrix_transposed(&mut rng, cfg.vocab, h, 0.1),
+            pos: random_matrix(&mut rng, cfg.max_seq, h, 0.05),
             layers,
             lnf_scale: vec![1.0; h],
             lnf_shift: vec![0.0; h],
         }
     }
+}
+
+fn draw(rng: &mut StdRng, scale: f32) -> f32 {
+    (rng.gen::<f32>() * 2.0 - 1.0) * scale
+}
+
+/// A `(rows × cols)` matrix drawn in row-major order.
+fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize, scale: f32) -> Matrix {
+    let data = (0..rows * cols).map(|_| draw(rng, scale)).collect();
+    Matrix::from_vec(rows, cols, data)
+}
+
+/// The transpose `(cols × rows)` of the matrix [`random_matrix`] would
+/// draw with the same arguments: same values, same draw order.
+fn random_matrix_transposed(rng: &mut StdRng, rows: usize, cols: usize, scale: f32) -> Matrix {
+    // Tiled: freeing a full-size temporary would raise glibc's mmap
+    // threshold and keep later model buffers resident, and a strided
+    // per-element fill is ~3× slower than one contiguous run per row.
+    const TILE: usize = 16;
+    let mut data = vec![0.0; rows * cols];
+    let mut tile = Vec::with_capacity(TILE * cols);
+    for r0 in (0..rows).step_by(TILE) {
+        let take = TILE.min(rows - r0);
+        tile.clear();
+        tile.extend((0..take * cols).map(|_| draw(rng, scale)));
+        for (c, run) in data.chunks_exact_mut(rows).enumerate() {
+            for (i, v) in run[r0..r0 + take].iter_mut().enumerate() {
+                *v = tile[i * cols + c];
+            }
+        }
+    }
+    Matrix::from_vec(cols, rows, data)
 }
 
 #[cfg(test)]
@@ -230,8 +260,26 @@ mod tests {
         assert_eq!(w.layers[0].wqkv.cols, 3 * cfg.hidden);
         assert_eq!(w.layers[0].w1.cols, cfg.ffn);
         assert_eq!(w.layers[0].w2.rows, cfg.ffn);
-        assert_eq!(w.embed.rows, cfg.vocab);
+        assert_eq!((w.embed.rows, w.embed.cols), (cfg.hidden, cfg.vocab));
         assert_eq!(w.pos.rows, cfg.max_seq);
+    }
+
+    #[test]
+    fn transposed_fill_draws_the_row_major_sequence() {
+        // 37 rows: two full tiles and a partial one. Same values, same
+        // draw order, and the generator ends in the same state.
+        let (rows, cols) = (37, 5);
+        let mut ra = StdRng::seed_from_u64(3);
+        let mut rt = StdRng::seed_from_u64(3);
+        let a = random_matrix(&mut ra, rows, cols, 0.1);
+        let t = random_matrix_transposed(&mut rt, rows, cols, 0.1);
+        assert_eq!((t.rows, t.cols), (cols, rows));
+        for r in 0..rows {
+            for c in 0..cols {
+                assert_eq!(t.row(c)[r].to_bits(), a.row(r)[c].to_bits());
+            }
+        }
+        assert_eq!(draw(&mut ra, 1.0).to_bits(), draw(&mut rt, 1.0).to_bits());
     }
 
     #[test]

@@ -71,7 +71,8 @@ pub struct FinishedGen {
     pub id: SeqId,
     /// Generated tokens (`max_new` long).
     pub tokens: Vec<u32>,
-    /// Scheduler step index at which the first token was emitted.
+    /// Scheduler step index at which the first token was emitted (for
+    /// `max_new == 0`, the prefill step).
     pub first_token_step: u64,
     /// Scheduler step index at which the request completed.
     pub completion_step: u64,
@@ -84,6 +85,9 @@ struct Running {
     generated: Vec<u32>,
     max_new: usize,
     first_token_step: u64,
+    /// Blocks admission added to `reserved_blocks` for this request;
+    /// retirement releases exactly these.
+    reserved: usize,
 }
 
 /// What one scheduler step did.
@@ -279,7 +283,7 @@ impl ContinuousBatcher {
             }
             self.reserved_blocks += need_blocks;
             budget -= head.prompt.len();
-            admitted.push(self.waiting.pop_front().expect("peeked"));
+            admitted.push((self.waiting.pop_front().expect("peeked"), need_blocks));
             if budget == 0 {
                 break;
             }
@@ -295,7 +299,7 @@ impl ContinuousBatcher {
             let mut rows = Vec::new();
             let mut last_rows = Vec::with_capacity(admitted.len());
             let mut cached_tokens = 0usize;
-            for req in &admitted {
+            for (req, _) in &admitted {
                 let matched = match prefix.as_deref_mut() {
                     Some(cache) => {
                         let _prof = distserve_prof::scope("prefix_match");
@@ -327,7 +331,7 @@ impl ContinuousBatcher {
             let tokens = rows.len();
             let n = admitted.len();
             let t_start = self.clock.now_s();
-            for req in &admitted {
+            for (req, _) in &admitted {
                 self.emit(req.id, t_start, LifecycleEvent::PrefillStart);
             }
             {
@@ -355,7 +359,7 @@ impl ContinuousBatcher {
                 // Offer each prompt's whole-block prefix back to the
                 // cache; partially filled tail blocks stay private (the
                 // sequence keeps appending into them during decode).
-                for req in &admitted {
+                for (req, _) in &admitted {
                     let full = req.prompt.len() / bs;
                     if full == 0 {
                         continue;
@@ -371,15 +375,22 @@ impl ContinuousBatcher {
             self.sink
                 .counter_add(metrics::PREFILL_TOKENS, self.track, tokens as u64);
             self.sink.observe(metrics::BATCH_SIZE, self.track, n as f64);
-            for (i, req) in admitted.into_iter().enumerate() {
-                let first = argmax(self.scratch.logits_row(i)) as u32;
+            for (i, (req, reserved)) in admitted.into_iter().enumerate() {
+                // A `max_new == 0` request only prefills: it finishes here
+                // with no tokens, like `Model::generate(prompt, 0)`.
+                let generated = if req.max_new == 0 {
+                    Vec::new()
+                } else {
+                    vec![argmax(self.scratch.logits_row(i)) as u32]
+                };
                 self.emit(req.id, t_end, LifecycleEvent::PrefillEnd);
                 let mut running = Running {
                     id: req.id,
                     pos: req.prompt.len(),
-                    generated: vec![first],
+                    generated,
                     max_new: req.max_new,
                     first_token_step: self.steps,
+                    reserved,
                 };
                 if running.generated.len() >= running.max_new {
                     self.retire(&mut running);
@@ -460,10 +471,7 @@ impl ContinuousBatcher {
     }
 
     fn retire(&mut self, r: &mut Running) {
-        // At retirement the lifetime footprint is `prompt + max_new`
-        // tokens, which equals `pos + 1` (the final token was emitted but
-        // never fed back).
-        self.reserved_blocks -= Self::lifetime_blocks(r.pos + 1);
+        self.reserved_blocks -= r.reserved;
         self.kv.release(r.id).expect("running request has KV");
         self.emit(r.id, self.clock.now_s(), LifecycleEvent::Finished);
         self.sink
@@ -709,5 +717,24 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].tokens, solo);
         assert_eq!(done[0].first_token_step, done[0].completion_step);
+    }
+
+    #[test]
+    fn zero_token_request_finishes_at_prefill() {
+        // `max_new == 0` with a block-aligned prompt: no tokens, like
+        // `Model::generate`, and exactly the admitted reservation is
+        // released, so the whole pool admits again afterwards.
+        let m = model();
+        assert!(m.generate(&[3; 32], 0).is_empty());
+        let mut batcher = ContinuousBatcher::new(m, 64);
+        batcher.submit(req(0, vec![3; 32], 0));
+        let done = batcher.run_to_completion();
+        assert_eq!(done.len(), 1);
+        assert!(done[0].tokens.is_empty());
+        assert_eq!(done[0].first_token_step, done[0].completion_step);
+        assert_eq!(batcher.reserved_blocks, 0);
+        batcher.submit(req(1, vec![4; 32], 32));
+        let k = batcher.step();
+        assert!(matches!(k, StepKind::Prefill { requests: 1, .. }), "{k:?}");
     }
 }

@@ -179,26 +179,6 @@ impl PackedMatrix {
         &self.data
     }
 
-    /// Packs the *transpose* of a `(n × k)` matrix, producing the same
-    /// k-major layout. Used for tied-embedding logits: the `(vocab ×
-    /// hidden)` embedding becomes a `(hidden × vocab)` projection.
-    #[must_use]
-    pub fn pack_transposed(w: &Matrix) -> Self {
-        let (k, n) = (w.cols, w.rows);
-        let mut data = vec![0.0; k * n];
-        for j in 0..n {
-            let src = w.row(j);
-            for (kk, &v) in src.iter().enumerate() {
-                data[kk * n + j] = v;
-            }
-        }
-        PackedMatrix {
-            k,
-            n,
-            data: Arc::new(data),
-        }
-    }
-
     /// `out = a × W` for `a` a dense `(m × k)` activation block, written
     /// into caller-owned scratch (every element overwritten). Register
     /// tiled: [`MR`]`×`[`NR`] accumulator blocks, branch-free unit-stride
@@ -855,21 +835,6 @@ mod tests {
         let mut out = vec![0.0; m * n];
         packed.matmul_rows_into(&a.data, m, lo, hi, &mut out);
         assert_eq!(out, *reference.data);
-    }
-
-    #[test]
-    fn pack_transposed_flips_layout() {
-        let w = test_weight(6, 10); // (n=6 rows × k=10 cols) source.
-        let packed = PackedMatrix::pack_transposed(&w);
-        assert_eq!(packed.k, 10);
-        assert_eq!(packed.n, 6);
-        // Multiplying a basis vector extracts one source row.
-        let mut e = vec![0.0; 10];
-        e[3] = 1.0;
-        let mut out = vec![0.0; 6];
-        packed.matmul_into(&e, 1, &mut out);
-        let expect: Vec<f32> = (0..6).map(|j| w.row(j)[3]).collect();
-        assert_eq!(out, expect);
     }
 
     #[test]

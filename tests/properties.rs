@@ -261,15 +261,19 @@ proptest! {
 
     #[test]
     fn tinyllm_batched_equals_standalone(
-        seeds in prop::collection::vec(0u32..100u32, 1..4),
-        max_new in 2usize..6,
+        reqs in prop::collection::vec((0u32..100u32, 0usize..4, 0usize..6), 1..4),
     ) {
+        // Block-aligned (16, 32) and unaligned prompt lengths; `max_new`
+        // from 0, which finishes at prefill with no tokens.
+        const PROMPT_LENS: [usize; 4] = [3, 16, 17, 32];
         let model = distserve::tinyllm::Model::random(
             &distserve::tinyllm::TinyConfig::tiny(), 5);
         let mut batcher = distserve::tinyllm::ContinuousBatcher::new(model.clone(), 8192);
         let mut expected = Vec::new();
-        for (i, s) in seeds.iter().enumerate() {
-            let prompt = vec![s % 128, (s * 7 + 1) % 128, 3];
+        for (i, &(s, len, max_new)) in reqs.iter().enumerate() {
+            let prompt: Vec<u32> = (0..PROMPT_LENS[len] as u32)
+                .map(|j| (s * 7 + j * 13 + 1) % 128)
+                .collect();
             expected.push(model.generate(&prompt, max_new));
             batcher.submit(distserve::tinyllm::GenRequest {
                 id: i as u64,
@@ -279,6 +283,7 @@ proptest! {
         }
         let mut done = batcher.run_to_completion();
         done.sort_by_key(|f| f.id);
+        prop_assert_eq!(done.len(), expected.len());
         for (f, e) in done.iter().zip(&expected) {
             prop_assert_eq!(&f.tokens, e);
         }
