@@ -7,11 +7,12 @@
 //!
 //! - **Ledger** — each bench run appends one JSON line to
 //!   `BENCH_history.jsonl` ([`append_record`]): a [`Provenance`] stamp
-//!   (git sha, rustc, host cores, seed, config) plus the run's key
-//!   metrics. Append-only and newline-delimited, so history survives
-//!   every run and merges trivially.
+//!   (git sha, rustc, CPU model, host cores, seed, config) plus the
+//!   run's key metrics. Append-only and newline-delimited, so history
+//!   survives every run and merges trivially.
 //! - **Comparator** — [`check`] compares a fresh record against the
-//!   ledger per metric: the baseline is the *median* of prior runs and
+//!   ledger records from its own host (same CPU model and core count)
+//!   per metric: the baseline is the *median* of those prior runs and
 //!   the noise scale is the MAD (median absolute deviation, scaled by
 //!   1.4826 to a σ-equivalent). A metric regresses only when it worsens
 //!   past `max(k·σ_MAD, rel_floor·|baseline|, abs_floor)` in its bad
@@ -22,16 +23,18 @@
 //!   ledger seeded under heavy interference cannot widen `k·σ_MAD`
 //!   until real regressions pass unremarked.
 //!
-//! Records from different hosts carry their provenance, so a CI gate
-//! can compare like against like (or widen floors when it cannot).
+//! A host with fewer than [`MIN_BASELINE`] records of its own gets no
+//! call: a baseline measured on other hardware says nothing about this
+//! one.
 
 use std::io::Write as _;
 
 use serde::Value;
 
-/// Minimum prior samples of a metric before the comparator will call a
-/// regression: below this, MAD is meaningless and everything passes
-/// (reported via [`Verdict::enough_history`]).
+/// Minimum prior samples of a metric from the current record's host
+/// before the comparator will call a regression: below this, MAD is
+/// meaningless and everything passes (reported via
+/// [`Verdict::enough_history`]).
 pub const MIN_BASELINE: usize = 3;
 
 /// MAD → σ equivalence factor for normal noise.
@@ -46,6 +49,10 @@ pub struct Provenance {
     pub git_sha: String,
     /// `rustc --version` (env `RUSTC_VERSION` wins).
     pub rustc: String,
+    /// The CPU's `model name` from `/proc/cpuinfo`. `None` where that
+    /// cannot be read, and in ledger records written before the field
+    /// existed; such records match no host.
+    pub cpu_model: Option<String>,
     /// Host parallelism observed at run time.
     pub host_cores: u64,
     /// Workload seed the run used.
@@ -68,6 +75,14 @@ fn command_line(cmd: &str, args: &[&str]) -> Option<String> {
     } else {
         Some(line)
     }
+}
+
+/// The first `model name` in `/proc/cpuinfo` (Linux).
+fn cpu_model() -> Option<String> {
+    let info = std::fs::read_to_string("/proc/cpuinfo").ok()?;
+    let line = info.lines().find(|l| l.starts_with("model name"))?;
+    let model = line.split_once(':')?.1.trim();
+    (!model.is_empty()).then(|| model.to_string())
 }
 
 impl Provenance {
@@ -95,11 +110,20 @@ impl Provenance {
         Provenance {
             git_sha,
             rustc,
+            cpu_model: cpu_model(),
             host_cores,
             seed,
             config: config.to_string(),
             unix_time_s,
         }
+    }
+
+    /// Whether two records were measured on the same kind of host: both
+    /// know their CPU model, and the models and core counts match.
+    fn same_host(&self, other: &Provenance) -> bool {
+        self.cpu_model.is_some()
+            && self.cpu_model == other.cpu_model
+            && self.host_cores == other.host_cores
     }
 
     /// The stamp as a JSON object — embed under a `"provenance"` key in
@@ -109,6 +133,10 @@ impl Provenance {
         Value::Object(vec![
             ("git_sha".into(), Value::Str(self.git_sha.clone())),
             ("rustc".into(), Value::Str(self.rustc.clone())),
+            (
+                "cpu_model".into(),
+                self.cpu_model.clone().map_or(Value::Null, Value::Str),
+            ),
             ("host_cores".into(), Value::UInt(self.host_cores)),
             ("seed".into(), Value::UInt(self.seed)),
             ("config".into(), Value::Str(self.config.clone())),
@@ -120,6 +148,7 @@ impl Provenance {
         Some(Provenance {
             git_sha: v["git_sha"].as_str()?.to_string(),
             rustc: v["rustc"].as_str()?.to_string(),
+            cpu_model: v["cpu_model"].as_str().map(str::to_string),
             host_cores: v["host_cores"].as_u64()?,
             seed: v["seed"].as_u64()?,
             config: v["config"].as_str()?.to_string(),
@@ -313,7 +342,7 @@ pub struct Verdict {
     pub current: f64,
     /// Worsening beyond this flags a regression.
     pub threshold: f64,
-    /// Prior samples the baseline rests on.
+    /// Prior same-host samples the baseline rests on.
     pub samples: usize,
     /// Whether `samples >= MIN_BASELINE` (no call is made below it).
     pub enough_history: bool,
@@ -334,8 +363,9 @@ pub(crate) fn median(sorted: &[f64]) -> f64 {
     }
 }
 
-/// Judges `current` against `history` for each spec'd metric. Records
-/// missing a metric simply don't contribute to its baseline.
+/// Judges `current` against the `history` records from its own host (same
+/// CPU model and core count) for each spec'd metric. Records from other
+/// hosts, or missing a metric, don't contribute to its baseline.
 #[must_use]
 pub fn check(
     history: &[BenchRecord],
@@ -348,6 +378,7 @@ pub fn check(
         .map(|spec| {
             let mut prior: Vec<f64> = history
                 .iter()
+                .filter(|r| r.provenance.same_host(&current.provenance))
                 .filter_map(|r| r.metric(spec.name))
                 .filter(|v| v.is_finite())
                 .collect();
@@ -391,7 +422,10 @@ pub fn render_verdicts(verdicts: &[Verdict]) -> String {
     let mut out = String::new();
     for v in verdicts {
         let call = if !v.enough_history {
-            format!("PASS (only {} prior samples, no call)", v.samples)
+            format!(
+                "PASS (only {} prior samples from this host, no call)",
+                v.samples
+            )
         } else if v.regressed {
             "REGRESSED".to_string()
         } else {
@@ -413,6 +447,7 @@ mod tests {
         Provenance {
             git_sha: "deadbeef".into(),
             rustc: "rustc 1.x (test)".into(),
+            cpu_model: Some("Fixture CPU @ 2.00GHz".into()),
             host_cores: 8,
             seed,
             config: "fixture".into(),
@@ -580,6 +615,44 @@ mod tests {
             assert!(!v.enough_history);
             assert!(!v.regressed, "no call without history: {v:?}");
         }
+    }
+
+    /// A record 10% slower than its ledger: no call against records from
+    /// another host, a flag against the same records stamped with its own.
+    #[test]
+    fn baseline_comes_from_the_same_host_only() {
+        let slow = BenchRecord::new(prov(99), vec![("decode_tok_s".into(), 900.0)]);
+        let other_hosts = [
+            (Some("Other CPU @ 3.00GHz"), 8),
+            (Some("Fixture CPU @ 2.00GHz"), 1),
+            (None, 8),
+        ];
+        for (model, cores) in other_hosts {
+            let mut history = fixture_ledger(12);
+            for r in &mut history {
+                r.provenance.cpu_model = model.map(str::to_string);
+                r.provenance.host_cores = cores;
+            }
+            let decode = &check(&history, &slow, KEY_METRICS, 3.0)[0];
+            assert_eq!(decode.samples, 0, "{model:?} x{cores}: {decode:?}");
+            assert!(!decode.enough_history && !decode.regressed, "{decode:?}");
+        }
+        let decode = &check(&fixture_ledger(12), &slow, KEY_METRICS, 3.0)[0];
+        assert_eq!(decode.samples, 12);
+        assert!(
+            decode.regressed,
+            "same-host 10% slowdown must flag: {decode:?}"
+        );
+    }
+
+    #[test]
+    fn records_without_cpu_model_parse_and_match_no_host() {
+        let line = r#"{"provenance":{"git_sha":"867d2c2","rustc":"rustc 1.95.0","host_cores":1,"seed":7,"config":"c","unix_time_s":1786220796},"metrics":{"sim_req_s":1345271.1}}"#;
+        let old = BenchRecord::from_json_line(line).expect("pre-cpu_model record parses");
+        assert_eq!(old.provenance.cpu_model, None);
+        assert!(!old.provenance.same_host(&old.provenance));
+        let back = BenchRecord::from_json_line(&old.to_json_line()).expect("round trip");
+        assert_eq!(back.provenance, old.provenance);
     }
 
     #[test]

@@ -175,15 +175,16 @@ impl Default for RouterPolicy {
 }
 
 /// Everything the decision core consults: replica snapshots, policy, and
-/// the deterministic tie-breaking seed. Replicas are indexed by
-/// `(role, load-bucket)` so selection scans the lowest-loaded bucket
-/// instead of the whole fleet.
+/// the deterministic tie-breaking seed. Each role's replicas are kept in
+/// tie-break order, so selection is one pass over that role.
 #[derive(Debug, Clone)]
 pub struct RouterState {
     replicas: Vec<ReplicaSnapshot>,
     policy: RouterPolicy,
     seed: u64,
-    index: RoleIndex,
+    /// Per role, replica indices in ascending `mix(seed ^ id)`: the
+    /// order in which equally loaded replicas win.
+    tie_order: [Vec<u32>; 3],
     /// Tenants under burn-rate throttling, indexed by tenant id (grows
     /// on demand; absent entries mean unthrottled).
     throttled: Vec<bool>,
@@ -198,70 +199,11 @@ pub struct RouterState {
 /// forgotten (matching a real cache's finite residency).
 const PREFIX_GROUP_CAP: usize = 1 << 16;
 
-/// Number of logarithmic load buckets per role.
-const BUCKETS: usize = 16;
-
-/// Bucket for a load value: 0 for idle, then log₂-spaced so that "an
-/// order of magnitude more work" lands a few buckets away regardless of
-/// fleet scale.
-fn bucket_of(load: u64) -> usize {
-    if load == 0 {
-        0
-    } else {
-        ((64 - load.leading_zeros()) as usize)
-            .div_ceil(4)
-            .min(BUCKETS - 1)
-    }
-}
-
 fn role_slot(role: ReplicaRole) -> usize {
     match role {
         ReplicaRole::Prefill => 0,
         ReplicaRole::Decode => 1,
         ReplicaRole::Colocated => 2,
-    }
-}
-
-/// `(role, load-bucket)` index over the replica set. Buckets hold
-/// replica indices; each replica remembers its `(bucket, slot)` so load
-/// updates move it in O(1) (swap-remove).
-#[derive(Debug, Clone, Default)]
-struct RoleIndex {
-    buckets: [[Vec<u32>; BUCKETS]; 3],
-    /// Per replica: `(bucket, slot within bucket)`.
-    pos: Vec<(u32, u32)>,
-}
-
-impl RoleIndex {
-    fn rebuild(&mut self, replicas: &[ReplicaSnapshot], policy: &RouterPolicy) {
-        for role in &mut self.buckets {
-            for b in role.iter_mut() {
-                b.clear();
-            }
-        }
-        self.pos.clear();
-        self.pos.resize(replicas.len(), (0, 0));
-        for (i, r) in replicas.iter().enumerate() {
-            let b = bucket_of(r.load(policy));
-            let lane = &mut self.buckets[role_slot(r.role)][b];
-            self.pos[i] = (b as u32, lane.len() as u32);
-            lane.push(i as u32);
-        }
-    }
-
-    fn relocate(&mut self, i: usize, role: ReplicaRole, new_bucket: usize) {
-        let (old_b, old_s) = self.pos[i];
-        if old_b as usize == new_bucket {
-            return;
-        }
-        let lane = &mut self.buckets[role_slot(role)][old_b as usize];
-        lane.swap_remove(old_s as usize);
-        if let Some(&moved) = lane.get(old_s as usize) {
-            self.pos[moved as usize].1 = old_s;
-        }
-        let lane = &mut self.buckets[role_slot(role)][new_bucket];
-        self.pos[i] = (new_bucket as u32, lane.len() as u32);
-        lane.push(i as u32);
     }
 }
 
@@ -271,6 +213,20 @@ fn mix(x: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Refills `tie_order` from `replicas` in place. `mix` is a bijection,
+/// so distinct ids never tie.
+fn order_ties(tie_order: &mut [Vec<u32>; 3], replicas: &[ReplicaSnapshot], seed: u64) {
+    for lane in tie_order.iter_mut() {
+        lane.clear();
+    }
+    for (i, r) in replicas.iter().enumerate() {
+        tie_order[role_slot(r.role)].push(i as u32);
+    }
+    for lane in tie_order.iter_mut() {
+        lane.sort_unstable_by_key(|&i| mix(seed ^ u64::from(i)));
+    }
 }
 
 impl RouterState {
@@ -287,13 +243,13 @@ impl RouterState {
         for (i, r) in replicas.iter().enumerate() {
             assert_eq!(r.id.0 as usize, i, "replica id must match position");
         }
-        let mut index = RoleIndex::default();
-        index.rebuild(&replicas, &policy);
+        let mut tie_order = Default::default();
+        order_ties(&mut tie_order, &replicas, seed);
         RouterState {
             replicas,
             policy,
             seed,
-            index,
+            tie_order,
             throttled: Vec::new(),
             prefix_holders: LruMap::new(PREFIX_GROUP_CAP),
         }
@@ -326,11 +282,11 @@ impl RouterState {
         for (i, r) in self.replicas.iter().enumerate() {
             assert_eq!(r.id.0 as usize, i, "replica id must match position");
         }
-        self.index.rebuild(&self.replicas, &self.policy);
+        order_ties(&mut self.tie_order, &self.replicas, self.seed);
     }
 
-    /// Applies `edit` to one snapshot and re-files it under its new load
-    /// bucket in O(1). This is the scale simulator's hot path.
+    /// Applies `edit` to one snapshot in O(1). This is the scale
+    /// simulator's hot path.
     ///
     /// # Panics
     ///
@@ -340,8 +296,6 @@ impl RouterState {
         let role = self.replicas[i].role;
         edit(&mut self.replicas[i]);
         assert!(self.replicas[i].role == role, "role is immutable");
-        let b = bucket_of(self.replicas[i].load(&self.policy));
-        self.index.relocate(i, role, b);
     }
 
     /// Marks (or clears) burn-rate throttling for `tenant`. While
@@ -389,32 +343,27 @@ impl RouterState {
             .unwrap_or(false)
     }
 
-    /// Least-loaded replica of `role` passing `eligible`, scanning load
-    /// buckets from emptiest. Ties break on `mix(seed ^ id)` so equal
-    /// replicas share work instead of herding onto the lowest id.
+    /// Least-loaded replica of `role` passing `eligible`. Ties break on
+    /// `mix(seed ^ id)` so equal replicas share work instead of herding
+    /// onto the lowest id: the pass runs in tie order and keeps the first
+    /// strict minimum of load.
     fn best(
         &self,
         role: ReplicaRole,
         mut eligible: impl FnMut(&ReplicaSnapshot) -> bool,
     ) -> Option<&ReplicaSnapshot> {
-        for lane in &self.index.buckets[role_slot(role)] {
-            let mut found: Option<(u64, u64, &ReplicaSnapshot)> = None;
-            for &i in lane {
-                let r = &self.replicas[i as usize];
-                if !eligible(r) {
-                    continue;
-                }
-                let key = (r.load(&self.policy), mix(self.seed ^ u64::from(r.id.0)));
-                match found {
-                    Some((l, t, _)) if (key.0, key.1) >= (l, t) => {}
-                    _ => found = Some((key.0, key.1, r)),
-                }
+        let mut found: Option<(u64, &ReplicaSnapshot)> = None;
+        for &i in &self.tie_order[role_slot(role)] {
+            let r = &self.replicas[i as usize];
+            if !eligible(r) {
+                continue;
             }
-            if let Some((_, _, r)) = found {
-                return Some(r);
+            let load = r.load(&self.policy);
+            if found.is_none_or(|(least, _)| load < least) {
+                found = Some((load, r));
             }
         }
-        None
+        found.map(|(_, r)| r)
     }
 
     /// Whether any replica of `role` currently accepts new work.
@@ -539,6 +488,16 @@ pub enum Decision {
 /// always produce identical decisions.
 #[must_use]
 pub fn route(state: &RouterState, req: &RequestFeatures) -> Decision {
+    route_with_holder(state, req, state.prefix_holder(req.prefix_group))
+}
+
+/// [`route`] for a caller that has already looked up `holder`, the
+/// state's [`RouterState::prefix_holder`] for `req.prefix_group`.
+pub(crate) fn route_with_holder(
+    state: &RouterState,
+    req: &RequestFeatures,
+    holder: Option<ReplicaId>,
+) -> Decision {
     let policy = state.policy;
     let throttled = state.tenant_throttled(req.tenant);
     // Throttled tenants face half the admission headroom (floor 1 so a
@@ -560,7 +519,6 @@ pub fn route(state: &RouterState, req: &RequestFeatures) -> Decision {
     // per-mille so scores stay integer-deterministic; capped at
     // `prompt − 1` (the final prompt token is always recomputed — its
     // logits seed decoding).
-    let holder = state.prefix_holder(req.prefix_group);
     let hit_pm = (req.prefix_hit_prob.clamp(0.0, 1.0) * 1000.0).round() as u64;
     let matched = u64::from(req.matched_tokens).min(prompt.saturating_sub(1));
     let saved_on = |id: ReplicaId| -> u64 {
@@ -813,7 +771,7 @@ mod tests {
     }
 
     #[test]
-    fn update_relocates_buckets() {
+    fn update_steers_selection() {
         let mut state = RouterState::new(
             fleet(&[
                 (ReplicaRole::Prefill, 0, 0),
@@ -823,7 +781,7 @@ mod tests {
             RouterPolicy::default(),
             7,
         );
-        // Pile work onto replica 0; the index must steer to replica 1.
+        // Pile work onto replica 0; selection must steer to replica 1.
         state.update(ReplicaId(0), |r| {
             r.queued_tokens = 100_000;
             r.queue_depth = 10;
@@ -1039,16 +997,5 @@ mod tests {
         assert_eq!(state.prefix_holder(last), Some(ReplicaId(0)));
         assert_eq!(state.prefix_holder(7), Some(ReplicaId(0)));
         assert_eq!(state.prefix_holders.len(), PREFIX_GROUP_CAP);
-    }
-
-    #[test]
-    fn bucket_of_is_monotone() {
-        let mut prev = 0;
-        for load in [0u64, 1, 7, 100, 5_000, 80_000, 1 << 30, u64::MAX] {
-            let b = bucket_of(load);
-            assert!(b >= prev, "bucket_of not monotone at {load}");
-            assert!(b < BUCKETS);
-            prev = b;
-        }
     }
 }

@@ -8,8 +8,9 @@
 //! shed. Three pieces:
 //!
 //! - [`decision`] — the pure `route(&RouterState, &RequestFeatures) ->
-//!   Decision` core plus the `(role, load-bucket)` replica index. No
-//!   clocks, no RNG: identical inputs give identical decisions.
+//!   Decision` core, which picks each role's least-loaded eligible
+//!   replica in one pass. No clocks, no RNG: identical inputs give
+//!   identical decisions.
 //! - [`log`] — flat JSON decision records; a logged run can be replayed
 //!   through the engine byte-for-byte.
 //! - [`scale`] — the request-granular simulator that drives the router

@@ -15,14 +15,14 @@
 //! - **No per-request allocation.** In-flight requests live in a pooled
 //!   slab ([`ScaleSim::pool`]) with an intrusive free list; the decision
 //!   log, records, and hash maps of the engine path are all absent.
-//! - **No fleet scans.** The router's `(role, load-bucket)` index is
-//!   maintained incrementally ([`RouterState::update`], O(1) bucket
-//!   relocation) instead of being rebuilt per arrival; `route()` stops
-//!   at the emptiest load bucket holding an eligible replica (it scans
-//!   the fleet only when no replica is eligible).
+//! - **One pass per role.** Load changes edit the router's snapshots in
+//!   place ([`RouterState::update`], O(1)) instead of rebuilding the
+//!   state per arrival. Routing makes one pass over each role's
+//!   replicas, kept in tie-break order, so it costs O(fleet) with no
+//!   hashing (the fleets here hold at most a few dozen replicas).
 //! - **O(1) prefix directories.** A request with a prefix lineage adds
-//!   a fixed number of hash probes, whatever the directories hold: two
-//!   holder lookups and one read of the holder's directory while routing,
+//!   a fixed number of hash probes, whatever the directories hold: one
+//!   holder lookup and one read of the holder's directory while routing,
 //!   then one upsert into the target's directory (returning what it
 //!   cached before) and one into the router's holder map when prefill is
 //!   booked.
@@ -56,8 +56,8 @@ use distserve_telemetry::{
 use distserve_workload::{Request, SessionRequest};
 
 use crate::decision::{
-    route, Decision, ReplicaId, ReplicaRole, ReplicaSnapshot, RequestFeatures, RouterPolicy,
-    RouterState,
+    route_with_holder, Decision, ReplicaId, ReplicaRole, ReplicaSnapshot, RequestFeatures,
+    RouterPolicy, RouterState,
 };
 use crate::lru::LruMap;
 
@@ -644,7 +644,8 @@ impl ScaleSim {
                 // tokens the group's last-serving replica still caches.
                 // The sim resolves hits deterministically, so the hit
                 // probability is 1 whenever any prefix is cached there.
-                let matched = match self.state.prefix_holder(s.prefix_group) {
+                let holder = self.state.prefix_holder(s.prefix_group);
+                let matched = match holder {
                     Some(h) => self.prefix_dirs[h.0 as usize]
                         .get(s.prefix_group)
                         .unwrap_or(0)
@@ -661,7 +662,7 @@ impl ScaleSim {
                     matched,
                     if matched > 0 { 1.0 } else { 0.0 },
                 );
-                route(&self.state, &features)
+                route_with_holder(&self.state, &features, holder)
             }
             Assignment::Static => self.static_decision(),
         };

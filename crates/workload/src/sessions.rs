@@ -23,7 +23,7 @@
 //! harness, the prefix-cache example) use without widening the `Request`
 //! record itself.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use distserve_simcore::{SimRng, SimTime};
@@ -86,35 +86,27 @@ impl Default for ChatConfig {
     }
 }
 
-/// A conversation turn waiting for its think time to elapse.
-#[derive(Debug)]
+/// A conversation turn waiting for its think time to elapse. Ordered by
+/// `key` alone: a session has at most one pending turn, so keys are
+/// unique.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct PendingTurn {
-    at: f64,
-    session: u64,
+    /// `at.to_bits() << 64 | session`. Times are non-negative, so their
+    /// bit patterns order like the times: earliest first, ties broken by
+    /// session id.
+    key: u128,
     turn: u32,
     /// Prompt tokens the turn re-sends (system + prior turns).
     history: u32,
 }
 
-impl PartialEq for PendingTurn {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.session == other.session
+impl PendingTurn {
+    fn at(&self) -> f64 {
+        f64::from_bits((self.key >> 64) as u64)
     }
-}
-impl Eq for PendingTurn {}
-impl PartialOrd for PendingTurn {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingTurn {
-    /// Reversed: `BinaryHeap` is a max-heap, we want earliest-first
-    /// (ties broken by session id for determinism).
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .total_cmp(&self.at)
-            .then_with(|| other.session.cmp(&self.session))
+
+    fn session(&self) -> u64 {
+        self.key as u64
     }
 }
 
@@ -128,7 +120,8 @@ pub struct ChatSessionStream {
     arrival_rng: SimRng,
     length_rng: SimRng,
     session_rng: SimRng,
-    pending: BinaryHeap<PendingTurn>,
+    /// Pending turns, earliest first.
+    pending: BinaryHeap<Reverse<PendingTurn>>,
     next_session_at: f64,
     next_session_id: u64,
     next_request_id: u64,
@@ -201,12 +194,11 @@ impl ChatSessionStream {
             } else {
                 full
             };
-            self.pending.push(PendingTurn {
-                at: at + think,
-                session,
+            self.pending.push(Reverse(PendingTurn {
+                key: u128::from((at + think).to_bits()) << 64 | u128::from(session),
                 turn: turn + 1,
                 history: next_history,
-            });
+            }));
         }
         // Opening turns share only the tenant-wide system prompt (one
         // lineage across all sessions); later turns share the
@@ -239,10 +231,10 @@ impl Iterator for ChatSessionStream {
     type Item = SessionRequest;
 
     fn next(&mut self) -> Option<SessionRequest> {
-        let turn_next = self.pending.peek().map(|p| p.at);
+        let turn_next = self.pending.peek().map(|p| p.0.at());
         if turn_next.is_some_and(|t| t <= self.next_session_at) {
-            let p = self.pending.pop().expect("peeked");
-            return Some(self.emit(p.at, p.session, p.turn, p.history));
+            let Reverse(p) = self.pending.pop().expect("peeked");
+            return Some(self.emit(p.at(), p.session(), p.turn, p.history));
         }
         let at = self.next_session_at;
         self.next_session_at += -self.arrival_rng.uniform_open().ln() / self.config.session_rate;
@@ -496,6 +488,29 @@ mod tests {
             last = at;
         }
         assert_eq!(firsts, [false, false]);
+    }
+
+    /// The first 20,000 records of a fixed stream folded into one hash:
+    /// pins the exact emission order, not just the stream's shape.
+    #[test]
+    fn chat_stream_records_are_pinned() {
+        use std::hash::Hasher as _;
+        let mut h = distserve_simcore::FxHasher::default();
+        for s in chat(2024).take(20_000) {
+            let r = &s.request;
+            for word in [
+                r.id.0,
+                r.arrival.as_secs().to_bits(),
+                u64::from(r.input_len),
+                u64::from(r.output_len),
+                s.prefix_group,
+                u64::from(s.history_tokens),
+                u64::from(s.turn),
+            ] {
+                h.write_u64(word);
+            }
+        }
+        assert_eq!(h.finish(), 0xdfdc_db60_753b_41c6);
     }
 
     /// Peak RSS in kibibytes from `/proc/self/status` (Linux).

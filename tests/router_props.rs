@@ -10,6 +10,9 @@
 //!   exhausted;
 //! - identical `(RouterState, RequestFeatures, seed)` always yields the
 //!   identical `Decision`;
+//! - a state edited through `RouterState::update` routes like one
+//!   rebuilt from its snapshots, and each pick is the eligible replica
+//!   with the least `(load, splitmix64(seed ^ id))`;
 //! - assigned work is conserved end to end — no request is executed
 //!   twice or silently dropped — in both the request-granular scale
 //!   simulator and the token-granular engine, and engine runs replay
@@ -59,39 +62,83 @@ fn replica_strategy() -> impl Strategy<Value = ReplicaTuple> {
     )
 }
 
+/// A [`ReplicaTuple`] whose load is a small multiple of 32 tokens, so
+/// equally loaded replicas, and with them the tie-break, are common.
+fn tie_prone_replica() -> impl Strategy<Value = ReplicaTuple> {
+    (
+        0u8..3,
+        0u8..7,
+        0u32..12,
+        (0u64..4).prop_map(|t| t * 32),
+        (0u64..2).prop_map(|t| t * 32),
+        0u32..3,
+    )
+}
+
+fn snapshot(id: ReplicaId, entry: ReplicaTuple) -> ReplicaSnapshot {
+    let (role, health, queue_depth, queued, inflight, active) = entry;
+    let role = match role {
+        0 => ReplicaRole::Prefill,
+        1 => ReplicaRole::Decode,
+        _ => ReplicaRole::Colocated,
+    };
+    // Weight toward serving states so decisions are common, but cover
+    // every health variant.
+    let health = match health {
+        0..=2 => InstanceHealth::Up,
+        3 => InstanceHealth::Degraded { slowdown: 2.0 },
+        4 => InstanceHealth::Draining,
+        5 => InstanceHealth::Down,
+        _ => InstanceHealth::Recovering,
+    };
+    ReplicaSnapshot {
+        id,
+        role,
+        health,
+        queue_depth,
+        queued_tokens: queued,
+        inflight_tokens: inflight,
+        active_decodes: active,
+        kv_utilization: (queued % 100) as f64 / 100.0,
+    }
+}
+
 fn fleet_from(entries: Vec<ReplicaTuple>) -> Vec<ReplicaSnapshot> {
     entries
         .into_iter()
         .enumerate()
-        .map(
-            |(i, (role, health, queue_depth, queued, inflight, active))| {
-                let role = match role {
-                    0 => ReplicaRole::Prefill,
-                    1 => ReplicaRole::Decode,
-                    _ => ReplicaRole::Colocated,
-                };
-                // Weight toward serving states so decisions are common, but
-                // cover every health variant.
-                let health = match health {
-                    0..=2 => InstanceHealth::Up,
-                    3 => InstanceHealth::Degraded { slowdown: 2.0 },
-                    4 => InstanceHealth::Draining,
-                    5 => InstanceHealth::Down,
-                    _ => InstanceHealth::Recovering,
-                };
-                ReplicaSnapshot {
-                    id: ReplicaId(i as u32),
-                    role,
-                    health,
-                    queue_depth,
-                    queued_tokens: queued,
-                    inflight_tokens: inflight,
-                    active_decodes: active,
-                    kv_utilization: (queued % 100) as f64 / 100.0,
-                }
-            },
-        )
+        .map(|(i, entry)| snapshot(ReplicaId(i as u32), entry))
         .collect()
+}
+
+/// SplitMix64's finalizer, the router's documented tie-break hash,
+/// written out here so the reference below does not share the router's
+/// code.
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The selection rule by brute force: the replica of `role` passing
+/// `eligible` with the least `(load, splitmix64(seed ^ id))`.
+fn least_loaded(
+    state: &RouterState,
+    role: ReplicaRole,
+    eligible: impl Fn(&ReplicaSnapshot) -> bool,
+) -> Option<ReplicaId> {
+    state
+        .replicas()
+        .iter()
+        .filter(|r| r.role == role && eligible(r))
+        .min_by_key(|r| {
+            (
+                r.load(state.policy()),
+                splitmix64(state.seed() ^ u64::from(r.id.0)),
+            )
+        })
+        .map(|r| r.id)
 }
 
 /// `(queue_cap, waited_secs, prompt, decode, seed)` request context.
@@ -227,6 +274,73 @@ proptest! {
         let first = route(&a, &features);
         prop_assert_eq!(route(&a, &features), first, "same state, same call");
         prop_assert_eq!(route(&b, &features), first, "rebuilt state");
+    }
+
+    /// After random `update()` edits (any health, queue depths on both
+    /// sides of the cap, loads that often tie), the edited state routes
+    /// exactly like a state rebuilt from its snapshots, and with no
+    /// prefix holder noted every replica a decision names is the eligible
+    /// one with the least `(load, splitmix64(seed ^ id))`. Readmissions
+    /// and a throttled tenant's halved cap change who is eligible.
+    #[test]
+    fn selection_rule_holds_under_updates(
+        entries in prop::collection::vec(replica_strategy(), 1..25),
+        edits in prop::collection::vec((any::<u32>(), tie_prone_replica()), 0..64),
+        req in request_strategy(),
+        flags in (any::<bool>(), any::<bool>(), any::<u32>(), 0u32..2_048, 0.0f64..1.0),
+    ) {
+        const TENANT: u32 = 3;
+        let (queue_cap, waited, prompt, decode, seed) = req;
+        let (readmission, throttled, holder_pick, matched, hit_prob) = flags;
+        let n = entries.len() as u32;
+        let policy = tight_policy(queue_cap);
+        let mut state = RouterState::new(fleet_from(entries), policy, seed);
+        for (pick, entry) in edits {
+            let id = ReplicaId(pick % n);
+            let fresh = snapshot(id, entry);
+            state.update(id, |r| *r = ReplicaSnapshot { role: r.role, ..fresh });
+        }
+        state.set_tenant_throttle(TENANT, throttled);
+        let mut rebuilt = RouterState::new(state.replicas().to_vec(), policy, seed);
+        rebuilt.set_tenant_throttle(TENANT, throttled);
+        let features = RequestFeatures {
+            waited_secs: waited,
+            readmission,
+            ..RequestFeatures::arrival(seed, prompt, decode).with_tenant(TENANT)
+        };
+
+        let decision = route(&state, &features);
+        prop_assert_eq!(route(&rebuilt, &features), decision, "rebuilt state");
+        let cap = if throttled { (queue_cap / 2).max(1) } else { queue_cap };
+        let admits = |r: &ReplicaSnapshot| {
+            r.health.accepts_new_work() && (readmission || r.queue_depth < cap)
+        };
+        let prefill = least_loaded(&state, ReplicaRole::Prefill, admits);
+        let decode = least_loaded(&state, ReplicaRole::Decode, |r| r.health.accepts_new_work());
+        let coloc = least_loaded(&state, ReplicaRole::Colocated, admits);
+        match decision {
+            Decision::Disagg { prefill: p, decode: d } => {
+                prop_assert_eq!(Some(p), prefill);
+                prop_assert_eq!(Some(d), decode);
+            }
+            Decision::Coloc { replica } => prop_assert_eq!(Some(replica), coloc),
+            Decision::Queue { .. } | Decision::Shed { .. } => {
+                prop_assert!(coloc.is_none(), "colocated replica {:?} left unused", coloc);
+                prop_assert!(
+                    prefill.is_none() || decode.is_none(),
+                    "split pair {:?}/{:?} left unused",
+                    prefill,
+                    decode
+                );
+            }
+        }
+
+        // With a prefix holder noted on both, they still agree.
+        let holder = ReplicaId(holder_pick % n);
+        state.note_prefix_served(7, holder);
+        rebuilt.note_prefix_served(7, holder);
+        let warm = features.with_prefix(7, matched, hit_prob);
+        prop_assert_eq!(route(&state, &warm), route(&rebuilt, &warm), "rebuilt state, warm");
     }
 }
 
