@@ -20,7 +20,7 @@ use distserve_models::{
 };
 use distserve_simcore::{EventQueue, SimRng, SimTime};
 use distserve_workload::{Dataset, RequestId, TraceBuilder};
-use tinyllm::tensor::{argmax, Matrix, PackedMatrix};
+use tinyllm::tensor::{argmax, Matrix, PackedMatrix, QuantMatrix};
 use tinyllm::{
     ComputeConfig, ContinuousBatcher, GenRequest, Model, PagedKv, Precision, TinyConfig,
 };
@@ -131,7 +131,7 @@ fn bench_matrix(rows: usize, cols: usize, salt: usize) -> Matrix {
 /// GEMM shape sweep over the shapes the small() forward pass actually
 /// runs: decode (m=1) and fused-decode (m=16) QKV, FFN up/down, batched
 /// prefill, and the logits projection — packed/blocked kernel vs the
-/// allocating reference matmul.
+/// allocating reference matmul, both over bf16 weights.
 fn bench_gemm_shapes(c: &mut Criterion) {
     // (label, m, k, n) — k/n from TinyConfig::small(): hidden 64,
     // ffn 256, vocab 512.
@@ -145,7 +145,7 @@ fn bench_gemm_shapes(c: &mut Criterion) {
     ];
     for (label, m, k, n) in shapes {
         let a = bench_matrix(m, k, 1);
-        let w = bench_matrix(k, n, 2);
+        let w = bench_matrix(k, n, 2).to_bf16();
         let packed = PackedMatrix::pack(&w);
         let mut out = vec![0.0f32; m * n];
         c.bench_function(&format!("gemm/packed_{label}"), |b| {
@@ -157,6 +157,37 @@ fn bench_gemm_shapes(c: &mut Criterion) {
         c.bench_function(&format!("gemm/reference_{label}"), |b| {
             b.iter(|| std::hint::black_box(a.matmul(&w).data[0]))
         });
+    }
+}
+
+/// The packed kernels at the served model's shape (perfbench's hidden
+/// 256, FFN 1024): the QKV (256×768) and FFN-up (256×1024) projections at
+/// decode batch sizes 1, 4 and 16, at both precisions (`_f32` rows are
+/// `Precision::F32`: bf16 weights, f32 arithmetic). Unlike the small()
+/// rows, these weights (384–512 KiB as bf16) spill out of L1, so the rows
+/// see weight bytes, and a per-batch cliff like int8's old one at m ≥ 4
+/// shows here.
+fn bench_gemm_served(c: &mut Criterion) {
+    for (label, k, n) in [("qkv", 256, 768), ("ffn_up", 256, 1024)] {
+        let w = bench_matrix(k, n, 2).to_bf16();
+        let packed = PackedMatrix::pack(&w);
+        let quant = QuantMatrix::quantize(&w);
+        for m in [1, 4, 16] {
+            let a = bench_matrix(m, k, 1);
+            let mut out = vec![0.0f32; m * n];
+            c.bench_function(&format!("gemm/served_{label}_m{m}_f32"), |b| {
+                b.iter(|| {
+                    packed.matmul_into(&a.data, m, &mut out);
+                    std::hint::black_box(out[0])
+                })
+            });
+            c.bench_function(&format!("gemm/served_{label}_m{m}_int8"), |b| {
+                b.iter(|| {
+                    quant.matmul_into(&a.data, m, &mut out);
+                    std::hint::black_box(out[0])
+                })
+            });
+        }
     }
 }
 
@@ -202,11 +233,13 @@ fn bench_tinyllm_throughput(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let mut batcher = ContinuousBatcher::new(model.clone(), 8192);
-                batcher.submit(GenRequest {
-                    id: 0,
-                    prompt: prompt64.clone(),
-                    max_new: 2,
-                });
+                batcher
+                    .submit(GenRequest {
+                        id: 0,
+                        prompt: prompt64.clone(),
+                        max_new: 2,
+                    })
+                    .expect("valid request");
                 batcher
             },
             |mut batcher| {
@@ -441,6 +474,7 @@ fn main() {
     bench_trace_generation(&mut c);
     bench_tinyllm(&mut c);
     bench_gemm_shapes(&mut c);
+    bench_gemm_served(&mut c);
     bench_tinyllm_throughput(&mut c);
     // Fused decode is the off arm and the reference tier the on arm, so
     // the estimate's on/base ratio is the reference's cost in fused runs.

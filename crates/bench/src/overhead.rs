@@ -83,7 +83,8 @@ pub fn prefilled(
             id: i as u64,
             prompt: prompt(i),
             max_new: 1 + DECODE_STEPS,
-        });
+        })
+        .expect("valid request");
     }
     b.step();
     assert_eq!(b.running_len(), batch, "one step must prefill every prompt");

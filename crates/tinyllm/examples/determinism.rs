@@ -33,13 +33,15 @@ fn run_once(threads: usize) -> Vec<Vec<u32>> {
     );
     let mut batcher = ContinuousBatcher::new(model, 8192);
     for i in 0..BATCH {
-        batcher.submit(GenRequest {
-            id: i as u64,
-            prompt: (0..PROMPT_LEN)
-                .map(|p| ((i * 17 + p * 5) % 512) as u32)
-                .collect(),
-            max_new: MAX_NEW,
-        });
+        batcher
+            .submit(GenRequest {
+                id: i as u64,
+                prompt: (0..PROMPT_LEN)
+                    .map(|p| ((i * 17 + p * 5) % 512) as u32)
+                    .collect(),
+                max_new: MAX_NEW,
+            })
+            .expect("valid request");
     }
     let mut finished = batcher.run_to_completion();
     finished.sort_by_key(|f| f.id);

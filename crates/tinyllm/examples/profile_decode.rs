@@ -72,7 +72,8 @@ fn main() {
             id: i as u64,
             prompt: (0..32).map(|p| ((i * 17 + p * 5) % 512) as u32).collect(),
             max_new: 66,
-        });
+        })
+        .expect("valid request");
     }
     b.step();
     let t = Instant::now();

@@ -12,9 +12,10 @@
 //! many rows — a whole prompt in prefill, one row per active sequence in
 //! fused decode — into single GEMMs over pre-packed weights
 //! ([`PackedMatrix`]), reusing one [`Scratch`] arena across steps so the
-//! hot loop never allocates. The batch kernels accumulate in the same
-//! per-element order as the reference, so both tiers produce identical
-//! tokens (the scheduler tests assert exact equality).
+//! hot loop never allocates. Both tiers read the same stored bf16 weights
+//! and K/V, widened exactly to f32, and the batch kernels accumulate in
+//! the same per-element order as the reference, so both tiers produce
+//! identical tokens (the scheduler tests assert exact equality).
 
 use std::sync::Arc;
 
@@ -22,7 +23,7 @@ use crate::kv::{KvLayerView, PagedKv, SeqId};
 use crate::model::{ComputeConfig, Precision, TinyConfig, Weights};
 use crate::pool::WorkerPool;
 use crate::tensor::{
-    exp_fast, layer_norm, layer_norm_into, relu, relu_slice, Kernel, Matrix, PackedMatrix,
+    exp_fast, layer_norm, layer_norm_into, relu, relu_slice, Bf16, Kernel, Matrix, PackedMatrix,
     QuantMatrix,
 };
 
@@ -87,7 +88,7 @@ pub struct BatchRow {
 }
 
 /// Per-layer weights packed for the blocked kernels (built once at
-/// model construction). Each projection is a [`Kernel`] — f32 packed
+/// model construction). Each projection is a [`Kernel`] — bf16 packed
 /// (sharing the reference [`Weights`]' storage) or int8 quantized, chosen
 /// by the model's [`Precision`].
 #[derive(Debug, Clone)]
@@ -100,9 +101,9 @@ struct PackedLayer {
 
 /// All packed weights: the per-layer projections plus the tied-embedding
 /// logits kernel, which shares [`Weights::embed`]'s `(hidden × vocab)`
-/// storage. The logits projection stays f32 at every precision: it feeds
-/// argmax directly, where quantization noise would flip tokens rather
-/// than merely perturb activations.
+/// storage. The logits projection is never quantized: it feeds argmax
+/// directly, where quantization noise would flip tokens rather than
+/// merely perturb activations.
 #[derive(Debug, Clone)]
 struct PackedWeights {
     layers: Vec<PackedLayer>,
@@ -111,7 +112,7 @@ struct PackedWeights {
 
 impl PackedWeights {
     fn build(w: &Weights, precision: Precision) -> Self {
-        let kernel = |m: &Matrix| match precision {
+        let kernel = |m: &Matrix<Bf16>| match precision {
             Precision::F32 => Kernel::F32(PackedMatrix::pack(m)),
             Precision::Int8 => Kernel::Int8(QuantMatrix::quantize(m)),
         };
@@ -217,9 +218,9 @@ pub(crate) struct AttnStage {
     pub(crate) hidden: usize,
     /// Cache positions per block.
     pub(crate) block_size: usize,
-    /// Floats per block across all layers.
-    pub(crate) block_floats: usize,
-    /// Float offset of this layer within a block.
+    /// Elements per block across all layers.
+    pub(crate) block_elems: usize,
+    /// Element offset of this layer within a block.
     pub(crate) layer_base: usize,
     /// `1 / sqrt(d)`.
     pub(crate) scale: f32,
@@ -231,7 +232,7 @@ pub(crate) struct AttnStage {
 /// the real destination) — identical math either way.
 pub(crate) fn attn_rows_strip(
     stage: &AttnStage,
-    storage: &[f32],
+    storage: &[u16],
     row_lo: usize,
     row_hi: usize,
     scr: &mut AttnScratch,
@@ -247,7 +248,7 @@ pub(crate) fn attn_rows_strip(
             ctx,
             stage.block_size,
             stage.hidden,
-            stage.block_floats,
+            stage.block_elems,
             stage.layer_base,
         );
         let q_s = &stage.q[r * width..(r + 1) * width];
@@ -275,7 +276,8 @@ pub(crate) fn attn_rows_strip(
 /// Block-online association is the *defining* numeric order for
 /// attention in this crate: the token-at-a-time reference
 /// ([`Model::attn_partial`]) applies the same recurrence per chunk of
-/// `block_size` positions, so both tiers stay bit-identical. The rescale
+/// `block_size` positions over the same stored bf16 K/V, widened as they
+/// are loaded, so both tiers stay bit-identical. The rescale
 /// multiply is exact when the max is unchanged (`exp_fast(0) == 1.0`),
 /// and harmless at the start (`exp_fast(−inf)` is a subnormal scale on
 /// zero-valued accumulators).
@@ -358,7 +360,7 @@ fn fused_attn_row(
             for (l, &q) in q_s[hd * d..(hd + 1) * d].iter().enumerate() {
                 let dim_row = &panel[(lo + hd * d + l) * bs..][..bs];
                 for (a, &kv) in row.iter_mut().zip(dim_row) {
-                    *a += q * kv;
+                    *a += q * Bf16::from_bits(kv).to_f32();
                 }
             }
             for v in row.iter_mut() {
@@ -384,7 +386,7 @@ fn fused_attn_row(
             scr.l[hd] = l;
         }
         // Unnormalized value accumulation: positions ascending, each
-        // head's broadcast weight times its `d`-float V chunk.
+        // head's broadcast weight times its `d`-element V chunk, widened.
         for s in 0..take {
             let v_s = &region[s * h..(s + 1) * h];
             for hd in 0..heads {
@@ -393,7 +395,7 @@ fn fused_attn_row(
                     .iter_mut()
                     .zip(&v_s[lo + hd * d..lo + (hd + 1) * d])
                 {
-                    *a += w * vv;
+                    *a += w * Bf16::from_bits(vv).to_f32();
                 }
             }
         }
@@ -406,7 +408,7 @@ fn fused_attn_row(
     }
 }
 
-/// [`fused_attn_row`] monomorphized for a `W`-float shard of `D`-dim
+/// [`fused_attn_row`] monomorphized for a `W`-element shard of `D`-dim
 /// heads over block-size-16 panels: the value accumulator (and running
 /// max/normalizer) live in registers across the whole context sweep,
 /// and the inner loops are straight lines of const-indexed FMAs. Same
@@ -433,10 +435,11 @@ fn fused_attn_row_w<const W: usize, const D: usize>(
         for hd in 0..heads {
             let mut sa = [0.0f32; BS];
             for (l, &q) in q_s[hd * D..(hd + 1) * D].iter().enumerate() {
-                let dim_row: &[f32; BS] = panel[(lo + hd * D + l) * BS..][..BS]
+                let dim_row: &[u16; BS] = panel[(lo + hd * D + l) * BS..][..BS]
                     .try_into()
                     .expect("BS-wide panel row");
-                for (a, &kv) in sa.iter_mut().zip(dim_row) {
+                let k: [f32; BS] = core::array::from_fn(|s| Bf16::from_bits(dim_row[s]).to_f32());
+                for (a, &kv) in sa.iter_mut().zip(&k) {
                     *a += q * kv;
                 }
             }
@@ -463,9 +466,10 @@ fn fused_attn_row_w<const W: usize, const D: usize>(
             lr[hd] = l;
         }
         for s in 0..take {
-            let v_s: &[f32; W] = region[s * h + lo..][..W]
+            let v_bits: &[u16; W] = region[s * h + lo..][..W]
                 .try_into()
                 .expect("W-wide V slice");
+            let v_s: [f32; W] = core::array::from_fn(|i| Bf16::from_bits(v_bits[i]).to_f32());
             for hd in 0..heads {
                 let w = sb[hd * BS + s];
                 for l in 0..D {
@@ -552,10 +556,13 @@ impl Model {
         &self.pool
     }
 
-    /// Token `t`'s embedding: column `t` of the `(hidden × vocab)`
-    /// [`Weights::embed`].
-    fn embed_col(&self, t: usize) -> impl Iterator<Item = &f32> {
-        self.weights.embed.data[t..].iter().step_by(self.cfg.vocab)
+    /// Token `t`'s embedding, widened: column `t` of the
+    /// `(hidden × vocab)` [`Weights::embed`].
+    fn embed_col(&self, t: usize) -> impl Iterator<Item = f32> + '_ {
+        self.weights.embed.data[t..]
+            .iter()
+            .step_by(self.cfg.vocab)
+            .map(|&e| e.to_f32())
     }
 
     /// Token plus learned position embedding.
@@ -570,7 +577,7 @@ impl Model {
         assert!(pos < self.cfg.max_seq, "position {pos} past max_seq");
         self.embed_col(t)
             .zip(self.weights.pos.row(pos))
-            .map(|(a, b)| a + b)
+            .map(|(a, b)| a + b.to_f32())
             .collect()
     }
 
@@ -677,8 +684,8 @@ impl Model {
                 for (off, &s) in scores.iter().enumerate() {
                     let e = exp_fast(s - m_new);
                     l_run += e;
-                    let v_p = &view.value(chunk + off)[hl..hl + d];
-                    for (o, &vv) in attn_out[hl..hl + d].iter_mut().zip(v_p) {
+                    let v_p = view.value_dims(chunk + off, hl..hl + d);
+                    for (o, vv) in attn_out[hl..hl + d].iter_mut().zip(v_p) {
                         *o += e * vv;
                     }
                 }
@@ -745,7 +752,7 @@ impl Model {
                 .zip(self.embed_col(t))
                 .zip(self.weights.pos.row(row.pos))
             {
-                *o = e + p;
+                *o = e + p.to_f32();
             }
         }
     }
@@ -850,7 +857,7 @@ impl Model {
         let total_ctx: usize = rows.iter().map(|r| r.pos + 1).sum();
         let lanes = self.pool.attn_lanes(m, total_ctx * width * 2);
         if lanes > 1 {
-            let (hidden, bs, block_floats, layer_base) = kv.geometry(layer);
+            let (hidden, bs, block_elems, layer_base) = kv.geometry(layer);
             let storage = kv.storage_arc();
             let qkv = &scratch.qkv;
             self.pool.attn_rows(
@@ -875,7 +882,7 @@ impl Model {
                     stage.lo = lo;
                     stage.hidden = hidden;
                     stage.block_size = bs;
-                    stage.block_floats = block_floats;
+                    stage.block_elems = block_elems;
                     stage.layer_base = layer_base;
                     stage.scale = scale;
                 },
@@ -1455,10 +1462,10 @@ mod tests {
 
     #[test]
     fn f32_kernels_share_reference_weights() {
-        // The batch tier's f32 projections read the reference tier's
+        // The batch tier's bf16 projections read the reference tier's
         // weight storage: one allocation per projection, not two. The
-        // tied-embedding logits kernel is f32 at every precision and
-        // reads the embedding in place.
+        // tied-embedding logits kernel is never quantized and reads the
+        // embedding in place.
         for precision in [Precision::F32, Precision::Int8] {
             let m = Model::random_with(
                 &TinyConfig::tiny(),
@@ -1469,7 +1476,7 @@ mod tests {
                 },
             );
             let Kernel::F32(logits) = &m.packed.embed else {
-                panic!("{precision:?}: the logits kernel is f32");
+                panic!("{precision:?}: the logits kernel is unquantized");
             };
             assert!(Arc::ptr_eq(logits.storage(), &m.weights.embed.data));
             if precision != Precision::F32 {
@@ -1483,7 +1490,7 @@ mod tests {
                     (&packed.w2, &lw.w2),
                 ] {
                     let Kernel::F32(p) = kernel else {
-                        panic!("an f32 model packs f32 kernels");
+                        panic!("an f32 model packs bf16 kernels");
                     };
                     assert!(Arc::ptr_eq(p.storage(), &w.data));
                 }

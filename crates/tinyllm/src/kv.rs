@@ -5,12 +5,14 @@
 //! positions to physical blocks. Allocation takes blocks from a free
 //! list; freeing a sequence returns them. This is the same structure
 //! `distserve-engine`'s block manager accounts for — here it holds actual
-//! floats that the attention kernel reads back, at the same
-//! `2 · layers · hidden` floats per token position.
+//! bf16 values that the attention kernel reads back, at the same
+//! `2 · layers · hidden` elements per token position.
 
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
+
+use crate::tensor::Bf16;
 
 /// A sequence identifier.
 pub type SeqId = u64;
@@ -50,26 +52,32 @@ impl std::error::Error for PagedKvError {}
 /// Paged K/V storage for one model.
 ///
 /// Physical layout per `(block, layer)`: `block_size` position-major
-/// value slots (`hidden` floats each), followed by the block's keys
+/// value slots (`hidden` elements each), followed by the block's keys
 /// stored dim-major as a *transposed key panel* (`kt[dim][slot]`,
-/// `hidden × block_size` floats). Each block holds `block_size`
+/// `hidden × block_size` elements). Each block holds `block_size`
 /// consecutive token positions for *all* layers. Every key and value is
-/// stored exactly once, so a position costs `2 × hidden` floats per
-/// layer ([`Self::bytes_per_token`]). Attention's score pass reads the
-/// panel, so the per-head dot products vectorize across a whole block of
-/// positions (contiguous in the position index); its value pass reads
-/// the slots.
+/// stored exactly once, as bf16 rounded on append, so a position costs
+/// `2 × hidden` two-byte elements per layer ([`Self::bytes_per_token`]);
+/// readers widen the stored values to f32. Attention's score pass reads
+/// the panel, so the per-head dot products vectorize across a whole
+/// block of positions (contiguous in the position index); its value pass
+/// reads the slots.
 #[derive(Debug)]
 pub struct PagedKv {
     layers: usize,
     hidden: usize,
     block_size: usize,
+    /// [`Bf16`] bit patterns. Plain `u16` so the pool is allocated as
+    /// zeroed memory, which the OS maps in only as blocks are first
+    /// written: a newtype element would be written out in full, making
+    /// the whole pool resident at construction.
+    ///
     /// Behind an [`Arc`] so the worker pool can hand attention workers a
     /// `'static` read handle without copying the pool or using `unsafe`.
     /// Writers reclaim exclusive access via [`Self::storage_mut`] once
     /// all workers have dropped their clones (they do so before
     /// signaling completion).
-    storage: Arc<Vec<f32>>,
+    storage: Arc<Vec<u16>>,
     free: Vec<usize>,
     tables: HashMap<SeqId, Table>,
     /// Per-block reference counts. A freshly allocated block has count 1
@@ -112,12 +120,12 @@ impl PagedKv {
     #[must_use]
     pub fn new(layers: usize, hidden: usize, block_size: usize, num_blocks: usize) -> Self {
         assert!(layers > 0 && hidden > 0 && block_size > 0 && num_blocks > 0);
-        let block_floats = layers * block_size * 2 * hidden;
+        let block_elems = layers * block_size * 2 * hidden;
         PagedKv {
             layers,
             hidden,
             block_size,
-            storage: Arc::new(vec![0.0; block_floats * num_blocks]),
+            storage: Arc::new(vec![0; block_elems * num_blocks]),
             free: (0..num_blocks).rev().collect(),
             tables: HashMap::new(),
             ref_counts: vec![0; num_blocks],
@@ -130,11 +138,11 @@ impl PagedKv {
         self.block_size
     }
 
-    /// A cheap `'static` read handle to the backing floats, for farming
-    /// attention rows out to pool workers. Callers must drop the handle
-    /// before the next append (workers drop theirs before signaling
-    /// completion).
-    pub(crate) fn storage_arc(&self) -> Arc<Vec<f32>> {
+    /// A cheap `'static` read handle to the backing bf16 bits, for
+    /// farming attention rows out to pool workers. Callers must drop the
+    /// handle before the next append (workers drop theirs before
+    /// signaling completion).
+    pub(crate) fn storage_arc(&self) -> Arc<Vec<u16>> {
         Arc::clone(&self.storage)
     }
 
@@ -149,7 +157,7 @@ impl PagedKv {
         (&table.blocks, table.len)
     }
 
-    /// `(hidden, block_size, block_floats, layer_base)` for `layer` —
+    /// `(hidden, block_size, block_elems, layer_base)` for `layer` —
     /// everything [`KvLayerView::from_parts`] needs besides the table.
     pub(crate) fn geometry(&self, layer: usize) -> (usize, usize, usize, usize) {
         (
@@ -160,12 +168,12 @@ impl PagedKv {
         )
     }
 
-    /// Exclusive access to the backing floats. Normally the handle count
+    /// Exclusive access to the backing bits. Normally the handle count
     /// is already 1 (workers drop their clones before completion is
     /// observed); if a stale handle somehow survives, the storage is
     /// copied out from under it rather than blocking — readers of the
     /// old allocation see a consistent snapshot.
-    fn storage_mut(&mut self) -> &mut Vec<f32> {
+    fn storage_mut(&mut self) -> &mut Vec<u16> {
         if Arc::get_mut(&mut self.storage).is_none() {
             self.storage = Arc::new(self.storage.as_ref().clone());
         }
@@ -198,7 +206,7 @@ impl PagedKv {
         self.storage.len() / (self.layers * self.layer_stride())
     }
 
-    /// Floats per `(block, layer)` region: the value slots plus the
+    /// Elements per `(block, layer)` region: the value slots plus the
     /// transposed key panel.
     fn layer_stride(&self) -> usize {
         self.block_size * 2 * self.hidden
@@ -209,12 +217,13 @@ impl PagedKv {
     /// `ModelArch::kv_bytes_per_token`.
     #[must_use]
     pub fn bytes_per_token(&self) -> usize {
-        self.layers * self.layer_stride() / self.block_size * std::mem::size_of::<f32>()
+        self.layers * self.layer_stride() / self.block_size * std::mem::size_of::<Bf16>()
     }
 
-    /// Appends the K and V vectors of one token position for one layer.
-    /// Layers must be written for the same position before advancing
-    /// (position advances when layer 0 is written).
+    /// Appends the K and V vectors of one token position for one layer,
+    /// each element rounded to bf16. Layers must be written for the same
+    /// position before advancing (position advances when layer 0 is
+    /// written).
     ///
     /// # Errors
     ///
@@ -238,6 +247,8 @@ impl PagedKv {
     /// its own head slice, replacing the old full-hidden masked write.
     /// Dims outside the range are left untouched; a shard only ever reads
     /// the dims it owns. Position accounting is identical to [`append`].
+    /// This is the one place K/V are rounded to bf16; every reader widens
+    /// the stored values.
     ///
     /// # Errors
     ///
@@ -312,16 +323,18 @@ impl PagedKv {
         let vb = region + slot * h + dim_lo;
         let kt = region + h * block_size;
         let storage = self.storage_mut();
-        storage[vb..vb + v.len()].copy_from_slice(v);
+        for (dst, &vval) in storage[vb..vb + v.len()].iter_mut().zip(v) {
+            *dst = Bf16::from_f32(vval).to_bits();
+        }
         for (j, &kval) in k.iter().enumerate() {
-            storage[kt + (dim_lo + j) * block_size + slot] = kval;
+            storage[kt + (dim_lo + j) * block_size + slot] = Bf16::from_f32(kval).to_bits();
         }
         Ok(())
     }
 
-    /// The K vector at `(seq, layer, pos)`, gathered from its block's
-    /// transposed key panel into an owned row (keys are stored only
-    /// dim-major; attention reads the panel in place).
+    /// The K vector at `(seq, layer, pos)`, widened to f32 and gathered
+    /// from its block's transposed key panel into an owned row (keys are
+    /// stored only dim-major; attention reads the panel in place).
     ///
     /// # Panics
     ///
@@ -334,14 +347,16 @@ impl PagedKv {
             .collect()
     }
 
-    /// Reads the V vector at `(seq, layer, pos)`.
+    /// The V vector at `(seq, layer, pos)`, widened to f32.
     ///
     /// # Panics
     ///
     /// Panics on unknown sequence or out-of-range position.
     #[must_use]
-    pub fn value(&self, seq: SeqId, layer: usize, pos: usize) -> &[f32] {
-        self.layer_view(seq, layer).value(pos)
+    pub fn value(&self, seq: SeqId, layer: usize, pos: usize) -> Vec<f32> {
+        self.layer_view(seq, layer)
+            .value_dims(pos, 0..self.hidden)
+            .collect()
     }
 
     /// A read view of one `(seq, layer)` pair that resolves the block
@@ -361,7 +376,7 @@ impl PagedKv {
             len: table.len,
             block_size: self.block_size,
             hidden: self.hidden,
-            block_floats: self.layers * self.layer_stride(),
+            block_elems: self.layers * self.layer_stride(),
             layer_base: layer * self.layer_stride(),
         }
     }
@@ -465,12 +480,12 @@ impl PagedKv {
 /// [`PagedKv::layer_view`]).
 #[derive(Debug, Clone, Copy)]
 pub struct KvLayerView<'a> {
-    storage: &'a [f32],
+    storage: &'a [u16],
     blocks: &'a [usize],
     len: usize,
     block_size: usize,
     hidden: usize,
-    block_floats: usize,
+    block_elems: usize,
     layer_base: usize,
 }
 
@@ -480,12 +495,12 @@ impl<'a> KvLayerView<'a> {
     /// storage borrowed from an `Arc` handle and the block table from a
     /// staged copy.
     pub(crate) fn from_parts(
-        storage: &'a [f32],
+        storage: &'a [u16],
         blocks: &'a [usize],
         len: usize,
         block_size: usize,
         hidden: usize,
-        block_floats: usize,
+        block_elems: usize,
         layer_base: usize,
     ) -> Self {
         KvLayerView {
@@ -494,7 +509,7 @@ impl<'a> KvLayerView<'a> {
             len,
             block_size,
             hidden,
-            block_floats,
+            block_elems,
             layer_base,
         }
     }
@@ -511,7 +526,7 @@ impl<'a> KvLayerView<'a> {
         self.len == 0
     }
 
-    /// The float offset of the `(block, layer)` region holding `pos`,
+    /// The element offset of the `(block, layer)` region holding `pos`,
     /// and `pos`'s slot within that block. Checked in every build: a
     /// read past the stored length would return whatever the block's
     /// previous owner left there.
@@ -520,14 +535,14 @@ impl<'a> KvLayerView<'a> {
         assert!(pos < self.len, "read past KV length {} at {pos}", self.len);
         let block = self.blocks[pos / self.block_size];
         (
-            block * self.block_floats + self.layer_base,
+            block * self.block_elems + self.layer_base,
             pos % self.block_size,
         )
     }
 
-    /// Dims `dims` of the K vector at `pos`, read in place down `pos`'s
-    /// column of its block's transposed key panel (the token-at-a-time
-    /// reference tier's score pass).
+    /// Dims `dims` of the K vector at `pos`, widened to f32 as they are
+    /// read in place down `pos`'s column of its block's transposed key
+    /// panel (the token-at-a-time reference tier's score pass).
     ///
     /// # Panics
     ///
@@ -537,20 +552,20 @@ impl<'a> KvLayerView<'a> {
         let (region, slot) = self.locate(pos);
         let bs = self.block_size;
         let panel = &self.storage[region + self.hidden * bs..region + 2 * self.hidden * bs];
-        dims.map(move |l| panel[l * bs + slot])
+        dims.map(move |l| Bf16::from_bits(panel[l * bs + slot]).to_f32())
     }
 
-    /// The V vector at `pos`.
+    /// Dims `dims` of the V vector at `pos`, widened to f32 as they are
+    /// read (the reference tier's value pass).
     ///
     /// # Panics
     ///
-    /// Panics if `pos` is past the stored length.
+    /// Panics if `pos` is past the stored length or `dims` past `hidden`.
     #[inline]
-    #[must_use]
-    pub fn value(&self, pos: usize) -> &'a [f32] {
+    pub fn value_dims(&self, pos: usize, dims: Range<usize>) -> impl Iterator<Item = f32> + 'a {
         let (region, slot) = self.locate(pos);
-        let base = region + slot * self.hidden;
-        &self.storage[base..base + self.hidden]
+        let slot = &self.storage[region + slot * self.hidden..][..self.hidden];
+        slot[dims].iter().map(|&b| Bf16::from_bits(b).to_f32())
     }
 
     /// Positions per block.
@@ -561,19 +576,19 @@ impl<'a> KvLayerView<'a> {
 
     /// The value-slot regions covering positions `0..ctx`, one per block
     /// in order, each paired with its count of valid slots. A region is
-    /// the block's `block_size × hidden` position-major V floats; slot
-    /// `s`'s V vector starts at `s * hidden`. Hot loops index slots with
-    /// plain arithmetic on the region instead of driving a per-position
-    /// iterator.
+    /// the block's `block_size × hidden` position-major V elements, as
+    /// [`Bf16`] bits; slot `s`'s V vector starts at `s * hidden`. Hot
+    /// loops index slots with plain arithmetic on the region instead of
+    /// driving a per-position iterator, widening values as they load them.
     ///
     /// # Panics
     ///
     /// Panics if `ctx` is past the stored length.
-    pub fn slot_regions(&self, ctx: usize) -> impl Iterator<Item = (&'a [f32], usize)> {
+    pub fn slot_regions(&self, ctx: usize) -> impl Iterator<Item = (&'a [u16], usize)> {
         assert!(ctx <= self.len, "read past KV length {} at {ctx}", self.len);
         let storage = self.storage;
         let region = self.hidden * self.block_size;
-        let (bs, bf, lb) = (self.block_size, self.block_floats, self.layer_base);
+        let (bs, bf, lb) = (self.block_size, self.block_elems, self.layer_base);
         self.blocks
             .iter()
             .take(ctx.div_ceil(bs))
@@ -585,21 +600,21 @@ impl<'a> KvLayerView<'a> {
     }
 
     /// The dim-major transposed key panels covering positions `0..ctx`,
-    /// one per block in order: dim `l`'s row spans the panel's
-    /// `[l * block_size, (l + 1) * block_size)` — that dim's key value at
-    /// each of the block's positions, contiguous in the position index
-    /// (attention's score pass vectorizes over it). The last panel may
-    /// extend past `ctx`; its trailing columns are unwritten garbage the
-    /// caller must ignore.
+    /// one per block in order, as [`Bf16`] bits: dim `l`'s row spans the
+    /// panel's `[l * block_size, (l + 1) * block_size)` — that dim's key
+    /// value at each of the block's positions, contiguous in the position
+    /// index (attention's score pass vectorizes over it). The last panel
+    /// may extend past `ctx`; its trailing columns are unwritten garbage
+    /// the caller must ignore.
     ///
     /// # Panics
     ///
     /// Panics if `ctx` is past the stored length.
-    pub fn key_panels(&self, ctx: usize) -> impl Iterator<Item = &'a [f32]> {
+    pub fn key_panels(&self, ctx: usize) -> impl Iterator<Item = &'a [u16]> {
         assert!(ctx <= self.len, "read past KV length {} at {ctx}", self.len);
         let storage = self.storage;
         let panel = self.hidden * self.block_size;
-        let (bf, lb) = (self.block_floats, self.layer_base);
+        let (bf, lb) = (self.block_elems, self.layer_base);
         self.blocks
             .iter()
             .take(ctx.div_ceil(self.block_size))
@@ -723,16 +738,23 @@ mod tests {
         assert_eq!(kv.key(1, 1, 0)[1], 8.0);
     }
 
+    /// Stored bf16 bits, widened.
+    fn widen(bits: &[u16]) -> Vec<f32> {
+        bits.iter().map(|&b| Bf16::from_bits(b).to_f32()).collect()
+    }
+
     #[test]
     fn layer_view_matches_point_reads() {
         let mut kv = kv();
         kv.register(3);
-        // Distinct floats per (layer, pos, dim, K/V).
+        // Distinct values per (layer, pos, dim, K/V), each exact in bf16:
+        // keys count up from 0, values down from -1.
         let row = |base: usize| -> Vec<f32> { (0..4).map(|d| (base + d) as f32).collect() };
+        let neg = |base: usize| -> Vec<f32> { row(base).iter().map(|k| -1.0 - k).collect() };
         for pos in 0..6 {
-            kv.append(3, 0, pos, &row(pos * 10), &row(500 + pos * 10))
+            kv.append(3, 0, pos, &row(pos * 10), &neg(pos * 10))
                 .unwrap();
-            kv.append(3, 1, pos, &row(100 + pos * 10), &row(600 + pos * 10))
+            kv.append(3, 1, pos, &row(100 + pos * 10), &neg(100 + pos * 10))
                 .unwrap();
         }
         for layer in 0..2 {
@@ -745,8 +767,11 @@ mod tests {
                 assert_eq!(key, kv.key(3, layer, pos));
                 let mid: Vec<f32> = view.key_dims(pos, 1..3).collect();
                 assert_eq!(mid, key[1..3]);
-                assert_eq!(view.value(pos), row(500 + layer * 100 + pos * 10));
-                assert_eq!(view.value(pos), kv.value(3, layer, pos));
+                let value: Vec<f32> = view.value_dims(pos, 0..4).collect();
+                assert_eq!(value, neg(layer * 100 + pos * 10));
+                assert_eq!(value, kv.value(3, layer, pos));
+                let mid: Vec<f32> = view.value_dims(pos, 1..3).collect();
+                assert_eq!(mid, value[1..3]);
             }
             // The value-slot regions agree with point reads at every
             // prefix length (block_size is 4, so ctx 5..6 spans a block
@@ -756,13 +781,35 @@ mod tests {
                 for (region, take) in view.slot_regions(ctx) {
                     assert_eq!(region.len(), 4 * 4);
                     for s in 0..take {
-                        assert_eq!(&region[s * 4..(s + 1) * 4], view.value(pos));
+                        assert_eq!(widen(&region[s * 4..(s + 1) * 4]), kv.value(3, layer, pos));
                         pos += 1;
                     }
                 }
                 assert_eq!(pos, ctx);
             }
         }
+    }
+
+    #[test]
+    fn append_rounds_each_element_to_bf16_once() {
+        let mut kv = kv();
+        kv.register(1);
+        let k = [0.1f32, -1.0 / 3.0, 1.0 + f32::EPSILON, 1e-20];
+        let v = [std::f32::consts::PI, -2.5e7, 0.0, -0.0];
+        kv.append(1, 0, 0, &k, &v).unwrap();
+        let rounded =
+            |xs: &[f32]| -> Vec<f32> { xs.iter().map(|&x| Bf16::from_f32(x).to_f32()).collect() };
+        assert_eq!(kv.key(1, 0, 0), rounded(&k));
+        assert_eq!(kv.value(1, 0, 0), rounded(&v));
+        assert_ne!(
+            kv.key(1, 0, 0),
+            k,
+            "values that need more than bf16 are rounded"
+        );
+        assert!(
+            kv.value(1, 0, 0)[3].is_sign_negative(),
+            "-0.0 keeps its sign"
+        );
     }
 
     #[test]
@@ -781,10 +828,10 @@ mod tests {
         for layer in 0..2 {
             let view = kv.layer_view(3, layer);
             for ctx in 1..=6 {
-                let panels: Vec<&[f32]> = view.key_panels(ctx).collect();
+                let panels: Vec<&[u16]> = view.key_panels(ctx).collect();
                 assert_eq!(panels.len(), ctx.div_ceil(4));
                 for pos in 0..ctx {
-                    let (pan, slot) = (panels[pos / 4], pos % 4);
+                    let (pan, slot) = (widen(panels[pos / 4]), pos % 4);
                     for (d, &k) in key(layer, pos).iter().enumerate() {
                         assert_eq!(pan[d * 4 + slot], k, "layer {layer} pos {pos} dim {d}");
                     }
@@ -794,11 +841,12 @@ mod tests {
     }
 
     #[test]
-    fn stores_two_hidden_floats_per_position_per_layer() {
-        // Each key and value is stored once: V slots plus the key panel.
+    fn stores_two_hidden_bf16_per_position_per_layer() {
+        // Each key and value is stored once, two bytes each: V slots plus
+        // the key panel.
         let kv = kv(); // 2 layers, hidden 4, block size 4, 8 blocks.
         assert_eq!(kv.storage.len(), 8 * 4 * 2 * (2 * 4));
-        assert_eq!(kv.bytes_per_token(), 2 * (2 * 4) * 4);
+        assert_eq!(kv.bytes_per_token(), 2 * (2 * 4) * 2);
     }
 
     /// One position written into a 4-slot block: slots 1..4 of the block
@@ -814,7 +862,7 @@ mod tests {
     #[should_panic(expected = "read past KV length")]
     fn value_read_past_length_panics() {
         let kv = one_position();
-        let _ = kv.layer_view(1, 0).value(1);
+        let _ = kv.layer_view(1, 0).value_dims(1, 0..4);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! tinyllm — a real (CPU, f32) transformer inference engine.
+//! tinyllm — a real CPU transformer inference engine: bf16 weights and
+//! KV cache, f32 arithmetic.
 //!
 //! The DistServe paper's execution engine is 8.1K lines of C++/CUDA; the
 //! simulation crates model its *timing*. This crate rebuilds its *logic*
@@ -24,13 +25,16 @@
 //!   (configured via [`model::ComputeConfig`]);
 //! * **int8 weight quantization** ([`model::Precision::Int8`]) —
 //!   per-output-channel scales applied in-register inside the GEMM
-//!   microkernel, with a documented error bound vs. f32;
+//!   microkernel, with a documented error bound vs. the bf16 weights;
 //! * **flash-style fused attention** — one pass over the KV blocks with
 //!   an online softmax (running max + normalizer), never materializing
 //!   the `context × heads` score matrix.
 //!
-//! Weights are deterministic pseudo-random: serving behavior (the subject
-//! of the paper) depends on architecture shape, not weight values.
+//! Weights and K/V are stored once each, as bf16 ([`tensor::Bf16`]): two
+//! bytes per element, the paper's FP16 footprint and what the simulators
+//! bill. Every operation widens them exactly and computes in f32. Weights
+//! are deterministic pseudo-random: serving behavior (the subject of the
+//! paper) depends on architecture shape, not weight values.
 //!
 //! # Examples
 //!

@@ -4,26 +4,28 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
-use crate::tensor::Matrix;
+use crate::tensor::{Bf16, Matrix};
 
 /// Numeric precision of the packed weight kernels.
 ///
-/// `F32` is the default, bit-exact tier: batched outputs equal the
-/// token-at-a-time reference exactly. `Int8` quantizes the four big
-/// projection weights per output channel at pack time
-/// ([`crate::tensor::QuantMatrix`]) and dequantizes in-register inside
-/// the GEMM microkernel; embeddings, LayerNorms, and the tied-embedding
-/// logits projection stay f32 (the logits GEMM reads [`Weights::embed`]
-/// in place at either precision). Int8 outputs carry the documented
-/// per-channel error bound relative to the f32 reference — bounded, not
-/// bit-exact — but remain fully deterministic (threaded output is
-/// bit-identical to serial at either precision).
+/// `F32` is the default, bit-exact tier: f32 arithmetic over the stored
+/// bf16 [`Weights`], so batched outputs equal the token-at-a-time
+/// reference exactly. `Int8` quantizes the four big projection weights
+/// per output channel at pack time ([`crate::tensor::QuantMatrix`]) and
+/// dequantizes in-register inside the GEMM microkernel; embeddings,
+/// LayerNorms, and the tied-embedding logits projection are never
+/// quantized (the logits GEMM reads [`Weights::embed`] in place at
+/// either precision). Int8 outputs carry the documented per-channel error bound
+/// relative to the reference — bounded, not bit-exact — but remain fully
+/// deterministic (threaded output is bit-identical to serial at either
+/// precision).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
-    /// Full-precision packed weights (bit-exact vs. the reference tier).
+    /// f32 arithmetic over bf16 storage; bit-exact against the reference
+    /// tier.
     #[default]
     F32,
-    /// Int8 per-output-channel weights (bounded error vs. f32).
+    /// Int8 per-output-channel weights (bounded error vs. the reference).
     Int8,
 }
 
@@ -120,17 +122,18 @@ impl TinyConfig {
     }
 }
 
-/// Weights of one transformer layer.
+/// Weights of one transformer layer: bf16 projections, f32 LayerNorm
+/// parameters.
 #[derive(Debug, Clone)]
 pub struct LayerWeights {
     /// Fused QKV projection, `(hidden × 3·hidden)`.
-    pub wqkv: Matrix,
+    pub wqkv: Matrix<Bf16>,
     /// Attention output projection, `(hidden × hidden)`.
-    pub wo: Matrix,
+    pub wo: Matrix<Bf16>,
     /// FFN up projection, `(hidden × ffn)`.
-    pub w1: Matrix,
+    pub w1: Matrix<Bf16>,
     /// FFN down projection, `(ffn × hidden)`.
-    pub w2: Matrix,
+    pub w2: Matrix<Bf16>,
     /// Pre-attention LayerNorm scale.
     pub ln1_scale: Vec<f32>,
     /// Pre-attention LayerNorm shift.
@@ -141,15 +144,16 @@ pub struct LayerWeights {
     pub ln2_shift: Vec<f32>,
 }
 
-/// Full model weights.
+/// Full model weights. Every matrix is stored once, as bf16; both
+/// compute tiers widen the stored values to f32.
 #[derive(Debug, Clone)]
 pub struct Weights {
     /// Token embeddings, `(hidden × vocab)`: column `t` is token `t`'s
     /// vector. Input-major like every projection, so the tied-embedding
     /// logits GEMM reads this storage in place.
-    pub embed: Matrix,
+    pub embed: Matrix<Bf16>,
     /// Learned position embeddings, `(max_seq × hidden)`.
-    pub pos: Matrix,
+    pub pos: Matrix<Bf16>,
     /// Per-layer weights.
     pub layers: Vec<LayerWeights>,
     /// Final LayerNorm scale.
@@ -161,7 +165,8 @@ pub struct Weights {
 impl Weights {
     /// Deterministic pseudo-random weights, scaled like standard
     /// transformer initialization (`±0.02 / sqrt(fan_in)`-ish) so
-    /// activations stay well-conditioned.
+    /// activations stay well-conditioned. Each f32 draw is rounded to
+    /// bf16 as its matrix is filled; no f32 copy is ever materialized.
     #[must_use]
     pub fn random(cfg: &TinyConfig, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -194,25 +199,32 @@ fn draw(rng: &mut StdRng, scale: f32) -> f32 {
     (rng.gen::<f32>() * 2.0 - 1.0) * scale
 }
 
-/// A `(rows × cols)` matrix drawn in row-major order.
-fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize, scale: f32) -> Matrix {
-    let data = (0..rows * cols).map(|_| draw(rng, scale)).collect();
+/// A `(rows × cols)` bf16 matrix drawn in row-major order.
+fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize, scale: f32) -> Matrix<Bf16> {
+    let data = (0..rows * cols)
+        .map(|_| Bf16::from_f32(draw(rng, scale)))
+        .collect();
     Matrix::from_vec(rows, cols, data)
 }
 
 /// The transpose `(cols × rows)` of the matrix [`random_matrix`] would
 /// draw with the same arguments: same values, same draw order.
-fn random_matrix_transposed(rng: &mut StdRng, rows: usize, cols: usize, scale: f32) -> Matrix {
+fn random_matrix_transposed(
+    rng: &mut StdRng,
+    rows: usize,
+    cols: usize,
+    scale: f32,
+) -> Matrix<Bf16> {
     // Tiled: freeing a full-size temporary would raise glibc's mmap
     // threshold and keep later model buffers resident, and a strided
     // per-element fill is ~3× slower than one contiguous run per row.
     const TILE: usize = 16;
-    let mut data = vec![0.0; rows * cols];
+    let mut data = vec![Bf16::default(); rows * cols];
     let mut tile = Vec::with_capacity(TILE * cols);
     for r0 in (0..rows).step_by(TILE) {
         let take = TILE.min(rows - r0);
         tile.clear();
-        tile.extend((0..take * cols).map(|_| draw(rng, scale)));
+        tile.extend((0..take * cols).map(|_| Bf16::from_f32(draw(rng, scale))));
         for (c, run) in data.chunks_exact_mut(rows).enumerate() {
             for (i, v) in run[r0..r0 + take].iter_mut().enumerate() {
                 *v = tile[i * cols + c];

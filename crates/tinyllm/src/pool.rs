@@ -13,7 +13,7 @@
 //! - **Attention rows** — batched fused attention farms contiguous row
 //!   ranges to workers. Inputs are staged into an [`AttnStage`] (query
 //!   slices, per-row block tables, cache geometry) plus an `Arc` read
-//!   handle on the KV storage, so jobs are `'static` without `unsafe`
+//!   handle on the KV storage (bf16 bits), so jobs are `'static` without `unsafe`
 //!   (the workspace denies it).
 //! - **Tasks** — arbitrary `FnOnce` jobs, used by `tinyllm::parallel` to
 //!   run tensor-parallel ranks on persistent workers instead of
@@ -80,7 +80,7 @@ enum Job {
     /// Run fused attention for staged rows `row_lo..row_hi`.
     Attn {
         stage: Arc<AttnStage>,
-        storage: Arc<Vec<f32>>,
+        storage: Arc<Vec<u16>>,
         row_lo: usize,
         row_hi: usize,
         strip: Vec<f32>,
@@ -493,7 +493,7 @@ impl WorkerPool {
     pub(crate) fn attn_rows(
         &self,
         lanes: usize,
-        storage: &Arc<Vec<f32>>,
+        storage: &Arc<Vec<u16>>,
         fill: impl FnOnce(&mut AttnStage),
         m: usize,
         width: usize,
@@ -607,14 +607,14 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tensor::{Matrix, PackedMatrix};
+    use crate::tensor::{Bf16, Matrix, PackedMatrix};
 
-    fn test_weight(k: usize, n: usize) -> Matrix {
+    fn test_weight(k: usize, n: usize) -> Matrix<Bf16> {
         Matrix::from_vec(
             k,
             n,
             (0..k * n)
-                .map(|i| ((i * 37 + 11) % 97) as f32 * 0.03 - 1.4)
+                .map(|i| Bf16::from_f32(((i * 37 + 11) % 97) as f32 * 0.03 - 1.4))
                 .collect(),
         )
     }

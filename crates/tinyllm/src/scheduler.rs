@@ -64,6 +64,74 @@ pub struct GenRequest {
     pub max_new: usize,
 }
 
+/// Why [`ContinuousBatcher::submit`] refused a request. A refused
+/// request is never queued, so it can neither panic a later step nor
+/// block the requests behind it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SubmitError {
+    /// The prompt has no tokens, so no position would yield logits.
+    EmptyPrompt,
+    /// A prompt token is not in the model's vocabulary.
+    TokenOutOfVocab {
+        /// The offending token.
+        token: u32,
+        /// The model's vocabulary size.
+        vocab: usize,
+    },
+    /// Prompt plus generated tokens need more positions than the model
+    /// has.
+    PastMaxSeq {
+        /// `prompt.len() + max_new`.
+        tokens: usize,
+        /// The model's maximum sequence length.
+        max_seq: usize,
+    },
+    /// The request's lifetime KV footprint exceeds the whole pool, so
+    /// admission could never reserve it.
+    ExceedsKvPool {
+        /// Blocks the request's lifetime needs.
+        blocks: usize,
+        /// Blocks in the pool.
+        pool: usize,
+    },
+    /// The prompt exceeds the per-step prefill token budget, so no
+    /// prefill step could ever admit it.
+    OverTokenBudget {
+        /// Prompt tokens.
+        prompt: usize,
+        /// The batcher's token budget.
+        budget: usize,
+    },
+}
+
+impl std::fmt::Display for SubmitError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SubmitError::EmptyPrompt => write!(f, "empty prompt"),
+            SubmitError::TokenOutOfVocab { token, vocab } => {
+                write!(f, "token {token} outside a vocabulary of {vocab}")
+            }
+            SubmitError::PastMaxSeq { tokens, max_seq } => {
+                write!(f, "{tokens} tokens exceed max_seq {max_seq}")
+            }
+            SubmitError::ExceedsKvPool { blocks, pool } => {
+                write!(
+                    f,
+                    "lifetime needs {blocks} KV blocks of a {pool}-block pool"
+                )
+            }
+            SubmitError::OverTokenBudget { prompt, budget } => {
+                write!(
+                    f,
+                    "{prompt}-token prompt exceeds the {budget}-token prefill budget"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for SubmitError {}
+
 /// A finished generation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FinishedGen {
@@ -227,13 +295,60 @@ impl ContinuousBatcher {
         }
     }
 
-    /// Submits a request.
-    pub fn submit(&mut self, req: GenRequest) {
+    /// Submits a request, or refuses one that no step could serve.
+    ///
+    /// # Errors
+    ///
+    /// [`SubmitError`] when the prompt is empty, holds a token outside
+    /// the vocabulary, or the request needs more positions than the
+    /// model has, more KV blocks than the whole pool, or more prompt
+    /// tokens than one prefill step admits. A refused request emits
+    /// `Arrived` then `Rejected` and is not queued.
+    pub fn submit(&mut self, req: GenRequest) -> Result<(), SubmitError> {
         let t = self.clock.now_s();
         self.emit(req.id, t, LifecycleEvent::Arrived);
+        if let Err(e) = self.validate(&req) {
+            self.emit(req.id, t, LifecycleEvent::Rejected);
+            self.sink
+                .counter_add(metrics::REQUESTS_REJECTED, self.track, 1);
+            return Err(e);
+        }
         self.emit(req.id, t, LifecycleEvent::PrefillQueued);
         self.waiting.push_back(req);
         self.emit_pool_gauges();
+        Ok(())
+    }
+
+    /// The first reason `req` could never be served, if any.
+    fn validate(&self, req: &GenRequest) -> Result<(), SubmitError> {
+        let cfg = self.model.config();
+        if req.prompt.is_empty() {
+            return Err(SubmitError::EmptyPrompt);
+        }
+        if let Some(&token) = req.prompt.iter().find(|&&t| t as usize >= cfg.vocab) {
+            return Err(SubmitError::TokenOutOfVocab {
+                token,
+                vocab: cfg.vocab,
+            });
+        }
+        let tokens = req.prompt.len().saturating_add(req.max_new);
+        if tokens > cfg.max_seq {
+            return Err(SubmitError::PastMaxSeq {
+                tokens,
+                max_seq: cfg.max_seq,
+            });
+        }
+        let (blocks, pool) = (Self::lifetime_blocks(tokens), self.kv.total_blocks());
+        if blocks > pool {
+            return Err(SubmitError::ExceedsKvPool { blocks, pool });
+        }
+        if req.prompt.len() > self.token_budget {
+            return Err(SubmitError::OverTokenBudget {
+                prompt: req.prompt.len(),
+                budget: self.token_budget,
+            });
+        }
+        Ok(())
     }
 
     /// Requests waiting for admission.
@@ -571,8 +686,8 @@ mod tests {
         let solo_a = m.generate(&[1, 2, 3], 6);
         let solo_b = m.generate(&[9, 8], 5);
         let mut batcher = ContinuousBatcher::new(m, 4096);
-        batcher.submit(req(0, vec![1, 2, 3], 6));
-        batcher.submit(req(1, vec![9, 8], 5));
+        batcher.submit(req(0, vec![1, 2, 3], 6)).unwrap();
+        batcher.submit(req(1, vec![9, 8], 5)).unwrap();
         let mut done = batcher.run_to_completion();
         done.sort_by_key(|f| f.id);
         assert_eq!(done[0].tokens, solo_a);
@@ -584,7 +699,7 @@ mod tests {
         let m = model();
         let mut batcher = ContinuousBatcher::new(m, 4096);
         for i in 0..4 {
-            batcher.submit(req(i, vec![1 + i as u32, 2], 5));
+            batcher.submit(req(i, vec![1 + i as u32, 2], 5)).unwrap();
         }
         let done = batcher.run_to_completion();
         assert_eq!(done.len(), 4);
@@ -599,8 +714,8 @@ mod tests {
         // Pool of 64 tokens (4 blocks): one 48-token lifetime (3 blocks)
         // fits, two at once do not.
         let mut batcher = ContinuousBatcher::new(m, 64);
-        batcher.submit(req(0, vec![1; 24], 24));
-        batcher.submit(req(1, vec![2; 24], 24));
+        batcher.submit(req(0, vec![1; 24], 24)).unwrap();
+        batcher.submit(req(1, vec![2; 24], 24)).unwrap();
         let k1 = batcher.step();
         assert!(
             matches!(k1, StepKind::Prefill { requests: 1, .. }),
@@ -618,8 +733,8 @@ mod tests {
     fn token_budget_limits_prefill_batch() {
         let m = model();
         let mut batcher = ContinuousBatcher::new(m, 4096).with_token_budget(10);
-        batcher.submit(req(0, vec![1; 6], 2));
-        batcher.submit(req(1, vec![2; 6], 2));
+        batcher.submit(req(0, vec![1; 6], 2)).unwrap();
+        batcher.submit(req(1, vec![2; 6], 2)).unwrap();
         let k = batcher.step();
         // 6 + 6 > 10: only the first admits this step.
         assert!(matches!(k, StepKind::Prefill { requests: 1, .. }), "{k:?}");
@@ -630,9 +745,9 @@ mod tests {
     fn prefill_prioritized_over_decode() {
         let m = model();
         let mut batcher = ContinuousBatcher::new(m, 4096);
-        batcher.submit(req(0, vec![1, 2], 4));
+        batcher.submit(req(0, vec![1, 2], 4)).unwrap();
         assert!(matches!(batcher.step(), StepKind::Prefill { .. }));
-        batcher.submit(req(1, vec![3, 4], 4));
+        batcher.submit(req(1, vec![3, 4], 4)).unwrap();
         // New arrival preempts the decode of request 0 at the next step.
         assert!(matches!(batcher.step(), StepKind::Prefill { .. }));
         assert!(matches!(batcher.step(), StepKind::Decode { requests: 2 }));
@@ -657,9 +772,9 @@ mod tests {
         let sink: Arc<dyn TelemetrySink> = rec.clone();
         let mut batcher = ContinuousBatcher::new(m, 4096).with_sink(sink, 3);
         for i in 0..3u64 {
-            batcher.submit(req(i, vec![1 + i as u32, 2, 3], 4));
+            batcher.submit(req(i, vec![1 + i as u32, 2, 3], 4)).unwrap();
         }
-        batcher.submit(req(9, vec![5, 6], 1)); // Retires at prefill.
+        batcher.submit(req(9, vec![5, 6], 1)).unwrap(); // Retires at prefill.
         let mut done = batcher.run_to_completion();
         done.sort_by_key(|f| f.id);
         // Instrumentation must not change what is generated.
@@ -712,11 +827,114 @@ mod tests {
         let m = model();
         let solo = m.generate(&[4, 5, 6], 1);
         let mut batcher = ContinuousBatcher::new(m, 1024);
-        batcher.submit(req(7, vec![4, 5, 6], 1));
+        batcher.submit(req(7, vec![4, 5, 6], 1)).unwrap();
         let done = batcher.run_to_completion();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].tokens, solo);
         assert_eq!(done[0].first_token_step, done[0].completion_step);
+    }
+
+    #[test]
+    fn empty_prompt_is_refused() {
+        let mut batcher = ContinuousBatcher::new(model(), 1024);
+        assert_eq!(
+            batcher.submit(req(0, vec![], 4)),
+            Err(SubmitError::EmptyPrompt)
+        );
+        assert_eq!(batcher.waiting_len(), 0);
+    }
+
+    #[test]
+    fn out_of_vocab_token_is_refused() {
+        // TinyConfig::tiny() has a 128-token vocabulary.
+        let mut batcher = ContinuousBatcher::new(model(), 1024);
+        assert_eq!(
+            batcher.submit(req(0, vec![1, 128, 2], 4)),
+            Err(SubmitError::TokenOutOfVocab {
+                token: 128,
+                vocab: 128
+            })
+        );
+        assert_eq!(batcher.waiting_len(), 0);
+        // Refused before admission, so no KV was registered for it.
+        assert_eq!(batcher.kv_free_blocks(), batcher.kv_total_blocks());
+    }
+
+    #[test]
+    fn request_past_max_seq_is_refused() {
+        // max_seq is 256: 200 + 57 positions do not fit, 200 + 56 do.
+        let mut batcher = ContinuousBatcher::new(model(), 4096);
+        assert_eq!(
+            batcher.submit(req(0, vec![1; 200], 57)),
+            Err(SubmitError::PastMaxSeq {
+                tokens: 257,
+                max_seq: 256
+            })
+        );
+        batcher.submit(req(1, vec![1; 200], 56)).unwrap();
+        // A caller-supplied length cannot overflow the check.
+        assert!(matches!(
+            batcher.submit(req(2, vec![1], usize::MAX)),
+            Err(SubmitError::PastMaxSeq { .. })
+        ));
+    }
+
+    #[test]
+    fn lifetime_larger_than_the_pool_is_refused() {
+        // A 64-token pool is 4 blocks; 40 + 40 tokens need 5.
+        let mut batcher = ContinuousBatcher::new(model(), 64);
+        assert_eq!(
+            batcher.submit(req(0, vec![1; 40], 40)),
+            Err(SubmitError::ExceedsKvPool { blocks: 5, pool: 4 })
+        );
+        assert_eq!(batcher.waiting_len(), 0);
+    }
+
+    #[test]
+    fn prompt_over_the_token_budget_is_refused() {
+        let mut batcher = ContinuousBatcher::new(model(), 4096).with_token_budget(8);
+        assert_eq!(
+            batcher.submit(req(0, vec![1; 9], 2)),
+            Err(SubmitError::OverTokenBudget {
+                prompt: 9,
+                budget: 8
+            })
+        );
+        batcher.submit(req(1, vec![1; 8], 2)).unwrap();
+    }
+
+    #[test]
+    fn valid_request_behind_refused_ones_completes() {
+        // Queued, the oversized request would sit at the queue head
+        // forever (the run ends in "admission livelock") and the
+        // out-of-vocab one would panic mid-step.
+        let m = model();
+        let solo = m.generate(&[3, 4, 5], 4);
+        let mut batcher = ContinuousBatcher::new(m, 64);
+        assert!(batcher.submit(req(0, vec![1; 40], 40)).is_err());
+        assert!(batcher.submit(req(1, vec![500], 4)).is_err());
+        assert!(batcher.submit(req(2, vec![], 4)).is_err());
+        batcher.submit(req(3, vec![3, 4, 5], 4)).unwrap();
+        let done = batcher.run_to_completion();
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].id, 3);
+        assert_eq!(done[0].tokens, solo);
+    }
+
+    #[test]
+    fn refused_request_emits_a_rejected_lifecycle() {
+        use distserve_telemetry::Recorder;
+
+        let rec = Arc::new(Recorder::new());
+        let sink: Arc<dyn TelemetrySink> = rec.clone();
+        let mut batcher = ContinuousBatcher::new(model(), 1024).with_sink(sink, 1);
+        assert!(batcher.submit(req(5, vec![], 1)).is_err());
+        let snap = rec.snapshot();
+        let lifecycles = snap.lifecycles();
+        let kinds: Vec<LifecycleEvent> = lifecycles[&5].events.iter().map(|&(_, k)| k).collect();
+        assert_eq!(kinds, [LifecycleEvent::Arrived, LifecycleEvent::Rejected]);
+        lifecycles[&5].validate().expect("well-formed lifecycle");
+        assert_eq!(snap.metrics.counter(metrics::REQUESTS_REJECTED, 1), 1);
     }
 
     #[test]
@@ -727,13 +945,13 @@ mod tests {
         let m = model();
         assert!(m.generate(&[3; 32], 0).is_empty());
         let mut batcher = ContinuousBatcher::new(m, 64);
-        batcher.submit(req(0, vec![3; 32], 0));
+        batcher.submit(req(0, vec![3; 32], 0)).unwrap();
         let done = batcher.run_to_completion();
         assert_eq!(done.len(), 1);
         assert!(done[0].tokens.is_empty());
         assert_eq!(done[0].first_token_step, done[0].completion_step);
         assert_eq!(batcher.reserved_blocks, 0);
-        batcher.submit(req(1, vec![4; 32], 32));
+        batcher.submit(req(1, vec![4; 32], 32)).unwrap();
         let k = batcher.step();
         assert!(matches!(k, StepKind::Prefill { requests: 1, .. }), "{k:?}");
     }

@@ -3,7 +3,7 @@
 //! Two tiers live here. [`Matrix`] is the readable reference
 //! implementation that the property tests compare against. [`PackedMatrix`]
 //! is the performance tier: weights in a k-major (input-dim contiguous)
-//! layout (for f32 projections, the reference matrix's own storage,
+//! layout (for the projections, the reference matrix's own storage,
 //! shared rather than copied), multiplied by register-tiled kernels
 //! ([`MR`] rows × [`NR`] outputs of accumulators held across the k-loop)
 //! that write into caller-owned scratch — no per-call allocation, no
@@ -12,14 +12,16 @@
 //! `BENCH_tinyllm.json`); the simulation crates model timing, this crate
 //! has to earn it.
 //!
-//! Every packed kernel accumulates each output element over `k` in
-//! ascending order with a single accumulator — the same association the
-//! reference `Matrix::matmul` uses — so the fast path is bit-compatible
-//! with the reference path, not merely close. That invariant is also why
-//! the worker pool (`pool.rs`) can split the N dimension across threads
-//! freely: each output element's multiply-add chain never depends on
-//! which column strip it lands in, so threaded output is bit-identical
-//! to single-threaded, not merely close.
+//! Weights are stored as [`Bf16`] and every operation computes in f32:
+//! both tiers widen the same stored values exactly, so storage precision
+//! never separates them. Every packed kernel accumulates each output
+//! element over `k` in ascending order with a single accumulator — the
+//! same association the reference `Matrix::matmul` uses — so the fast
+//! path is bit-compatible with the reference path, not merely close. That
+//! invariant is also why the worker pool (`pool.rs`) can split the N
+//! dimension across threads freely: each output element's multiply-add
+//! chain never depends on which column strip it lands in, so threaded
+//! output is bit-identical to single-threaded, not merely close.
 //!
 //! [`QuantMatrix`] is the int8 tier: per-output-channel symmetric
 //! quantization done once at pack time, dequantized in-register inside
@@ -27,18 +29,95 @@
 
 use std::sync::Arc;
 
-/// A row-major matrix (reference tier). The elements sit behind an
-/// [`Arc`] so a weight's f32 kernel ([`PackedMatrix::pack`]) shares its
-/// storage instead of copying it; writers go through [`Arc::make_mut`],
-/// which copies only storage that is actually shared.
+/// A bfloat16 value: the upper half of an f32's bits (sign, the full
+/// 8-bit exponent, 7 mantissa bits). Weights and K/V are stored in it at
+/// half the bytes of f32; every operation widens it back, exactly, and
+/// computes in f32.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Bf16(u16);
+
+impl Bf16 {
+    /// Rounds `x` to the nearest bf16, ties to even. Finite values past
+    /// the largest bf16 round to ±infinity; a NaN stays a NaN with its
+    /// sign and upper payload bits.
+    #[must_use]
+    pub fn from_f32(x: f32) -> Self {
+        let bits = x.to_bits();
+        if x.is_nan() {
+            // Truncate, but never to the infinity pattern: a payload that
+            // lived only in the dropped half sets the quiet bit instead.
+            let t = (bits >> 16) as u16;
+            return Bf16(if t & 0x7f == 0 { t | 0x40 } else { t });
+        }
+        // Adding just under half a bf16 ulp, plus the kept lsb, carries
+        // into the kept half exactly when the dropped half is past the
+        // midpoint, or at it with an odd kept half. The carry may ripple
+        // into the exponent: the next binade, or infinity past the max.
+        let round = 0x7fff + ((bits >> 16) & 1);
+        Bf16(((bits + round) >> 16) as u16)
+    }
+
+    /// The exact f32 value.
+    #[must_use]
+    pub fn to_f32(self) -> f32 {
+        f32::from_bits(u32::from(self.0) << 16)
+    }
+
+    /// From a raw bit pattern.
+    #[must_use]
+    pub const fn from_bits(bits: u16) -> Self {
+        Bf16(bits)
+    }
+
+    /// The raw bit pattern.
+    #[must_use]
+    pub const fn to_bits(self) -> u16 {
+        self.0
+    }
+}
+
+impl From<Bf16> for f32 {
+    fn from(x: Bf16) -> f32 {
+        x.to_f32()
+    }
+}
+
+/// A row-major matrix (reference tier): `f32` activations, or stored
+/// [`Bf16`] weights. The elements sit behind an [`Arc`] so a weight's
+/// kernel ([`PackedMatrix::pack`]) shares its storage instead of copying
+/// it; writers go through [`Arc::make_mut`], which copies only storage
+/// that is actually shared.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Matrix {
+pub struct Matrix<T = f32> {
     /// Number of rows.
     pub rows: usize,
     /// Number of columns.
     pub cols: usize,
     /// Row-major elements, `rows * cols` long.
-    pub data: Arc<Vec<f32>>,
+    pub data: Arc<Vec<T>>,
+}
+
+impl<T> Matrix<T> {
+    /// Wraps existing data.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != rows * cols`.
+    #[must_use]
+    pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Self {
+        assert_eq!(data.len(), rows * cols, "shape mismatch");
+        Matrix {
+            rows,
+            cols,
+            data: Arc::new(data),
+        }
+    }
+
+    /// Immutable row view.
+    #[must_use]
+    pub fn row(&self, r: usize) -> &[T] {
+        &self.data[r * self.cols..(r + 1) * self.cols]
+    }
 }
 
 impl Matrix {
@@ -48,31 +127,10 @@ impl Matrix {
         Matrix::from_vec(rows, cols, vec![0.0; rows * cols])
     }
 
-    /// Wraps existing data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    #[must_use]
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
-        assert_eq!(data.len(), rows * cols, "shape mismatch");
-        Matrix {
-            rows,
-            cols,
-            data: Arc::new(data),
-        }
-    }
-
     /// The row-major elements, copied only if the storage is shared.
     #[must_use]
     pub fn into_vec(self) -> Vec<f32> {
         Arc::unwrap_or_clone(self.data)
-    }
-
-    /// Immutable row view.
-    #[must_use]
-    pub fn row(&self, r: usize) -> &[f32] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Mutable row view.
@@ -80,27 +138,24 @@ impl Matrix {
         &mut Arc::make_mut(&mut self.data)[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// `self × other`, where `other` is `(self.cols × n)`. Reference
-    /// implementation: allocating, unblocked.
+    /// Every element rounded to the nearest [`Bf16`] (ties to even): the
+    /// stored form of a weight given as f32 values.
+    #[must_use]
+    pub fn to_bf16(&self) -> Matrix<Bf16> {
+        let data = self.data.iter().map(|&v| Bf16::from_f32(v)).collect();
+        Matrix::from_vec(self.rows, self.cols, data)
+    }
+
+    /// `self × other`, where `other` is `(self.cols × n)` and its
+    /// elements widen to f32. Reference implementation: allocating,
+    /// unblocked.
     ///
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch.
     #[must_use]
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul inner dims");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = out.row_mut(i);
-            for (k, &a) in a_row.iter().enumerate() {
-                let b_row = other.row(k);
-                for (j, &b) in b_row.iter().enumerate() {
-                    out_row[j] += a * b;
-                }
-            }
-        }
-        out
+    pub fn matmul<W: Copy + Into<f32>>(&self, other: &Matrix<W>) -> Matrix {
+        self.matmul_cols(other, 0, other.cols)
     }
 
     /// `self × other[:, col_lo..col_hi]` — a column-sliced product, used
@@ -110,7 +165,12 @@ impl Matrix {
     ///
     /// Panics on inner-dimension mismatch or an invalid column range.
     #[must_use]
-    pub fn matmul_cols(&self, other: &Matrix, col_lo: usize, col_hi: usize) -> Matrix {
+    pub fn matmul_cols<W: Copy + Into<f32>>(
+        &self,
+        other: &Matrix<W>,
+        col_lo: usize,
+        col_hi: usize,
+    ) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul inner dims");
         assert!(col_lo <= col_hi && col_hi <= other.cols, "column range");
         let n = col_hi - col_lo;
@@ -121,7 +181,7 @@ impl Matrix {
             for (k, &a) in a_row.iter().enumerate() {
                 let b_row = &other.row(k)[col_lo..col_hi];
                 for (j, &b) in b_row.iter().enumerate() {
-                    out_row[j] += a * b;
+                    out_row[j] += a * b.into();
                 }
             }
         }
@@ -143,10 +203,11 @@ pub(crate) const MR: usize = 4;
 /// stay in L1 while the packed weights stream through once.
 pub(crate) const NR: usize = 16;
 
-/// A weight matrix packed for the fast path: contiguous and k-major
+/// A bf16 weight matrix packed for the fast path: contiguous and k-major
 /// (`k` = input dimension indexes rows, outputs are contiguous within
 /// each row). Packing happens once at model build; every forward pass
-/// then runs unit-stride inner loops.
+/// then runs unit-stride inner loops, widening each weight to f32 as it
+/// is loaded.
 #[derive(Debug, Clone)]
 pub struct PackedMatrix {
     /// Input dimension (rows of the logical weight).
@@ -157,7 +218,7 @@ pub struct PackedMatrix {
     /// output `j`. Behind an [`Arc`] so the worker pool can hand each
     /// long-lived thread a `'static` handle to the weights without
     /// copying them and without `unsafe` (the workspace denies it).
-    data: Arc<Vec<f32>>,
+    data: Arc<Vec<Bf16>>,
 }
 
 impl PackedMatrix {
@@ -165,7 +226,7 @@ impl PackedMatrix {
     /// already the kernel's layout, so the result shares `w`'s storage
     /// rather than copying it.
     #[must_use]
-    pub fn pack(w: &Matrix) -> Self {
+    pub fn pack(w: &Matrix<Bf16>) -> Self {
         PackedMatrix {
             k: w.rows,
             n: w.cols,
@@ -175,7 +236,7 @@ impl PackedMatrix {
 
     /// The packed elements (to check what storage a kernel shares).
     #[cfg(test)]
-    pub(crate) fn storage(&self) -> &Arc<Vec<f32>> {
+    pub(crate) fn storage(&self) -> &Arc<Vec<Bf16>> {
         &self.data
     }
 
@@ -283,10 +344,11 @@ impl PackedMatrix {
 
     /// One `MB`-row band of the output. Each `MB × NR` accumulator tile
     /// lives in registers across the whole k-loop; each packed weight row
-    /// segment is loaded once and reused by all `MB` activation rows.
-    /// Every output accumulates over `k` ascending with a single
-    /// accumulator — bit-identical to the reference matmul, and
-    /// independent of the `(col_lo, width)` strip an element lands in.
+    /// segment is loaded and widened to f32 once per k step, before the
+    /// row loop, and reused by all `MB` activation rows. Every output
+    /// accumulates over `k` ascending with a single accumulator —
+    /// bit-identical to the reference matmul, and independent of the
+    /// `(col_lo, width)` strip an element lands in.
     // `kk` deliberately indexes both the activation rows and the packed
     // weight base address; an iterator over one of them would hide the
     // shared induction variable the vectorizer keys on.
@@ -308,9 +370,10 @@ impl PackedMatrix {
             let mut acc = [[0.0f32; NR]; MB];
             for kk in 0..depth {
                 let base = (k_off + kk) * self.n + col_lo + j;
-                let w: &[f32; NR] = self.data[base..base + NR]
+                let seg: &[Bf16; NR] = self.data[base..base + NR]
                     .try_into()
                     .expect("NR-wide weight segment");
+                let w: [f32; NR] = core::array::from_fn(|l| seg[l].to_f32());
                 for r in 0..MB {
                     let av = a_rows[r][kk];
                     for (l, acc_l) in acc[r].iter_mut().enumerate() {
@@ -328,7 +391,7 @@ impl PackedMatrix {
             for (r, a_row) in a_rows.iter().enumerate() {
                 let mut acc = 0.0f32;
                 for (kk, &av) in a_row.iter().enumerate() {
-                    acc += av * self.data[(k_off + kk) * self.n + col_lo + j];
+                    acc += av * self.data[(k_off + kk) * self.n + col_lo + j].to_f32();
                 }
                 out[(i + r) * stride + j] = acc;
             }
@@ -372,16 +435,16 @@ pub struct QuantMatrix {
 }
 
 impl QuantMatrix {
-    /// Quantizes a `(k × n)` weight stored input-major. Deterministic:
-    /// `round` half-away-from-zero, scales derived only from the column
-    /// maxima.
+    /// Quantizes a `(k × n)` weight stored input-major, f32 or bf16.
+    /// Deterministic: `round` half-away-from-zero, scales derived only
+    /// from the column maxima.
     #[must_use]
-    pub fn quantize(w: &Matrix) -> Self {
+    pub fn quantize<W: Copy + Into<f32>>(w: &Matrix<W>) -> Self {
         let (k, n) = (w.rows, w.cols);
         let mut scales = vec![0.0f32; n];
         for row in w.data.chunks_exact(n) {
             for (s, &v) in scales.iter_mut().zip(row) {
-                *s = s.max(v.abs());
+                *s = s.max(v.into().abs());
             }
         }
         for s in &mut scales {
@@ -391,7 +454,7 @@ impl QuantMatrix {
         for (qrow, row) in data.chunks_exact_mut(n).zip(w.data.chunks_exact(n)) {
             for ((q, &v), &s) in qrow.iter_mut().zip(row).zip(&scales) {
                 if s > 0.0 {
-                    *q = (v / s).round().clamp(-127.0, 127.0) as i8;
+                    *q = (v.into() / s).round().clamp(-127.0, 127.0) as i8;
                 }
             }
         }
@@ -469,8 +532,8 @@ impl QuantMatrix {
 
     /// Int8 twin of `PackedMatrix::tile_rows`: identical tiling, identical
     /// accumulation order (so the threaded int8 path is bit-identical to
-    /// the serial int8 path); the only difference is the in-register
-    /// `i8 → f32` widening per weight load and the final scale multiply.
+    /// the serial int8 path), and the same once-per-k-step widening, here
+    /// `i8 → f32`; the only addition is the final scale multiply.
     #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
     fn tile_rows_q<const MB: usize>(
         &self,
@@ -492,10 +555,11 @@ impl QuantMatrix {
                 let q: &[i8; NR] = self.data[base..base + NR]
                     .try_into()
                     .expect("NR-wide weight segment");
+                let w: [f32; NR] = core::array::from_fn(|l| f32::from(q[l]));
                 for r in 0..MB {
                     let av = a_rows[r][kk];
                     for (l, acc_l) in acc[r].iter_mut().enumerate() {
-                        *acc_l += av * f32::from(q[l]);
+                        *acc_l += av * w[l];
                     }
                 }
             }
@@ -529,7 +593,8 @@ impl QuantMatrix {
 /// worker pool schedules them identically.
 #[derive(Debug, Clone)]
 pub enum Kernel {
-    /// Full-precision packed weights (the default, bit-exact tier).
+    /// bf16 packed weights under f32 arithmetic (the default tier,
+    /// bit-exact against the reference tier).
     F32(PackedMatrix),
     /// Int8 per-channel quantized weights (bounded-error tier).
     Int8(QuantMatrix),
@@ -762,6 +827,11 @@ mod tests {
         )
     }
 
+    /// [`test_weight`] in its stored form, each value rounded to bf16.
+    fn test_bf16_weight(k: usize, n: usize) -> Matrix<Bf16> {
+        test_weight(k, n).to_bf16()
+    }
+
     fn test_act(m: usize, k: usize) -> Matrix {
         Matrix::from_vec(
             m,
@@ -778,7 +848,7 @@ mod tests {
         // same multiply-add order per output element.
         for (m, k, n) in [(1, 8, 5), (3, 32, 96), (16, 64, 192), (7, 100, 513)] {
             let a = test_act(m, k);
-            let b = test_weight(k, n);
+            let b = test_bf16_weight(k, n);
             let reference = a.matmul(&b);
             let packed = PackedMatrix::pack(&b);
             let mut out = vec![0.0; m * n];
@@ -790,7 +860,7 @@ mod tests {
     #[test]
     fn packed_matmul_overwrites_dirty_scratch() {
         let a = test_act(2, 16);
-        let b = test_weight(16, 24);
+        let b = test_bf16_weight(16, 24);
         let packed = PackedMatrix::pack(&b);
         let mut clean = vec![0.0; 2 * 24];
         packed.matmul_into(&a.data, 2, &mut clean);
@@ -802,7 +872,7 @@ mod tests {
     #[test]
     fn packed_cols_matches_reference_slice() {
         let a = test_act(4, 48);
-        let b = test_weight(48, 120);
+        let b = test_bf16_weight(48, 120);
         let full = a.matmul(&b);
         let packed = PackedMatrix::pack(&b);
         let (lo, hi) = (30, 90);
@@ -825,7 +895,7 @@ mod tests {
         let (lo, hi) = (16, 36);
         assert_eq!(hi - lo, depth);
         let a = test_act(m, depth);
-        let b = test_weight(full_k, n);
+        let b = test_bf16_weight(full_k, n);
         let mut padded = Matrix::zeros(m, full_k);
         for r in 0..m {
             padded.row_mut(r)[lo..hi].copy_from_slice(a.row(r));
@@ -919,7 +989,7 @@ mod tests {
         // product restricted to that strip.
         let (m, k, n) = (5, 40, 48);
         let a = test_act(m, k);
-        let b = test_weight(k, n);
+        let b = test_bf16_weight(k, n);
         let packed = PackedMatrix::pack(&b);
         let mut dense = vec![0.0; m * n];
         packed.matmul_into(&a.data, m, &mut dense);
@@ -995,6 +1065,115 @@ mod tests {
         q.gemm_strip(&a.data, m, k, 0, 0, split, n, &mut strips);
         q.gemm_strip(&a.data, m, k, 0, split, n - split, n, &mut strips[split..]);
         assert_eq!(dense, strips);
+    }
+
+    #[test]
+    fn bf16_widen_then_round_is_identity_on_every_pattern() {
+        for bits in 0..=u16::MAX {
+            let x = Bf16::from_bits(bits).to_f32();
+            let back = Bf16::from_f32(x);
+            assert_eq!(back.to_bits(), bits, "pattern {bits:#06x}");
+            if x.is_nan() {
+                assert!(back.to_f32().is_nan(), "{bits:#06x} stays NaN");
+                assert_eq!(back.to_f32().is_sign_negative(), x.is_sign_negative());
+            }
+        }
+        // A NaN whose payload lies only in the dropped half stays a NaN
+        // of the same sign rather than truncating to infinity.
+        for bits in [0x7f80_0001u32, 0xff80_0001, 0x7fc0_0000, 0xffc0_0000] {
+            let r = Bf16::from_f32(f32::from_bits(bits)).to_f32();
+            assert!(r.is_nan(), "{bits:#010x}");
+            assert_eq!(r.is_sign_negative(), bits >> 31 == 1, "{bits:#010x}");
+        }
+    }
+
+    #[test]
+    fn bf16_rounds_halfway_to_even_and_past_halfway_away_from_zero() {
+        let round = |bits: u32| Bf16::from_f32(f32::from_bits(bits)).to_bits();
+        // Exactly halfway: to the even neighbour, either sign.
+        assert_eq!(round(0x3f80_8000), 0x3f80);
+        assert_eq!(round(0x3f81_8000), 0x3f82);
+        assert_eq!(round(0xbf80_8000), 0xbf80);
+        assert_eq!(round(0xbf81_8000), 0xbf82);
+        // Just past halfway: away from zero; just short: toward zero.
+        assert_eq!(round(0x3f80_8001), 0x3f81);
+        assert_eq!(round(0xbf80_8001), 0xbf81);
+        assert_eq!(round(0x3f80_7fff), 0x3f80);
+        assert_eq!(round(0xbf80_7fff), 0xbf80);
+        // A carry out of the mantissa moves to the next binade.
+        assert_eq!(round(0x3fff_8000), 0x4000);
+        // Subnormals round like any other value.
+        assert_eq!(round(0x0000_8001), 0x0001);
+        assert_eq!(round(0x0000_8000), 0x0000);
+    }
+
+    #[test]
+    fn bf16_overflow_rounds_to_infinity() {
+        let max = Bf16::from_bits(0x7f7f).to_f32();
+        assert_eq!(Bf16::from_f32(max).to_f32(), max);
+        // Finite values at or past the midpoint between the largest bf16
+        // and 2^128 round to infinity; the midpoint ties to the even
+        // pattern, which is infinity's.
+        for bits in [0x7f7f_8000u32, 0x7f7f_ffff] {
+            let x = f32::from_bits(bits);
+            assert!(x.is_finite() && x > max);
+            assert_eq!(Bf16::from_f32(x).to_f32(), f32::INFINITY, "{bits:#010x}");
+            assert_eq!(
+                Bf16::from_f32(-x).to_f32(),
+                f32::NEG_INFINITY,
+                "{bits:#010x}"
+            );
+        }
+        assert_eq!(Bf16::from_f32(f32::MAX).to_f32(), f32::INFINITY);
+        assert_eq!(Bf16::from_f32(f32::MIN).to_f32(), f32::NEG_INFINITY);
+        // Just short of the midpoint stays finite.
+        assert_eq!(Bf16::from_f32(f32::from_bits(0x7f7f_7fff)).to_f32(), max);
+        assert_eq!(Bf16::from_f32(f32::INFINITY).to_f32(), f32::INFINITY);
+    }
+
+    /// Round to nearest, ties to even, by comparing distances in f64
+    /// (exact here: `x` and both candidates are f32 values within one bf16
+    /// step of each other). The candidates are the truncation and the
+    /// next pattern away from zero; past the largest finite bf16 that is
+    /// infinity, which rounds as if it were 2^128.
+    fn reference_bf16(x: f32) -> u16 {
+        let lo = (x.to_bits() >> 16) as u16;
+        let hi = lo + 1;
+        let value = |b: u16| {
+            if b & 0x7fff == 0x7f80 {
+                2f64.powi(128).copysign(f64::from(x))
+            } else {
+                f64::from(Bf16::from_bits(b).to_f32())
+            }
+        };
+        let x = f64::from(x);
+        let (d_lo, d_hi) = ((x - value(lo)).abs(), (value(hi) - x).abs());
+        if d_lo < d_hi || (d_lo == d_hi && lo & 1 == 0) {
+            lo
+        } else {
+            hi
+        }
+    }
+
+    #[test]
+    fn bf16_from_f32_matches_f64_reference() {
+        // A strided sweep: ~1.05M patterns spread over every exponent, both
+        // signs, and (the stride is odd) every value of the dropped half.
+        let mut checked = 0;
+        for bits in (0..=u32::MAX).step_by(4093) {
+            let x = f32::from_bits(bits);
+            let got = Bf16::from_f32(x);
+            if x.is_nan() {
+                assert!(got.to_f32().is_nan(), "{bits:#010x}");
+                assert_eq!(got.to_f32().is_sign_negative(), x.is_sign_negative());
+            } else if x.is_infinite() {
+                assert_eq!(got.to_f32(), x);
+            } else {
+                assert_eq!(got.to_bits(), reference_bf16(x), "{bits:#010x}");
+            }
+            checked += 1;
+        }
+        assert!(checked >= 1_000_000, "{checked} patterns");
     }
 
     #[test]

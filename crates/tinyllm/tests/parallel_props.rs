@@ -33,7 +33,7 @@ proptest! {
         threads in 2usize..=8,
     ) {
         let a = fill(m, k, 0xA5A5);
-        let w = Matrix::from_vec(k, n, fill(k, n, 0x5A5A));
+        let w = Matrix::from_vec(k, n, fill(k, n, 0x5A5A)).to_bf16();
         let kern = Kernel::F32(PackedMatrix::pack(&w));
         let mut serial = vec![0.0f32; m * n];
         WorkerPool::new(1).gemm(&kern, &a, m, k, 0, 0, n, &mut serial);

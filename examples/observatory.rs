@@ -140,11 +140,13 @@ fn main() {
     let sink: Arc<dyn TelemetrySink> = tiny_obs.clone();
     let mut batcher = ContinuousBatcher::new(model, 4096).with_sink(sink, 0);
     for i in 0..6u64 {
-        batcher.submit(GenRequest {
-            id: i,
-            prompt: vec![1 + i as u32 % 5, 2, 3, 4],
-            max_new: 12,
-        });
+        batcher
+            .submit(GenRequest {
+                id: i,
+                prompt: vec![1 + i as u32 % 5, 2, 3, 4],
+                max_new: 12,
+            })
+            .expect("valid request");
     }
     let done = batcher.run_to_completion();
     let tiny_stats = tiny_obs.stats();

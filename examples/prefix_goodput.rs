@@ -68,11 +68,13 @@ fn run_engine(cache: Option<&mut PrefixCache>) -> (HashMap<u64, Vec<u32>>, f64, 
     let model = Model::random(&TinyConfig::small(), 2024);
     let mut batcher = ContinuousBatcher::new(model, 8192).with_token_budget(96);
     for (id, prompt) in prompts() {
-        batcher.submit(GenRequest {
-            id,
-            prompt,
-            max_new: MAX_NEW,
-        });
+        batcher
+            .submit(GenRequest {
+                id,
+                prompt,
+                max_new: MAX_NEW,
+            })
+            .expect("valid request");
     }
     let started = Instant::now();
     let finished = match cache {

@@ -79,11 +79,13 @@ fn main() {
     let sink: Arc<dyn TelemetrySink> = tiny_rec.clone();
     let mut batcher = ContinuousBatcher::new(model, 8192).with_sink(sink, 0);
     for i in 0..8u64 {
-        batcher.submit(GenRequest {
-            id: i,
-            prompt: vec![1 + i as u32 % 7, 2, 3, 4],
-            max_new: 16,
-        });
+        batcher
+            .submit(GenRequest {
+                id: i,
+                prompt: vec![1 + i as u32 % 7, 2, 3, 4],
+                max_new: 16,
+            })
+            .expect("valid request");
     }
     let done = batcher.run_to_completion();
     let tiny_snap = tiny_rec.snapshot();

@@ -48,11 +48,13 @@ fn main() {
     // Continuous batching: several requests share decode steps.
     let mut batcher = ContinuousBatcher::new(model, 8192).with_token_budget(64);
     for i in 0..6 {
-        batcher.submit(GenRequest {
-            id: i,
-            prompt: vec![(i as u32 * 7 + 3) % 512, 10, 20],
-            max_new: 12 + i as usize,
-        });
+        batcher
+            .submit(GenRequest {
+                id: i,
+                prompt: vec![(i as u32 * 7 + 3) % 512, 10, 20],
+                max_new: 12 + i as usize,
+            })
+            .expect("valid request");
     }
     let mut prefill_steps = 0;
     let mut decode_steps = 0;

@@ -195,11 +195,13 @@ fn tinyllm_wall_clock_attribution_is_exact() {
     ]));
     let mut batcher = ContinuousBatcher::new(model, 4096).with_sink(tee, 0);
     for i in 0..6u64 {
-        batcher.submit(GenRequest {
-            id: i,
-            prompt: vec![1 + i as u32 % 5, 2, 3],
-            max_new: 8,
-        });
+        batcher
+            .submit(GenRequest {
+                id: i,
+                prompt: vec![1 + i as u32 % 5, 2, 3],
+                max_new: 8,
+            })
+            .expect("valid request");
     }
     let done = batcher.run_to_completion();
     assert_eq!(done.len(), 6);

@@ -22,6 +22,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use distserve::prefix::PrefixCache;
+use tinyllm::tensor::Bf16;
 use tinyllm::{
     ComputeConfig, ContinuousBatcher, GenRequest, Model, PagedKv, Precision, TinyConfig,
 };
@@ -116,11 +117,13 @@ fn run_engine(s: &Shape, cache: Option<&mut PrefixCache>) -> (HashMap<u64, Vec<u
     let budget = work.iter().map(|(_, p)| p.len()).max().unwrap_or(1);
     let mut batcher = ContinuousBatcher::new(model, 4096).with_token_budget(budget);
     for (id, prompt) in work {
-        batcher.submit(GenRequest {
-            id,
-            prompt,
-            max_new: s.max_new,
-        });
+        batcher
+            .submit(GenRequest {
+                id,
+                prompt,
+                max_new: s.max_new,
+            })
+            .expect("valid request");
     }
     let finished = match cache {
         Some(c) => batcher.run_to_completion_with(c),
@@ -178,7 +181,9 @@ fn pool(block_size: usize, blocks: usize) -> PagedKv {
 }
 
 /// Prefills `tokens` for `seq` with recognizable values (`token` in the
-/// key's first lane) and returns the sequence's full blocks.
+/// key's first lane, `seq` in its second) and returns the sequence's full
+/// blocks. The cache stores bf16, so a token past 256 reads back rounded;
+/// the sequence lane (at most 12, exact) identifies the writer.
 fn fill(kv: &mut PagedKv, seq: u64, tokens: &[u32], block_size: usize) -> Vec<usize> {
     kv.register(seq);
     for (pos, &t) in tokens.iter().enumerate() {
@@ -237,7 +242,8 @@ proptest! {
             for (s, toks) in &live {
                 for (pos, &t) in toks.iter().enumerate() {
                     let key = kv.key(*s, 0, pos);
-                    prop_assert_eq!(key[0], t as f32, "seq {} clobbered at pos {}", s, pos);
+                    let stored = Bf16::from_f32(t as f32).to_f32();
+                    prop_assert_eq!(key[0], stored, "seq {} clobbered at pos {}", s, pos);
                     prop_assert_eq!(key[1], *s as f32);
                 }
                 for &b in kv.block_table(*s).unwrap() {

@@ -279,7 +279,7 @@ proptest! {
                 id: i as u64,
                 prompt,
                 max_new,
-            });
+            }).expect("valid request");
         }
         let mut done = batcher.run_to_completion();
         done.sort_by_key(|f| f.id);
