@@ -8,8 +8,7 @@
 //! via [`TeeSink`](distserve_telemetry::TeeSink).
 
 use std::collections::{BTreeMap, HashMap};
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use distserve_telemetry::{
     metrics, Event, LifecycleEvent, RequestKey, Slice, TelemetrySink, TrackId,
@@ -122,22 +121,28 @@ impl ObserverSink {
         }
     }
 
+    /// The observer's state. A panic while updating poisons it, and every
+    /// later access panics rather than read a half-updated window.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("live observer lock")
+    }
+
     /// Current windowed statistics.
     #[must_use]
     pub fn stats(&self) -> WindowStats {
-        self.inner.lock().window.stats()
+        self.lock().window.stats()
     }
 
     /// Per-bucket attainment series, ascending epoch.
     #[must_use]
     pub fn series(&self) -> Vec<BucketStats> {
-        self.inner.lock().window.series()
+        self.lock().window.series()
     }
 
     /// Per-instance utilization over the observed span.
     #[must_use]
     pub fn utilization(&self) -> Vec<InstanceUse> {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         let span_start = inner
             .tracks
             .values()
@@ -170,7 +175,7 @@ impl ObserverSink {
     /// Requests seen but not yet terminal (diagnostic).
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.inner.lock().pending.len()
+        self.lock().pending.len()
     }
 
     /// Per-instance load snapshot for the router frontend, one entry per
@@ -184,7 +189,7 @@ impl ObserverSink {
     /// class as the prefill-gauge fix in the attribution layer.)
     #[must_use]
     pub fn load_snapshot(&self) -> Vec<InstanceLoad> {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         inner
             .names
             .keys()
@@ -222,7 +227,7 @@ impl TelemetrySink for ObserverSink {
     }
 
     fn event(&self, ev: Event) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.clock = inner.clock.max(ev.time_s);
         match ev.kind {
             LifecycleEvent::Arrived => {
@@ -267,7 +272,7 @@ impl TelemetrySink for ObserverSink {
     }
 
     fn slice(&self, s: Slice) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.clock = inner.clock.max(s.end_s);
         let u = inner.tracks.entry(s.track).or_insert(TrackUse {
             first_start: s.start_s,
@@ -282,11 +287,11 @@ impl TelemetrySink for ObserverSink {
     }
 
     fn declare_track(&self, id: TrackId, name: &str) {
-        self.inner.lock().names.insert(id, name.to_string());
+        self.lock().names.insert(id, name.to_string());
     }
 
     fn gauge_set(&self, name: &'static str, instance: TrackId, value: f64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let clock = inner.clock;
         let g = inner.loads.entry(instance).or_default();
         match name {

@@ -10,8 +10,8 @@
 //! threads (the paper notes the algorithm parallelizes almost linearly —
 //! Figure 12).
 
-use crossbeam::thread;
-use parking_lot::Mutex;
+use std::sync::Mutex;
+
 use serde::{Deserialize, Serialize};
 
 use distserve_models::{CostModel, DType, GpuSpec, ModelArch, ParallelismConfig};
@@ -142,11 +142,11 @@ pub fn high_affinity_placement(
     let next: Mutex<usize> = Mutex::new(0);
     let workers = params.worker_count(configs.len());
 
-    thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..workers {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 let idx = {
-                    let mut n = next.lock();
+                    let mut n = next.lock().expect("counter lock");
                     let idx = *n;
                     *n += 1;
                     idx
@@ -176,13 +176,12 @@ pub fn high_affinity_placement(
                     1.0,
                     params.search_iters,
                 );
-                results.lock().push((par, pf, dc));
+                results.lock().expect("results lock").push((par, pf, dc));
             });
         }
-    })
-    .expect("search workers do not panic");
+    });
 
-    let mut results = results.into_inner();
+    let mut results = results.into_inner().expect("results lock");
     // Deterministic selection regardless of thread completion order.
     results.sort_by_key(|(par, _, _)| (par.tp, par.pp));
 

@@ -15,8 +15,8 @@
 //! how the Appendix-B placements like prefill `tp4pp1` + decode `tp2pp2`
 //! arise).
 
-use crossbeam::thread;
-use parking_lot::Mutex;
+use std::sync::Mutex;
+
 use serde::{Deserialize, Serialize};
 
 use distserve_cluster::Cluster;
@@ -240,11 +240,11 @@ pub fn low_affinity_placement(
     let results: Mutex<Vec<(ParallelismConfig, ParallelismConfig, f64)>> = Mutex::new(Vec::new());
     let next: Mutex<usize> = Mutex::new(0);
     let workers = params.worker_count(combos.len());
-    thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..workers {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 let idx = {
-                    let mut n = next.lock();
+                    let mut n = next.lock().expect("counter lock");
                     let idx = *n;
                     *n += 1;
                     idx
@@ -259,13 +259,12 @@ pub fn low_affinity_placement(
                     0.5,
                     params.search_iters,
                 );
-                results.lock().push((p, d, goodput));
+                results.lock().expect("results lock").push((p, d, goodput));
             });
         }
-    })
-    .expect("search workers do not panic");
+    });
 
-    let mut results = results.into_inner();
+    let mut results = results.into_inner().expect("results lock");
     results.sort_by_key(|(p, d, _)| (p.tp, p.pp, d.tp, d.pp));
     let (p, d, goodput) = results.into_iter().max_by(|a, b| {
         let ga = a.2 / f64::from(a.0.num_gpus() + a.1.num_gpus());

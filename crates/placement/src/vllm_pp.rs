@@ -7,8 +7,8 @@
 //! keeps the per-GPU best. The paper finds vLLM++ ties plain vLLM on
 //! OPT-13B — interference, not parallelism, is the bottleneck.
 
-use crossbeam::thread;
-use parking_lot::Mutex;
+use std::sync::Mutex;
+
 use serde::{Deserialize, Serialize};
 
 use distserve_cluster::Cluster;
@@ -144,11 +144,11 @@ pub fn vllm_plus_plus(
     let results: Mutex<Vec<(ParallelismConfig, f64)>> = Mutex::new(Vec::new());
     let next: Mutex<usize> = Mutex::new(0);
     let workers = params.worker_count(candidates.len());
-    thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..workers {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 let idx = {
-                    let mut n = next.lock();
+                    let mut n = next.lock().expect("counter lock");
                     let idx = *n;
                     *n += 1;
                     idx
@@ -158,13 +158,12 @@ pub fn vllm_plus_plus(
                 }
                 let par = candidates[idx];
                 let g = vllm_goodput(cost, cluster, arch, dtype, par, source, slo, params);
-                results.lock().push((par, g));
+                results.lock().expect("results lock").push((par, g));
             });
         }
-    })
-    .expect("search workers do not panic");
+    });
 
-    let mut results = results.into_inner();
+    let mut results = results.into_inner().expect("results lock");
     results.sort_by_key(|(par, _)| (par.tp, par.pp));
     let (par, goodput) = results.into_iter().max_by(|a, b| {
         (a.1 / f64::from(a.0.num_gpus())).total_cmp(&(b.1 / f64::from(b.0.num_gpus())))

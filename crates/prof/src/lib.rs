@@ -51,12 +51,11 @@
 //! root totals *exactly* — the re-sum invariant the acceptance gate
 //! checks.
 
-use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 mod flame;
@@ -119,7 +118,7 @@ thread_local! {
     /// persistent pool workers are snapshot live).
     static SLOT: Arc<ThreadSlot> = {
         let slot = Arc::new(ThreadSlot::new());
-        registry().lock().push(Arc::clone(&slot));
+        registry().lock().expect("profiler lock").push(Arc::clone(&slot));
         slot
     };
     /// Index of the current node in this thread's trie.
@@ -185,7 +184,7 @@ pub fn scope(name: &'static str) -> ScopeGuard {
 fn scope_live(name: &'static str) -> ScopeGuard {
     SLOT.with(|slot| {
         let parent = CURRENT.with(Cell::get);
-        let node = find_or_add_child(&mut slot.nodes.lock(), parent, name);
+        let node = find_or_add_child(&mut slot.nodes.lock().expect("profiler lock"), parent, name);
         CURRENT.with(|c| c.set(node));
         ScopeGuard {
             live: Some(LiveScope {
@@ -204,7 +203,7 @@ impl Drop for ScopeGuard {
         if let Some(live) = self.live.take() {
             let dt = u64::try_from(live.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             {
-                let mut nodes = live.slot.nodes.lock();
+                let mut nodes = live.slot.nodes.lock().expect("profiler lock");
                 let n = &mut nodes[live.node as usize];
                 n.total_ns = n.total_ns.saturating_add(dt);
                 n.calls += 1;
@@ -223,7 +222,7 @@ pub fn depth() -> usize {
         return 0;
     }
     SLOT.with(|slot| {
-        let nodes = slot.nodes.lock();
+        let nodes = slot.nodes.lock().expect("profiler lock");
         let mut d = 0;
         let mut at = cur;
         while at != 0 {
@@ -239,9 +238,9 @@ pub fn depth() -> usize {
 /// indices), so a reset between phases is safe while scopes are open —
 /// open scopes simply report their remaining time into the new window.
 pub fn reset() {
-    let reg = registry().lock();
+    let reg = registry().lock().expect("profiler lock");
     for slot in reg.iter() {
-        let mut nodes = slot.nodes.lock();
+        let mut nodes = slot.nodes.lock().expect("profiler lock");
         for n in nodes.iter_mut() {
             n.total_ns = 0;
             n.calls = 0;
@@ -312,10 +311,10 @@ fn freeze(name: &str, m: &MergeNode) -> NodeStat {
 /// times of still-open scopes are not included until their guards drop.
 #[must_use]
 pub fn snapshot() -> Profile {
-    let reg = registry().lock();
+    let reg = registry().lock().expect("profiler lock");
     let mut root = MergeNode::default();
     for slot in reg.iter() {
-        let nodes = slot.nodes.lock();
+        let nodes = slot.nodes.lock().expect("profiler lock");
         merge_thread(&nodes, 0, &mut root);
     }
     Profile {

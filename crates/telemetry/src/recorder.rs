@@ -2,8 +2,7 @@
 //! lifecycle reconstruction/validation.
 
 use std::collections::BTreeMap;
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use crate::event::{Event, LifecycleEvent, RequestKey, Slice, SpanEvent, TenantId, TrackId};
 use crate::registry::MetricsRegistry;
@@ -45,10 +44,16 @@ impl Recorder {
         Recorder::default()
     }
 
+    /// The recorded state. A panic while recording poisons it, and every
+    /// later access panics rather than read a half-written record.
+    fn lock(&self) -> MutexGuard<'_, RecorderInner> {
+        self.inner.lock().expect("recorder lock")
+    }
+
     /// Clones out everything recorded so far.
     #[must_use]
     pub fn snapshot(&self) -> Recording {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         Recording {
             events: inner.events.clone(),
             slices: inner.slices.clone(),
@@ -65,31 +70,31 @@ impl TelemetrySink for Recorder {
     }
 
     fn event(&self, ev: Event) {
-        self.inner.lock().events.push(ev);
+        self.lock().events.push(ev);
     }
 
     fn slice(&self, s: Slice) {
-        self.inner.lock().slices.push(s);
+        self.lock().slices.push(s);
     }
 
     fn span(&self, s: SpanEvent) {
-        self.inner.lock().spans.push(s);
+        self.lock().spans.push(s);
     }
 
     fn declare_track(&self, id: TrackId, name: &str) {
-        self.inner.lock().tracks.insert(id, name.to_string());
+        self.lock().tracks.insert(id, name.to_string());
     }
 
     fn counter_add(&self, name: &'static str, instance: TrackId, delta: u64) {
-        self.inner.lock().metrics.counter_add(name, instance, delta);
+        self.lock().metrics.counter_add(name, instance, delta);
     }
 
     fn gauge_set(&self, name: &'static str, instance: TrackId, value: f64) {
-        self.inner.lock().metrics.gauge_set(name, instance, value);
+        self.lock().metrics.gauge_set(name, instance, value);
     }
 
     fn observe(&self, name: &'static str, instance: TrackId, value: f64) {
-        self.inner.lock().metrics.observe(name, instance, value);
+        self.lock().metrics.observe(name, instance, value);
     }
 }
 

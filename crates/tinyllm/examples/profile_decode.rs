@@ -1,11 +1,10 @@
 //! Rough decode-time breakdown used during perf work (not a test).
 use std::time::Instant;
-use tinyllm::{BatchRow, ContinuousBatcher, GenRequest, Model, Scratch, Shard, TinyConfig};
+use tinyllm::{BatchRow, ContinuousBatcher, GenRequest, Model, Scratch, TinyConfig};
 
 fn main() {
     let cfg = TinyConfig::small();
     let model = Model::random(&cfg, 5);
-    let shard = Shard::full(&cfg);
     let ctx = 64;
     let mut kv = model.make_kv(8192, 16);
     let mut scratch = Scratch::new();
@@ -33,7 +32,7 @@ fn main() {
     let reps = 300;
     let t = Instant::now();
     for _ in 0..reps {
-        model.attn_batch(0, &rows, &mut kv, shard, &mut scratch);
+        model.attn_batch(0, &rows, &mut kv, &mut scratch);
     }
     println!(
         "attn_batch:  {:.2} us/tok/layer",
@@ -41,7 +40,7 @@ fn main() {
     );
     let t = Instant::now();
     for _ in 0..reps {
-        model.ffn_batch(0, m, shard, &mut scratch);
+        model.ffn_batch(0, m, &mut scratch);
     }
     println!(
         "ffn_batch:   {:.2} us/tok/layer",

@@ -1,21 +1,18 @@
 //! The forward pass: an OPT-style decoder reading a paged KV cache.
 //!
-//! The layer computation is factored into *partial* pieces parameterized
-//! by a [`Shard`] (a head range plus an FFN column range) so the same
-//! code runs single-threaded (the full shard) and tensor-parallel (each
-//! worker a proper shard, summing partials — the all-reduce). This
-//! mirrors Megatron-style intra-operator parallelism (§2.2).
-//!
-//! Two execution tiers share the weights. [`Model::forward_token`] is the
-//! token-at-a-time *reference* path, written for readability. The *batch*
-//! path ([`Model::forward_batch`] plus the `*_batch` layer pieces) stacks
-//! many rows — a whole prompt in prefill, one row per active sequence in
-//! fused decode — into single GEMMs over pre-packed weights
-//! ([`PackedMatrix`]), reusing one [`Scratch`] arena across steps so the
-//! hot loop never allocates. Both tiers read the same stored bf16 weights
-//! and K/V, widened exactly to f32, and the batch kernels accumulate in
-//! the same per-element order as the reference, so both tiers produce
-//! identical tokens (the scheduler tests assert exact equality).
+//! Two execution tiers share the weights, each with one forward path over
+//! full-width layers. [`Model::forward_token`] is the token-at-a-time
+//! *reference* path, written for readability. The *batch* path
+//! ([`Model::forward_batch`] plus the `*_batch` layer pieces) stacks many
+//! rows — a whole prompt in prefill, one row per active sequence in fused
+//! decode — into single GEMMs over pre-packed weights ([`PackedMatrix`]),
+//! reusing one [`Scratch`] arena across steps so the hot loop never
+//! allocates. Both tiers read the same stored bf16 weights and K/V,
+//! widened exactly to f32, and the batch kernels accumulate in the same
+//! per-element order as the reference, so both tiers produce identical
+//! tokens (the scheduler tests assert exact equality). Multiple cores
+//! split each batched GEMM and attention pass through the model's
+//! [`WorkerPool`], which keeps every accumulation chain intact.
 
 use std::sync::Arc;
 
@@ -26,53 +23,6 @@ use crate::tensor::{
     exp_fast, layer_norm, layer_norm_into, relu, relu_slice, Bf16, Kernel, Matrix, PackedMatrix,
     QuantMatrix,
 };
-
-/// A tensor-parallel shard: which heads and FFN columns this worker owns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Shard {
-    /// First owned attention head.
-    pub head_lo: usize,
-    /// One past the last owned head.
-    pub head_hi: usize,
-    /// First owned FFN column.
-    pub ffn_lo: usize,
-    /// One past the last owned FFN column.
-    pub ffn_hi: usize,
-}
-
-impl Shard {
-    /// The whole model (single-device execution).
-    #[must_use]
-    pub fn full(cfg: &TinyConfig) -> Self {
-        Shard {
-            head_lo: 0,
-            head_hi: cfg.heads,
-            ffn_lo: 0,
-            ffn_hi: cfg.ffn,
-        }
-    }
-
-    /// The `rank`-th of `world` equal shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `world` divides both the head count and FFN width
-    /// and `rank < world`.
-    #[must_use]
-    pub fn of(cfg: &TinyConfig, rank: usize, world: usize) -> Self {
-        assert!(rank < world, "rank {rank} out of {world}");
-        assert_eq!(cfg.heads % world, 0, "heads % world != 0");
-        assert_eq!(cfg.ffn % world, 0, "ffn % world != 0");
-        let hpw = cfg.heads / world;
-        let fpw = cfg.ffn / world;
-        Shard {
-            head_lo: rank * hpw,
-            head_hi: (rank + 1) * hpw,
-            ffn_lo: rank * fpw,
-            ffn_hi: (rank + 1) * fpw,
-        }
-    }
-}
 
 /// One row of a batched forward pass: a token of some sequence at some
 /// position. Prefill stacks a prompt's rows (same `seq`, ascending
@@ -138,16 +88,16 @@ impl PackedWeights {
 #[derive(Debug, Default)]
 pub struct Scratch {
     /// `(m × hidden)` residual stream.
-    pub(crate) x: Vec<f32>,
+    x: Vec<f32>,
     /// `(m × hidden)` LayerNorm output.
-    pub(crate) normed: Vec<f32>,
+    normed: Vec<f32>,
     /// `(m × 3·hidden)` fused Q/K/V projection.
     qkv: Vec<f32>,
-    /// `(m × shard head dims)` attention context, shard slice only.
+    /// `(m × hidden)` attention context.
     attn: Vec<f32>,
-    /// `(m × hidden)` projection partial (attention or FFN output).
-    pub(crate) partial: Vec<f32>,
-    /// `(m × shard FFN width)` FFN mid activation.
+    /// `(m × hidden)` attention or FFN output, added to the residual.
+    partial: Vec<f32>,
+    /// `(m × ffn)` FFN mid activation.
     mid: Vec<f32>,
     /// Per-row fused-attention temporaries (one block of scores plus
     /// per-head running max/normalizer — `O(block_size × heads)`, not
@@ -202,7 +152,7 @@ pub(crate) struct AttnScratch {
 /// independently, owned (or `Arc`-shared) so jobs are `'static`.
 #[derive(Debug, Default)]
 pub(crate) struct AttnStage {
-    /// Each row's query slice for the shard, `m × (heads · d)`.
+    /// Each row's query, `m × hidden`.
     pub(crate) q: Vec<f32>,
     /// Per row: `(ctx, block range into blocks)`.
     pub(crate) rows: Vec<(usize, usize, usize)>,
@@ -210,10 +160,8 @@ pub(crate) struct AttnStage {
     pub(crate) blocks: Vec<usize>,
     /// Head dimension.
     pub(crate) d: usize,
-    /// Shard head count.
+    /// Head count.
     pub(crate) heads: usize,
-    /// Shard dim offset into hidden.
-    pub(crate) lo: usize,
     /// Model hidden size.
     pub(crate) hidden: usize,
     /// Cache positions per block.
@@ -257,11 +205,9 @@ pub(crate) fn attn_rows_strip(
             &view,
             ctx,
             q_s,
-            stage.lo,
             stage.d,
             stage.heads,
             stage.scale,
-            stage.hidden,
             scr,
             out_row,
         );
@@ -275,7 +221,7 @@ pub(crate) fn attn_rows_strip(
 ///
 /// Block-online association is the *defining* numeric order for
 /// attention in this crate: the token-at-a-time reference
-/// ([`Model::attn_partial`]) applies the same recurrence per chunk of
+/// (`Model::attn`) applies the same recurrence per chunk of
 /// `block_size` positions over the same stored bf16 K/V, widened as they
 /// are loaded, so both tiers stay bit-identical. The rescale
 /// multiply is exact when the max is unchanged (`exp_fast(0) == 1.0`),
@@ -290,57 +236,21 @@ fn fused_attn_row(
     view: &KvLayerView<'_>,
     ctx: usize,
     q_s: &[f32],
-    lo: usize,
     d: usize,
     heads: usize,
     scale: f32,
-    h: usize,
     scr: &mut AttnScratch,
     out_row: &mut [f32],
 ) {
+    let h = heads * d;
     let bs = view.block_size();
     scr.sb.resize(bs * heads, 0.0);
     if bs == 16 && d == 8 {
-        match heads * d {
-            64 => {
-                return fused_attn_row_w::<64, 8>(
-                    view,
-                    ctx,
-                    q_s,
-                    lo,
-                    h,
-                    scale,
-                    &mut scr.sb,
-                    out_row,
-                )
-            }
-            32 => {
-                return fused_attn_row_w::<32, 8>(
-                    view,
-                    ctx,
-                    q_s,
-                    lo,
-                    h,
-                    scale,
-                    &mut scr.sb,
-                    out_row,
-                )
-            }
-            16 => {
-                return fused_attn_row_w::<16, 8>(
-                    view,
-                    ctx,
-                    q_s,
-                    lo,
-                    h,
-                    scale,
-                    &mut scr.sb,
-                    out_row,
-                )
-            }
-            8 => {
-                return fused_attn_row_w::<8, 8>(view, ctx, q_s, lo, h, scale, &mut scr.sb, out_row)
-            }
+        match h {
+            64 => return fused_attn_row_w::<64, 8>(view, ctx, q_s, scale, &mut scr.sb, out_row),
+            32 => return fused_attn_row_w::<32, 8>(view, ctx, q_s, scale, &mut scr.sb, out_row),
+            16 => return fused_attn_row_w::<16, 8>(view, ctx, q_s, scale, &mut scr.sb, out_row),
+            8 => return fused_attn_row_w::<8, 8>(view, ctx, q_s, scale, &mut scr.sb, out_row),
             _ => {}
         }
     }
@@ -358,7 +268,7 @@ fn fused_attn_row(
             let row = &mut scr.sb[hd * bs..(hd + 1) * bs];
             row.fill(0.0);
             for (l, &q) in q_s[hd * d..(hd + 1) * d].iter().enumerate() {
-                let dim_row = &panel[(lo + hd * d + l) * bs..][..bs];
+                let dim_row = &panel[(hd * d + l) * bs..][..bs];
                 for (a, &kv) in row.iter_mut().zip(dim_row) {
                     *a += q * Bf16::from_bits(kv).to_f32();
                 }
@@ -393,7 +303,7 @@ fn fused_attn_row(
                 let w = scr.sb[hd * bs + s];
                 for (a, &vv) in out_row[hd * d..(hd + 1) * d]
                     .iter_mut()
-                    .zip(&v_s[lo + hd * d..lo + (hd + 1) * d])
+                    .zip(&v_s[hd * d..(hd + 1) * d])
                 {
                     *a += w * Bf16::from_bits(vv).to_f32();
                 }
@@ -408,18 +318,16 @@ fn fused_attn_row(
     }
 }
 
-/// [`fused_attn_row`] monomorphized for a `W`-element shard of `D`-dim
-/// heads over block-size-16 panels: the value accumulator (and running
+/// [`fused_attn_row`] monomorphized for `W / D` heads of `D` dims over
+/// block-size-16 panels: the value accumulator (and running
 /// max/normalizer) live in registers across the whole context sweep,
 /// and the inner loops are straight lines of const-indexed FMAs. Same
 /// operations in the same order as the generic path — bit-identical.
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+#[allow(clippy::needless_range_loop)]
 fn fused_attn_row_w<const W: usize, const D: usize>(
     view: &KvLayerView<'_>,
     ctx: usize,
     q_s: &[f32],
-    lo: usize,
-    h: usize,
     scale: f32,
     sb: &mut [f32],
     out_row: &mut [f32],
@@ -435,7 +343,7 @@ fn fused_attn_row_w<const W: usize, const D: usize>(
         for hd in 0..heads {
             let mut sa = [0.0f32; BS];
             for (l, &q) in q_s[hd * D..(hd + 1) * D].iter().enumerate() {
-                let dim_row: &[u16; BS] = panel[(lo + hd * D + l) * BS..][..BS]
+                let dim_row: &[u16; BS] = panel[(hd * D + l) * BS..][..BS]
                     .try_into()
                     .expect("BS-wide panel row");
                 let k: [f32; BS] = core::array::from_fn(|s| Bf16::from_bits(dim_row[s]).to_f32());
@@ -466,9 +374,7 @@ fn fused_attn_row_w<const W: usize, const D: usize>(
             lr[hd] = l;
         }
         for s in 0..take {
-            let v_bits: &[u16; W] = region[s * h + lo..][..W]
-                .try_into()
-                .expect("W-wide V slice");
+            let v_bits: &[u16; W] = region[s * W..][..W].try_into().expect("W-wide V slice");
             let v_s: [f32; W] = core::array::from_fn(|i| Bf16::from_bits(v_bits[i]).to_f32());
             for hd in 0..heads {
                 let w = sb[hd * BS + s];
@@ -489,9 +395,9 @@ fn fused_attn_row_w<const W: usize, const D: usize>(
 /// A transformer model with weights, ready for inference.
 ///
 /// Cloning is cheap: the raw weights live behind an `Arc` and the clone
-/// shares the original's persistent [`WorkerPool`], so tensor-parallel
-/// ranks and schedulers can hold their own handles without duplicating
-/// parameters or threads.
+/// shares the original's persistent [`WorkerPool`], so schedulers and
+/// callers can hold their own handles without duplicating parameters or
+/// threads.
 #[derive(Debug, Clone)]
 pub struct Model {
     cfg: TinyConfig,
@@ -551,11 +457,6 @@ impl Model {
         self.precision
     }
 
-    /// The model's persistent worker pool.
-    pub(crate) fn pool(&self) -> &Arc<WorkerPool> {
-        &self.pool
-    }
-
     /// Token `t`'s embedding, widened: column `t` of the
     /// `(hidden × vocab)` [`Weights::embed`].
     fn embed_col(&self, t: usize) -> impl Iterator<Item = f32> + '_ {
@@ -582,8 +483,7 @@ impl Model {
     }
 
     /// Pre-attention LayerNorm.
-    #[must_use]
-    pub fn ln1(&self, layer: usize, x: &[f32]) -> Vec<f32> {
+    fn ln1(&self, layer: usize, x: &[f32]) -> Vec<f32> {
         let lw = &self.weights.layers[layer];
         layer_norm(
             &Matrix::from_vec(1, x.len(), x.to_vec()),
@@ -594,8 +494,7 @@ impl Model {
     }
 
     /// Pre-FFN LayerNorm.
-    #[must_use]
-    pub fn ln2(&self, layer: usize, x: &[f32]) -> Vec<f32> {
+    fn ln2(&self, layer: usize, x: &[f32]) -> Vec<f32> {
         let lw = &self.weights.layers[layer];
         layer_norm(
             &Matrix::from_vec(1, x.len(), x.to_vec()),
@@ -605,25 +504,21 @@ impl Model {
         .into_vec()
     }
 
-    /// Attention for the shard's heads at `(seq, pos)`: projects Q/K/V,
-    /// appends this position's K/V (shard's head slice only) to the cache,
-    /// attends causally over positions `0..=pos`, and applies the shard's
-    /// slice of the output projection. Summing all shards' results gives
-    /// the layer's attention output (the all-reduce).
+    /// Attention at `(seq, pos)`: projects Q/K/V, appends this position's
+    /// K/V to the cache, attends causally over positions `0..=pos`, and
+    /// applies the output projection.
     ///
     /// # Panics
     ///
     /// Panics if the KV append fails (pool exhausted or sequence not
     /// registered) — the scheduler must admit within capacity.
-    #[must_use]
-    pub fn attn_partial(
+    fn attn(
         &self,
         layer: usize,
         x_norm: &[f32],
         seq: SeqId,
         pos: usize,
         kv: &mut PagedKv,
-        shard: Shard,
     ) -> Vec<f32> {
         let h = self.cfg.hidden;
         let d = self.cfg.head_dim();
@@ -633,12 +528,7 @@ impl Model {
         let (q, rest) = qkv.data.split_at(h);
         let (k, v) = rest.split_at(h);
 
-        // Write this position's K/V: only the shard's head slice — the
-        // dims this worker will read back. Other dims are other shards'
-        // business (each worker owns a cache copy).
-        let lo = shard.head_lo * d;
-        let hi = shard.head_hi * d;
-        kv.append_range(seq, layer, pos, lo, &k[lo..hi], &v[lo..hi])
+        kv.append(seq, layer, pos, k, v)
             .expect("KV append within capacity");
         let view = kv.layer_view(seq, layer);
 
@@ -656,7 +546,7 @@ impl Model {
         let bs = view.block_size();
         let mut attn_out = vec![0.0; h];
         let mut scores = Vec::with_capacity(bs);
-        for head in shard.head_lo..shard.head_hi {
+        for head in 0..self.cfg.heads {
             let hl = head * d;
             let q_h = &q[hl..hl + d];
             let mut m_run = f32::NEG_INFINITY;
@@ -697,25 +587,16 @@ impl Model {
             }
         }
 
-        // Output projection: rows outside the shard's dims are zero in
-        // `attn_out`, and the matmul skips zero inputs, so this computes
-        // exactly the shard's partial sum.
         Matrix::from_vec(1, h, attn_out).matmul(&lw.wo).into_vec()
     }
 
-    /// FFN for the shard's columns: `relu(x·W1[:, lo..hi]) · W2[lo..hi, :]`.
-    #[must_use]
-    pub fn ffn_partial(&self, layer: usize, x_norm: &[f32], shard: Shard) -> Vec<f32> {
+    /// FFN: `relu(x·W1) · W2`.
+    fn ffn(&self, layer: usize, x_norm: &[f32]) -> Vec<f32> {
         let lw = &self.weights.layers[layer];
         let x = Matrix::from_vec(1, x_norm.len(), x_norm.to_vec());
-        let mut mid = x.matmul_cols(&lw.w1, shard.ffn_lo, shard.ffn_hi);
+        let mut mid = x.matmul(&lw.w1);
         relu(&mut mid);
-        // Zero-pad to full FFN width; zero rows are skipped by matmul.
-        let mut padded = vec![0.0; self.cfg.ffn];
-        padded[shard.ffn_lo..shard.ffn_hi].copy_from_slice(&mid.data);
-        Matrix::from_vec(1, self.cfg.ffn, padded)
-            .matmul(&lw.w2)
-            .into_vec()
+        mid.matmul(&lw.w2).into_vec()
     }
 
     /// Output logits from a final hidden state (tied embeddings).
@@ -787,11 +668,10 @@ impl Model {
         );
     }
 
-    /// Batched attention for the shard's heads: one fused Q/K/V GEMM over
-    /// all rows, shard-sliced KV appends, per-row causal attention read
-    /// through a [`crate::kv::KvLayerView`], and the shard's slice of the
-    /// output projection as one row-sliced GEMM. Reads `scratch.normed`,
-    /// leaves the partial in `scratch.partial`.
+    /// Batched attention: one fused Q/K/V GEMM over all rows, KV
+    /// appends, per-row causal attention read through a
+    /// [`crate::kv::KvLayerView`], and the output projection as one GEMM.
+    /// Reads `scratch.normed`, leaves the output in `scratch.partial`.
     ///
     /// # Panics
     ///
@@ -802,16 +682,12 @@ impl Model {
         layer: usize,
         rows: &[BatchRow],
         kv: &mut PagedKv,
-        shard: Shard,
         scratch: &mut Scratch,
     ) {
         let h = self.cfg.hidden;
         let d = self.cfg.head_dim();
         let m = rows.len();
         let pw = &self.packed.layers[layer];
-        let lo = shard.head_lo * d;
-        let hi = shard.head_hi * d;
-        let width = hi - lo;
 
         // One GEMM for every row's Q, K and V, strip-split across the
         // pool when the batch is worth it.
@@ -822,23 +698,19 @@ impl Model {
                 &pw.wqkv,
                 &scratch.normed[..m * h],
                 m,
-                h,
-                0,
-                0,
-                3 * h,
                 &mut scratch.qkv[..m * 3 * h],
             );
         }
 
-        // Append each row's K/V (shard dims only) before any row attends:
-        // within one batch a prefill row must see its predecessors' keys.
+        // Append each row's K/V before any row attends: within one batch
+        // a prefill row must see its predecessors' keys.
         {
             let _prof = distserve_prof::scope("kv_append");
             for (i, row) in rows.iter().enumerate() {
                 let qkv_row = &scratch.qkv[i * 3 * h..(i + 1) * 3 * h];
                 let k = &qkv_row[h..2 * h];
                 let v = &qkv_row[2 * h..3 * h];
-                kv.append_range(row.seq, layer, row.pos, lo, &k[lo..hi], &v[lo..hi])
+                kv.append(row.seq, layer, row.pos, k, v)
                     .expect("KV append within capacity");
             }
         }
@@ -852,10 +724,10 @@ impl Model {
         // loop.
         let _prof_attn = distserve_prof::scope("fused_attn");
         let scale = 1.0 / (d as f32).sqrt();
-        let heads = shard.head_hi - shard.head_lo;
-        scratch.attn.resize(m * width, 0.0);
+        let heads = self.cfg.heads;
+        scratch.attn.resize(m * h, 0.0);
         let total_ctx: usize = rows.iter().map(|r| r.pos + 1).sum();
-        let lanes = self.pool.attn_lanes(m, total_ctx * width * 2);
+        let lanes = self.pool.attn_lanes(m, total_ctx * h * 2);
         if lanes > 1 {
             let (hidden, bs, block_elems, layer_base) = kv.geometry(layer);
             let storage = kv.storage_arc();
@@ -868,9 +740,7 @@ impl Model {
                     stage.rows.clear();
                     stage.blocks.clear();
                     for (i, row) in rows.iter().enumerate() {
-                        stage
-                            .q
-                            .extend_from_slice(&qkv[i * 3 * h + lo..i * 3 * h + hi]);
+                        stage.q.extend_from_slice(&qkv[i * 3 * h..i * 3 * h + h]);
                         let ctx = row.pos + 1;
                         let (blocks, _) = kv.table_parts(row.seq);
                         let blk_lo = stage.blocks.len();
@@ -879,7 +749,6 @@ impl Model {
                     }
                     stage.d = d;
                     stage.heads = heads;
-                    stage.lo = lo;
                     stage.hidden = hidden;
                     stage.block_size = bs;
                     stage.block_elems = block_elems;
@@ -887,24 +756,22 @@ impl Model {
                     stage.scale = scale;
                 },
                 m,
-                width,
-                &mut scratch.attn[..m * width],
+                h,
+                &mut scratch.attn[..m * h],
             );
         } else {
             for (i, row) in rows.iter().enumerate() {
                 let view = kv.layer_view(row.seq, layer);
                 let ctx = row.pos + 1;
-                let q_s = &scratch.qkv[i * 3 * h + lo..i * 3 * h + hi];
-                let out_row = &mut scratch.attn[i * width..(i + 1) * width];
+                let q_s = &scratch.qkv[i * 3 * h..i * 3 * h + h];
+                let out_row = &mut scratch.attn[i * h..(i + 1) * h];
                 fused_attn_row(
                     &view,
                     ctx,
                     q_s,
-                    lo,
                     d,
                     heads,
                     scale,
-                    h,
                     &mut scratch.attn_scr,
                     out_row,
                 );
@@ -913,56 +780,41 @@ impl Model {
 
         drop(_prof_attn);
 
-        // Output projection: only the shard's rows of W_O, fed by the
-        // tight shard-width context (no zero padding).
         let _prof = distserve_prof::scope("out_proj_gemm");
         scratch.partial.resize(m * h, 0.0);
         self.pool.gemm(
             &pw.wo,
-            &scratch.attn[..m * width],
+            &scratch.attn[..m * h],
             m,
-            width,
-            lo,
-            0,
-            h,
             &mut scratch.partial[..m * h],
         );
     }
 
-    /// Batched FFN for the shard's columns:
-    /// `relu(normed · W1[:, lo..hi]) · W2[lo..hi, :]` as two sliced GEMMs.
-    /// Reads `scratch.normed`, leaves the partial in `scratch.partial`.
-    pub fn ffn_batch(&self, layer: usize, m: usize, shard: Shard, scratch: &mut Scratch) {
+    /// Batched FFN, `relu(normed · W1) · W2`, as two GEMMs. Reads
+    /// `scratch.normed`, leaves the output in `scratch.partial`.
+    pub fn ffn_batch(&self, layer: usize, m: usize, scratch: &mut Scratch) {
         let h = self.cfg.hidden;
+        let f = self.cfg.ffn;
         let pw = &self.packed.layers[layer];
-        let fw = shard.ffn_hi - shard.ffn_lo;
-        scratch.mid.resize(m * fw, 0.0);
+        scratch.mid.resize(m * f, 0.0);
         self.pool.gemm(
             &pw.w1,
             &scratch.normed[..m * h],
             m,
-            h,
-            0,
-            shard.ffn_lo,
-            fw,
-            &mut scratch.mid[..m * fw],
+            &mut scratch.mid[..m * f],
         );
-        relu_slice(&mut scratch.mid[..m * fw]);
+        relu_slice(&mut scratch.mid[..m * f]);
         scratch.partial.resize(m * h, 0.0);
         self.pool.gemm(
             &pw.w2,
-            &scratch.mid[..m * fw],
+            &scratch.mid[..m * f],
             m,
-            fw,
-            shard.ffn_lo,
-            0,
-            h,
             &mut scratch.partial[..m * h],
         );
     }
 
-    /// Adds the current `scratch.partial` into the residual stream — the
-    /// single-shard stand-in for the tensor-parallel all-reduce.
+    /// Adds the current `scratch.partial` (an attention or FFN output)
+    /// into the residual stream.
     pub fn add_partial(&self, m: usize, scratch: &mut Scratch) {
         let h = self.cfg.hidden;
         for (xi, p) in scratch.x[..m * h].iter_mut().zip(&scratch.partial[..m * h]) {
@@ -970,7 +822,7 @@ impl Model {
         }
     }
 
-    /// Full (single-shard) batched forward pass: every row of `rows`
+    /// Batched forward pass: every row of `rows`
     /// through all layers, final hidden states left in `scratch.x`.
     /// Serves both batched prefill (a whole prompt as one activation
     /// matrix) and fused decode (one row per active sequence); logits are
@@ -986,7 +838,6 @@ impl Model {
             return;
         }
         let _prof = distserve_prof::scope("forward_batch");
-        let shard = Shard::full(&self.cfg);
         let m = rows.len();
         {
             let _prof = distserve_prof::scope("embed");
@@ -1000,13 +851,13 @@ impl Model {
             self.ln1_batch(layer, m, scratch);
             {
                 let _prof = distserve_prof::scope("attn");
-                self.attn_batch(layer, rows, kv, shard, scratch);
+                self.attn_batch(layer, rows, kv, scratch);
             }
             self.add_partial(m, scratch);
             self.ln2_batch(layer, m, scratch);
             {
                 let _prof = distserve_prof::scope("ffn");
-                self.ffn_batch(layer, m, shard, scratch);
+                self.ffn_batch(layer, m, scratch);
             }
             self.add_partial(m, scratch);
         }
@@ -1045,27 +896,22 @@ impl Model {
             &self.packed.embed,
             &scratch.normed[..r * h],
             r,
-            h,
-            0,
-            0,
-            vocab,
             &mut scratch.logits[..r * vocab],
         );
     }
 
-    /// Full (single-shard) forward pass of one token, returning logits.
+    /// Forward pass of one token, returning logits.
     #[must_use]
     pub fn forward_token(&self, seq: SeqId, pos: usize, token: u32, kv: &mut PagedKv) -> Vec<f32> {
-        let shard = Shard::full(&self.cfg);
         let mut x = self.embed_token(token, pos);
         for layer in 0..self.cfg.layers {
             let xa = self.ln1(layer, &x);
-            let attn = self.attn_partial(layer, &xa, seq, pos, kv, shard);
+            let attn = self.attn(layer, &xa, seq, pos, kv);
             for (xi, a) in x.iter_mut().zip(&attn) {
                 *xi += a;
             }
             let xf = self.ln2(layer, &x);
-            let ffn = self.ffn_partial(layer, &xf, shard);
+            let ffn = self.ffn(layer, &xf);
             for (xi, f) in x.iter_mut().zip(&ffn) {
                 *xi += f;
             }
@@ -1185,49 +1031,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_sums_equal_full() {
-        // The TP decomposition: attention and FFN partials summed over
-        // shards must equal the full-shard result.
-        let m = model();
-        let cfg = m.config().clone();
-        let x: Vec<f32> = (0..cfg.hidden).map(|i| (i as f32 * 0.1).sin()).collect();
-        let xa = m.ln1(0, &x);
-
-        // Full reference (its own cache).
-        let mut kv_full = m.make_kv(8, 8);
-        kv_full.register(0);
-        let full = m.attn_partial(0, &xa, 0, 0, &mut kv_full, Shard::full(&cfg));
-
-        // Two shards, each with its own cache copy.
-        let mut sum = vec![0.0; cfg.hidden];
-        for rank in 0..2 {
-            let mut kv_s = m.make_kv(8, 8);
-            kv_s.register(0);
-            let part = m.attn_partial(0, &xa, 0, 0, &mut kv_s, Shard::of(&cfg, rank, 2));
-            for (s, p) in sum.iter_mut().zip(&part) {
-                *s += p;
-            }
-        }
-        for (a, b) in full.iter().zip(&sum) {
-            assert!((a - b).abs() < 1e-5, "attention: {a} vs {b}");
-        }
-
-        // FFN likewise.
-        let xf = m.ln2(0, &x);
-        let full_ffn = m.ffn_partial(0, &xf, Shard::full(&cfg));
-        let mut sum_ffn = vec![0.0; cfg.hidden];
-        for rank in 0..4 {
-            let part = m.ffn_partial(0, &xf, Shard::of(&cfg, rank, 4));
-            for (s, p) in sum_ffn.iter_mut().zip(&part) {
-                *s += p;
-            }
-        }
-        for (a, b) in full_ffn.iter().zip(&sum_ffn) {
-            assert!((a - b).abs() < 1e-5, "ffn: {a} vs {b}");
-        }
-    }
-
-    #[test]
     fn batched_prefill_bit_matches_reference() {
         // The whole prompt as one activation matrix must produce exactly
         // the reference token-at-a-time logits — same float ops in the
@@ -1306,62 +1109,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_batch_partials_sum_to_full() {
-        // attn_batch/ffn_batch over proper shards must sum to the full
-        // shard's partial (the all-reduce invariant, batch tier).
-        let m = model();
-        let cfg = m.config().clone();
-        let rows = [
-            BatchRow {
-                seq: 0,
-                pos: 0,
-                token: 3,
-            },
-            BatchRow {
-                seq: 0,
-                pos: 1,
-                token: 8,
-            },
-        ];
-        let mh = rows.len() * cfg.hidden;
-
-        let mut kv_full = m.make_kv(8, 8);
-        kv_full.register(0);
-        let mut s_full = Scratch::new();
-        m.embed_rows(&rows, &mut s_full);
-        m.ln1_batch(0, rows.len(), &mut s_full);
-        m.attn_batch(0, &rows, &mut kv_full, Shard::full(&cfg), &mut s_full);
-        let full_attn = s_full.partial.clone();
-        m.ffn_batch(0, rows.len(), Shard::full(&cfg), &mut s_full);
-        let full_ffn = s_full.partial.clone();
-
-        let mut sum_attn = vec![0.0; mh];
-        let mut sum_ffn = vec![0.0; mh];
-        for rank in 0..2 {
-            let shard = Shard::of(&cfg, rank, 2);
-            let mut kv_s = m.make_kv(8, 8);
-            kv_s.register(0);
-            let mut s = Scratch::new();
-            m.embed_rows(&rows, &mut s);
-            m.ln1_batch(0, rows.len(), &mut s);
-            m.attn_batch(0, &rows, &mut kv_s, shard, &mut s);
-            for (a, p) in sum_attn.iter_mut().zip(&s.partial) {
-                *a += p;
-            }
-            m.ffn_batch(0, rows.len(), shard, &mut s);
-            for (a, p) in sum_ffn.iter_mut().zip(&s.partial) {
-                *a += p;
-            }
-        }
-        for (a, b) in full_attn.iter().zip(&sum_attn) {
-            assert!((a - b).abs() < 1e-5, "attention: {a} vs {b}");
-        }
-        for (a, b) in full_ffn.iter().zip(&sum_ffn) {
-            assert!((a - b).abs() < 1e-5, "ffn: {a} vs {b}");
-        }
-    }
-
-    #[test]
     fn fused_attention_matches_materialized_scores() {
         // The fused one-pass kernel against an oracle that materializes
         // the full score matrix first. Sweeping the materialized scores
@@ -1395,7 +1142,7 @@ mod tests {
         {
             let view = kv.layer_view(0, 0);
             let mut scr = AttnScratch::default();
-            fused_attn_row(&view, ctx, &q, 0, d, heads, scale, h, &mut scr, &mut fused);
+            fused_attn_row(&view, ctx, &q, d, heads, scale, &mut scr, &mut fused);
         }
 
         let mut exact = vec![0.0f32; h];
@@ -1599,15 +1346,5 @@ mod tests {
         let m = model();
         let prompt = vec![0u32; 200];
         let _ = m.generate(&prompt, 100); // 300 > max_seq 256.
-    }
-
-    #[test]
-    fn shard_partition_covers_everything() {
-        let cfg = TinyConfig::tiny();
-        let s0 = Shard::of(&cfg, 0, 4);
-        let s3 = Shard::of(&cfg, 3, 4);
-        assert_eq!(s0.head_lo, 0);
-        assert_eq!(s3.head_hi, cfg.heads);
-        assert_eq!(s3.ffn_hi, cfg.ffn);
     }
 }

@@ -7,6 +7,11 @@
 //! `distserve-engine`'s block manager accounts for — here it holds actual
 //! bf16 values that the attention kernel reads back, at the same
 //! `2 · layers · hidden` elements per token position.
+//!
+//! An append writes one position's full-width K and V rows. A row of any
+//! other width is refused with a typed error in every build: blocks are
+//! recycled without zeroing, so a partial write would leave a previous
+//! owner's values in the dims attention reads.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -33,6 +38,13 @@ pub enum PagedKvError {
         /// Position given.
         got: usize,
     },
+    /// A K or V row is not `hidden` elements wide.
+    WidthMismatch {
+        /// The cache's hidden size.
+        expected: usize,
+        /// Elements given.
+        got: usize,
+    },
 }
 
 impl std::fmt::Display for PagedKvError {
@@ -42,6 +54,9 @@ impl std::fmt::Display for PagedKvError {
             PagedKvError::UnknownSeq(s) => write!(f, "unknown sequence {s}"),
             PagedKvError::NonContiguousWrite { seq, expected, got } => {
                 write!(f, "seq {seq}: expected append at {expected}, got {got}")
+            }
+            PagedKvError::WidthMismatch { expected, got } => {
+                write!(f, "K/V row of {got} elements, expected {expected}")
             }
         }
     }
@@ -221,13 +236,15 @@ impl PagedKv {
     }
 
     /// Appends the K and V vectors of one token position for one layer,
-    /// each element rounded to bf16. Layers must be written for the same
-    /// position before advancing (position advances when layer 0 is
-    /// written).
+    /// each element rounded to bf16. This is the one place K/V are
+    /// rounded; every reader widens the stored values. Layers must be
+    /// written for the same position before advancing (position advances
+    /// when layer 0 is written).
     ///
     /// # Errors
     ///
-    /// [`PagedKvError`] on unknown sequences, pool exhaustion, or
+    /// [`PagedKvError`] on K or V rows that are not `hidden` wide (checked
+    /// before anything is written), unknown sequences, pool exhaustion, or
     /// out-of-order writes.
     pub fn append(
         &mut self,
@@ -237,41 +254,14 @@ impl PagedKv {
         k: &[f32],
         v: &[f32],
     ) -> Result<(), PagedKvError> {
-        debug_assert_eq!(k.len(), self.hidden);
-        debug_assert_eq!(v.len(), self.hidden);
-        self.append_range(seq, layer, pos, 0, k, v)
-    }
-
-    /// Appends only dims `[dim_lo, dim_lo + k.len())` of one position's K
-    /// and V for one layer — the write a tensor-parallel shard makes for
-    /// its own head slice, replacing the old full-hidden masked write.
-    /// Dims outside the range are left untouched; a shard only ever reads
-    /// the dims it owns. Position accounting is identical to [`append`].
-    /// This is the one place K/V are rounded to bf16; every reader widens
-    /// the stored values.
-    ///
-    /// # Errors
-    ///
-    /// [`PagedKvError`] on unknown sequences, pool exhaustion, or
-    /// out-of-order writes.
-    ///
-    /// [`append`]: PagedKv::append
-    pub fn append_range(
-        &mut self,
-        seq: SeqId,
-        layer: usize,
-        pos: usize,
-        dim_lo: usize,
-        k: &[f32],
-        v: &[f32],
-    ) -> Result<(), PagedKvError> {
-        assert_eq!(k.len(), v.len(), "K and V widths differ");
-        assert!(
-            dim_lo + k.len() <= self.hidden,
-            "dims {dim_lo}..{} past hidden {}",
-            dim_lo + k.len(),
-            self.hidden
-        );
+        for got in [k.len(), v.len()] {
+            if got != self.hidden {
+                return Err(PagedKvError::WidthMismatch {
+                    expected: self.hidden,
+                    got,
+                });
+            }
+        }
         assert!(layer < self.layers, "layer {layer} of {}", self.layers);
         let block_size = self.block_size;
         let table = self
@@ -279,8 +269,9 @@ impl PagedKv {
             .get_mut(&seq)
             .ok_or(PagedKvError::UnknownSeq(seq))?;
         // Layer 0 drives the logical length; other layers fill the same
-        // position. A repeated layer-0 write to the newest position is a
-        // refill (another shard's dim range), not an advance.
+        // position. A repeated layer-0 write to the newest position
+        // rewrites it (a step re-run at the same position), not an
+        // advance.
         if layer == 0 {
             if pos == table.len {
                 if pos == table.blocks.len() * block_size {
@@ -319,15 +310,15 @@ impl PagedKv {
         let h = self.hidden;
         let region = (block * self.layers + layer) * self.layer_stride();
         // The value goes to the position's slot; the key only to this
-        // position's column of each written dim's row in the panel.
-        let vb = region + slot * h + dim_lo;
+        // position's column of each dim's row in the panel.
+        let vb = region + slot * h;
         let kt = region + h * block_size;
         let storage = self.storage_mut();
-        for (dst, &vval) in storage[vb..vb + v.len()].iter_mut().zip(v) {
+        for (dst, &vval) in storage[vb..vb + h].iter_mut().zip(v) {
             *dst = Bf16::from_f32(vval).to_bits();
         }
         for (j, &kval) in k.iter().enumerate() {
-            storage[kt + (dim_lo + j) * block_size + slot] = Bf16::from_f32(kval).to_bits();
+            storage[kt + j * block_size + slot] = Bf16::from_f32(kval).to_bits();
         }
         Ok(())
     }
@@ -710,34 +701,6 @@ mod tests {
         assert_eq!(kv.value(1, 0, 1), &[3.5; 4]);
     }
 
-    #[test]
-    fn append_range_writes_only_its_slice() {
-        let mut kv = kv();
-        kv.register(1);
-        // Two "shards" write disjoint halves of the same position.
-        kv.append_range(1, 0, 0, 0, &[1.0, 2.0], &[5.0, 6.0])
-            .unwrap();
-        kv.append_range(1, 0, 0, 2, &[3.0, 4.0], &[7.0, 8.0])
-            .unwrap();
-        assert_eq!(kv.key(1, 0, 0), &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(kv.value(1, 0, 0), &[5.0, 6.0, 7.0, 8.0]);
-        assert_eq!(kv.seq_len(1), 1);
-    }
-
-    #[test]
-    fn append_range_keeps_position_accounting() {
-        let mut kv = kv();
-        kv.register(1);
-        kv.append_range(1, 0, 0, 1, &[9.0], &[9.5]).unwrap();
-        // Layer 0 advanced the length even for a partial-width write.
-        assert!(matches!(
-            kv.append_range(1, 0, 2, 1, &[0.0], &[0.0]),
-            Err(PagedKvError::NonContiguousWrite { .. })
-        ));
-        kv.append_range(1, 1, 0, 1, &[8.0], &[8.5]).unwrap();
-        assert_eq!(kv.key(1, 1, 0)[1], 8.0);
-    }
-
     /// Stored bf16 bits, widened.
     fn widen(bits: &[u16]) -> Vec<f32> {
         bits.iter().map(|&b| Bf16::from_bits(b).to_f32()).collect()
@@ -887,10 +850,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "past hidden")]
-    fn append_range_past_hidden_panics() {
-        let mut kv = one_position();
-        let _ = kv.append_range(1, 0, 0, 3, &[0.0; 2], &[0.0; 2]);
+    fn append_refuses_rows_of_the_wrong_width() {
+        // Checked in every build and before the table is touched: a short
+        // row stored in part would leave a recycled block's stale dims
+        // where attention reads them.
+        let mut kv = one_position(); // Hidden 4, one position stored.
+        for (k, v, got) in [
+            (&[0.0; 3][..], &[0.0; 4][..], 3),
+            (&[0.0; 4][..], &[0.0; 2][..], 2),
+            (&[0.0; 5][..], &[0.0; 5][..], 5),
+        ] {
+            for layer in 0..2 {
+                assert_eq!(
+                    kv.append(1, layer, 1, k, v),
+                    Err(PagedKvError::WidthMismatch { expected: 4, got })
+                );
+            }
+        }
+        assert_eq!(kv.seq_len(1), 1);
+        assert_eq!(kv.free_blocks(), 7);
+        assert_eq!(kv.value(1, 0, 0), &[2.0; 4]);
     }
 
     #[test]

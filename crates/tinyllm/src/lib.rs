@@ -12,9 +12,6 @@
 //! * **continuous batching** ([`scheduler::ContinuousBatcher`]) — the
 //!   iteration-level colocated policy (prefill prioritized, decode
 //!   otherwise) running against real forward passes;
-//! * **tensor parallelism** ([`parallel`]) — head/FFN-column sharded
-//!   execution across OS threads with an explicit all-reduce, verified
-//!   numerically equal to single-threaded execution;
 //! * a **batched compute tier** ([`engine::Model::forward_batch`]) —
 //!   prompts and fused decode batches as single GEMMs over pre-packed
 //!   weights ([`tensor::PackedMatrix`]) with a reusable [`engine::Scratch`]
@@ -51,13 +48,12 @@
 pub mod engine;
 pub mod kv;
 pub mod model;
-pub mod parallel;
 pub mod pool;
 pub mod sampling;
 pub mod scheduler;
 pub mod tensor;
 
-pub use engine::{BatchRow, Model, Scratch, Shard};
+pub use engine::{BatchRow, Model, Scratch};
 pub use kv::PagedKv;
 pub use model::{ComputeConfig, Precision, TinyConfig};
 pub use pool::{PoolUtilization, WorkerPool, WorkerUtil};

@@ -1,7 +1,7 @@
 //! The persistent worker pool behind the parallel compute path.
 //!
 //! One pool is spawned per [`crate::engine::Model`] (not per call) and
-//! shared by clones of that model. It serves three job kinds:
+//! shared by clones of that model. It serves two job kinds:
 //!
 //! - **GEMM strips** — the N dimension of a packed GEMM is split into
 //!   [`NR`]-aligned column strips, one per lane. Workers compute their
@@ -12,19 +12,12 @@
 //!   (`tensor.rs` invariant), threaded output is bit-identical to serial.
 //! - **Attention rows** — batched fused attention farms contiguous row
 //!   ranges to workers. Inputs are staged into an [`AttnStage`] (query
-//!   slices, per-row block tables, cache geometry) plus an `Arc` read
+//!   rows, per-row block tables, cache geometry) plus an `Arc` read
 //!   handle on the KV storage (bf16 bits), so jobs are `'static` without `unsafe`
 //!   (the workspace denies it).
-//! - **Tasks** — arbitrary `FnOnce` jobs, used by `tinyllm::parallel` to
-//!   run tensor-parallel ranks on persistent workers instead of
-//!   spawning threads per call. Completion is tracked by a latch;
-//!   panics inside a task are caught on the worker and re-raised on the
-//!   caller.
 //!
-//! Workers never nest: a thread-local flag marks pool threads, and any
-//! GEMM or attention dispatch issued from inside a worker (e.g. by a
-//! tensor-parallel rank task) runs inline and serial. That keeps the
-//! design deadlock-free with a single queue per worker.
+//! Workers only run kernels and never dispatch, so a job can never wait
+//! on the pool it runs in.
 //!
 //! The hot path stays zero-alloc at steady state: staged activation and
 //! attention buffers live in `Arc`s that are exclusively reclaimed
@@ -32,10 +25,9 @@
 //! completion), and each worker's output strip buffer is recycled
 //! through the channel round-trip.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -43,18 +35,6 @@ use distserve_prof as prof;
 
 use crate::engine::{attn_rows_strip, AttnScratch, AttnStage};
 use crate::tensor::{Kernel, NR};
-
-thread_local! {
-    /// Set for the lifetime of a pool worker thread. Dispatch helpers
-    /// consult it to run nested parallel work inline instead of queueing
-    /// it back onto the pool (which could deadlock a single queue).
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Whether the current thread is a pool worker.
-pub(crate) fn in_worker() -> bool {
-    IN_WORKER.with(Cell::get)
-}
 
 /// Minimum multiply-adds per GEMM before a parallel dispatch pays for
 /// its staging copy and wakeup latency; below it the call runs serial.
@@ -66,13 +46,11 @@ const ATTN_PAR_MIN: usize = 16 * 1024;
 
 /// One unit of work sent to a worker.
 enum Job {
-    /// Compute `strip = act × kern[k_off.., cols col_lo..col_lo+width]`.
+    /// Compute `strip = act × kern[:, col_lo..col_lo+width]`.
     Gemm {
         kern: Kernel,
         act: Arc<Vec<f32>>,
         m: usize,
-        depth: usize,
-        k_off: usize,
         col_lo: usize,
         width: usize,
         strip: Vec<f32>,
@@ -85,44 +63,6 @@ enum Job {
         row_hi: usize,
         strip: Vec<f32>,
     },
-    /// Run an arbitrary closure (tensor-parallel rank bodies).
-    Task {
-        f: Box<dyn FnOnce() + Send + 'static>,
-        latch: Arc<Latch>,
-    },
-}
-
-/// Counts outstanding tasks and records whether any panicked.
-pub(crate) struct Latch {
-    state: Mutex<(usize, bool)>,
-    cv: Condvar,
-}
-
-impl Latch {
-    fn new(count: usize) -> Self {
-        Latch {
-            state: Mutex::new((count, false)),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn done(&self, panicked: bool) {
-        let mut s = self.state.lock().expect("latch lock");
-        s.0 -= 1;
-        s.1 |= panicked;
-        if s.0 == 0 {
-            self.cv.notify_all();
-        }
-    }
-
-    /// Blocks until every task finished; returns whether any panicked.
-    fn wait(&self) -> bool {
-        let mut s = self.state.lock().expect("latch lock");
-        while s.0 > 0 {
-            s = self.cv.wait(s).expect("latch wait");
-        }
-        s.1
-    }
 }
 
 /// Cumulative per-worker time accounting, written by the worker thread
@@ -235,7 +175,6 @@ impl PoolInner {
 }
 
 fn worker_loop(jobs: &Receiver<Job>, out: &Sender<Vec<f32>>, stats: &WorkerStats) {
-    IN_WORKER.with(|w| w.set(true));
     let mut attn_scr = AttnScratch::default();
     loop {
         let waited = Instant::now();
@@ -249,24 +188,13 @@ fn worker_loop(jobs: &Receiver<Job>, out: &Sender<Vec<f32>>, stats: &WorkerStats
                 kern,
                 act,
                 m,
-                depth,
-                k_off,
                 col_lo,
                 width,
                 mut strip,
             } => {
                 let _prof = prof::scope("pool_gemm_job");
                 strip.resize(m * width, 0.0);
-                kern.gemm_strip(
-                    &act[..m * depth],
-                    m,
-                    depth,
-                    k_off,
-                    col_lo,
-                    width,
-                    width,
-                    &mut strip,
-                );
+                kern.gemm_strip(&act, m, col_lo, width, width, &mut strip);
                 // Release the staged-input handles *before* replying so
                 // the dispatcher can reclaim the buffers exclusively on
                 // its next call.
@@ -288,12 +216,6 @@ fn worker_loop(jobs: &Receiver<Job>, out: &Sender<Vec<f32>>, stats: &WorkerStats
                 drop(stage);
                 drop(storage);
                 out.send(strip).is_ok()
-            }
-            Job::Task { f, latch } => {
-                let _prof = prof::scope("pool_task");
-                let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err();
-                latch.done(panicked);
-                true
             }
         };
         stats
@@ -381,38 +303,27 @@ impl WorkerPool {
 
     /// How many lanes a `(m × depth) × (depth × width)` GEMM should use.
     fn gemm_lanes(&self, m: usize, depth: usize, width: usize) -> usize {
-        if self.lanes <= 1 || in_worker() {
+        if self.lanes <= 1 {
             return 1;
         }
         let work = m * depth * width;
         self.lanes.min(width / NR).min(work / GEMM_PAR_MIN).max(1)
     }
 
-    /// `out[m × width] = a[m × depth] × kern[k_off.., col_lo..+width]`,
-    /// split across lanes when the work justifies it; serial (and
-    /// bit-identical) otherwise.
+    /// `out[m × n] = a[m × k] × kern`, split across lanes when the work
+    /// justifies it; serial (and bit-identical) otherwise.
     ///
     /// # Panics
     ///
-    /// Panics if buffer lengths disagree with the shapes, or if a worker
-    /// died mid-job.
-    #[allow(clippy::too_many_arguments)]
-    pub fn gemm(
-        &self,
-        kern: &Kernel,
-        a: &[f32],
-        m: usize,
-        depth: usize,
-        k_off: usize,
-        col_lo: usize,
-        width: usize,
-        out: &mut [f32],
-    ) {
-        debug_assert_eq!(a.len(), m * depth, "activation shape");
-        debug_assert_eq!(out.len(), m * width, "output shape");
+    /// Panics if buffer lengths disagree with the kernel's shape, or if a
+    /// worker died mid-job.
+    pub fn gemm(&self, kern: &Kernel, a: &[f32], m: usize, out: &mut [f32]) {
+        let (depth, width) = (kern.k(), kern.n());
+        assert_eq!(a.len(), m * depth, "activation shape");
+        assert_eq!(out.len(), m * width, "output shape");
         let lanes = self.gemm_lanes(m, depth, width);
         if lanes <= 1 {
-            kern.gemm_strip(a, m, depth, k_off, col_lo, width, width, out);
+            kern.gemm_strip(a, m, 0, width, width, out);
             return;
         }
         let mut guard = self.inner.lock().expect("pool lock");
@@ -442,9 +353,7 @@ impl WorkerPool {
                         kern: kern.clone(),
                         act: Arc::clone(&inner.act),
                         m,
-                        depth,
-                        k_off,
-                        col_lo: col_lo + lo,
+                        col_lo: lo,
                         width: hi - lo,
                         strip,
                     })
@@ -453,7 +362,7 @@ impl WorkerPool {
         }
         // The calling thread is lane 0: strip 0 goes straight into `out`
         // via the stride-aware kernel while the workers run.
-        kern.gemm_strip(a, m, depth, k_off, col_lo, bound(1), width, out);
+        kern.gemm_strip(a, m, 0, bound(1), width, out);
         let _prof = prof::scope("pool_gather");
         let mut wait_ns = 0u64;
         for lane in 1..lanes {
@@ -475,7 +384,7 @@ impl WorkerPool {
     /// How many lanes a batched attention pass of `m` rows and roughly
     /// `work` multiply-adds should use.
     pub(crate) fn attn_lanes(&self, m: usize, work: usize) -> usize {
-        if self.lanes <= 1 || in_worker() {
+        if self.lanes <= 1 {
             return 1;
         }
         self.lanes.min(m).min(work / ATTN_PAR_MIN).max(1)
@@ -546,46 +455,6 @@ impl WorkerPool {
         self.dispatch_wait_ns.fetch_add(wait_ns, Ordering::Relaxed);
         self.dispatches.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Runs every closure on its own persistent worker (growing the pool
-    /// past `lanes` if needed — task concurrency is bounded by the
-    /// caller, not the lane count) and blocks until all complete.
-    ///
-    /// Must not be called from inside a pool worker: tasks that
-    /// rendezvous with each other (tensor-parallel barriers) would
-    /// deadlock if serialized.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any task panicked, after all tasks finished.
-    pub(crate) fn run_tasks(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'static>>) {
-        assert!(
-            !in_worker(),
-            "run_tasks must not be nested inside a pool worker"
-        );
-        if tasks.is_empty() {
-            return;
-        }
-        let latch = Arc::new(Latch::new(tasks.len()));
-        {
-            let mut guard = self.inner.lock().expect("pool lock");
-            let inner = &mut *guard;
-            inner.ensure_workers(tasks.len());
-            for (i, f) in tasks.into_iter().enumerate() {
-                inner.workers[i]
-                    .tx
-                    .send(Job::Task {
-                        f,
-                        latch: Arc::clone(&latch),
-                    })
-                    .expect("pool worker alive");
-            }
-        }
-        // Wait outside the lock so long-running tasks don't block
-        // concurrent GEMM dispatch from other model clones.
-        let panicked = latch.wait();
-        assert!(!panicked, "pool task panicked");
-    }
 }
 
 impl Drop for WorkerPool {
@@ -632,11 +501,11 @@ mod tests {
         let a = test_act(m, k);
         let w = Kernel::F32(PackedMatrix::pack(&test_weight(k, n)));
         let mut serial = vec![0.0; m * n];
-        WorkerPool::new(1).gemm(&w, &a, m, k, 0, 0, n, &mut serial);
+        WorkerPool::new(1).gemm(&w, &a, m, &mut serial);
         for lanes in [2, 3, 5, 8] {
             let pool = WorkerPool::new(lanes);
             let mut out = vec![7.0f32; m * n];
-            pool.gemm(&w, &a, m, k, 0, 0, n, &mut out);
+            pool.gemm(&w, &a, m, &mut out);
             assert_eq!(out, serial, "lanes {lanes}");
         }
     }
@@ -650,37 +519,9 @@ mod tests {
         let pool = WorkerPool::new(8);
         assert_eq!(pool.gemm_lanes(m, k, n), 1);
         let mut out = vec![0.0; m * n];
-        pool.gemm(&w, &a, m, k, 0, 0, n, &mut out);
+        pool.gemm(&w, &a, m, &mut out);
         let reference = Matrix::from_vec(m, k, a).matmul(&mat);
         assert_eq!(out, *reference.data);
-    }
-
-    #[test]
-    fn tasks_run_concurrently_and_rendezvous() {
-        // Tasks must run on distinct threads: a barrier across them can
-        // only clear if all are live at once.
-        let pool = WorkerPool::new(1); // Task lanes grow past `lanes`.
-        let barrier = Arc::new(std::sync::Barrier::new(3));
-        let hits = Arc::new(Mutex::new(0usize));
-        let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..3)
-            .map(|_| {
-                let b = Arc::clone(&barrier);
-                let h = Arc::clone(&hits);
-                Box::new(move || {
-                    b.wait();
-                    *h.lock().expect("hits") += 1;
-                }) as Box<dyn FnOnce() + Send>
-            })
-            .collect();
-        pool.run_tasks(tasks);
-        assert_eq!(*hits.lock().expect("hits"), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "pool task panicked")]
-    fn task_panic_propagates() {
-        let pool = WorkerPool::new(1);
-        pool.run_tasks(vec![Box::new(|| panic!("boom"))]);
     }
 
     #[test]
@@ -694,7 +535,7 @@ mod tests {
         assert!(empty.workers.is_empty(), "workers spawn lazily");
         let mut out = vec![0.0; m * n];
         for _ in 0..8 {
-            pool.gemm(&w, &a, m, k, 0, 0, n, &mut out);
+            pool.gemm(&w, &a, m, &mut out);
         }
         // Let workers settle back into their recv so idle registers.
         std::thread::sleep(std::time::Duration::from_millis(5));

@@ -155,31 +155,13 @@ impl Matrix {
     /// Panics on inner-dimension mismatch.
     #[must_use]
     pub fn matmul<W: Copy + Into<f32>>(&self, other: &Matrix<W>) -> Matrix {
-        self.matmul_cols(other, 0, other.cols)
-    }
-
-    /// `self × other[:, col_lo..col_hi]` — a column-sliced product, used
-    /// by tensor-parallel shards (reference tier).
-    ///
-    /// # Panics
-    ///
-    /// Panics on inner-dimension mismatch or an invalid column range.
-    #[must_use]
-    pub fn matmul_cols<W: Copy + Into<f32>>(
-        &self,
-        other: &Matrix<W>,
-        col_lo: usize,
-        col_hi: usize,
-    ) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul inner dims");
-        assert!(col_lo <= col_hi && col_hi <= other.cols, "column range");
-        let n = col_hi - col_lo;
-        let mut out = Matrix::zeros(self.rows, n);
+        let mut out = Matrix::zeros(self.rows, other.cols);
         for i in 0..self.rows {
             let a_row = self.row(i);
             let out_row = out.row_mut(i);
             for (k, &a) in a_row.iter().enumerate() {
-                let b_row = &other.row(k)[col_lo..col_hi];
+                let b_row = other.row(k);
                 for (j, &b) in b_row.iter().enumerate() {
                     out_row[j] += a * b.into();
                 }
@@ -249,78 +231,28 @@ impl PackedMatrix {
     ///
     /// Panics if `a.len() != m * k` or `out.len() != m * n`.
     pub fn matmul_into(&self, a: &[f32], m: usize, out: &mut [f32]) {
-        self.matmul_cols_into(a, m, 0, self.n, out);
-    }
-
-    /// `out = a × W[:, col_lo..col_hi]` — the column-sliced product a
-    /// tensor-parallel shard computes (its heads' Q/K/V slice, its FFN
-    /// columns), without materializing the full-width result.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a bad column range or mismatched buffer lengths.
-    pub fn matmul_cols_into(
-        &self,
-        a: &[f32],
-        m: usize,
-        col_lo: usize,
-        col_hi: usize,
-        out: &mut [f32],
-    ) {
-        assert!(col_lo <= col_hi && col_hi <= self.n, "column range");
-        let width = col_hi - col_lo;
         assert_eq!(a.len(), m * self.k, "activation shape");
-        assert_eq!(out.len(), m * width, "output shape");
-        self.gemm_strip(a, m, self.k, 0, col_lo, width, width, out);
-    }
-
-    /// `out = a × W[row_lo..row_hi, :]` — the row-sliced product that
-    /// lets a shard feed its partial activations (e.g. its FFN columns,
-    /// its heads' attention output) straight into the down/output
-    /// projection. Replaces the old zero-pad-to-full-width trick: `a`
-    /// holds only the `row_hi - row_lo` live inputs per row.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a bad row range or mismatched buffer lengths.
-    pub fn matmul_rows_into(
-        &self,
-        a: &[f32],
-        m: usize,
-        row_lo: usize,
-        row_hi: usize,
-        out: &mut [f32],
-    ) {
-        assert!(row_lo <= row_hi && row_hi <= self.k, "row range");
-        let depth = row_hi - row_lo;
-        assert_eq!(a.len(), m * depth, "activation shape");
         assert_eq!(out.len(), m * self.n, "output shape");
-        self.gemm_strip(a, m, depth, row_lo, 0, self.n, self.n, out);
+        self.gemm_strip(a, m, 0, self.n, self.n, out);
     }
 
-    /// Shared register-tiled kernel behind the public entry points and
-    /// the worker pool:
-    /// `out[m × stride] = a[m × depth] × W[k_off.., col_lo..col_lo+width]`,
+    /// Shared register-tiled kernel behind [`Self::matmul_into`] and the
+    /// worker pool: `out[m × stride] = a[m × k] × W[:, col_lo..col_lo+width]`,
     /// where each output row starts at a multiple of `stride ≥ width`.
     /// With `stride == width` this is a dense write; the pool uses
     /// `stride` to let each worker compute its column strip into its own
     /// narrow buffer while the main thread writes its strip straight into
     /// the full-width destination. Every output element is overwritten
-    /// (no pre-zeroing needed). The argument list mirrors the GEMM
-    /// operands (block offsets and shapes); a parameter struct would just
-    /// rename them.
+    /// (no pre-zeroing needed).
     // Deliberately unprofiled: every caller is already inside a named
     // scope (`qkv_gemm`/`out_proj_gemm`/`ffn`/`logits` serially,
     // `pool_gemm_job` on pool workers), and a scope here would double the
     // bracket count on the hottest path in the engine — see the < 3%
     // overhead budget in `distserve_prof`'s module docs.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn gemm_strip(
         &self,
         a: &[f32],
         m: usize,
-        depth: usize,
-        k_off: usize,
         col_lo: usize,
         width: usize,
         stride: usize,
@@ -331,12 +263,12 @@ impl PackedMatrix {
             // Monomorphize the row-block height so the accumulator block
             // is a fixed-size array the compiler keeps in registers.
             match m - i {
-                1 => self.tile_rows::<1>(a, i, depth, k_off, col_lo, width, stride, out),
-                2 => self.tile_rows::<2>(a, i, depth, k_off, col_lo, width, stride, out),
-                3 => self.tile_rows::<3>(a, i, depth, k_off, col_lo, width, stride, out),
-                4 => self.tile_rows::<4>(a, i, depth, k_off, col_lo, width, stride, out),
-                5 => self.tile_rows::<5>(a, i, depth, k_off, col_lo, width, stride, out),
-                _ => self.tile_rows::<MR>(a, i, depth, k_off, col_lo, width, stride, out),
+                1 => self.tile_rows::<1>(a, i, col_lo, width, stride, out),
+                2 => self.tile_rows::<2>(a, i, col_lo, width, stride, out),
+                3 => self.tile_rows::<3>(a, i, col_lo, width, stride, out),
+                4 => self.tile_rows::<4>(a, i, col_lo, width, stride, out),
+                5 => self.tile_rows::<5>(a, i, col_lo, width, stride, out),
+                _ => self.tile_rows::<MR>(a, i, col_lo, width, stride, out),
             }
             i += (m - i).min(MR);
         }
@@ -352,24 +284,23 @@ impl PackedMatrix {
     // `kk` deliberately indexes both the activation rows and the packed
     // weight base address; an iterator over one of them would hide the
     // shared induction variable the vectorizer keys on.
-    #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+    #[allow(clippy::needless_range_loop)]
     fn tile_rows<const MB: usize>(
         &self,
         a: &[f32],
         i: usize,
-        depth: usize,
-        k_off: usize,
         col_lo: usize,
         width: usize,
         stride: usize,
         out: &mut [f32],
     ) {
+        let depth = self.k;
         let a_rows: [&[f32]; MB] = core::array::from_fn(|r| &a[(i + r) * depth..][..depth]);
         let mut j = 0;
         while j + NR <= width {
             let mut acc = [[0.0f32; NR]; MB];
             for kk in 0..depth {
-                let base = (k_off + kk) * self.n + col_lo + j;
+                let base = kk * self.n + col_lo + j;
                 let seg: &[Bf16; NR] = self.data[base..base + NR]
                     .try_into()
                     .expect("NR-wide weight segment");
@@ -391,7 +322,7 @@ impl PackedMatrix {
             for (r, a_row) in a_rows.iter().enumerate() {
                 let mut acc = 0.0f32;
                 for (kk, &av) in a_row.iter().enumerate() {
-                    acc += av * self.data[(k_off + kk) * self.n + col_lo + j].to_f32();
+                    acc += av * self.data[kk * self.n + col_lo + j].to_f32();
                 }
                 out[(i + r) * stride + j] = acc;
             }
@@ -497,19 +428,16 @@ impl QuantMatrix {
     pub fn matmul_into(&self, a: &[f32], m: usize, out: &mut [f32]) {
         assert_eq!(a.len(), m * self.k, "activation shape");
         assert_eq!(out.len(), m * self.n, "output shape");
-        self.gemm_strip(a, m, self.k, 0, 0, self.n, self.n, out);
+        self.gemm_strip(a, m, 0, self.n, self.n, out);
     }
 
     /// Strip kernel with the same contract as
     /// [`PackedMatrix::gemm_strip`], accumulating over int8 codes and
     /// applying the per-channel scale once per output element.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn gemm_strip(
         &self,
         a: &[f32],
         m: usize,
-        depth: usize,
-        k_off: usize,
         col_lo: usize,
         width: usize,
         stride: usize,
@@ -519,12 +447,12 @@ impl QuantMatrix {
         let mut i = 0;
         while i < m {
             match m - i {
-                1 => self.tile_rows_q::<1>(a, i, depth, k_off, col_lo, width, stride, out),
-                2 => self.tile_rows_q::<2>(a, i, depth, k_off, col_lo, width, stride, out),
-                3 => self.tile_rows_q::<3>(a, i, depth, k_off, col_lo, width, stride, out),
-                4 => self.tile_rows_q::<4>(a, i, depth, k_off, col_lo, width, stride, out),
-                5 => self.tile_rows_q::<5>(a, i, depth, k_off, col_lo, width, stride, out),
-                _ => self.tile_rows_q::<MR>(a, i, depth, k_off, col_lo, width, stride, out),
+                1 => self.tile_rows_q::<1>(a, i, col_lo, width, stride, out),
+                2 => self.tile_rows_q::<2>(a, i, col_lo, width, stride, out),
+                3 => self.tile_rows_q::<3>(a, i, col_lo, width, stride, out),
+                4 => self.tile_rows_q::<4>(a, i, col_lo, width, stride, out),
+                5 => self.tile_rows_q::<5>(a, i, col_lo, width, stride, out),
+                _ => self.tile_rows_q::<MR>(a, i, col_lo, width, stride, out),
             }
             i += (m - i).min(MR);
         }
@@ -534,24 +462,23 @@ impl QuantMatrix {
     /// accumulation order (so the threaded int8 path is bit-identical to
     /// the serial int8 path), and the same once-per-k-step widening, here
     /// `i8 → f32`; the only addition is the final scale multiply.
-    #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+    #[allow(clippy::needless_range_loop)]
     fn tile_rows_q<const MB: usize>(
         &self,
         a: &[f32],
         i: usize,
-        depth: usize,
-        k_off: usize,
         col_lo: usize,
         width: usize,
         stride: usize,
         out: &mut [f32],
     ) {
+        let depth = self.k;
         let a_rows: [&[f32]; MB] = core::array::from_fn(|r| &a[(i + r) * depth..][..depth]);
         let mut j = 0;
         while j + NR <= width {
             let mut acc = [[0.0f32; NR]; MB];
             for kk in 0..depth {
-                let base = (k_off + kk) * self.n + col_lo + j;
+                let base = kk * self.n + col_lo + j;
                 let q: &[i8; NR] = self.data[base..base + NR]
                     .try_into()
                     .expect("NR-wide weight segment");
@@ -579,7 +506,7 @@ impl QuantMatrix {
             for (r, a_row) in a_rows.iter().enumerate() {
                 let mut acc = 0.0f32;
                 for (kk, &av) in a_row.iter().enumerate() {
-                    acc += av * f32::from(self.data[(k_off + kk) * self.n + col_lo + j]);
+                    acc += av * f32::from(self.data[kk * self.n + col_lo + j]);
                 }
                 out[(i + r) * stride + j] = acc * s;
             }
@@ -620,21 +547,18 @@ impl Kernel {
     }
 
     /// Strip kernel dispatch (see [`PackedMatrix::gemm_strip`]).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn gemm_strip(
         &self,
         a: &[f32],
         m: usize,
-        depth: usize,
-        k_off: usize,
         col_lo: usize,
         width: usize,
         stride: usize,
         out: &mut [f32],
     ) {
         match self {
-            Kernel::F32(p) => p.gemm_strip(a, m, depth, k_off, col_lo, width, stride, out),
-            Kernel::Int8(q) => q.gemm_strip(a, m, depth, k_off, col_lo, width, stride, out),
+            Kernel::F32(p) => p.gemm_strip(a, m, col_lo, width, stride, out),
+            Kernel::Int8(q) => q.gemm_strip(a, m, col_lo, width, stride, out),
         }
     }
 }
@@ -806,17 +730,6 @@ mod tests {
         assert_eq!(*c.data, vec![58.0, 64.0, 139.0, 154.0]);
     }
 
-    #[test]
-    fn matmul_cols_equals_slice_of_full() {
-        let a = Matrix::from_vec(2, 3, vec![1.0, -2.0, 3.0, 0.5, 5.0, -6.0]);
-        let b = Matrix::from_vec(3, 4, (0..12).map(|i| i as f32 * 0.3 - 1.0).collect());
-        let full = a.matmul(&b);
-        let part = a.matmul_cols(&b, 1, 3);
-        for r in 0..2 {
-            assert_eq!(&full.row(r)[1..3], part.row(r));
-        }
-    }
-
     fn test_weight(k: usize, n: usize) -> Matrix {
         Matrix::from_vec(
             k,
@@ -867,44 +780,6 @@ mod tests {
         let mut dirty = vec![123.0; 2 * 24];
         packed.matmul_into(&a.data, 2, &mut dirty);
         assert_eq!(clean, dirty);
-    }
-
-    #[test]
-    fn packed_cols_matches_reference_slice() {
-        let a = test_act(4, 48);
-        let b = test_bf16_weight(48, 120);
-        let full = a.matmul(&b);
-        let packed = PackedMatrix::pack(&b);
-        let (lo, hi) = (30, 90);
-        let mut out = vec![0.0; 4 * (hi - lo)];
-        packed.matmul_cols_into(&a.data, 4, lo, hi, &mut out);
-        for r in 0..4 {
-            assert_eq!(
-                &full.row(r)[lo..hi],
-                &out[r * (hi - lo)..(r + 1) * (hi - lo)]
-            );
-        }
-    }
-
-    #[test]
-    fn packed_rows_matches_zero_padded_reference() {
-        // matmul_rows_into(a_slice) must equal the old trick of zero
-        // padding the activation to full depth and multiplying the whole
-        // weight.
-        let (m, depth, full_k, n) = (3, 20, 64, 40);
-        let (lo, hi) = (16, 36);
-        assert_eq!(hi - lo, depth);
-        let a = test_act(m, depth);
-        let b = test_bf16_weight(full_k, n);
-        let mut padded = Matrix::zeros(m, full_k);
-        for r in 0..m {
-            padded.row_mut(r)[lo..hi].copy_from_slice(a.row(r));
-        }
-        let reference = padded.matmul(&b);
-        let packed = PackedMatrix::pack(&b);
-        let mut out = vec![0.0; m * n];
-        packed.matmul_rows_into(&a.data, m, lo, hi, &mut out);
-        assert_eq!(out, *reference.data);
     }
 
     #[test]
@@ -995,7 +870,7 @@ mod tests {
         packed.matmul_into(&a.data, m, &mut dense);
         let (lo, width) = (16, 24);
         let mut strided = vec![99.0f32; m * n];
-        packed.gemm_strip(&a.data, m, k, 0, lo, width, n, &mut strided);
+        packed.gemm_strip(&a.data, m, lo, width, n, &mut strided);
         for r in 0..m {
             // The strip lands at the *start* of each stride-wide row.
             assert_eq!(
@@ -1062,8 +937,8 @@ mod tests {
         // reproduce the dense bits exactly.
         let split = 21;
         let mut strips = vec![0.0f32; m * n];
-        q.gemm_strip(&a.data, m, k, 0, 0, split, n, &mut strips);
-        q.gemm_strip(&a.data, m, k, 0, split, n - split, n, &mut strips[split..]);
+        q.gemm_strip(&a.data, m, 0, split, n, &mut strips);
+        q.gemm_strip(&a.data, m, split, n - split, n, &mut strips[split..]);
         assert_eq!(dense, strips);
     }
 

@@ -36,9 +36,9 @@ proptest! {
         let w = Matrix::from_vec(k, n, fill(k, n, 0x5A5A)).to_bf16();
         let kern = Kernel::F32(PackedMatrix::pack(&w));
         let mut serial = vec![0.0f32; m * n];
-        WorkerPool::new(1).gemm(&kern, &a, m, k, 0, 0, n, &mut serial);
+        WorkerPool::new(1).gemm(&kern, &a, m, &mut serial);
         let mut parallel = vec![0.0f32; m * n];
-        WorkerPool::new(threads).gemm(&kern, &a, m, k, 0, 0, n, &mut parallel);
+        WorkerPool::new(threads).gemm(&kern, &a, m, &mut parallel);
         prop_assert_eq!(serial, parallel);
     }
 
@@ -87,9 +87,9 @@ proptest! {
         let w = Matrix::from_vec(k, n, fill(k, n, 0x4321));
         let kern = Kernel::Int8(QuantMatrix::quantize(&w));
         let mut serial = vec![0.0f32; m * n];
-        WorkerPool::new(1).gemm(&kern, &a, m, k, 0, 0, n, &mut serial);
+        WorkerPool::new(1).gemm(&kern, &a, m, &mut serial);
         let mut parallel = vec![0.0f32; m * n];
-        WorkerPool::new(threads).gemm(&kern, &a, m, k, 0, 0, n, &mut parallel);
+        WorkerPool::new(threads).gemm(&kern, &a, m, &mut parallel);
         prop_assert_eq!(serial, parallel);
     }
 }

@@ -12,8 +12,8 @@
 //!
 //! Attach it alongside other sinks with `telemetry::TeeSink`.
 
-use parking_lot::Mutex;
 use std::fmt::Write as _;
+use std::sync::Mutex;
 
 use distserve_telemetry::{Event, TelemetrySink};
 
@@ -59,13 +59,13 @@ impl FlightRecorder {
     /// overwritten).
     #[must_use]
     pub fn total_seen(&self) -> u64 {
-        self.inner.lock().total
+        self.inner.lock().expect("flight recorder lock").total
     }
 
     /// The retained events, oldest first.
     #[must_use]
     pub fn window(&self) -> Vec<Event> {
-        let ring = self.inner.lock();
+        let ring = self.inner.lock().expect("flight recorder lock");
         let mut out = Vec::with_capacity(ring.buf.len());
         if ring.buf.len() == self.cap {
             out.extend_from_slice(&ring.buf[ring.head..]);
@@ -149,7 +149,7 @@ impl TelemetrySink for FlightRecorder {
     }
 
     fn event(&self, ev: Event) {
-        let mut ring = self.inner.lock();
+        let mut ring = self.inner.lock().expect("flight recorder lock");
         ring.total += 1;
         if ring.buf.len() < self.cap {
             ring.buf.push(ev);
@@ -223,7 +223,7 @@ mod tests {
         for i in 0..100_000u64 {
             fr.event(ev(i, i as f64 * 1e-3));
         }
-        let ring = fr.inner.lock();
+        let ring = fr.inner.lock().expect("flight recorder lock");
         assert_eq!(ring.buf.len(), 8);
         assert_eq!(ring.buf.capacity(), 8);
     }

@@ -20,9 +20,9 @@
 //! A 10M-request `ScaleSim` run with a `TailSampler` attached stays
 //! flat-RSS; `tests/tracing.rs` gates exactly that.
 
-use distserve_simcore::FastHashMap;
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
+use distserve_simcore::FastHashMap;
 use distserve_telemetry::{trace_id, SpanEvent, SpanKind, TelemetrySink};
 
 /// Salt for the reservoir hash, so reservoir membership is independent
@@ -122,7 +122,7 @@ impl TailSampler {
     /// Current counters.
     #[must_use]
     pub fn stats(&self) -> SamplerStats {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect("sampler lock");
         inner.stats.kept = inner.kept.len() as u64;
         inner.stats.live = inner.live.len() as u64;
         inner.stats.pooled = inner.free.len() as u64;
@@ -133,7 +133,7 @@ impl TailSampler {
     /// their memory for subsequent keeps.
     #[must_use]
     pub fn take_kept(&self) -> Vec<Vec<SpanEvent>> {
-        std::mem::take(&mut self.inner.lock().kept)
+        std::mem::take(&mut self.inner.lock().expect("sampler lock").kept)
     }
 }
 
@@ -149,7 +149,7 @@ impl TelemetrySink for TailSampler {
     }
 
     fn span(&self, s: SpanEvent) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect("sampler lock");
         let tid = s.ctx.trace_id;
         let is_root = s.kind == SpanKind::Request && s.ctx.span_id == 0;
         if !is_root {

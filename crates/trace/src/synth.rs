@@ -15,11 +15,9 @@
 //! optional SLO thresholds ([`SpanSynthesizer::with_slos`]) for
 //! `SLO_MISS`.
 
+use std::sync::{Arc, Mutex};
+
 use distserve_simcore::FastHashMap;
-use parking_lot::Mutex;
-
-use std::sync::Arc;
-
 use distserve_telemetry::{
     span_flags, trace_id, Event, LifecycleEvent, RequestKey, Slice, SpanEvent, SpanKind,
     TelemetrySink, TraceCtx, TrackId,
@@ -84,7 +82,7 @@ impl SpanSynthesizer {
     /// Requests whose terminal event has not arrived yet.
     #[must_use]
     pub fn live(&self) -> usize {
-        self.pending.lock().len()
+        self.pending.lock().expect("span synthesizer lock").len()
     }
 
     /// Emits the span family for `req` ending at `end_s` with the given
@@ -167,7 +165,7 @@ impl TelemetrySink for SpanSynthesizer {
 
     fn event(&self, ev: Event) {
         {
-            let mut pending = self.pending.lock();
+            let mut pending = self.pending.lock().expect("span synthesizer lock");
             let p = pending.entry(ev.request).or_default();
             p.tenant = ev.tenant;
             match ev.kind {

@@ -1,15 +1,14 @@
 //! Real inference with the tinyllm engine.
 //!
-//! Runs actual f32 transformer forward passes: single-request greedy
-//! generation, tensor-parallel generation across threads (verified to
-//! match), and continuous batching with paged-KV admission — the same
-//! scheduling logic the simulators model, executing for real.
+//! Runs actual transformer forward passes (bf16 weights, f32
+//! arithmetic): single-request greedy generation, and continuous batching
+//! with paged-KV admission — the same scheduling logic the simulators
+//! model, executing for real.
 //!
 //! Run with: `cargo run --release --example tinyllm_generate`
 
 use std::time::Instant;
 
-use distserve::tinyllm::parallel::generate_tp;
 use distserve::tinyllm::scheduler::StepKind;
 use distserve::tinyllm::{ContinuousBatcher, GenRequest, Model, TinyConfig};
 
@@ -31,19 +30,6 @@ fn main() {
     let single = start.elapsed();
     println!("prompt {prompt:?}");
     println!("generated ({:?}): {tokens:?}\n", single);
-
-    // Tensor-parallel generation must produce identical tokens.
-    let start = Instant::now();
-    let tp_tokens = generate_tp(&model, &prompt, 24, 2);
-    println!(
-        "tp=2 ({:?}): {}",
-        start.elapsed(),
-        if tp_tokens == tokens {
-            "identical to single-thread \u{2713}"
-        } else {
-            "MISMATCH"
-        }
-    );
 
     // Continuous batching: several requests share decode steps.
     let mut batcher = ContinuousBatcher::new(model, 8192).with_token_budget(64);

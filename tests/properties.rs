@@ -301,152 +301,120 @@ proptest! {
 }
 
 // The batched engine tier: random architectures and batch shapes, checked
-// against the token-at-a-time reference path and the unsharded result.
+// bit for bit against the token-at-a-time reference path.
+
+/// Runs `prompts` through the reference tier (each sequence alone, token
+/// at a time, then one decode token) and through the batched tier (every
+/// prompt in one prefill batch over a shared cache, then one fused decode
+/// batch), and asserts both tiers' logits are identical. Both caches use
+/// `block_size`: the reference's softmax chunks follow its cache's blocks.
+fn check_batched_matches_reference(
+    cfg: &distserve::tinyllm::TinyConfig,
+    seed: u64,
+    prompts: &[Vec<u32>],
+    block_size: usize,
+) {
+    use distserve::tinyllm::tensor::argmax;
+    use distserve::tinyllm::{BatchRow, Model, Scratch};
+
+    let model = Model::random(cfg, seed);
+    let mut ref_prefill = Vec::new();
+    let mut ref_decode = Vec::new();
+    for prompt in prompts {
+        let mut kv = model.make_kv(prompt.len() + 1, block_size);
+        kv.register(0);
+        let mut logits = Vec::new();
+        for (pos, &t) in prompt.iter().enumerate() {
+            logits = model.forward_token(0, pos, t, &mut kv);
+        }
+        let next = argmax(&logits) as u32;
+        ref_decode.push(model.forward_token(0, prompt.len(), next, &mut kv));
+        ref_prefill.push(logits);
+    }
+
+    let lifetime = |p: &Vec<u32>| (p.len() + 1).div_ceil(block_size) * block_size;
+    let mut kv = model.make_kv(prompts.iter().map(lifetime).sum(), block_size);
+    let mut scratch = Scratch::new();
+    let mut rows = Vec::new();
+    let mut last_rows = Vec::new();
+    for (s, prompt) in prompts.iter().enumerate() {
+        let seq = s as u64;
+        kv.register(seq);
+        for (pos, &token) in prompt.iter().enumerate() {
+            rows.push(BatchRow { seq, pos, token });
+        }
+        last_rows.push(rows.len() - 1);
+    }
+    model.forward_batch(&rows, &mut kv, &mut scratch);
+    model.logits_batch(&last_rows, &mut scratch);
+    let mut decode_rows = Vec::new();
+    for (s, prompt) in prompts.iter().enumerate() {
+        let batched = scratch.logits_row(s);
+        assert_eq!(batched, &ref_prefill[s][..], "prefill seq {s}");
+        decode_rows.push(BatchRow {
+            seq: s as u64,
+            pos: prompt.len(),
+            token: argmax(batched) as u32,
+        });
+    }
+    model.forward_batch(&decode_rows, &mut kv, &mut scratch);
+    let picks: Vec<usize> = (0..decode_rows.len()).collect();
+    model.logits_batch(&picks, &mut scratch);
+    for (s, expect) in ref_decode.iter().enumerate() {
+        assert_eq!(scratch.logits_row(s), &expect[..], "decode seq {s}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
     fn tinyllm_batched_forward_matches_token_at_a_time(
-        heads in 1usize..5,
-        head_dim in 2usize..7,
+        heads in 1usize..=8,
+        head_dim in 2usize..=8,
         layers in 1usize..4,
         ffn in 4usize..48,
         vocab in 8usize..48,
+        block_pow in 2u32..5,
         seed in 0u64..1000,
         prompts in prop::collection::vec(
-            prop::collection::vec(0u32..1_000_000, 1..6), 1..4),
+            prop::collection::vec(0u32..1_000_000, 1..41), 1..4),
     ) {
-        use distserve::tinyllm::{BatchRow, Model, Scratch, TinyConfig};
-        use distserve::tinyllm::tensor::argmax;
-
-        let cfg = TinyConfig {
+        let cfg = distserve::tinyllm::TinyConfig {
             layers,
             hidden: heads * head_dim,
             heads,
             ffn,
             vocab,
-            max_seq: 32,
+            max_seq: 48,
         };
-        let model = Model::random(&cfg, seed);
         let prompts: Vec<Vec<u32>> = prompts
             .into_iter()
             .map(|p| p.into_iter().map(|t| t % vocab as u32).collect())
             .collect();
-
-        // Reference: each sequence alone, token at a time, then one
-        // decode token.
-        let mut ref_prefill = Vec::new();
-        let mut ref_decode = Vec::new();
-        for prompt in &prompts {
-            let mut kv = model.make_kv(32, 4);
-            kv.register(0);
-            let mut logits = Vec::new();
-            for (pos, &t) in prompt.iter().enumerate() {
-                logits = model.forward_token(0, pos, t, &mut kv);
-            }
-            ref_prefill.push(logits.clone());
-            let next = argmax(&logits) as u32;
-            ref_decode.push(model.forward_token(0, prompt.len(), next, &mut kv));
-        }
-
-        // Batched: every prompt stacked into ONE prefill batch over a
-        // shared cache, then one fused decode batch over all sequences.
-        let mut kv = model.make_kv(256, 4);
-        let mut scratch = Scratch::new();
-        let mut rows = Vec::new();
-        let mut last_rows = Vec::new();
-        for (s, prompt) in prompts.iter().enumerate() {
-            let seq = s as u64;
-            kv.register(seq);
-            for (pos, &token) in prompt.iter().enumerate() {
-                rows.push(BatchRow { seq, pos, token });
-            }
-            last_rows.push(rows.len() - 1);
-        }
-        model.forward_batch(&rows, &mut kv, &mut scratch);
-        model.logits_batch(&last_rows, &mut scratch);
-        let mut decode_rows = Vec::new();
-        for (s, prompt) in prompts.iter().enumerate() {
-            let batched = scratch.logits_row(s);
-            for (a, b) in batched.iter().zip(&ref_prefill[s]) {
-                prop_assert!((a - b).abs() < 1e-5, "prefill seq {s}: {a} vs {b}");
-            }
-            decode_rows.push(BatchRow {
-                seq: s as u64,
-                pos: prompt.len(),
-                token: argmax(batched) as u32,
-            });
-        }
-        model.forward_batch(&decode_rows, &mut kv, &mut scratch);
-        let picks: Vec<usize> = (0..decode_rows.len()).collect();
-        model.logits_batch(&picks, &mut scratch);
-        for (s, expect) in ref_decode.iter().enumerate() {
-            for (a, b) in scratch.logits_row(s).iter().zip(expect) {
-                prop_assert!((a - b).abs() < 1e-5, "decode seq {s}: {a} vs {b}");
-            }
-        }
+        check_batched_matches_reference(&cfg, seed, &prompts, 1 << block_pow);
     }
+}
 
-    #[test]
-    fn tinyllm_sharded_partials_sum_to_unsharded(
-        world_pow in 0u32..3,
-        head_groups in 1usize..4,
-        head_dim in 2usize..6,
-        layers in 1usize..3,
-        ffn_mult in 1usize..5,
-        seed in 0u64..1000,
-        prompt in prop::collection::vec(0u32..1_000_000, 1..5),
-        max_new in 1usize..5,
-    ) {
-        use distserve::tinyllm::{Model, Shard, TinyConfig};
-        use distserve::tinyllm::parallel::generate_tp;
-
-        let world = 1usize << world_pow;
-        let cfg = TinyConfig {
-            layers,
-            hidden: world * head_groups * head_dim,
-            heads: world * head_groups,
-            ffn: world * ffn_mult * 2,
-            vocab: 32,
-            max_seq: 32,
+/// With 8-dim heads and 16-position blocks, fused attention runs a kernel
+/// monomorphized for the row width `heads × 8`: one arm each for 1, 2, 4
+/// and 8 heads. Every arm must match the reference exactly, over contexts
+/// that cross block boundaries.
+#[test]
+fn tinyllm_batched_forward_matches_reference_on_every_fused_attention_arm() {
+    for heads in [1, 2, 4, 8] {
+        let cfg = distserve::tinyllm::TinyConfig {
+            layers: 2,
+            hidden: heads * 8,
+            heads,
+            ffn: 32,
+            vocab: 48,
+            max_seq: 48,
         };
-        let model = Model::random(&cfg, seed);
-        let prompt: Vec<u32> = prompt.into_iter().map(|t| t % 32).collect();
-
-        // Partial sums over shards equal the full-shard computation.
-        let x: Vec<f32> = (0..cfg.hidden).map(|i| (i as f32 * 0.37).sin()).collect();
-        let xa = model.ln1(0, &x);
-        let mut kv_full = model.make_kv(8, 8);
-        kv_full.register(0);
-        let full = model.attn_partial(0, &xa, 0, 0, &mut kv_full, Shard::full(&cfg));
-        let mut sum = vec![0.0f32; cfg.hidden];
-        for rank in 0..world {
-            let mut kv_s = model.make_kv(8, 8);
-            kv_s.register(0);
-            let part = model.attn_partial(0, &xa, 0, 0, &mut kv_s, Shard::of(&cfg, rank, world));
-            for (s, p) in sum.iter_mut().zip(&part) {
-                *s += p;
-            }
-        }
-        for (a, b) in full.iter().zip(&sum) {
-            prop_assert!((a - b).abs() < 1e-5, "attention partial: {a} vs {b}");
-        }
-        let xf = model.ln2(0, &x);
-        let full_ffn = model.ffn_partial(0, &xf, Shard::full(&cfg));
-        let mut sum_ffn = vec![0.0f32; cfg.hidden];
-        for rank in 0..world {
-            let part = model.ffn_partial(0, &xf, Shard::of(&cfg, rank, world));
-            for (s, p) in sum_ffn.iter_mut().zip(&part) {
-                *s += p;
-            }
-        }
-        for (a, b) in full_ffn.iter().zip(&sum_ffn) {
-            prop_assert!((a - b).abs() < 1e-5, "ffn partial: {a} vs {b}");
-        }
-
-        // End to end: threaded tensor parallelism over the batched tier
-        // produces the single-device token stream.
-        let reference = model.generate(&prompt, max_new);
-        prop_assert_eq!(generate_tp(&model, &prompt, max_new, world), reference);
+        let prompts: Vec<Vec<u32>> = [40usize, 17, 3]
+            .iter()
+            .map(|&len| (0..len).map(|p| ((p * 7 + len) % 48) as u32).collect())
+            .collect();
+        check_batched_matches_reference(&cfg, heads as u64, &prompts, 16);
     }
 }
