@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of this repository's own hot paths: cost
 //! model evaluation, the event queue, the KV block manager, pipeline
-//! commits, workload generation, tinyllm GEMM kernels, and tinyllm
-//! prefill/decode throughput (batched vs the token-at-a-time reference).
+//! commits, workload generation, tinyllm GEMM kernels, tinyllm
+//! prefill/decode throughput (batched vs the token-at-a-time reference),
+//! and tinyllm model build time on the served shape.
 //!
 //! After all groups run, the tinyllm numbers are written to
 //! `BENCH_tinyllm.json` at the repository root so the compute tier's
@@ -115,6 +116,42 @@ fn bench_tinyllm(c: &mut Criterion) {
     c.bench_function("tinyllm/generate_16_tokens", |b| {
         b.iter(|| std::hint::black_box(model.generate(&[1, 2, 3, 4], 16)))
     });
+}
+
+/// Model build time, `Model::random_with` (weight draw, packing and
+/// worker-pool spawn), on perfbench's served shape: 6 layers, hidden 256,
+/// FFN 1024, vocab 4096, `max_seq` 1024 (6.0M parameters). Timed at one
+/// lane and at the host's lanes, since the weight draw splits across the
+/// model's lanes; this is the part of a server's set-up that grows with
+/// model size. Each iteration drops its model, so later builds reuse
+/// freed pages and these rows leave out most of the first-touch page
+/// faults a fresh process pays.
+fn bench_tinyllm_build(c: &mut Criterion) {
+    let served = TinyConfig {
+        layers: 6,
+        hidden: 256,
+        heads: 8,
+        ffn: 1024,
+        vocab: 4096,
+        max_seq: 1024,
+    };
+    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let mut lanes = vec![1, host_cores];
+    lanes.dedup();
+    for threads in lanes {
+        c.bench_function(&format!("tinyllm/build_served_lanes{threads}"), |b| {
+            b.iter(|| {
+                Model::random_with(
+                    &served,
+                    2024,
+                    ComputeConfig {
+                        precision: Precision::F32,
+                        threads,
+                    },
+                )
+            })
+        });
+    }
 }
 
 /// Deterministic pseudo-random matrix for kernel benchmarks.
@@ -420,6 +457,18 @@ fn write_tinyllm_json(
     // Thread × batch sweep: efficiency is tok/s relative to the perfect
     // scaling of the same batch at one thread (tok_s / (threads · base)).
     let (host_cores, points, int8_tok_s) = scaling;
+    let build_ms = |lanes: usize| -> f64 {
+        find(&format!("tinyllm/build_served_lanes{lanes}")).map_or(0.0, |r| r.mean_s * 1e3)
+    };
+    let build = vec![
+        (
+            "config".into(),
+            Value::Str("6L/256H/1024FFN/4096V, max_seq 1024".into()),
+        ),
+        ("lanes1_ms".into(), Value::Float(build_ms(1))),
+        ("host_lanes".into(), Value::UInt(host_cores as u64)),
+        ("host_lanes_ms".into(), Value::Float(build_ms(host_cores))),
+    ];
     let base_tok_s = |batch: usize| -> f64 {
         points
             .iter()
@@ -456,6 +505,7 @@ fn write_tinyllm_json(
         ("decode_steps".into(), Value::UInt(DECODE_STEPS as u64)),
         ("decode".into(), Value::Object(decode)),
         ("prefill".into(), Value::Object(prefill)),
+        ("build".into(), Value::Object(build)),
         ("scaling".into(), scaling_obj),
         ("benches".into(), Value::Array(benches)),
     ]);
@@ -476,6 +526,7 @@ fn main() {
     bench_gemm_shapes(&mut c);
     bench_gemm_served(&mut c);
     bench_tinyllm_throughput(&mut c);
+    bench_tinyllm_build(&mut c);
     // Fused decode is the off arm and the reference tier the on arm, so
     // the estimate's on/base ratio is the reference's cost in fused runs.
     let model = Model::random(&TinyConfig::small(), 5);

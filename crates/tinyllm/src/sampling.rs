@@ -6,6 +6,7 @@
 //! deterministic greedy decoding and seeded temperature / top-k sampling
 //! over real logits.
 
+use crate::model::{splitmix, GAMMA};
 use crate::tensor::{argmax, softmax};
 
 /// A sampling strategy for picking the next token from logits.
@@ -45,18 +46,14 @@ impl Sampler {
         }
         Sampler {
             strategy,
-            state: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
+            state: seed.wrapping_mul(GAMMA) | 1,
         }
     }
 
     /// SplitMix64 step for the sampler's private stream.
     fn next_uniform(&mut self) -> f32 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z >> 40) as f32 / (1u64 << 24) as f32
+        self.state = self.state.wrapping_add(GAMMA);
+        (splitmix(self.state) >> 40) as f32 / (1u64 << 24) as f32
     }
 
     /// Picks the next token id from `logits`.
