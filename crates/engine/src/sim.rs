@@ -28,7 +28,7 @@ use distserve_workload::{RequestId, Trace};
 
 use crate::batching::{PrefillItem, PrefillQueue};
 use crate::kvcache::KvBlockManager;
-use crate::pipeline::Pipeline;
+use crate::pipeline::{Commit, Pipeline};
 use crate::request::{RequestPhase, RequestRecord, RequestState, StageBreakdown};
 use crate::routing::RouterCtl;
 use crate::spec::{InstanceRole, InstanceSpec, SimConfig};
@@ -142,6 +142,17 @@ impl Instance {
 
     fn note_kv(&mut self) {
         self.kv_peak = self.kv_peak.max(self.kv.utilization());
+    }
+
+    /// Places `id` in the emptiest micro-batch group with room (the first
+    /// such group on ties); `false` when every group holds `max`.
+    fn join_group(&mut self, id: RequestId, max: usize) -> bool {
+        let group = self
+            .groups
+            .iter_mut()
+            .filter(|g| g.members.len() < max)
+            .min_by_key(|g| g.members.len());
+        group.map(|g| g.members.push(id)).is_some()
     }
 }
 
@@ -309,8 +320,8 @@ impl<'a> ServingSim<'a> {
     /// # Errors
     ///
     /// Returns a message when the deployment is neither purely colocated
-    /// nor a complete disaggregated pair, or when an instance cannot hold
-    /// its weight shard.
+    /// nor purely disaggregated with both roles present, or when an
+    /// instance cannot hold its weight shard.
     pub fn new(
         cfg: SimConfig,
         cost: &'a dyn CostModel,
@@ -319,8 +330,9 @@ impl<'a> ServingSim<'a> {
     ) -> Result<Self, String> {
         let sim = Self::build(cfg, cost, cluster, specs)?;
         let disagg = !sim.prefill_ids.is_empty() && !sim.decode_ids.is_empty();
+        let half_split = sim.prefill_ids.is_empty() != sim.decode_ids.is_empty();
         let coloc = !sim.coloc_ids.is_empty();
-        if disagg == coloc {
+        if disagg == coloc || half_split {
             return Err(
                 "deployment must be either disaggregated (prefill + decode instances) \
                  or colocated, and not empty"
@@ -738,10 +750,15 @@ impl<'a> ServingSim<'a> {
         }
     }
 
-    fn fresh_batch_id(&mut self) -> u64 {
-        let id = self.next_batch;
+    /// Prices a step of `raw` seconds on instance `i` — fidelity jitter
+    /// (one draw from the run's RNG) times any straggler slowdown — and
+    /// commits it to `i`'s pipeline under a fresh batch id.
+    fn commit_step(&mut self, i: usize, raw: f64, now: SimTime) -> (u64, Commit) {
+        let slowdown = self.instances[i].health.slowdown();
+        let stage_time = self.cfg.fidelity.perturb_step(raw, &mut self.rng) * slowdown;
+        let bid = self.next_batch;
         self.next_batch += 1;
-        id
+        (bid, self.instances[i].pipeline.commit(now, stage_time))
     }
 
     // ------------------------------------------------------------------
@@ -749,66 +766,77 @@ impl<'a> ServingSim<'a> {
     // ------------------------------------------------------------------
 
     fn on_arrive(&mut self, trace: &Trace, idx: usize, now: SimTime) {
-        let req = &trace.requests()[idx];
-        let item = PrefillItem {
-            id: req.id,
-            input_len: req.input_len,
-        };
-        self.emit(req.id, now, LifecycleEvent::Arrived);
+        let id = trace.requests()[idx].id;
+        self.emit(id, now, LifecycleEvent::Arrived);
         if self.router.is_some() {
             self.route_arrival(trace, idx, now);
             return;
         }
-        if self.coloc_ids.is_empty() {
-            // Dispatch to the prefill instance with the shortest queue
-            // (by outstanding tokens — queued plus in-flight, a better
-            // execution-time proxy than request count, per §4.3's token
-            // heuristic). Down/draining instances take no new work.
-            let target = self
-                .prefill_ids
-                .iter()
-                .copied()
-                .filter(|&i| self.instances[i].health.accepts_new_work())
-                .min_by_key(|&i| {
-                    let inst = &self.instances[i];
-                    inst.prefill_queue.queued_tokens() + inst.inflight_prefill_tokens
-                });
-            let Some(target) = target else {
-                self.park_or_fail_prefill(req.id, now);
-                return;
-            };
-            if self.reject_if_over_cap(req.id, target, now) {
-                return;
+        let Some(target) = self.entry_target() else {
+            self.park_or_fail_entry(id, now);
+            return;
+        };
+        if !self.reject_if_over_cap(id, target, now) {
+            self.enqueue(id, target, now);
+        }
+    }
+
+    /// The built-in dispatcher's pick: the entry instance (prefill or
+    /// colocated) with the shortest queue, by outstanding work — queued
+    /// plus in-flight prompt tokens (a better execution-time proxy than
+    /// request count, per §4.3's token heuristic) plus running decodes.
+    /// Prefill instances never run decodes and colocated ones never hold
+    /// in-flight prefill tokens, and a non-routed deployment has only one
+    /// entry role, so each role is ranked by its own load. Down and
+    /// draining instances take no new work.
+    fn entry_target(&self) -> Option<usize> {
+        self.prefill_ids
+            .iter()
+            .chain(&self.coloc_ids)
+            .copied()
+            .filter(|&i| self.instances[i].health.accepts_new_work())
+            .min_by_key(|&i| {
+                let inst = &self.instances[i];
+                inst.prefill_queue.queued_tokens()
+                    + inst.inflight_prefill_tokens
+                    + inst.running.len() as u64
+            })
+    }
+
+    /// Queues `id` for prefill on entry instance `target` and kicks it.
+    fn enqueue(&mut self, id: RequestId, target: usize, now: SimTime) {
+        let input_len = self.states[&id].prefill_len();
+        self.emit(id, now, LifecycleEvent::PrefillQueued);
+        let queue = &mut self.instances[target].prefill_queue;
+        queue.push(PrefillItem { id, input_len });
+        queue.emit_depth(self.sink, track_id(target));
+        self.kick(target, now);
+    }
+
+    /// Launches whatever work instance `i`'s role can start now.
+    fn kick(&mut self, i: usize, now: SimTime) {
+        match self.instances[i].spec.role {
+            InstanceRole::Prefill => self.try_prefill(i, now),
+            InstanceRole::Decode => {
+                self.try_pull(i, now);
+                self.try_decode(i, now);
             }
-            self.emit(req.id, now, LifecycleEvent::PrefillQueued);
-            self.instances[target].prefill_queue.push(item);
-            self.instances[target]
-                .prefill_queue
-                .emit_depth(self.sink, track_id(target));
-            self.try_prefill(target, now);
+            InstanceRole::Colocated => self.try_coloc(i, now),
+        }
+    }
+
+    /// No entry instance can take new work: park `id` if one is on its
+    /// way back, otherwise fail it.
+    fn park_or_fail_entry(&mut self, id: RequestId, now: SimTime) {
+        let recovery_pending = self
+            .prefill_ids
+            .iter()
+            .chain(&self.coloc_ids)
+            .any(|&i| self.instances[i].recover_scheduled);
+        if recovery_pending {
+            self.parked_prefill.push_back(id);
         } else {
-            let target = self
-                .coloc_ids
-                .iter()
-                .copied()
-                .filter(|&i| self.instances[i].health.accepts_new_work())
-                .min_by_key(|&i| {
-                    let inst = &self.instances[i];
-                    inst.prefill_queue.queued_tokens() + inst.running.len() as u64
-                });
-            let Some(target) = target else {
-                self.park_or_fail_prefill(req.id, now);
-                return;
-            };
-            if self.reject_if_over_cap(req.id, target, now) {
-                return;
-            }
-            self.emit(req.id, now, LifecycleEvent::PrefillQueued);
-            self.instances[target].prefill_queue.push(item);
-            self.instances[target]
-                .prefill_queue
-                .emit_depth(self.sink, track_id(target));
-            self.try_coloc(target, now);
+            self.fail_request(id, now);
         }
     }
 
@@ -903,16 +931,13 @@ impl<'a> ServingSim<'a> {
             ..RequestFeatures::arrival(req.id.0, req.input_len, req.output_len)
         }
         .with_prefix(0, cached, self.cfg.prefix.hit_prob);
-        let decision = self.consult_router(&features);
-        match decision {
+        match self.consult_router(&features) {
             // The decode field is a hint: the engine re-binds the decode
             // target at prefill completion (§4.3), when loads are fresher.
-            Decision::Disagg { prefill, .. } => {
-                self.admit_routed(req.id, req.input_len, prefill.0 as usize, now);
+            Decision::Disagg {
+                prefill: target, ..
             }
-            Decision::Coloc { replica } => {
-                self.admit_routed(req.id, req.input_len, replica.0 as usize, now);
-            }
+            | Decision::Coloc { replica: target } => self.enqueue(req.id, target.0 as usize, now),
             Decision::Queue { retry_after_secs } => {
                 self.events
                     .push(now.after(retry_after_secs), Ev::RouterRetry(idx));
@@ -922,7 +947,7 @@ impl<'a> ServingSim<'a> {
             } => self.shed_routed(req.id, now),
             Decision::Shed {
                 reason: ShedReason::NoCapablePath,
-            } => self.park_or_fail_routed(req.id, now),
+            } => self.park_or_fail_entry(req.id, now),
         }
     }
 
@@ -931,22 +956,6 @@ impl<'a> ServingSim<'a> {
     fn on_router_retry(&mut self, trace: &Trace, idx: usize, now: SimTime) {
         if self.states.contains_key(&trace.requests()[idx].id) {
             self.route_arrival(trace, idx, now);
-        }
-    }
-
-    /// Enqueues a routed request on its chosen instance and kicks the
-    /// matching execution path.
-    fn admit_routed(&mut self, id: RequestId, input_len: u32, target: usize, now: SimTime) {
-        self.emit(id, now, LifecycleEvent::PrefillQueued);
-        self.instances[target]
-            .prefill_queue
-            .push(PrefillItem { id, input_len });
-        self.instances[target]
-            .prefill_queue
-            .emit_depth(self.sink, track_id(target));
-        match self.instances[target].spec.role {
-            InstanceRole::Colocated => self.try_coloc(target, now),
-            _ => self.try_prefill(target, now),
         }
     }
 
@@ -959,21 +968,6 @@ impl<'a> ServingSim<'a> {
         self.states.remove(&id);
         self.rejected.push(id);
         self.remaining -= 1;
-    }
-
-    /// Routed analogue of [`ServingSim::park_or_fail_prefill`] over the
-    /// combined entry pool (prefill and colocated instances).
-    fn park_or_fail_routed(&mut self, id: RequestId, now: SimTime) {
-        let recovery_pending = self
-            .prefill_ids
-            .iter()
-            .chain(&self.coloc_ids)
-            .any(|&i| self.instances[i].recover_scheduled);
-        if recovery_pending {
-            self.parked_prefill.push_back(id);
-        } else {
-            self.fail_request(id, now);
-        }
     }
 
     /// Admission control: when the dispatch target's prefill queue is at
@@ -1014,37 +1008,52 @@ impl<'a> ServingSim<'a> {
         else {
             return;
         };
-        inst.note_kv();
-        // Compute is priced on the billed suffix (cached prefix tokens
-        // skip the forward pass); KV was allocated on the full length.
-        let lens: Vec<u32> = batch
+        let (bid, commit, members, batch_tokens) = self.commit_prefill(i, &batch, now);
+        self.instances[i].inflight_prefill_tokens += batch_tokens;
+        for id in &members {
+            self.kv_home.insert(*id, i);
+        }
+        self.instances[i].prefill_inflight.insert(bid, members);
+        self.events.push(commit.done, Ev::PrefillDone(i, bid));
+        self.events.push(commit.stage0_free, Ev::PrefillFree(i));
+    }
+
+    /// Commits a prefill batch whose members already hold KV on instance
+    /// `i`: prices their billed prompt tokens (cached prefix tokens skip
+    /// the forward pass; KV was allocated on the full length), marks
+    /// them prefilling, and emits their starts, the batch slice, and
+    /// `i`'s queue and KV gauges. Returns the batch id, its commit, the
+    /// members, and the billed tokens.
+    fn commit_prefill(
+        &mut self,
+        i: usize,
+        batch: &[PrefillItem],
+        now: SimTime,
+    ) -> (u64, Commit, Vec<RequestId>, u64) {
+        self.instances[i].note_kv();
+        let members: Vec<RequestId> = batch.iter().map(|b| b.id).collect();
+        let lens: Vec<u32> = members
             .iter()
-            .map(|b| self.states[&b.id].billed_prefill_len())
+            .map(|id| self.states[id].billed_prefill_len())
             .collect();
-        let pbatch = PrefillBatch::new(lens);
+        let batch_tokens = lens.iter().map(|&l| u64::from(l)).sum::<u64>();
         let raw = self
             .cost
-            .prefill_stage_time(&self.cfg.arch, inst.spec.par, &pbatch)
+            .prefill_stage_time(
+                &self.cfg.arch,
+                self.instances[i].spec.par,
+                &PrefillBatch::new(lens),
+            )
             .total();
-        let slowdown = inst.health.slowdown();
-        let stage_time = self.cfg.fidelity.perturb_step(raw, &mut self.rng) * slowdown;
-        let bid = self.fresh_batch_id();
-        let inst = &mut self.instances[i];
-        let commit = inst.pipeline.commit(now, stage_time);
-        let members: Vec<RequestId> = batch.iter().map(|b| b.id).collect();
-        let batch_tokens = members
-            .iter()
-            .map(|id| u64::from(self.states[id].billed_prefill_len()))
-            .sum::<u64>();
-        inst.inflight_prefill_tokens += batch_tokens;
-        inst.prefill_inflight.insert(bid, members.clone());
+        let (bid, commit) = self.commit_step(i, raw, now);
+        // A recomputation on the split path keeps its first prefill start.
+        let split = self.instances[i].spec.role == InstanceRole::Prefill;
         for id in &members {
             let st = self.states.get_mut(id).expect("state exists");
-            if st.resume_generated == 0 {
+            if !split || st.resume_generated == 0 {
                 st.prefill_start = commit.start;
             }
             st.phase = RequestPhase::Prefilling;
-            self.kv_home.insert(*id, i);
         }
         for id in &members {
             self.emit(*id, commit.start, LifecycleEvent::PrefillStart);
@@ -1063,8 +1072,7 @@ impl<'a> ServingSim<'a> {
             .prefill_queue
             .emit_depth(self.sink, track_id(i));
         self.emit_kv(i);
-        self.events.push(commit.done, Ev::PrefillDone(i, bid));
-        self.events.push(commit.stage0_free, Ev::PrefillFree(i));
+        (bid, commit, members, batch_tokens)
     }
 
     fn on_prefill_done(&mut self, i: usize, bid: u64, now: SimTime) {
@@ -1080,26 +1088,11 @@ impl<'a> ServingSim<'a> {
             .inflight_prefill_tokens
             .saturating_sub(done_tokens);
         for id in members {
-            let (output_len, resumed) = {
-                let st = self.states.get_mut(&id).expect("state exists");
-                let resumed = st.resume_generated > 0;
-                if !resumed {
-                    // A recomputation does not re-deliver the first token.
-                    st.first_token = now;
-                }
-                (st.request.output_len, resumed)
-            };
-            if !resumed {
-                self.instances[i].tokens_out += 1;
-            }
-            self.emit(id, now, LifecycleEvent::PrefillEnd);
-            if output_len <= 1 && !resumed {
-                // The prefill already produced the whole answer.
+            if self.deliver_first_token(i, id, now) {
                 self.release_prefill_kv(id, now);
-                self.finish_request(i, id, now, now, now);
+                self.finish_request(i, id, now);
             } else {
-                let st = self.states.get_mut(&id).expect("state exists");
-                st.phase = RequestPhase::Transferring;
+                self.states.get_mut(&id).expect("state exists").phase = RequestPhase::Transferring;
                 self.route_to_decode(id, now);
             }
         }
@@ -1107,30 +1100,54 @@ impl<'a> ServingSim<'a> {
         self.try_prefill(i, now);
     }
 
+    /// `id`'s prefill on instance `i` finished at `now`. A fresh request
+    /// gets its first token; a recomputation does not re-deliver it.
+    /// Returns whether that token was the whole answer.
+    fn deliver_first_token(&mut self, i: usize, id: RequestId, now: SimTime) -> bool {
+        let st = self.states.get_mut(&id).expect("state exists");
+        let fresh = st.resume_generated == 0;
+        if fresh {
+            st.first_token = now;
+            self.instances[i].tokens_out += 1;
+        }
+        let answered = fresh && st.request.output_len <= 1;
+        self.emit(id, now, LifecycleEvent::PrefillEnd);
+        answered
+    }
+
     /// Routes a transfer-ready request to the least-loaded decoding
-    /// instance (§4.3). With every decoding instance down, the request
-    /// parks if a recovery is scheduled and fails otherwise.
+    /// instance (§4.3).
     fn route_to_decode(&mut self, id: RequestId, now: SimTime) {
-        let target = self
-            .decode_ids
+        match self.decode_target() {
+            Some(d) => {
+                self.instances[d].pull_queue.push_back(id);
+                self.try_pull(d, now);
+            }
+            None => self.park_or_fail_pull(id, now),
+        }
+    }
+
+    /// The least-loaded decoding instance that takes new work.
+    fn decode_target(&self) -> Option<usize> {
+        self.decode_ids
             .iter()
             .copied()
             .filter(|&d| self.instances[d].health.accepts_new_work())
-            .min_by_key(|&d| self.instances[d].decode_load());
-        let Some(target) = target else {
-            if self
-                .decode_ids
-                .iter()
-                .any(|&d| self.instances[d].recover_scheduled)
-            {
-                self.parked_pull.push_back(id);
-            } else {
-                self.fail_request(id, now);
-            }
-            return;
-        };
-        self.instances[target].pull_queue.push_back(id);
-        self.try_pull(target, now);
+            .min_by_key(|&d| self.instances[d].decode_load())
+    }
+
+    /// Every decoding instance is down: park `id` if one is on its way
+    /// back, otherwise fail it.
+    fn park_or_fail_pull(&mut self, id: RequestId, now: SimTime) {
+        if self
+            .decode_ids
+            .iter()
+            .any(|&d| self.instances[d].recover_scheduled)
+        {
+            self.parked_pull.push_back(id);
+        } else {
+            self.fail_request(id, now);
+        }
     }
 
     fn release_prefill_kv(&mut self, id: RequestId, now: SimTime) {
@@ -1231,14 +1248,8 @@ impl<'a> ServingSim<'a> {
     fn activate_decode(&mut self, d: usize, id: RequestId) {
         let max = self.cfg.max_decode_batch;
         let inst = &mut self.instances[d];
-        let group = inst
-            .groups
-            .iter_mut()
-            .filter(|g| g.members.len() < max)
-            .min_by_key(|g| g.members.len());
-        match group {
-            Some(g) => g.members.push(id),
-            None => inst.overflow.push_back(id),
+        if !inst.join_group(id, max) {
+            inst.overflow.push_back(id);
         }
     }
 
@@ -1266,37 +1277,25 @@ impl<'a> ServingSim<'a> {
         inst.next_group = (g + 1) % n;
         inst.groups[g].busy = true;
         let members = inst.groups[g].members.clone();
-        let contexts: Vec<u32> = members
-            .iter()
-            .map(|id| {
-                let st = &self.states[id];
-                let RequestPhase::Decoding { generated } = st.phase else {
-                    unreachable!("decode group member not decoding");
-                };
-                st.request.input_len + generated
-            })
-            .collect();
-        let batch = DecodeBatch::new(contexts);
+        let (bid, commit) = self.commit_decode(d, &members, now);
+        self.instances[d].decode_inflight.insert(bid, (g, members));
+        self.events.push(commit.done, Ev::DecodeDone(d, bid));
+        self.events.push(commit.stage0_free, Ev::DecodeFree(d));
+    }
+
+    /// Commits one decoding iteration of `members` on instance `i`:
+    /// prices their current contexts, stamps first decode steps, and
+    /// emits the batch slice.
+    fn commit_decode(&mut self, i: usize, members: &[RequestId], now: SimTime) -> (u64, Commit) {
+        let batch = self.decode_batch(members);
         let raw = self
             .cost
-            .decode_stage_time(&self.cfg.arch, self.instances[d].spec.par, &batch)
+            .decode_stage_time(&self.cfg.arch, self.instances[i].spec.par, &batch)
             .total();
-        let slowdown = self.instances[d].health.slowdown();
-        let stage_time = self.cfg.fidelity.perturb_step(raw, &mut self.rng) * slowdown;
-        let bid = self.fresh_batch_id();
-        let inst = &mut self.instances[d];
-        let commit = inst.pipeline.commit(now, stage_time);
-        inst.decode_inflight.insert(bid, (g, members.clone()));
-        for id in &members {
-            let st = self.states.get_mut(id).expect("state exists");
-            if matches!(st.phase, RequestPhase::Decoding { generated: 1 })
-                && st.decode_start <= st.transfer_done
-            {
-                st.decode_start = commit.start;
-            }
-        }
+        let (bid, commit) = self.commit_step(i, raw, now);
+        self.stamp_decode_start(members, commit.start);
         self.emit_batch(
-            d,
+            i,
             "decode",
             commit.start,
             commit.done,
@@ -1305,8 +1304,36 @@ impl<'a> ServingSim<'a> {
             metrics::DECODE_BATCHES,
             metrics::DECODE_TOKENS,
         );
-        self.events.push(commit.done, Ev::DecodeDone(d, bid));
-        self.events.push(commit.stage0_free, Ev::DecodeFree(d));
+        (bid, commit)
+    }
+
+    /// The decode batch of `members`' current contexts: prompt plus the
+    /// tokens generated so far.
+    fn decode_batch(&self, members: &[RequestId]) -> DecodeBatch {
+        let contexts = members
+            .iter()
+            .map(|id| {
+                let st = &self.states[id];
+                let RequestPhase::Decoding { generated } = st.phase else {
+                    unreachable!("decode batch member not decoding");
+                };
+                st.request.input_len + generated
+            })
+            .collect();
+        DecodeBatch::new(contexts)
+    }
+
+    /// Stamps `decode_start` on the members taking their first decode
+    /// step in a step launched at `start`.
+    fn stamp_decode_start(&mut self, members: &[RequestId], start: SimTime) {
+        for id in members {
+            let st = self.states.get_mut(id).expect("state exists");
+            if matches!(st.phase, RequestPhase::Decoding { generated: 1 })
+                && st.decode_start <= st.transfer_done
+            {
+                st.decode_start = start;
+            }
+        }
     }
 
     fn on_decode_done(&mut self, d: usize, bid: u64, now: SimTime) {
@@ -1317,45 +1344,19 @@ impl<'a> ServingSim<'a> {
         self.instances[d].groups[g].busy = false;
         let mut freed = false;
         for id in members {
-            self.instances[d].tokens_out += 1;
-            let (done, generated_now) = {
-                let st = self.states.get_mut(&id).expect("state exists");
-                let RequestPhase::Decoding { generated } = &mut st.phase else {
-                    unreachable!("decode member not decoding");
-                };
-                *generated += 1;
-                (*generated >= st.request.output_len, *generated)
-            };
-            self.emit(
-                id,
-                now,
-                LifecycleEvent::DecodeStep {
-                    generated: generated_now,
-                },
-            );
-            if done {
-                self.instances[d].kv.free(id).expect("decode KV allocated");
+            if self.deliver_decode_token(d, id, now) {
                 freed = true;
-                let inst = &mut self.instances[d];
-                inst.groups[g].members.retain(|m| *m != id);
-                let st = &self.states[&id];
-                let (td, ds) = (st.transfer_done, st.decode_start);
-                self.finish_request(d, id, td, ds, now);
+                self.instances[d].groups[g].members.retain(|m| *m != id);
+                self.finish_request(d, id, now);
             }
         }
         // Refill groups from the overflow queue.
-        while let Some(&next) = self.instances[d].overflow.front() {
-            let max = self.cfg.max_decode_batch;
-            let inst = &mut self.instances[d];
-            let Some(group) = inst
-                .groups
-                .iter_mut()
-                .filter(|gr| gr.members.len() < max)
-                .min_by_key(|gr| gr.members.len())
-            else {
+        let max = self.cfg.max_decode_batch;
+        let inst = &mut self.instances[d];
+        while let Some(&next) = inst.overflow.front() {
+            if !inst.join_group(next, max) {
                 break;
-            };
-            group.members.push(next);
+            }
             inst.overflow.pop_front();
         }
         if freed {
@@ -1368,6 +1369,23 @@ impl<'a> ServingSim<'a> {
             self.try_pull(d, now);
         }
         self.try_decode(d, now);
+    }
+
+    /// A decode step on instance `i` delivered `id`'s next token at
+    /// `now`. Returns whether that was its last, having freed its KV.
+    fn deliver_decode_token(&mut self, i: usize, id: RequestId, now: SimTime) -> bool {
+        self.instances[i].tokens_out += 1;
+        let st = self.states.get_mut(&id).expect("state exists");
+        let RequestPhase::Decoding { generated } = &mut st.phase else {
+            unreachable!("decode member not decoding");
+        };
+        *generated += 1;
+        let (done, generated) = (*generated >= st.request.output_len, *generated);
+        self.emit(id, now, LifecycleEvent::DecodeStep { generated });
+        if done {
+            self.instances[i].kv.free(id).expect("decode KV allocated");
+        }
+        done
     }
 
     // ------------------------------------------------------------------
@@ -1385,128 +1403,37 @@ impl<'a> ServingSim<'a> {
         // vLLM iteration-level scheduling: prefill prioritized, whole
         // prompts, decode otherwise.
         let max_running = self.cfg.max_decode_batch;
-        {
-            let running_len = self.instances[c].running.len();
-            let inst = &mut self.instances[c];
-            let Instance {
-                prefill_queue, kv, ..
-            } = inst;
-            let mut admitted = 0usize;
-            let batch = prefill_queue.form_batch(|it| {
-                if running_len + admitted >= max_running {
-                    return false;
-                }
-                let st = &self.states[&it.id];
-                let ok = kv
-                    .alloc(it.id, it.input_len + st.request.output_len)
-                    .is_ok();
-                if ok {
-                    admitted += 1;
-                }
-                ok
-            });
-            if let Some(batch) = batch {
-                inst.note_kv();
-                // Billed suffix only, as on the split path; KV was
-                // allocated on the full lifetime footprint above.
-                let lens: Vec<u32> = batch
-                    .iter()
-                    .map(|b| self.states[&b.id].billed_prefill_len())
-                    .collect();
-                let pbatch = PrefillBatch::new(lens);
-                let raw = self
-                    .cost
-                    .prefill_stage_time(&self.cfg.arch, inst.spec.par, &pbatch)
-                    .total();
-                let slowdown = inst.health.slowdown();
-                let stage_time = self.cfg.fidelity.perturb_step(raw, &mut self.rng) * slowdown;
-                let bid = self.next_batch;
-                self.next_batch += 1;
-                let inst = &mut self.instances[c];
-                let commit = inst.pipeline.commit(now, stage_time);
-                inst.coloc_busy = true;
-                let members: Vec<RequestId> = batch.iter().map(|b| b.id).collect();
-                let batch_tokens = members
-                    .iter()
-                    .map(|id| u64::from(self.states[id].billed_prefill_len()))
-                    .sum::<u64>();
-                for id in &members {
-                    let st = self.states.get_mut(id).expect("state exists");
-                    st.prefill_start = commit.start;
-                    st.phase = RequestPhase::Prefilling;
-                }
-                for id in &members {
-                    self.emit(*id, commit.start, LifecycleEvent::PrefillStart);
-                }
-                self.emit_batch(
-                    c,
-                    "prefill",
-                    commit.start,
-                    commit.done,
-                    members.len(),
-                    batch_tokens,
-                    metrics::PREFILL_BATCHES,
-                    metrics::PREFILL_TOKENS,
-                );
-                self.instances[c]
-                    .prefill_queue
-                    .emit_depth(self.sink, track_id(c));
-                self.emit_kv(c);
-                let inst = &mut self.instances[c];
-                inst.coloc_inflight.insert(bid, ColocStep::Prefill(members));
-                self.events.push(commit.done, Ev::ColocDone(c, bid));
-                return;
+        let running_len = self.instances[c].running.len();
+        let Instance {
+            prefill_queue, kv, ..
+        } = &mut self.instances[c];
+        let mut admitted = 0usize;
+        let batch = prefill_queue.form_batch(|it| {
+            if running_len + admitted >= max_running {
+                return false;
             }
-        }
-        self.launch_coloc_decode(c, now);
-    }
-
-    fn launch_coloc_decode(&mut self, c: usize, now: SimTime) {
-        if self.instances[c].running.is_empty() {
+            let st = &self.states[&it.id];
+            let ok = kv
+                .alloc(it.id, it.input_len + st.request.output_len)
+                .is_ok();
+            if ok {
+                admitted += 1;
+            }
+            ok
+        });
+        let (bid, commit, step) = if let Some(batch) = batch {
+            let (bid, commit, members, _) = self.commit_prefill(c, &batch, now);
+            (bid, commit, ColocStep::Prefill(members))
+        } else if !self.instances[c].running.is_empty() {
+            let members = self.instances[c].running.clone();
+            let (bid, commit) = self.commit_decode(c, &members, now);
+            (bid, commit, ColocStep::Decode(members))
+        } else {
             return;
-        }
-        let members = self.instances[c].running.clone();
-        let contexts: Vec<u32> = members
-            .iter()
-            .map(|id| {
-                let st = &self.states[id];
-                let RequestPhase::Decoding { generated } = st.phase else {
-                    unreachable!("running request not decoding");
-                };
-                st.request.input_len + generated
-            })
-            .collect();
-        let batch = DecodeBatch::new(contexts);
-        let raw = self
-            .cost
-            .decode_stage_time(&self.cfg.arch, self.instances[c].spec.par, &batch)
-            .total();
-        let slowdown = self.instances[c].health.slowdown();
-        let stage_time = self.cfg.fidelity.perturb_step(raw, &mut self.rng) * slowdown;
-        let bid = self.fresh_batch_id();
+        };
         let inst = &mut self.instances[c];
-        let commit = inst.pipeline.commit(now, stage_time);
         inst.coloc_busy = true;
-        for id in &members {
-            let st = self.states.get_mut(id).expect("state exists");
-            if matches!(st.phase, RequestPhase::Decoding { generated: 1 })
-                && st.decode_start <= st.transfer_done
-            {
-                st.decode_start = commit.start;
-            }
-        }
-        self.emit_batch(
-            c,
-            "decode",
-            commit.start,
-            commit.done,
-            members.len(),
-            members.len() as u64,
-            metrics::DECODE_BATCHES,
-            metrics::DECODE_TOKENS,
-        );
-        let inst = &mut self.instances[c];
-        inst.coloc_inflight.insert(bid, ColocStep::Decode(members));
+        inst.coloc_inflight.insert(bid, step);
         self.events.push(commit.done, Ev::ColocDone(c, bid));
     }
 
@@ -1566,35 +1493,14 @@ impl<'a> ServingSim<'a> {
         if chunks.is_empty() && members.is_empty() {
             return;
         }
-        let contexts: Vec<u32> = members
-            .iter()
-            .map(|id| {
-                let st = &self.states[id];
-                let RequestPhase::Decoding { generated } = st.phase else {
-                    unreachable!("running request not decoding");
-                };
-                st.request.input_len + generated
-            })
-            .collect();
-        let dbatch = DecodeBatch::new(contexts);
+        let dbatch = self.decode_batch(&members);
         let raw = self
             .cost
             .mixed_stage_time(&self.cfg.arch, self.instances[c].spec.par, &pbatch, &dbatch)
             .total();
-        let slowdown = self.instances[c].health.slowdown();
-        let stage_time = self.cfg.fidelity.perturb_step(raw, &mut self.rng) * slowdown;
-        let bid = self.fresh_batch_id();
-        let inst = &mut self.instances[c];
-        let commit = inst.pipeline.commit(now, stage_time);
-        inst.coloc_busy = true;
-        for id in &members {
-            let st = self.states.get_mut(id).expect("state exists");
-            if matches!(st.phase, RequestPhase::Decoding { generated: 1 })
-                && st.decode_start <= st.transfer_done
-            {
-                st.decode_start = commit.start;
-            }
-        }
+        let (bid, commit) = self.commit_step(c, raw, now);
+        self.instances[c].coloc_busy = true;
+        self.stamp_decode_start(&members, commit.start);
         let chunk_tokens = chunks
             .iter()
             .map(|&(_, take, _)| u64::from(take))
@@ -1655,28 +1561,18 @@ impl<'a> ServingSim<'a> {
     }
 
     fn coloc_first_token(&mut self, c: usize, id: RequestId, now: SimTime) {
-        let (output_len, resume) = {
-            let st = self.states.get_mut(&id).expect("state exists");
-            let resume = st.resume_generated;
-            if resume == 0 {
-                // A recomputation does not re-deliver the first token.
-                st.first_token = now;
-            }
-            st.transfer_done = now;
-            (st.request.output_len, resume)
-        };
-        if resume == 0 {
-            self.instances[c].tokens_out += 1;
-        }
-        self.emit(id, now, LifecycleEvent::PrefillEnd);
-        if output_len <= 1 && resume == 0 {
+        self.states
+            .get_mut(&id)
+            .expect("state exists")
+            .transfer_done = now;
+        if self.deliver_first_token(c, id, now) {
             self.instances[c].kv.free(id).expect("coloc KV allocated");
             self.emit_kv(c);
-            self.finish_request(c, id, now, now, now);
+            self.finish_request(c, id, now);
         } else {
             let st = self.states.get_mut(&id).expect("state exists");
             st.phase = RequestPhase::Decoding {
-                generated: resume.max(1),
+                generated: st.resume_generated.max(1),
             };
             st.resume_generated = 0;
             self.emit(id, now, LifecycleEvent::DecodeQueued);
@@ -1685,29 +1581,10 @@ impl<'a> ServingSim<'a> {
     }
 
     fn coloc_decode_token(&mut self, c: usize, id: RequestId, now: SimTime) {
-        self.instances[c].tokens_out += 1;
-        let (done, generated_now) = {
-            let st = self.states.get_mut(&id).expect("state exists");
-            let RequestPhase::Decoding { generated } = &mut st.phase else {
-                unreachable!("running request not decoding");
-            };
-            *generated += 1;
-            (*generated >= st.request.output_len, *generated)
-        };
-        self.emit(
-            id,
-            now,
-            LifecycleEvent::DecodeStep {
-                generated: generated_now,
-            },
-        );
-        if done {
-            self.instances[c].kv.free(id).expect("coloc KV allocated");
+        if self.deliver_decode_token(c, id, now) {
             self.emit_kv(c);
             self.instances[c].running.retain(|m| *m != id);
-            let st = &self.states[&id];
-            let (td, ds) = (st.transfer_done, st.decode_start);
-            self.finish_request(c, id, td, ds, now);
+            self.finish_request(c, id, now);
         }
     }
 
@@ -1715,17 +1592,14 @@ impl<'a> ServingSim<'a> {
     // Completion.
     // ------------------------------------------------------------------
 
-    fn finish_request(
-        &mut self,
-        track: usize,
-        id: RequestId,
-        transfer_done: SimTime,
-        decode_start: SimTime,
-        now: SimTime,
-    ) {
+    fn finish_request(&mut self, track: usize, id: RequestId, now: SimTime) {
         let mut st = self.states.remove(&id).expect("state exists");
-        st.transfer_done = transfer_done;
-        st.decode_start = decode_start;
+        if st.request.output_len <= 1 {
+            // The prefill produced the whole answer: no transfer or
+            // decoding stage.
+            st.transfer_done = now;
+            st.decode_start = now;
+        }
         st.completion = now;
         st.phase = RequestPhase::Done;
         self.emit_tenant(id, st.request.tenant, now, LifecycleEvent::Finished);
@@ -1790,85 +1664,29 @@ impl<'a> ServingSim<'a> {
     /// Re-dispatches bypass the admission cap: the system already
     /// accepted the request once.
     fn dispatch_prefill(&mut self, id: RequestId, now: SimTime) {
-        let input_len = self.states[&id].prefill_len();
-        if self.router.is_some() {
+        let target = if self.router.is_some() {
             let st = &self.states[&id];
             let features = RequestFeatures {
                 readmission: true,
-                ..RequestFeatures::arrival(id.0, input_len, st.request.output_len)
+                ..RequestFeatures::arrival(id.0, st.prefill_len(), st.request.output_len)
             }
             .with_tenant(st.request.tenant)
             .with_prefix(0, st.cached_tokens, self.cfg.prefix.hit_prob);
             match self.consult_router(&features) {
-                Decision::Disagg { prefill, .. } => {
-                    self.admit_routed(id, input_len, prefill.0 as usize, now);
+                Decision::Disagg {
+                    prefill: target, ..
                 }
-                Decision::Coloc { replica } => {
-                    self.admit_routed(id, input_len, replica.0 as usize, now);
-                }
+                | Decision::Coloc { replica: target } => Some(target.0 as usize),
                 // Re-admissions bypass the queue cap, so the core only
                 // declines when no path accepts work at all.
-                _ => self.park_or_fail_routed(id, now),
+                _ => None,
             }
-            return;
-        }
-        let item = PrefillItem { id, input_len };
-        if self.coloc_ids.is_empty() {
-            let target = self
-                .prefill_ids
-                .iter()
-                .copied()
-                .filter(|&i| self.instances[i].health.accepts_new_work())
-                .min_by_key(|&i| {
-                    let inst = &self.instances[i];
-                    inst.prefill_queue.queued_tokens() + inst.inflight_prefill_tokens
-                });
-            let Some(target) = target else {
-                self.park_or_fail_prefill(id, now);
-                return;
-            };
-            self.emit(id, now, LifecycleEvent::PrefillQueued);
-            self.instances[target].prefill_queue.push(item);
-            self.instances[target]
-                .prefill_queue
-                .emit_depth(self.sink, track_id(target));
-            self.try_prefill(target, now);
         } else {
-            let target = self
-                .coloc_ids
-                .iter()
-                .copied()
-                .filter(|&i| self.instances[i].health.accepts_new_work())
-                .min_by_key(|&i| {
-                    let inst = &self.instances[i];
-                    inst.prefill_queue.queued_tokens() + inst.running.len() as u64
-                });
-            let Some(target) = target else {
-                self.park_or_fail_prefill(id, now);
-                return;
-            };
-            self.emit(id, now, LifecycleEvent::PrefillQueued);
-            self.instances[target].prefill_queue.push(item);
-            self.instances[target]
-                .prefill_queue
-                .emit_depth(self.sink, track_id(target));
-            self.try_coloc(target, now);
-        }
-    }
-
-    /// No prefill-capable instance can take new work: park if one is on
-    /// its way back, otherwise fail.
-    fn park_or_fail_prefill(&mut self, id: RequestId, now: SimTime) {
-        let pool = if self.coloc_ids.is_empty() {
-            &self.prefill_ids
-        } else {
-            &self.coloc_ids
+            self.entry_target()
         };
-        let recovery_pending = pool.iter().any(|&i| self.instances[i].recover_scheduled);
-        if recovery_pending {
-            self.parked_prefill.push_back(id);
-        } else {
-            self.fail_request(id, now);
+        match target {
+            Some(target) => self.enqueue(id, target, now),
+            None => self.park_or_fail_entry(id, now),
         }
     }
 
@@ -1952,24 +1770,11 @@ impl<'a> ServingSim<'a> {
         if self.instances[i].health.is_down() {
             return;
         }
-        let role = self.instances[i].spec.role;
-        {
-            let inst = &mut self.instances[i];
-            inst.health = InstanceHealth::Down;
-            inst.down_since = Some(now);
-            inst.up_gen += 1;
-            inst.recover_scheduled = downtime.is_some();
-        }
-        self.sink.gauge_set(metrics::INSTANCE_UP, track_id(i), 0.0);
-        if let Some(d) = downtime {
-            let d = d.max(1e-3);
-            let gen = self.instances[i].up_gen;
-            self.events
-                .push(now.after(d), Ev::InstanceRecovering(i, gen));
-            // Warm-up (weight reload) takes another 10% of the outage.
-            self.events.push(now.after(d * 1.1), Ev::InstanceUp(i, gen));
-        }
-        match role {
+        self.instances[i].recover_scheduled = downtime.is_some();
+        // Warm-up (weight reload) takes another 10% of the outage.
+        let back = downtime.map(|d| d.max(1e-3)).map(|d| (d, d * 1.1));
+        self.take_down(i, now, back);
+        match self.instances[i].spec.role {
             InstanceRole::Prefill => self.crash_prefill(i, now),
             InstanceRole::Decode => self.crash_decode(i, now),
             InstanceRole::Colocated => self.crash_coloc(i, now),
@@ -2049,12 +1854,7 @@ impl<'a> ServingSim<'a> {
             inst.decode_inflight.clear();
         }
         for &id in &decoding {
-            let _ = self.instances[d].kv.free(id);
-            if let Some(st) = self.states.get_mut(&id) {
-                if let RequestPhase::Decoding { generated } = st.phase {
-                    st.resume_generated = generated;
-                }
-            }
+            self.drop_crashed_kv(d, id);
         }
         self.sink.gauge_set(metrics::DECODE_LOAD, track_id(d), 0.0);
         self.emit_kv(d);
@@ -2063,6 +1863,18 @@ impl<'a> ServingSim<'a> {
         }
         for id in transferring {
             self.recover_transferring(id, now);
+        }
+    }
+
+    /// Frees `id`'s KV on crashed instance `i`. A decoding request keeps
+    /// its progress: its re-prefill recomputes the delivered tokens and
+    /// decoding resumes after them.
+    fn drop_crashed_kv(&mut self, i: usize, id: RequestId) {
+        let _ = self.instances[i].kv.free(id);
+        if let Some(st) = self.states.get_mut(&id) {
+            if let RequestPhase::Decoding { generated } = st.phase {
+                st.resume_generated = generated;
+            }
         }
     }
 
@@ -2077,22 +1889,8 @@ impl<'a> ServingSim<'a> {
         if !self.charge_retry(id, now) {
             return;
         }
-        let target = self
-            .decode_ids
-            .iter()
-            .copied()
-            .filter(|&d| self.instances[d].health.accepts_new_work())
-            .min_by_key(|&d| self.instances[d].decode_load());
-        let Some(target) = target else {
-            if self
-                .decode_ids
-                .iter()
-                .any(|&d| self.instances[d].recover_scheduled)
-            {
-                self.parked_pull.push_back(id);
-            } else {
-                self.fail_request(id, now);
-            }
+        let Some(target) = self.decode_target() else {
+            self.park_or_fail_pull(id, now);
             return;
         };
         let prefill_len = self.states[&id].prefill_len();
@@ -2174,12 +1972,7 @@ impl<'a> ServingSim<'a> {
             .filter(|it| !charged.contains(&it.id))
             .collect();
         for &id in &charged {
-            let _ = self.instances[c].kv.free(id);
-            if let Some(st) = self.states.get_mut(&id) {
-                if let RequestPhase::Decoding { generated } = st.phase {
-                    st.resume_generated = generated;
-                }
-            }
+            self.drop_crashed_kv(c, id);
         }
         for it in &queued {
             // Chunk-partial heads hold an allocation despite being queued.
@@ -2206,11 +1999,9 @@ impl<'a> ServingSim<'a> {
         };
         self.sink
             .counter_add(metrics::KV_TRANSFER_RETRIES, track_id(d), 1);
-        {
-            let st = self.states.get_mut(&id).expect("state exists");
-            st.transfer_attempt += 1;
-        }
-        if !self.retry_policy.allows(self.states[&id].retries) {
+        let st = self.states.get_mut(&id).expect("state exists");
+        st.transfer_attempt += 1;
+        if !self.retry_policy.allows(st.retries) {
             let _ = self.instances[d].kv.free(id);
             self.instances[d].pulling = None;
             self.emit_kv(d);
@@ -2218,13 +2009,11 @@ impl<'a> ServingSim<'a> {
             self.try_pull(d, now);
             return;
         }
-        let st = self.states.get_mut(&id).expect("state exists");
-        st.retries += 1;
-        let attempt = st.retries;
-        let backoff = self.retry_policy.backoff_secs(st.transfer_attempt);
-        self.emit(id, now, LifecycleEvent::Retried { attempt });
-        self.sink
-            .counter_add(metrics::REQUEST_RETRIES, track_id(0), 1);
+        // Within budget, so the charge succeeds.
+        self.charge_retry(id, now);
+        let backoff = self
+            .retry_policy
+            .backoff_secs(self.states[&id].transfer_attempt);
         self.instances[d].pull_gen += 1;
         let gen = self.instances[d].pull_gen;
         self.instances[d].pulling = Some((id, gen));
@@ -2251,16 +2040,25 @@ impl<'a> ServingSim<'a> {
             if self.instances[i].health != InstanceHealth::Draining || !self.instance_idle(i) {
                 continue;
             }
-            let inst = &mut self.instances[i];
-            inst.health = InstanceHealth::Down;
-            inst.down_since = Some(now);
-            inst.up_gen += 1;
-            let gen = inst.up_gen;
-            let window = inst.drain_secs.max(1e-3);
-            self.sink.gauge_set(metrics::INSTANCE_UP, track_id(i), 0.0);
+            let window = self.instances[i].drain_secs.max(1e-3);
+            self.take_down(i, now, Some((window * 0.9, window)));
+        }
+    }
+
+    /// Takes instance `i` down at `now`. With `back = (warm, up)` it
+    /// starts warming up `warm` seconds later and takes traffic again
+    /// after `up`.
+    fn take_down(&mut self, i: usize, now: SimTime, back: Option<(f64, f64)>) {
+        let inst = &mut self.instances[i];
+        inst.health = InstanceHealth::Down;
+        inst.down_since = Some(now);
+        inst.up_gen += 1;
+        let gen = inst.up_gen;
+        self.sink.gauge_set(metrics::INSTANCE_UP, track_id(i), 0.0);
+        if let Some((warm, up)) = back {
             self.events
-                .push(now.after(window * 0.9), Ev::InstanceRecovering(i, gen));
-            self.events.push(now.after(window), Ev::InstanceUp(i, gen));
+                .push(now.after(warm), Ev::InstanceRecovering(i, gen));
+            self.events.push(now.after(up), Ev::InstanceUp(i, gen));
         }
     }
 
@@ -2307,31 +2105,22 @@ impl<'a> ServingSim<'a> {
             inst.recover_scheduled = false;
         }
         self.sink.gauge_set(metrics::INSTANCE_UP, track_id(i), 1.0);
-        match self.instances[i].spec.role {
-            InstanceRole::Prefill | InstanceRole::Colocated => {
-                let parked: Vec<RequestId> = self.parked_prefill.drain(..).collect();
-                for id in parked {
-                    if self.states.contains_key(&id) {
-                        self.dispatch_prefill(id, now);
-                    }
+        if self.instances[i].spec.role == InstanceRole::Decode {
+            let parked: Vec<RequestId> = self.parked_pull.drain(..).collect();
+            for id in parked {
+                if self.states.contains_key(&id) {
+                    self.route_to_decode(id, now);
                 }
             }
-            InstanceRole::Decode => {
-                let parked: Vec<RequestId> = self.parked_pull.drain(..).collect();
-                for id in parked {
-                    if self.states.contains_key(&id) {
-                        self.route_to_decode(id, now);
-                    }
+        } else {
+            let parked: Vec<RequestId> = self.parked_prefill.drain(..).collect();
+            for id in parked {
+                if self.states.contains_key(&id) {
+                    self.dispatch_prefill(id, now);
                 }
-                self.try_pull(i, now);
-                self.try_decode(i, now);
             }
         }
-        match self.instances[i].spec.role {
-            InstanceRole::Prefill => self.try_prefill(i, now),
-            InstanceRole::Colocated => self.try_coloc(i, now),
-            InstanceRole::Decode => {}
-        }
+        self.kick(i, now);
     }
 
     fn on_straggler_end(&mut self, i: usize) {
@@ -2567,6 +2356,18 @@ mod tests {
         )
         .unwrap()];
         assert!(ServingSim::new(cfg.clone(), &cost, &cl, only_prefill).is_err());
+        // Colocated plus a prefill instance with no decode peer: the
+        // built-in dispatcher serves one entry role only.
+        let mut half_split = coloc_deployment(&cl);
+        half_split.push(
+            InstanceSpec::new(
+                InstanceRole::Prefill,
+                ParallelismConfig::SINGLE,
+                vec![vec![cl.gpu(0, 1)]],
+            )
+            .unwrap(),
+        );
+        assert!(ServingSim::new(cfg.clone(), &cost, &cl, half_split).is_err());
         // Empty deployment.
         assert!(ServingSim::new(cfg.clone(), &cost, &cl, vec![]).is_err());
         // OPT-175B on a single GPU.

@@ -10,7 +10,7 @@
 //! threads (the paper notes the algorithm parallelizes almost linearly —
 //! Figure 12).
 
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -60,8 +60,14 @@ impl Default for SearchParams {
 }
 
 impl SearchParams {
-    /// Worker threads to spawn for `jobs` independent evaluations.
-    pub(crate) fn worker_count(&self, jobs: usize) -> usize {
+    /// Evaluates `f` on every candidate, fanned out over the worker
+    /// threads, and returns the results in candidate order whatever
+    /// order the threads finish in.
+    pub(crate) fn evaluate<C: Sync, R: Send>(
+        &self,
+        candidates: &[C],
+        f: impl Fn(&C) -> R + Sync,
+    ) -> Vec<R> {
         let avail = if self.threads > 0 {
             self.threads
         } else {
@@ -69,7 +75,31 @@ impl SearchParams {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(4)
         };
-        avail.min(jobs).max(1)
+        // Hands out candidate indices only; results come back through
+        // the joins, so the counter publishes no data.
+        let next = AtomicUsize::new(0);
+        let mut results: Vec<(usize, R)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..avail.min(candidates.len()).max(1))
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut done = Vec::new();
+                        loop {
+                            let idx = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(c) = candidates.get(idx) else {
+                                return done;
+                            };
+                            done.push((idx, f(c)));
+                        }
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("candidate evaluation panicked"))
+                .collect()
+        });
+        results.sort_by_key(|&(idx, _)| idx);
+        results.into_iter().map(|(_, r)| r).collect()
     }
 }
 
@@ -135,68 +165,44 @@ pub fn high_affinity_placement(
     params: &SearchParams,
 ) -> Option<HighPlacement> {
     let configs = ParallelismConfig::enumerate(arch, gpu, dtype, params.max_tp, params.max_pp);
-    if configs.is_empty() {
-        return None;
-    }
-    let results: Mutex<Vec<(ParallelismConfig, f64, f64)>> = Mutex::new(Vec::new());
-    let next: Mutex<usize> = Mutex::new(0);
-    let workers = params.worker_count(configs.len());
-
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let idx = {
-                    let mut n = next.lock().expect("counter lock");
-                    let idx = *n;
-                    *n += 1;
-                    idx
-                };
-                if idx >= configs.len() {
-                    break;
-                }
-                let par = configs[idx];
-                let cfg = PhaseSimConfig::new(arch.clone(), gpu.clone());
-                let pf = max_goodput(
-                    |r| {
-                        let n = probe_count_with(r, params.probe_requests, params.probe_secs);
-                        let trace = source.make_trace(r, n, params.seed);
-                        prefill_attainment(cost, &cfg, par, &trace, slo.ttft)
-                    },
-                    slo.target,
-                    1.0,
-                    params.search_iters,
-                );
-                let dc = max_goodput(
-                    |r| {
-                        let n = probe_count_with(r, params.probe_requests, params.probe_secs);
-                        let trace = source.make_trace(r, n, params.seed);
-                        decode_attainment(cost, &cfg, par, &trace, slo.tpot)
-                    },
-                    slo.target,
-                    1.0,
-                    params.search_iters,
-                );
-                results.lock().expect("results lock").push((par, pf, dc));
-            });
-        }
+    let goodputs = params.evaluate(&configs, |&par| {
+        let cfg = PhaseSimConfig::new(arch.clone(), gpu.clone());
+        let pf = max_goodput(
+            |r| {
+                let n = probe_count_with(r, params.probe_requests, params.probe_secs);
+                let trace = source.make_trace(r, n, params.seed);
+                prefill_attainment(cost, &cfg, par, &trace, slo.ttft)
+            },
+            slo.target,
+            1.0,
+            params.search_iters,
+        );
+        let dc = max_goodput(
+            |r| {
+                let n = probe_count_with(r, params.probe_requests, params.probe_secs);
+                let trace = source.make_trace(r, n, params.seed);
+                decode_attainment(cost, &cfg, par, &trace, slo.tpot)
+            },
+            slo.target,
+            1.0,
+            params.search_iters,
+        );
+        (pf, dc)
     });
 
-    let mut results = results.into_inner().expect("results lock");
-    // Deterministic selection regardless of thread completion order.
-    results.sort_by_key(|(par, _, _)| (par.tp, par.pp));
-
-    let best = |select: &dyn Fn(&(ParallelismConfig, f64, f64)) -> f64| {
-        results
+    // The best per-GPU goodput of one phase; the last of equals, in
+    // candidate order.
+    let best = |phase: fn(&(f64, f64)) -> f64| {
+        configs
             .iter()
+            .zip(&goodputs)
+            .map(|(&par, g)| (par, phase(g)))
             .max_by(|a, b| {
-                let ga = select(a) / f64::from(a.0.num_gpus());
-                let gb = select(b) / f64::from(b.0.num_gpus());
-                ga.total_cmp(&gb)
+                (a.1 / f64::from(a.0.num_gpus())).total_cmp(&(b.1 / f64::from(b.0.num_gpus())))
             })
-            .copied()
     };
-    let (p_par, p_good, _) = best(&|r| r.1)?;
-    let (d_par, _, d_good) = best(&|r| r.2)?;
+    let (p_par, p_good) = best(|g| g.0)?;
+    let (d_par, d_good) = best(|g| g.1)?;
     if p_good <= 0.0 || d_good <= 0.0 {
         return None;
     }

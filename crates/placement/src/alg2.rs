@@ -15,16 +15,14 @@
 //! how the Appendix-B placements like prefill `tp4pp1` + decode `tp2pp2`
 //! arise).
 
-use std::sync::Mutex;
-
 use serde::{Deserialize, Serialize};
 
 use distserve_cluster::Cluster;
-use distserve_engine::{InstanceRole, InstanceSpec, ServingSim, SimConfig};
+use distserve_engine::{InstanceRole, InstanceSpec};
 use distserve_models::{CostModel, DType, ModelArch, ParallelismConfig};
 
 use crate::alg1::SearchParams;
-use crate::goodput::{max_goodput, probe_count_with};
+use crate::goodput::{max_goodput, served_attainment};
 use crate::slo::SloSpec;
 use crate::source::TraceSource;
 
@@ -171,35 +169,6 @@ pub fn unit_specs(
     unit_specs_on_node(cluster, 0, prefill_par, decode_par)
 }
 
-/// Measures one unit's SLO attainment at `rate` with the full simulator.
-#[allow(clippy::too_many_arguments)]
-fn unit_attainment(
-    cost: &dyn CostModel,
-    cluster: &Cluster,
-    arch: &ModelArch,
-    dtype: DType,
-    prefill_par: ParallelismConfig,
-    decode_par: ParallelismConfig,
-    source: &dyn TraceSource,
-    slo: SloSpec,
-    rate: f64,
-    params: &SearchParams,
-) -> f64 {
-    let Ok(specs) = unit_specs(cluster, prefill_par, decode_par) else {
-        return 0.0;
-    };
-    let mut cfg = SimConfig::new(arch.clone());
-    cfg.dtype = dtype;
-    cfg.seed = params.seed;
-    let Ok(sim) = ServingSim::new(cfg, cost, cluster, specs) else {
-        return 0.0;
-    };
-    let n = probe_count_with(rate, params.probe_requests, params.probe_secs);
-    let trace = source.make_trace(rate, n, params.seed);
-    let outcome = sim.run(&trace);
-    outcome.attainment(slo.ttft, slo.tpot)
-}
-
 /// Runs Algorithm 2. Returns `None` if no unit configuration fits a node.
 #[must_use]
 #[allow(clippy::too_many_arguments)]
@@ -232,45 +201,24 @@ pub fn low_affinity_placement(
             }
         }
     }
-    combos.dedup();
-    if combos.is_empty() {
-        return None;
-    }
-
-    let results: Mutex<Vec<(ParallelismConfig, ParallelismConfig, f64)>> = Mutex::new(Vec::new());
-    let next: Mutex<usize> = Mutex::new(0);
-    let workers = params.worker_count(combos.len());
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let idx = {
-                    let mut n = next.lock().expect("counter lock");
-                    let idx = *n;
-                    *n += 1;
-                    idx
-                };
-                if idx >= combos.len() {
-                    break;
-                }
-                let (p, d) = combos[idx];
-                let goodput = max_goodput(
-                    |r| unit_attainment(cost, cluster, arch, dtype, p, d, source, slo, r, params),
-                    slo.target,
-                    0.5,
-                    params.search_iters,
-                );
-                results.lock().expect("results lock").push((p, d, goodput));
-            });
-        }
+    let goodputs = params.evaluate(&combos, |&(p, d)| {
+        let Ok(specs) = unit_specs(cluster, p, d) else {
+            return 0.0;
+        };
+        max_goodput(
+            |r| served_attainment(cost, cluster, arch, dtype, &specs, source, slo, r, params),
+            slo.target,
+            0.5,
+            params.search_iters,
+        )
     });
-
-    let mut results = results.into_inner().expect("results lock");
-    results.sort_by_key(|(p, d, _)| (p.tp, p.pp, d.tp, d.pp));
-    let (p, d, goodput) = results.into_iter().max_by(|a, b| {
-        let ga = a.2 / f64::from(a.0.num_gpus() + a.1.num_gpus());
-        let gb = b.2 / f64::from(b.0.num_gpus() + b.1.num_gpus());
-        ga.total_cmp(&gb)
-    })?;
+    let per_gpu = |((p, d), g): &((ParallelismConfig, ParallelismConfig), f64)| {
+        g / f64::from(p.num_gpus() + d.num_gpus())
+    };
+    let ((p, d), goodput) = combos
+        .into_iter()
+        .zip(goodputs)
+        .max_by(|a, b| per_gpu(a).total_cmp(&per_gpu(b)))?;
     if goodput <= 0.0 {
         return None;
     }

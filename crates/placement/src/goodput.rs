@@ -5,6 +5,15 @@
 //! finds the maximum rate that meets the SLO attainment target with
 //! simulation trials." [`max_goodput`] is that search, generic over the
 //! attainment probe (a phase simulator or the full-system simulator).
+//! `served_attainment` is the full-system probe of a fixed deployment.
+
+use distserve_cluster::Cluster;
+use distserve_engine::{InstanceSpec, ServingSim, SimConfig};
+use distserve_models::{CostModel, DType, ModelArch};
+
+use crate::alg1::SearchParams;
+use crate::slo::SloSpec;
+use crate::source::TraceSource;
 
 /// Number of requests a goodput probe at `rate` should simulate.
 ///
@@ -30,6 +39,34 @@ pub const PROBE_SECS: f64 = 60.0;
 /// Upper bound on requests per probe (keeps the search bounded even when
 /// the doubling phase visits very high rates).
 pub const MAX_PROBE_REQUESTS: usize = 8_000;
+
+/// One full-simulator probe: the SLO attainment of the fixed deployment
+/// `specs` on `cluster` serving a [`probe_count_with`]-request trace of
+/// `source` at `rate`. `0.0` when the simulator rejects the deployment.
+/// Algorithm 2 probes its units and vLLM++ its colocated instances with it.
+#[must_use]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn served_attainment(
+    cost: &dyn CostModel,
+    cluster: &Cluster,
+    arch: &ModelArch,
+    dtype: DType,
+    specs: &[InstanceSpec],
+    source: &dyn TraceSource,
+    slo: SloSpec,
+    rate: f64,
+    params: &SearchParams,
+) -> f64 {
+    let mut cfg = SimConfig::new(arch.clone());
+    cfg.dtype = dtype;
+    cfg.seed = params.seed;
+    let Ok(sim) = ServingSim::new(cfg, cost, cluster, specs.to_vec()) else {
+        return 0.0;
+    };
+    let n = probe_count_with(rate, params.probe_requests, params.probe_secs);
+    let trace = source.make_trace(rate, n, params.seed);
+    sim.run(&trace).attainment(slo.ttft, slo.tpot)
+}
 
 /// Finds the largest rate `r` (requests/second) with `probe(r) >= target`.
 ///

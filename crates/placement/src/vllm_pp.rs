@@ -7,16 +7,14 @@
 //! keeps the per-GPU best. The paper finds vLLM++ ties plain vLLM on
 //! OPT-13B — interference, not parallelism, is the bottleneck.
 
-use std::sync::Mutex;
-
 use serde::{Deserialize, Serialize};
 
 use distserve_cluster::Cluster;
-use distserve_engine::{InstanceRole, InstanceSpec, ServingSim, SimConfig};
+use distserve_engine::{InstanceRole, InstanceSpec};
 use distserve_models::{CostModel, DType, ModelArch, ParallelismConfig};
 
 use crate::alg1::SearchParams;
-use crate::goodput::{max_goodput, probe_count_with};
+use crate::goodput::{max_goodput, served_attainment};
 use crate::slo::SloSpec;
 use crate::source::TraceSource;
 
@@ -73,33 +71,6 @@ pub fn coloc_spec(cluster: &Cluster, par: ParallelismConfig) -> Result<InstanceS
     InstanceSpec::new(InstanceRole::Colocated, par, stages)
 }
 
-/// Measures a colocated config's attainment at `rate`.
-#[allow(clippy::too_many_arguments)]
-fn coloc_attainment(
-    cost: &dyn CostModel,
-    cluster: &Cluster,
-    arch: &ModelArch,
-    dtype: DType,
-    par: ParallelismConfig,
-    source: &dyn TraceSource,
-    slo: SloSpec,
-    rate: f64,
-    params: &SearchParams,
-) -> f64 {
-    let Ok(spec) = coloc_spec(cluster, par) else {
-        return 0.0;
-    };
-    let mut cfg = SimConfig::new(arch.clone());
-    cfg.dtype = dtype;
-    cfg.seed = params.seed;
-    let Ok(sim) = ServingSim::new(cfg, cost, cluster, vec![spec]) else {
-        return 0.0;
-    };
-    let n = probe_count_with(rate, params.probe_requests, params.probe_secs);
-    let trace = source.make_trace(rate, n, params.seed);
-    sim.run(&trace).attainment(slo.ttft, slo.tpot)
-}
-
 /// Measures the goodput of a *fixed* colocated parallelism — this is
 /// plain vLLM with the paper's default settings.
 #[must_use]
@@ -114,8 +85,12 @@ pub fn vllm_goodput(
     slo: SloSpec,
     params: &SearchParams,
 ) -> f64 {
+    let Ok(spec) = coloc_spec(cluster, par) else {
+        return 0.0;
+    };
+    let specs = [spec];
     max_goodput(
-        |r| coloc_attainment(cost, cluster, arch, dtype, par, source, slo, r, params),
+        |r| served_attainment(cost, cluster, arch, dtype, &specs, source, slo, r, params),
         slo.target,
         0.5,
         params.search_iters,
@@ -138,34 +113,10 @@ pub fn vllm_plus_plus(
     // vLLM supports only intra-op parallelism (§6.1), so pp = 1.
     let candidates: Vec<ParallelismConfig> =
         ParallelismConfig::enumerate(arch, cluster.gpu_spec(), dtype, params.max_tp, 1);
-    if candidates.is_empty() {
-        return None;
-    }
-    let results: Mutex<Vec<(ParallelismConfig, f64)>> = Mutex::new(Vec::new());
-    let next: Mutex<usize> = Mutex::new(0);
-    let workers = params.worker_count(candidates.len());
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let idx = {
-                    let mut n = next.lock().expect("counter lock");
-                    let idx = *n;
-                    *n += 1;
-                    idx
-                };
-                if idx >= candidates.len() {
-                    break;
-                }
-                let par = candidates[idx];
-                let g = vllm_goodput(cost, cluster, arch, dtype, par, source, slo, params);
-                results.lock().expect("results lock").push((par, g));
-            });
-        }
+    let goodputs = params.evaluate(&candidates, |&par| {
+        vllm_goodput(cost, cluster, arch, dtype, par, source, slo, params)
     });
-
-    let mut results = results.into_inner().expect("results lock");
-    results.sort_by_key(|(par, _)| (par.tp, par.pp));
-    let (par, goodput) = results.into_iter().max_by(|a, b| {
+    let (par, goodput) = candidates.into_iter().zip(goodputs).max_by(|a, b| {
         (a.1 / f64::from(a.0.num_gpus())).total_cmp(&(b.1 / f64::from(b.0.num_gpus())))
     })?;
     if goodput <= 0.0 {

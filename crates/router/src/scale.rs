@@ -1,6 +1,6 @@
 //! Cluster-scale routed serving simulator.
 //!
-//! The engine's token-granular simulator ([`distserve_engine`]-level
+//! The engine's token-granular simulator (`distserve_engine`-level
 //! fidelity) prices every decode iteration; that is the right tool for
 //! latency attribution but caps out far below the request volumes a
 //! frontend tier must be tested at. This module trades token granularity
@@ -13,7 +13,7 @@
 //! Hot-path design, per the profile of `engine/src/sim.rs`:
 //!
 //! - **No per-request allocation.** In-flight requests live in a pooled
-//!   slab ([`ScaleSim::pool`]) with an intrusive free list; the decision
+//!   slab (`ScaleSim::pool`) with an intrusive free list; the decision
 //!   log, records, and hash maps of the engine path are all absent.
 //! - **One pass per role.** Load changes edit the router's snapshots in
 //!   place ([`RouterState::update`], O(1)) instead of rebuilding the

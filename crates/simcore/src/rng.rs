@@ -6,8 +6,6 @@
 //! independent child generator from a parent seed and a label, so each
 //! simulation component owns its own stream and never perturbs another's.
 
-use rand::RngCore;
-
 /// SplitMix64 step: advances the state and returns the next 64-bit output.
 #[inline]
 fn splitmix64(state: &mut u64) -> u64 {
@@ -21,23 +19,21 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// A deterministic, splittable pseudo-random generator.
 ///
 /// Internally this is xoshiro256++ seeded via SplitMix64, the construction
-/// recommended by the xoshiro authors. It implements [`rand::RngCore`], so
-/// it composes with the `rand` ecosystem.
+/// recommended by the xoshiro authors.
 ///
 /// # Examples
 ///
 /// ```
 /// use distserve_simcore::SimRng;
-/// use rand::Rng;
 ///
 /// let mut a = SimRng::seed(42);
 /// let mut b = SimRng::seed(42);
-/// assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+/// assert_eq!(a.next_u64_raw(), b.next_u64_raw());
 ///
 /// // Children with different labels produce independent streams.
 /// let mut c1 = SimRng::seed(42).split("arrivals");
 /// let mut c2 = SimRng::seed(42).split("lengths");
-/// assert_ne!(c1.gen::<u64>(), c2.gen::<u64>());
+/// assert_ne!(c1.next_u64_raw(), c2.next_u64_raw());
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimRng {
@@ -139,28 +135,6 @@ impl SimRng {
     }
 }
 
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64_raw() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.next_u64_raw()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64_raw().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,13 +213,5 @@ mod tests {
             let dev = (f64::from(c) - f64::from(expected)).abs() / f64::from(expected);
             assert!(dev < 0.05, "bucket deviates {dev}");
         }
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut rng = SimRng::seed(8);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

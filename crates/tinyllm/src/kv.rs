@@ -105,7 +105,7 @@ pub struct PagedKv {
 impl Clone for PagedKv {
     /// Deep copy: the clone gets its own storage allocation, never a
     /// shared handle — two caches must not see each other's writes, and
-    /// a shared handle would also pin [`Self::storage_mut`]'s
+    /// a shared handle would also pin `Self::storage_mut`'s
     /// exclusivity check.
     fn clone(&self) -> Self {
         PagedKv {

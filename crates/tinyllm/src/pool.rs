@@ -4,14 +4,14 @@
 //! shared by clones of that model. It serves two job kinds:
 //!
 //! - **GEMM strips** — the N dimension of a packed GEMM is split into
-//!   [`NR`]-aligned column strips, one per lane. Workers compute their
+//!   `NR`-aligned column strips, one per lane. Workers compute their
 //!   strips into recycled per-worker buffers; the calling thread computes
 //!   strip 0 directly into the destination (using the stride-aware
 //!   kernel) and then gathers the worker strips. Because every output
 //!   element's multiply-add chain is independent of the strip split
 //!   (`tensor.rs` invariant), threaded output is bit-identical to serial.
 //! - **Attention rows** — batched fused attention farms contiguous row
-//!   ranges to workers. Inputs are staged into an [`AttnStage`] (query
+//!   ranges to workers. Inputs are staged into an `AttnStage` (query
 //!   rows, per-row block tables, cache geometry) plus an `Arc` read
 //!   handle on the KV storage (bf16 bits), so jobs are `'static` without `unsafe`
 //!   (the workspace denies it).

@@ -44,9 +44,12 @@ impl Sampler {
             assert!(k > 0, "top-k needs k >= 1");
             assert!(temperature > 0.0, "temperature must be positive");
         }
+        // Mixing the seed keeps streams apart: a linear start such as
+        // `seed·γ` would make seed `s + k` replay seed `s`'s stream `k`
+        // draws later.
         Sampler {
             strategy,
-            state: seed.wrapping_mul(GAMMA) | 1,
+            state: splitmix(seed),
         }
     }
 
@@ -138,6 +141,35 @@ mod tests {
         };
         assert_eq!(draw(11), draw(11));
         assert_ne!(draw(11), draw(12));
+    }
+
+    #[test]
+    fn nearby_seeds_draw_unrelated_streams() {
+        let draw = |seed| {
+            let mut s = Sampler::new(
+                Sampling::TopK {
+                    k: 8,
+                    temperature: 1.0,
+                },
+                seed,
+            );
+            (0..64).map(|_| s.sample(&[0.0; 8])).collect::<Vec<_>>()
+        };
+        for (a, b) in [(1, 3), (10, 12)] {
+            let (da, db) = (draw(a), draw(b));
+            for shift in 1..=8 {
+                assert_ne!(
+                    da[shift..],
+                    db[..64 - shift],
+                    "seed {b} replays seed {a} shifted by {shift}"
+                );
+                assert_ne!(
+                    db[shift..],
+                    da[..64 - shift],
+                    "seed {a} replays seed {b} shifted by {shift}"
+                );
+            }
+        }
     }
 
     #[test]

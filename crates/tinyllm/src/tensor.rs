@@ -5,7 +5,7 @@
 //! is the performance tier: weights in a k-major (input-dim contiguous)
 //! layout (for the projections, the reference matrix's own storage,
 //! shared rather than copied), multiplied by register-tiled kernels
-//! ([`MR`] rows × [`NR`] outputs of accumulators held across the k-loop)
+//! (`MR` rows × `NR` outputs of accumulators held across the k-loop)
 //! that write into caller-owned scratch — no per-call allocation, no
 //! data-dependent branches in the inner loops. tinyllm owns a real
 //! performance budget (the bench crate records its trajectory in
@@ -224,7 +224,7 @@ impl PackedMatrix {
 
     /// `out = a × W` for `a` a dense `(m × k)` activation block, written
     /// into caller-owned scratch (every element overwritten). Register
-    /// tiled: [`MR`]`×`[`NR`] accumulator blocks, branch-free unit-stride
+    /// tiled: `MR`×`NR` accumulator blocks, branch-free unit-stride
     /// inner loops.
     ///
     /// # Panics

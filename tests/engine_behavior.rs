@@ -5,15 +5,18 @@
 use proptest::prelude::*;
 
 use distserve::cluster::Cluster;
+use distserve::engine::sim::InstanceStats;
 use distserve::engine::{
-    ColocatedPolicy, InstanceRole, InstanceSpec, ServingSim, SimConfig, SimOutcome,
+    ColocatedPolicy, InstanceRole, InstanceSpec, RequestRecord, ServingSim, SimConfig, SimOutcome,
 };
+use distserve::faults::{FaultSchedule, RetryPolicy, StormConfig};
 use distserve::models::{OptModel, ParallelismConfig, RooflineModel};
 use distserve::placement::TraceSource;
-use distserve::simcore::SimTime;
-use distserve::telemetry::{metrics, Recorder, Recording};
+use distserve::router::{DecisionRecord, RouterPolicy};
+use distserve::simcore::{SimRng, SimTime};
+use distserve::telemetry::{metrics, Event, Recorder, Recording, Slice};
 use distserve::workload::datasets::FixedLengths;
-use distserve::workload::{Request, RequestId, Trace};
+use distserve::workload::{Dataset, Request, RequestId, Trace, TraceBuilder};
 
 fn cost() -> RooflineModel {
     RooflineModel::a100_conservative()
@@ -430,4 +433,301 @@ proptest! {
         assert_lifecycles_complete(&snap, &trace, 1);
         assert!(snap.events.iter().all(|e| !e.kind.name().starts_with("KvMigrate")));
     }
+}
+
+// --- Golden serving outcomes ----------------------------------------
+
+/// FNV-1a over 64-bit words and strings.
+struct Fnv(u64);
+
+impl Fnv {
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn f64(&mut self, x: f64) {
+        self.word(x.to_bits());
+    }
+
+    fn time(&mut self, t: SimTime) {
+        self.f64(t.as_secs());
+    }
+
+    fn str(&mut self, s: &str) {
+        self.word(s.len() as u64);
+        for b in s.bytes() {
+            self.word(u64::from(b));
+        }
+    }
+}
+
+/// Digest of every outcome field, the routed decision log, and the
+/// recorded lifecycle-event and execution-slice streams, f64s as bit
+/// patterns. The exhaustive destructures make a new field a compile
+/// error here until it is pinned too.
+fn outcome_digest(out: &SimOutcome, log: &[DecisionRecord], rec: &Recording) -> u64 {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for r in &out.records {
+        let RequestRecord {
+            id,
+            input_len,
+            output_len,
+            arrival,
+            prefill_start,
+            first_token,
+            transfer_done,
+            decode_start,
+            completion,
+            transfer_active,
+        } = *r;
+        h.word(id.0);
+        h.word(u64::from(input_len));
+        h.word(u64::from(output_len));
+        for t in [
+            arrival,
+            prefill_start,
+            first_token,
+            transfer_done,
+            decode_start,
+            completion,
+        ] {
+            h.time(t);
+        }
+        h.f64(transfer_active);
+    }
+    for ids in [&out.rejected, &out.failed] {
+        h.word(ids.len() as u64);
+        for id in ids {
+            h.word(id.0);
+        }
+    }
+    h.time(out.makespan);
+    for s in &out.instances {
+        let InstanceStats {
+            role,
+            num_gpus,
+            busy_secs,
+            batches,
+            kv_peak_utilization,
+            tokens_out,
+            downtime_secs,
+        } = *s;
+        h.str(&format!("{role:?}"));
+        h.word(u64::from(num_gpus));
+        h.f64(busy_secs);
+        h.word(batches);
+        h.f64(kv_peak_utilization);
+        h.word(tokens_out);
+        h.f64(downtime_secs);
+    }
+    for d in log {
+        let DecisionRecord {
+            request,
+            kind,
+            target,
+            decode,
+            retry_after_secs,
+            over_capacity,
+            trace_id,
+            prefix_group,
+            matched_tokens,
+        } = *d;
+        h.word(request);
+        h.str(&format!("{kind:?}"));
+        h.word(target as u64);
+        h.word(decode as u64);
+        h.f64(retry_after_secs);
+        h.word(u64::from(over_capacity));
+        h.word(trace_id);
+        h.word(prefix_group);
+        h.word(u64::from(matched_tokens));
+    }
+    for e in &rec.events {
+        let Event {
+            request,
+            tenant,
+            time_s,
+            kind,
+        } = *e;
+        h.word(request);
+        h.word(u64::from(tenant));
+        h.f64(time_s);
+        h.str(&format!("{kind:?}"));
+    }
+    for s in &rec.slices {
+        let Slice {
+            track,
+            name,
+            start_s,
+            end_s,
+            batch,
+            tokens,
+        } = *s;
+        h.word(u64::from(track));
+        h.str(name);
+        h.f64(start_s);
+        h.f64(end_s);
+        h.word(u64::from(batch));
+        h.word(u64::from(tokens));
+    }
+    h.0
+}
+
+/// The golden deployments on the paper testbed, with each one's arrival
+/// rate and whether the router decides its dispatch. Split pairs across
+/// nodes pull KV over 25 Gbps, so transfer faults find pulls in flight.
+fn golden_deployments(c: &Cluster) -> Vec<(&'static str, Vec<InstanceSpec>, f64, bool)> {
+    let at = |role, node, gpu| {
+        InstanceSpec::new(
+            role,
+            ParallelismConfig::SINGLE,
+            vec![vec![c.gpu(node, gpu)]],
+        )
+        .unwrap()
+    };
+    let chunked = |gpu| {
+        at(InstanceRole::Colocated, 0, gpu).with_policy(ColocatedPolicy {
+            chunked_prefill: Some(256),
+            ..ColocatedPolicy::default()
+        })
+    };
+    let tp2_prefill = InstanceSpec::new(
+        InstanceRole::Prefill,
+        ParallelismConfig::new(2, 1),
+        vec![vec![c.gpu(0, 0), c.gpu(0, 1)]],
+    )
+    .unwrap();
+    let pp2_decode = InstanceSpec::new(
+        InstanceRole::Decode,
+        ParallelismConfig::new(1, 2),
+        vec![vec![c.gpu(0, 2)], vec![c.gpu(0, 3)]],
+    )
+    .unwrap();
+    vec![
+        (
+            "2P+2D",
+            vec![
+                at(InstanceRole::Prefill, 0, 0),
+                at(InstanceRole::Prefill, 0, 1),
+                at(InstanceRole::Decode, 1, 0),
+                at(InstanceRole::Decode, 1, 1),
+            ],
+            8.0,
+            false,
+        ),
+        ("tp2 P + pp2 D", vec![tp2_prefill, pp2_decode], 6.0, false),
+        (
+            "2C",
+            vec![
+                at(InstanceRole::Colocated, 0, 0),
+                at(InstanceRole::Colocated, 0, 1),
+            ],
+            4.0,
+            false,
+        ),
+        ("2C chunked", vec![chunked(0), chunked(1)], 4.0, false),
+        (
+            "routed P+D+C",
+            vec![
+                at(InstanceRole::Prefill, 0, 0),
+                at(InstanceRole::Decode, 1, 0),
+                at(InstanceRole::Decode, 1, 1),
+                at(InstanceRole::Colocated, 0, 1),
+            ],
+            6.0,
+            true,
+        ),
+    ]
+}
+
+/// Runs one golden configuration and returns `[completed, rejected,
+/// failed, digest]`. The stressed variant switches on detailed
+/// fidelity, a fault storm over every instance, a one-retry budget, the analytic
+/// prefix hit model, an admission cap (a bounded-wait queue cap when
+/// routed), and a small decode batch so the decode overflow queue
+/// engages.
+fn golden_run(specs: Vec<InstanceSpec>, rate: f64, routed: bool, stressed: bool) -> [u64; 4] {
+    const N: usize = 600;
+    let cluster = Cluster::paper_testbed();
+    let cost = RooflineModel::a100();
+    let mut rng = SimRng::seed(2024);
+    let trace = TraceBuilder::new(Dataset::ShareGpt.sampler())
+        .rate(rate)
+        .num_requests(N)
+        .build(&mut rng);
+    let mut cfg = SimConfig::new(OptModel::Opt13B.arch()).with_seed(11);
+    let mut storm = FaultSchedule::new();
+    let mut retry = RetryPolicy::default();
+    let mut policy = RouterPolicy::default();
+    if stressed {
+        cfg = cfg
+            .detailed()
+            .with_prefix_model(0.5, 0.6)
+            .with_admission_cap(6);
+        cfg.max_decode_batch = 12;
+        storm = FaultSchedule::storm(
+            17,
+            &StormConfig {
+                horizon_secs: N as f64 / rate,
+                count: 30,
+                instances: specs.len(),
+                mean_downtime_secs: 8.0,
+            },
+        );
+        retry.max_retries = 1;
+        policy = RouterPolicy {
+            queue_cap: 4,
+            max_wait_secs: 0.5,
+            retry_gap_secs: 0.1,
+            ..policy
+        };
+    }
+    let sim = if routed {
+        ServingSim::new_routed(cfg, &cost, &cluster, specs, policy)
+    } else {
+        ServingSim::new(cfg, &cost, &cluster, specs)
+    };
+    let rec = Recorder::new();
+    let (out, log) = sim
+        .unwrap()
+        .with_faults(&storm, retry)
+        .with_sink(&rec)
+        .run_logged(&trace);
+    let digest = outcome_digest(&out, &log, &rec.snapshot());
+    [
+        out.records.len() as u64,
+        out.rejected.len() as u64,
+        out.failed.len() as u64,
+        digest,
+    ]
+}
+
+/// Golden `ServingSim` outcomes for every dispatch path: split,
+/// tensor/pipeline-parallel split, colocated, chunked colocated and
+/// routed, each ideal and stressed. Any change to dispatch order, jitter
+/// draws, fault recovery or telemetry emission order moves a digest.
+#[test]
+fn serving_sim_outcomes_match_golden() {
+    let cluster = Cluster::paper_testbed();
+    let got: Vec<(&str, [u64; 4])> = golden_deployments(&cluster)
+        .into_iter()
+        .flat_map(|(name, specs, rate, routed)| {
+            [false, true].map(|stressed| (name, golden_run(specs.clone(), rate, routed, stressed)))
+        })
+        .collect();
+    let expected: [(&str, [u64; 4]); 10] = [
+        ("2P+2D", [600, 0, 0, 0x2724_2c82_201e_6eb4]),
+        ("2P+2D", [395, 99, 106, 0xe32b_1a3c_1dd8_84d6]),
+        ("tp2 P + pp2 D", [600, 0, 0, 0x1c06_2176_2f80_527a]),
+        ("tp2 P + pp2 D", [511, 83, 6, 0x6d0b_5307_518c_50a8]),
+        ("2C", [600, 0, 0, 0xf4b4_7b85_0086_b2ac]),
+        ("2C", [372, 218, 10, 0xa263_1360_be50_957b]),
+        ("2C chunked", [600, 0, 0, 0x872c_0cd1_b51a_2cb1]),
+        ("2C chunked", [388, 200, 12, 0xecdf_1ace_e143_a617]),
+        ("routed P+D+C", [600, 0, 0, 0xdf66_c25a_bcba_343c]),
+        ("routed P+D+C", [519, 77, 4, 0xde29_8127_6236_b1b2]),
+    ];
+    assert_eq!(got, expected);
 }
