@@ -5,7 +5,7 @@
 //! *reference* path, written for readability. The *batch* path
 //! ([`Model::forward_batch`] plus the `*_batch` layer pieces) stacks many
 //! rows — a whole prompt in prefill, one row per active sequence in fused
-//! decode — into single GEMMs over pre-packed weights ([`PackedMatrix`]),
+//! decode — into single GEMMs over panel-major weights ([`PackedMatrix`]),
 //! reusing one [`Scratch`] arena across steps so the hot loop never
 //! allocates. Both tiers read the same stored bf16 weights and K/V,
 //! widened exactly to f32, and the batch kernels accumulate in the same
@@ -38,9 +38,9 @@ pub struct BatchRow {
 }
 
 /// Per-layer weights packed for the blocked kernels (built once at
-/// model construction). Each projection is a [`Kernel`] — bf16 packed
-/// (sharing the reference [`Weights`]' storage) or int8 quantized, chosen
-/// by the model's [`Precision`].
+/// model construction). Each projection is a [`Kernel`] — bf16 (sharing
+/// the reference [`Weights`]' panel-major storage) or int8 quantized,
+/// chosen by the model's [`Precision`].
 #[derive(Debug, Clone)]
 struct PackedLayer {
     wqkv: Kernel,
@@ -462,12 +462,9 @@ impl Model {
     }
 
     /// Token `t`'s embedding, widened: column `t` of the
-    /// `(hidden × vocab)` [`Weights::embed`].
+    /// `(hidden × vocab)` [`Weights::embed`], one panel width apart.
     fn embed_col(&self, t: usize) -> impl Iterator<Item = f32> + '_ {
-        self.weights.embed.data[t..]
-            .iter()
-            .step_by(self.cfg.vocab)
-            .map(|&e| e.to_f32())
+        self.weights.embed.col(t).map(Bf16::to_f32)
     }
 
     /// Token plus learned position embedding.
@@ -1038,28 +1035,38 @@ mod tests {
     fn batched_prefill_bit_matches_reference() {
         // The whole prompt as one activation matrix must produce exactly
         // the reference token-at-a-time logits — same float ops in the
-        // same order, not merely close.
-        let m = model();
-        let prompt = [7u32, 3, 11, 4, 9];
+        // same order, not merely close. The second shape's projections
+        // and embedding end in panels narrower than 32 columns.
+        let ragged = TinyConfig {
+            layers: 2,
+            hidden: 24,
+            heads: 4,
+            ffn: 72,
+            vocab: 100,
+            max_seq: 20,
+        };
+        for m in [model(), Model::random(&ragged, 42)] {
+            let prompt = [7u32, 3, 11, 4, 9];
 
-        let mut kv_ref = m.make_kv(32, 4);
-        kv_ref.register(0);
-        let mut ref_logits = Vec::new();
-        for (pos, &t) in prompt.iter().enumerate() {
-            ref_logits = m.forward_token(0, pos, t, &mut kv_ref);
+            let mut kv_ref = m.make_kv(32, 4);
+            kv_ref.register(0);
+            let mut ref_logits = Vec::new();
+            for (pos, &t) in prompt.iter().enumerate() {
+                ref_logits = m.forward_token(0, pos, t, &mut kv_ref);
+            }
+
+            let mut kv_b = m.make_kv(32, 4);
+            kv_b.register(0);
+            let rows: Vec<BatchRow> = prompt
+                .iter()
+                .enumerate()
+                .map(|(pos, &token)| BatchRow { seq: 0, pos, token })
+                .collect();
+            let mut scratch = Scratch::new();
+            m.forward_batch(&rows, &mut kv_b, &mut scratch);
+            m.logits_batch(&[prompt.len() - 1], &mut scratch);
+            assert_eq!(scratch.logits_row(0), &ref_logits[..]);
         }
-
-        let mut kv_b = m.make_kv(32, 4);
-        kv_b.register(0);
-        let rows: Vec<BatchRow> = prompt
-            .iter()
-            .enumerate()
-            .map(|(pos, &token)| BatchRow { seq: 0, pos, token })
-            .collect();
-        let mut scratch = Scratch::new();
-        m.forward_batch(&rows, &mut kv_b, &mut scratch);
-        m.logits_batch(&[prompt.len() - 1], &mut scratch);
-        assert_eq!(scratch.logits_row(0), &ref_logits[..]);
     }
 
     #[test]

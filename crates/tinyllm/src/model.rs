@@ -1,6 +1,6 @@
 //! Model configuration and deterministic random weights.
 
-use crate::tensor::{Bf16, Matrix};
+use crate::tensor::{Bf16, Matrix, NR};
 
 /// Numeric precision of the packed weight kernels.
 ///
@@ -118,8 +118,8 @@ impl TinyConfig {
     }
 }
 
-/// Weights of one transformer layer: bf16 projections, f32 LayerNorm
-/// parameters.
+/// Weights of one transformer layer: bf16 projections, stored
+/// panel-major (see [`crate::tensor`]), and f32 LayerNorm parameters.
 #[derive(Debug, Clone)]
 pub struct LayerWeights {
     /// Fused QKV projection, `(hidden × 3·hidden)`.
@@ -141,20 +141,24 @@ pub struct LayerWeights {
 }
 
 /// Full model weights. Every matrix is stored once, as bf16; both
-/// compute tiers widen the stored values to f32.
+/// compute tiers widen the stored values to f32. Every GEMM operand (the
+/// projections and the tied embedding) is stored panel-major, the
+/// kernels' layout, so the packed kernels share this storage; `pos` is
+/// never a GEMM operand and stays row-major.
 ///
 /// [`Weights::random`] draws each matrix from its own seekable stream:
-/// matrix `k` (in field order: `embed`, `pos`, then each layer's `wqkv`,
-/// `wo`, `w1`, `w2`) is keyed by output `k + 1` of a SplitMix64
-/// generator seeded with the model seed, and its element `i` in storage
-/// order is output `i + 1` of a SplitMix64 generator seeded with that
-/// key, taken to a 24-bit uniform in ±scale and rounded once to bf16
-/// (no f32 copy exists). Any element is O(1) to draw, so the fill can
-/// split anywhere and run on several lanes with bit-identical results.
+/// matrix `m` (in field order: `embed`, `pos`, then each layer's `wqkv`,
+/// `wo`, `w1`, `w2`) is keyed by output `m + 1` of a SplitMix64
+/// generator seeded with the model seed, and its element `(k, j)` is
+/// output `k·cols + j + 1` of a SplitMix64 generator seeded with that
+/// key — its row-major index, whatever the storage layout — taken to a
+/// 24-bit uniform in ±scale and rounded once to bf16 (no f32 copy
+/// exists). Any element is O(1) to draw, so the fill can split anywhere
+/// and run on several lanes with bit-identical results.
 #[derive(Debug, Clone)]
 pub struct Weights {
     /// Token embeddings, `(hidden × vocab)`: column `t` is token `t`'s
-    /// vector. Input-major like every projection, so the tied-embedding
+    /// vector. Panel-major like every projection, so the tied-embedding
     /// logits GEMM reads this storage in place.
     pub embed: Matrix<Bf16>,
     /// Learned position embeddings, `(max_seq × hidden)`.
@@ -196,23 +200,57 @@ fn weight(bits: u64, scale: f32) -> Bf16 {
     Bf16::from_f32((u * 2.0 - 1.0) * scale)
 }
 
-/// One lane's share of one matrix: elements `first..` of the matrix
-/// keyed `key`, as bf16 bit patterns.
+/// The layout and draw of one matrix: `rows × cols` elements in storage
+/// panels of `panel` columns (`cols` when row-major), drawn in ±`scale`.
+#[derive(Clone, Copy)]
+struct Shape {
+    rows: usize,
+    cols: usize,
+    panel: usize,
+    scale: f32,
+}
+
+/// One lane's share of one matrix: storage elements `first..` of the
+/// matrix keyed `key`, as bf16 bit patterns.
 struct Run<'a> {
     key: u64,
-    scale: f32,
-    first: u64,
+    shape: Shape,
+    first: usize,
     out: &'a mut [u16],
 }
 
 impl Run<'_> {
-    /// Seeks the matrix's stream to element `first`, then steps it once
-    /// per element: a branch-free loop that vectorizes.
+    /// Fills the run one panel row at a time. A panel row holds row `k`'s
+    /// columns `j..` contiguously, so the stream seeks once, to element
+    /// `k·cols + j`, and then steps once per element: a branch-free loop
+    /// that vectorizes.
     fn fill(self) {
-        let mut state = self.key.wrapping_add(self.first.wrapping_mul(GAMMA));
-        for v in self.out {
-            state = state.wrapping_add(GAMMA);
-            *v = weight(splitmix(state), self.scale).to_bits();
+        let Shape {
+            rows,
+            cols,
+            panel,
+            scale,
+        } = self.shape;
+        // Every panel before the one holding `first` is full width.
+        let mut lo = self.first / (rows * panel) * panel;
+        let mut width = panel.min(cols - lo);
+        let off = self.first - lo * rows;
+        let (mut k, mut c) = (off / width, off % width);
+        let mut out = self.out;
+        while !out.is_empty() {
+            let (seg, rest) = out.split_at_mut((width - c).min(out.len()));
+            let at = (k * cols + lo + c) as u64;
+            let mut state = self.key.wrapping_add(at.wrapping_mul(GAMMA));
+            for v in seg {
+                state = state.wrapping_add(GAMMA);
+                *v = weight(splitmix(state), scale).to_bits();
+            }
+            out = rest;
+            (k, c) = (k + 1, 0);
+            if k == rows {
+                (lo, k) = (lo + width, 0);
+                width = panel.min(cols - lo);
+            }
         }
     }
 }
@@ -243,29 +281,41 @@ impl Weights {
         let h = cfg.hidden;
         let att_scale = 0.5 / (h as f32).sqrt();
         let ffn_scale = 0.5 / (cfg.ffn as f32).sqrt();
-        // (rows, cols, scale) of every matrix, in key order.
-        let mut shapes = vec![(h, cfg.vocab, 0.1), (cfg.max_seq, h, 0.05)];
+        // Every matrix, in key order: the GEMM operands panel-major,
+        // `pos` row-major.
+        let gemm = |rows, cols: usize, scale| Shape {
+            rows,
+            cols,
+            panel: NR.min(cols),
+            scale,
+        };
+        let mut shapes = vec![
+            gemm(h, cfg.vocab, 0.1),
+            Shape {
+                rows: cfg.max_seq,
+                cols: h,
+                panel: h,
+                scale: 0.05,
+            },
+        ];
         for _ in 0..cfg.layers {
             shapes.extend([
-                (h, 3 * h, att_scale),
-                (h, h, att_scale),
-                (h, cfg.ffn, att_scale),
-                (cfg.ffn, h, ffn_scale),
+                gemm(h, 3 * h, att_scale),
+                gemm(h, h, att_scale),
+                gemm(h, cfg.ffn, att_scale),
+                gemm(cfg.ffn, h, ffn_scale),
             ]);
         }
         // Raw bits, so each matrix is allocated as zeroed memory that the
         // OS maps in only as a lane first writes it: the page faults
         // split across lanes like the draw.
-        let mut data: Vec<Vec<u16>> = shapes
-            .iter()
-            .map(|&(rows, cols, _)| vec![0; rows * cols])
-            .collect();
+        let mut data: Vec<Vec<u16>> = shapes.iter().map(|s| vec![0; s.rows * s.cols]).collect();
 
         let total: usize = data.iter().map(Vec::len).sum();
         let per_lane = total.div_ceil(lanes);
         let mut work: Vec<Vec<Run>> = (0..lanes).map(|_| Vec::new()).collect();
         let (mut lane, mut room) = (0, per_lane);
-        for (k, (m, &(_, _, scale))) in data.iter_mut().zip(&shapes).enumerate() {
+        for (k, (m, &shape)) in data.iter_mut().zip(&shapes).enumerate() {
             let key = splitmix_at(seed, k as u64 + 1);
             let (mut rest, mut first) = (m.as_mut_slice(), 0);
             while !rest.is_empty() {
@@ -274,10 +324,10 @@ impl Weights {
                 }
                 let (out, tail) = rest.split_at_mut(room.min(rest.len()));
                 room -= out.len();
-                let len = out.len() as u64;
+                let len = out.len();
                 work[lane].push(Run {
                     key,
-                    scale,
+                    shape,
                     first,
                     out,
                 });
@@ -293,9 +343,14 @@ impl Weights {
             own.into_iter().for_each(Run::fill);
         });
 
-        let mut mats = data.into_iter().zip(shapes).map(|(m, (rows, cols, _))| {
+        let mut mats = data.into_iter().zip(shapes).map(|(m, s)| {
             // Reuses the allocation: `from_bits` is the identity.
-            Matrix::from_vec(rows, cols, m.into_iter().map(Bf16::from_bits).collect())
+            let m = m.into_iter().map(Bf16::from_bits).collect();
+            if s.panel == s.cols {
+                Matrix::from_vec(s.rows, s.cols, m)
+            } else {
+                Matrix::from_panels(s.rows, s.cols, m)
+            }
         });
         let mut next = || mats.next().expect("one matrix per shape");
         let (embed, pos) = (next(), next());
@@ -376,6 +431,19 @@ mod tests {
         }
     }
 
+    /// A shape whose GEMM weights end in narrow panels: 72 and 100
+    /// columns are not multiples of 32.
+    fn ragged() -> TinyConfig {
+        TinyConfig {
+            layers: 2,
+            hidden: 24,
+            heads: 4,
+            ffn: 72,
+            vocab: 100,
+            max_seq: 20,
+        }
+    }
+
     /// Every matrix, in key order.
     fn matrices(w: &Weights) -> Vec<&Matrix<Bf16>> {
         let mut out = vec![&w.embed, &w.pos];
@@ -404,26 +472,31 @@ mod tests {
 
     #[test]
     fn every_element_is_its_stream_output() {
-        // Element i of matrix k is output i + 1 of the stream keyed by
-        // output k + 1 of the seed's stream, stepped here sequentially.
-        let cfg = TinyConfig::tiny();
+        // Element (r, c) of matrix k is output r·cols + c + 1 of the
+        // stream keyed by output k + 1 of the seed's stream, stepped here
+        // sequentially in row-major order and read back through the
+        // accessor, whatever the storage layout.
         let seed = 42;
-        let w = Weights::random(&cfg, seed);
-        let att = 0.5 / (cfg.hidden as f32).sqrt();
-        let ffn = 0.5 / (cfg.ffn as f32).sqrt();
-        let mut keys = SplitMix64(seed);
-        let keys: Vec<u64> = (0..2 + 4 * cfg.layers).map(|_| keys.next()).collect();
-        // embed, pos, layer 0's w2, layer 1's wqkv.
-        for (k, scale) in [(0, 0.1), (1, 0.05), (5, ffn), (6, att)] {
-            let m = matrices(&w)[k];
-            let mut g = SplitMix64(keys[k]);
-            // Rounding is monotonic, so |x| ≤ scale bounds the stored
-            // value by scale rounded to bf16.
-            let bound = Bf16::from_f32(scale).to_f32();
-            for (i, v) in m.data.iter().enumerate() {
-                let want = weight(g.next(), scale);
-                assert_eq!(v.to_bits(), want.to_bits(), "matrix {k} element {i}");
-                assert!(v.to_f32().abs() <= bound, "matrix {k} element {i}");
+        for cfg in [TinyConfig::tiny(), ragged()] {
+            let w = Weights::random(&cfg, seed);
+            let att = 0.5 / (cfg.hidden as f32).sqrt();
+            let ffn = 0.5 / (cfg.ffn as f32).sqrt();
+            let mut keys = SplitMix64(seed);
+            let keys: Vec<u64> = (0..2 + 4 * cfg.layers).map(|_| keys.next()).collect();
+            // embed, pos, layer 0's w2, layer 1's wqkv.
+            for (k, scale) in [(0, 0.1), (1, 0.05), (5, ffn), (6, att)] {
+                let m = matrices(&w)[k];
+                let mut g = SplitMix64(keys[k]);
+                // Rounding is monotonic, so |x| ≤ scale bounds the stored
+                // value by scale rounded to bf16.
+                let bound = Bf16::from_f32(scale).to_f32();
+                for r in 0..m.rows {
+                    for c in 0..m.cols {
+                        let (v, want) = (m.at(r, c), weight(g.next(), scale));
+                        assert_eq!(v.to_bits(), want.to_bits(), "matrix {k} ({r}, {c})");
+                        assert!(v.to_f32().abs() <= bound, "matrix {k} ({r}, {c})");
+                    }
+                }
             }
         }
     }
@@ -432,14 +505,15 @@ mod tests {
     fn weights_are_lane_invariant() {
         // tiny() has 36,864 weight elements: 2 lanes cut inside layer 0's
         // w1, 3 lanes only at matrix ends, and 7 lanes cut runs of 5,267
-        // (the last 5,262) inside matrices.
-        let cfg = TinyConfig::tiny();
-        let one = Weights::random(&cfg, 42);
-        for lanes in [1, 2, 3, 7] {
-            let many = Weights::random_split(&cfg, 42, lanes);
-            for (a, b) in matrices(&one).into_iter().zip(matrices(&many)) {
-                assert_eq!((a.rows, a.cols), (b.rows, b.cols));
-                assert_eq!(a.data, b.data, "{lanes} lanes");
+        // (the last 5,262) inside matrices. ragged()'s runs also start
+        // and end inside narrow panels.
+        for cfg in [TinyConfig::tiny(), ragged()] {
+            let one = Weights::random(&cfg, 42);
+            for lanes in [1, 2, 3, 7] {
+                let many = Weights::random_split(&cfg, 42, lanes);
+                for (a, b) in matrices(&one).into_iter().zip(matrices(&many)) {
+                    assert_eq!(a, b, "{lanes} lanes");
+                }
             }
         }
     }

@@ -4,7 +4,8 @@
 //! shared by clones of that model. It serves two job kinds:
 //!
 //! - **GEMM strips** — the N dimension of a packed GEMM is split into
-//!   `NR`-aligned column strips, one per lane. Workers compute their
+//!   column strips that start on weight-panel boundaries, one per lane.
+//!   Workers compute their
 //!   strips into recycled per-worker buffers; the calling thread computes
 //!   strip 0 directly into the destination (using the stride-aware
 //!   kernel) and then gathers the worker strips. Because every output
@@ -19,6 +20,13 @@
 //! Workers only run kernels and never dispatch, so a job can never wait
 //! on the pool it runs in.
 //!
+//! A forward pass dispatches ~31 times, a few hundred microseconds
+//! apart, and waking a thread blocked in the kernel costs tens of
+//! microseconds. So a waiting thread — a worker between jobs, or the
+//! dispatcher gathering strips — first polls its channel for `SPIN`,
+//! yielding the core on each miss, and only then blocks. The yield keeps
+//! an oversubscribed pool (more lanes than cores) moving.
+//!
 //! The hot path stays zero-alloc at steady state: staged activation and
 //! attention buffers live in `Arc`s that are exclusively reclaimed
 //! between dispatches (workers drop their handles before signaling
@@ -26,10 +34,10 @@
 //! through the channel round-trip.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, RecvError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use distserve_prof as prof;
 
@@ -43,6 +51,11 @@ const GEMM_PAR_MIN: usize = 32 * 1024;
 /// Minimum score+value multiply-adds before attention rows are farmed
 /// out.
 const ATTN_PAR_MIN: usize = 16 * 1024;
+
+/// How long a waiting thread polls its channel before it blocks: longer
+/// than the gap between a forward pass's dispatches, short enough that
+/// an idle pool stops burning its cores at once.
+const SPIN: Duration = Duration::from_micros(200);
 
 /// One unit of work sent to a worker.
 enum Job {
@@ -67,12 +80,15 @@ enum Job {
 
 /// Cumulative per-worker time accounting, written by the worker thread
 /// with relaxed stores and read by [`WorkerPool::utilization`]. Busy is
-/// time executing a job; idle is time blocked on the queue.
+/// time executing a job; idle is time waiting for one, polling or
+/// blocked.
 #[derive(Debug, Default)]
 struct WorkerStats {
     busy_ns: AtomicU64,
     idle_ns: AtomicU64,
     jobs: AtomicU64,
+    /// Waits that outlasted `SPIN` and blocked.
+    blocks: AtomicU64,
 }
 
 /// One worker's utilization snapshot (see [`PoolUtilization`]).
@@ -80,7 +96,7 @@ struct WorkerStats {
 pub struct WorkerUtil {
     /// Seconds spent executing jobs since the worker spawned.
     pub busy_s: f64,
-    /// Seconds spent blocked waiting for work.
+    /// Seconds spent waiting for work, polling or blocked.
     pub idle_s: f64,
     /// Jobs completed.
     pub jobs: u64,
@@ -174,11 +190,36 @@ impl PoolInner {
     }
 }
 
+/// Polls `rx` for up to `SPIN`, yielding the core on each miss. `Empty`
+/// means the window passed with nothing sent.
+fn poll<T>(rx: &Receiver<T>) -> Result<T, TryRecvError> {
+    let start = Instant::now();
+    loop {
+        match rx.try_recv() {
+            Err(TryRecvError::Empty) if start.elapsed() < SPIN => std::thread::yield_now(),
+            got => return got,
+        }
+    }
+}
+
+/// Receives from `rx`: polls for `SPIN`, then blocks.
+fn recv<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
+    poll(rx).or_else(|_| rx.recv())
+}
+
 fn worker_loop(jobs: &Receiver<Job>, out: &Sender<Vec<f32>>, stats: &WorkerStats) {
     let mut attn_scr = AttnScratch::default();
     loop {
         let waited = Instant::now();
-        let Ok(job) = jobs.recv() else { break };
+        let job = match poll(jobs) {
+            Ok(job) => job,
+            Err(TryRecvError::Empty) => {
+                stats.blocks.fetch_add(1, Ordering::Relaxed);
+                let Ok(job) = jobs.recv() else { break };
+                job
+            }
+            Err(TryRecvError::Disconnected) => break,
+        };
         stats
             .idle_ns
             .fetch_add(elapsed_ns(waited), Ordering::Relaxed);
@@ -328,8 +369,8 @@ impl WorkerPool {
         }
         let mut guard = self.inner.lock().expect("pool lock");
         let inner = &mut *guard;
-        // NR-aligned strip boundaries; every strip is non-empty because
-        // `lanes <= width / NR`.
+        // Strip boundaries on weight panels (`NR` columns each); every
+        // strip is non-empty because `lanes <= width / NR`.
         let bound = |i: usize| {
             if i == lanes {
                 width
@@ -370,7 +411,7 @@ impl WorkerPool {
             let sw = hi - lo;
             let worker = &mut inner.workers[lane - 1];
             let waited = Instant::now();
-            let strip = worker.rx.recv().expect("pool worker completed");
+            let strip = recv(&worker.rx).expect("pool worker completed");
             wait_ns += elapsed_ns(waited);
             for r in 0..m {
                 out[r * width + lo..r * width + hi].copy_from_slice(&strip[r * sw..(r + 1) * sw]);
@@ -447,7 +488,7 @@ impl WorkerPool {
             let (lo, hi) = (bound(lane), bound(lane + 1));
             let worker = &mut inner.workers[lane - 1];
             let waited = Instant::now();
-            let strip = worker.rx.recv().expect("pool worker completed");
+            let strip = recv(&worker.rx).expect("pool worker completed");
             wait_ns += elapsed_ns(waited);
             out[lo * width..hi * width].copy_from_slice(&strip);
             worker.spare = Some(strip);
@@ -549,5 +590,34 @@ mod tests {
             assert!((0.0..=1.0).contains(&wk.busy_frac()));
         }
         assert!(u.dispatch_wait_s >= 0.0);
+    }
+
+    #[test]
+    fn idle_workers_block_and_drop_joins_them() {
+        let (m, k, n) = (16, 96, 512);
+        let a = test_act(m, k);
+        let w = Kernel::F32(PackedMatrix::pack(&test_weight(k, n)));
+        let pool = WorkerPool::new(3);
+        let mut out = vec![0.0; m * n];
+        pool.gemm(&w, &a, m, &mut out);
+        // Far past the spin window: every worker has stopped polling.
+        std::thread::sleep(SPIN * 50);
+        let stats: Vec<Arc<WorkerStats>> = {
+            let inner = pool.inner.lock().expect("pool lock");
+            inner.workers.iter().map(|w| Arc::clone(&w.stats)).collect()
+        };
+        assert_eq!(stats.len(), 2);
+        for (i, s) in stats.iter().enumerate() {
+            assert!(s.blocks.load(Ordering::Relaxed) >= 1, "worker {i} blocked");
+        }
+        // A blocked worker still wakes for the next dispatch.
+        pool.gemm(&w, &a, m, &mut out);
+        drop(pool);
+        // Each worker thread owns the other handle on its stats; joined
+        // threads have dropped theirs.
+        for (i, s) in stats.iter().enumerate() {
+            assert_eq!(s.jobs.load(Ordering::Relaxed), 2, "worker {i}");
+            assert_eq!(Arc::strong_count(s), 1, "worker {i} joined");
+        }
     }
 }

@@ -2,30 +2,42 @@
 //!
 //! Two tiers live here. [`Matrix`] is the readable reference
 //! implementation that the property tests compare against. [`PackedMatrix`]
-//! is the performance tier: weights in a k-major (input-dim contiguous)
-//! layout (for the projections, the reference matrix's own storage,
-//! shared rather than copied), multiplied by register-tiled kernels
-//! (`MR` rows × `NR` outputs of accumulators held across the k-loop)
-//! that write into caller-owned scratch — no per-call allocation, no
-//! data-dependent branches in the inner loops. tinyllm owns a real
-//! performance budget (the bench crate records its trajectory in
-//! `BENCH_tinyllm.json`); the simulation crates model timing, this crate
-//! has to earn it.
+//! is the performance tier: one register-tiled panel walk (`MR` rows ×
+//! `NR` outputs of accumulators held across the k-loop) that writes into
+//! caller-owned scratch — no per-call allocation, no data-dependent
+//! branches in the inner loops. tinyllm owns a real performance budget
+//! (the bench crate records its trajectory in `BENCH_tinyllm.json`); the
+//! simulation crates model timing, this crate has to earn it.
+//!
+//! Every GEMM weight is stored *panel-major*, and that storage is the
+//! model's only copy of it. The columns are cut into panels of `NR` = 32
+//! outputs, and each panel is stored k-major and contiguous: `k` rows of
+//! 32 elements, the last panel narrower when 32 does not divide the
+//! column count. A register tile covers exactly one panel, so its weights
+//! arrive as one sequential stream, one 64-byte line of bf16 per k step,
+//! where a row-major `(k × n)` matrix puts each step's segment `n`
+//! elements past the last one. The kernels walk panels in the outer loop
+//! and row bands in the inner loop, so a panel that one band pulled into
+//! cache serves every other band of the batch. The reference tier reads
+//! the same storage through [`Matrix::row_runs`], [`Matrix::col`] and
+//! [`Matrix::at`].
 //!
 //! Weights are stored as [`Bf16`] and every operation computes in f32:
 //! both tiers widen the same stored values exactly, so storage precision
 //! never separates them. Every packed kernel accumulates each output
-//! element over `k` in ascending order with a single accumulator — the
-//! same association the reference `Matrix::matmul` uses — so the fast
-//! path is bit-compatible with the reference path, not merely close. That
-//! invariant is also why the worker pool (`pool.rs`) can split the N
-//! dimension across threads freely: each output element's multiply-add
-//! chain never depends on which column strip it lands in, so threaded
-//! output is bit-identical to single-threaded, not merely close.
+//! element over `k` in ascending order with a single accumulator (a
+//! multiply, then an add; never fused) — the same association the
+//! reference `Matrix::matmul` uses — so the fast path is bit-compatible
+//! with the reference path, not merely close. That invariant is also why
+//! the worker pool (`pool.rs`) can split the N dimension across threads
+//! freely: each output element's multiply-add chain never depends on
+//! which column strip it lands in, so threaded output is bit-identical to
+//! single-threaded, not merely close.
 //!
 //! [`QuantMatrix`] is the int8 tier: per-output-channel symmetric
-//! quantization done once at pack time, dequantized in-register inside
-//! the same 4×16 microkernel. See its docs for the error bound.
+//! quantization done once at pack time, codes in the same panel layout,
+//! dequantized in-register by the same walk. See its docs for the error
+//! bound.
 
 use std::sync::Arc;
 
@@ -82,41 +94,137 @@ impl From<Bf16> for f32 {
     }
 }
 
-/// A row-major matrix (reference tier): `f32` activations, or stored
-/// [`Bf16`] weights. The elements sit behind an [`Arc`] so a weight's
-/// kernel ([`PackedMatrix::pack`]) shares its storage instead of copying
-/// it; writers go through [`Arc::make_mut`], which copies only storage
-/// that is actually shared.
+/// A matrix (reference tier): `f32` activations, or stored [`Bf16`]
+/// weights. Activations are row-major. GEMM weights are panel-major:
+/// their columns are cut into 32-wide panels, each stored k-major and
+/// contiguous (the module docs give the reason). A matrix of at most 32
+/// columns is a single panel, where the two layouts coincide.
+/// [`Matrix::at`], [`Matrix::col`], [`Matrix::row_runs`] and
+/// [`Matrix::matmul`] read either layout; [`Matrix::row`] needs rows to
+/// be contiguous.
+///
+/// The elements sit behind an [`Arc`] so a weight's kernel
+/// ([`PackedMatrix::pack`]) shares its storage instead of copying it;
+/// writers go through [`Arc::make_mut`], which copies only storage that
+/// is actually shared.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix<T = f32> {
     /// Number of rows.
     pub rows: usize,
     /// Number of columns.
     pub cols: usize,
-    /// Row-major elements, `rows * cols` long.
+    /// Elements in storage order, `rows * cols` long.
     pub data: Arc<Vec<T>>,
+    /// Columns per storage panel, in `1..=cols`: `cols` when row-major,
+    /// `NR` when panel-major.
+    panel: usize,
 }
 
 impl<T> Matrix<T> {
-    /// Wraps existing data.
+    /// Wraps existing row-major data.
     ///
     /// # Panics
     ///
     /// Panics if `data.len() != rows * cols`.
     #[must_use]
     pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Self {
+        Matrix::with_panel(rows, cols, Arc::new(data), cols)
+    }
+
+    /// Wraps existing panel-major data: 32-column panels in column
+    /// order, each `rows` rows of its width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != rows * cols`.
+    #[must_use]
+    pub fn from_panels(rows: usize, cols: usize, data: Vec<T>) -> Self {
+        Matrix::with_panel(rows, cols, Arc::new(data), NR)
+    }
+
+    fn with_panel(rows: usize, cols: usize, data: Arc<Vec<T>>, panel: usize) -> Self {
         assert_eq!(data.len(), rows * cols, "shape mismatch");
         Matrix {
             rows,
             cols,
-            data: Arc::new(data),
+            data,
+            panel: panel.min(cols).max(1),
         }
     }
 
+    /// Whether every row is contiguous in storage.
+    fn rows_contiguous(&self) -> bool {
+        self.panel >= self.cols
+    }
+
+    /// Storage index of element `(r, c)`: every panel before `c`'s is
+    /// full width.
+    fn index(&self, r: usize, c: usize) -> usize {
+        let lo = c / self.panel * self.panel;
+        lo * self.rows + r * self.panel.min(self.cols - lo) + (c - lo)
+    }
+
     /// Immutable row view.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix is panel-major with more than one panel.
     #[must_use]
     pub fn row(&self, r: usize) -> &[T] {
+        assert!(self.rows_contiguous(), "row view of a panel-major matrix");
         &self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// Each storage panel as `(first column, width, elements)`, in column
+    /// order; the elements are `rows × width`, row-major within the
+    /// panel. A row-major matrix is one panel.
+    pub fn panels(&self) -> impl Iterator<Item = (usize, usize, &[T])> + '_ {
+        (0..self.cols).step_by(self.panel).map(move |lo| {
+            let w = self.panel.min(self.cols - lo);
+            (lo, w, &self.data[lo * self.rows..][..self.rows * w])
+        })
+    }
+
+    /// Row `r` as contiguous storage runs in column order: the whole row
+    /// when row-major, one run per panel when panel-major.
+    pub fn row_runs(&self, r: usize) -> impl Iterator<Item = &[T]> + '_ {
+        self.panels().map(move |(_, w, p)| &p[r * w..][..w])
+    }
+}
+
+impl<T: Copy> Matrix<T> {
+    /// Element `(r, c)`.
+    #[must_use]
+    pub fn at(&self, r: usize, c: usize) -> T {
+        self.data[self.index(r, c)]
+    }
+
+    /// Column `c`, top to bottom: a strided read, one panel width apart.
+    pub fn col(&self, c: usize) -> impl Iterator<Item = T> + '_ {
+        let lo = c / self.panel * self.panel;
+        let stride = self.panel.min(self.cols - lo);
+        self.data[self.index(0, c)..]
+            .iter()
+            .step_by(stride)
+            .take(self.rows)
+            .copied()
+    }
+
+    /// The same matrix stored panel-major: shares the storage when it
+    /// already is, copies it once otherwise.
+    #[must_use]
+    pub fn to_panels(&self) -> Self {
+        if self.panel == NR.min(self.cols).max(1) {
+            return self.clone();
+        }
+        let mut data = Vec::with_capacity(self.rows * self.cols);
+        for lo in (0..self.cols).step_by(NR) {
+            let hi = (lo + NR).min(self.cols);
+            for r in 0..self.rows {
+                data.extend((lo..hi).map(|c| self.at(r, c)));
+            }
+        }
+        Matrix::from_panels(self.rows, self.cols, data)
     }
 }
 
@@ -128,27 +236,42 @@ impl Matrix {
     }
 
     /// The row-major elements, copied only if the storage is shared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix is panel-major with more than one panel.
     #[must_use]
     pub fn into_vec(self) -> Vec<f32> {
+        assert!(
+            self.rows_contiguous(),
+            "row-major elements of a panel-major matrix"
+        );
         Arc::unwrap_or_clone(self.data)
     }
 
     /// Mutable row view.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix is panel-major with more than one panel.
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
+        assert!(self.rows_contiguous(), "row view of a panel-major matrix");
         &mut Arc::make_mut(&mut self.data)[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Every element rounded to the nearest [`Bf16`] (ties to even): the
-    /// stored form of a weight given as f32 values.
+    /// Every element rounded to the nearest [`Bf16`] (ties to even), in
+    /// the same layout: the stored form of a weight given as f32 values.
     #[must_use]
     pub fn to_bf16(&self) -> Matrix<Bf16> {
         let data = self.data.iter().map(|&v| Bf16::from_f32(v)).collect();
-        Matrix::from_vec(self.rows, self.cols, data)
+        Matrix::with_panel(self.rows, self.cols, Arc::new(data), self.panel)
     }
 
-    /// `self × other`, where `other` is `(self.cols × n)` and its
-    /// elements widen to f32. Reference implementation: allocating,
-    /// unblocked.
+    /// `self × other`, where `self` is row-major and `other` is
+    /// `(self.cols × n)` in either layout, its elements widened to f32.
+    /// Reference implementation: allocating, unblocked, and in the order
+    /// every kernel keeps — for each output row, `k` ascending, then the
+    /// output columns in order.
     ///
     /// # Panics
     ///
@@ -161,9 +284,12 @@ impl Matrix {
             let a_row = self.row(i);
             let out_row = out.row_mut(i);
             for (k, &a) in a_row.iter().enumerate() {
-                let b_row = other.row(k);
-                for (j, &b) in b_row.iter().enumerate() {
-                    out_row[j] += a * b.into();
+                let mut j = 0;
+                for run in other.row_runs(k) {
+                    for (o, &b) in out_row[j..j + run.len()].iter_mut().zip(run) {
+                        *o += a * b.into();
+                    }
+                    j += run.len();
                 }
             }
         }
@@ -171,48 +297,49 @@ impl Matrix {
     }
 }
 
-/// Activation rows per register tile. Each weight row loaded from cache
+/// Activation rows per register tile. Each panel row loaded from cache
 /// is reused across `MR` output rows — reuse the `m = 1` token-at-a-time
-/// path can never have.
-/// Four rows × two SIMD vectors of accumulators (8) plus a weight
-/// segment (2) and a broadcast lane leaves slack in a 16-register SIMD
-/// file; six rows (14+ live vectors) measurably spills.
-pub(crate) const MR: usize = 4;
+/// path can never have. Six rows × four 8-lane vectors is 24 accumulator
+/// registers; with the four widened weight vectors and a broadcast that
+/// fits the 32 vector registers of AVX-512VL without spilling, which
+/// eight rows (32 accumulators) cannot.
+pub(crate) const MR: usize = 6;
 
-/// Output columns per register tile: two SIMD vectors' worth of
-/// accumulators per activation row. The `MR × NR` accumulator block stays
-/// in registers for the whole k-loop; the activation rows (≤ a few KB)
-/// stay in L1 while the packed weights stream through once.
-pub(crate) const NR: usize = 16;
+/// Output columns per register tile and per weight panel: four 8-lane
+/// f32 vectors per activation row, and one 64-byte line of bf16 weights
+/// per k step. The `MR × NR` accumulator block stays in registers for
+/// the whole k-loop; the activation rows (≤ a few KB) stay in L1 while
+/// the panel streams through.
+pub(crate) const NR: usize = 32;
 
-/// A bf16 weight matrix packed for the fast path: contiguous and k-major
-/// (`k` = input dimension indexes rows, outputs are contiguous within
-/// each row). Packing happens once at model build; every forward pass
-/// then runs unit-stride inner loops, widening each weight to f32 as it
-/// is loaded.
+/// A bf16 weight matrix in the kernels' layout: panel-major (see the
+/// module docs). Packing happens once at model build; every forward pass
+/// then reads each panel as one unit-stride stream, widening each weight
+/// to f32 as it is loaded.
 #[derive(Debug, Clone)]
 pub struct PackedMatrix {
     /// Input dimension (rows of the logical weight).
     pub k: usize,
     /// Output dimension (columns of the logical weight).
     pub n: usize,
-    /// `k × n` row-major: `data[kk * n + j]` = weight from input `kk` to
-    /// output `j`. Behind an [`Arc`] so the worker pool can hand each
-    /// long-lived thread a `'static` handle to the weights without
-    /// copying them and without `unsafe` (the workspace denies it).
+    /// The panel-major elements. Behind an [`Arc`] so the worker pool can
+    /// hand each long-lived thread a `'static` handle to the weights
+    /// without copying them and without `unsafe` (the workspace denies
+    /// it).
     data: Arc<Vec<Bf16>>,
 }
 
 impl PackedMatrix {
-    /// Packs a `(k × n)` weight already stored input-major. That is
-    /// already the kernel's layout, so the result shares `w`'s storage
-    /// rather than copying it.
+    /// Packs a `(k × n)` weight. A panel-major weight — every weight a
+    /// model draws — is already the kernel's layout, so the result
+    /// shares its storage; a row-major one is copied into panels once.
     #[must_use]
     pub fn pack(w: &Matrix<Bf16>) -> Self {
+        let w = w.to_panels();
         PackedMatrix {
             k: w.rows,
             n: w.cols,
-            data: Arc::clone(&w.data),
+            data: w.data,
         }
     }
 
@@ -223,9 +350,7 @@ impl PackedMatrix {
     }
 
     /// `out = a × W` for `a` a dense `(m × k)` activation block, written
-    /// into caller-owned scratch (every element overwritten). Register
-    /// tiled: `MR`×`NR` accumulator blocks, branch-free unit-stride
-    /// inner loops.
+    /// into caller-owned scratch (every element overwritten).
     ///
     /// # Panics
     ///
@@ -236,14 +361,8 @@ impl PackedMatrix {
         self.gemm_strip(a, m, 0, self.n, self.n, out);
     }
 
-    /// Shared register-tiled kernel behind [`Self::matmul_into`] and the
-    /// worker pool: `out[m × stride] = a[m × k] × W[:, col_lo..col_lo+width]`,
-    /// where each output row starts at a multiple of `stride ≥ width`.
-    /// With `stride == width` this is a dense write; the pool uses
-    /// `stride` to let each worker compute its column strip into its own
-    /// narrow buffer while the main thread writes its strip straight into
-    /// the full-width destination. Every output element is overwritten
-    /// (no pre-zeroing needed).
+    /// Column strip `col_lo..col_lo + width` of the product (see
+    /// [`gemm_panels`]).
     // Deliberately unprofiled: every caller is already inside a named
     // scope (`qkv_gemm`/`out_proj_gemm`/`ffn`/`logits` serially,
     // `pool_gemm_job` on pool workers), and a scope here would double the
@@ -258,85 +377,147 @@ impl PackedMatrix {
         stride: usize,
         out: &mut [f32],
     ) {
+        gemm_panels(
+            &self.data, self.k, self.n, None, a, m, col_lo, width, stride, out,
+        );
+    }
+}
+
+/// The panel walk behind every GEMM, at either precision: `out[m ×
+/// stride] = a[m × k] × W[:, col_lo..col_lo + width]` for `W` a
+/// panel-major `(k × n)` weight whose elements widen to f32, each output
+/// column multiplied once at the end by its entry of `scales` (int8) if
+/// there are any. Each output row starts at a multiple of `stride ≥
+/// width`: with `stride == width` this is a dense write, and the pool
+/// uses a wider `stride` to let the calling thread write its strip
+/// straight into the full-width destination while each worker fills its
+/// own narrow buffer.
+///
+/// Panels are the outer loop and `MR`-row bands the inner one. Every
+/// output element is overwritten (no pre-zeroing needed) and accumulates
+/// over `k` ascending in a single accumulator — bit-identical to the
+/// reference matmul, and independent of the strip it lands in.
+///
+/// # Panics
+///
+/// Panics unless the strip starts on a panel boundary and ends on one or
+/// at `n`.
+#[allow(clippy::too_many_arguments)]
+fn gemm_panels<W: Copy + Into<f32>>(
+    w: &[W],
+    k: usize,
+    n: usize,
+    scales: Option<&[f32]>,
+    a: &[f32],
+    m: usize,
+    col_lo: usize,
+    width: usize,
+    stride: usize,
+    out: &mut [f32],
+) {
+    assert!(
+        col_lo.is_multiple_of(NR) && (width.is_multiple_of(NR) || col_lo + width == n),
+        "strip {col_lo}+{width} of {n} columns is not on panel boundaries"
+    );
+    for lo in (col_lo..col_lo + width).step_by(NR) {
+        let pw = NR.min(n - lo);
+        let panel = &w[lo * k..][..k * pw];
+        let scale = scales.map(|s| &s[lo..lo + pw]);
+        let out = &mut out[lo - col_lo..];
+        if pw < NR {
+            narrow_panel(panel, pw, scale, a, m, k, stride, out);
+            continue;
+        }
+        let (panel, _) = panel.as_chunks::<NR>();
         let mut i = 0;
         while i < m {
-            // Monomorphize the row-block height so the accumulator block
-            // is a fixed-size array the compiler keeps in registers.
+            // Monomorphize the band height so the accumulator block is a
+            // fixed-size array the compiler keeps in registers.
             match m - i {
-                1 => self.tile_rows::<1>(a, i, col_lo, width, stride, out),
-                2 => self.tile_rows::<2>(a, i, col_lo, width, stride, out),
-                3 => self.tile_rows::<3>(a, i, col_lo, width, stride, out),
-                4 => self.tile_rows::<4>(a, i, col_lo, width, stride, out),
-                5 => self.tile_rows::<5>(a, i, col_lo, width, stride, out),
-                _ => self.tile_rows::<MR>(a, i, col_lo, width, stride, out),
+                1 => tile::<W, 1>(panel, scale, a, i, stride, out),
+                2 => tile::<W, 2>(panel, scale, a, i, stride, out),
+                3 => tile::<W, 3>(panel, scale, a, i, stride, out),
+                4 => tile::<W, 4>(panel, scale, a, i, stride, out),
+                5 => tile::<W, 5>(panel, scale, a, i, stride, out),
+                _ => tile::<W, MR>(panel, scale, a, i, stride, out),
             }
             i += (m - i).min(MR);
         }
     }
+}
 
-    /// One `MB`-row band of the output. Each `MB × NR` accumulator tile
-    /// lives in registers across the whole k-loop; each packed weight row
-    /// segment is loaded and widened to f32 once per k step, before the
-    /// row loop, and reused by all `MB` activation rows. Every output
-    /// accumulates over `k` ascending with a single accumulator —
-    /// bit-identical to the reference matmul, and independent of the
-    /// `(col_lo, width)` strip an element lands in.
-    // `kk` deliberately indexes both the activation rows and the packed
-    // weight base address; an iterator over one of them would hide the
-    // shared induction variable the vectorizer keys on.
-    #[allow(clippy::needless_range_loop)]
-    fn tile_rows<const MB: usize>(
-        &self,
-        a: &[f32],
-        i: usize,
-        col_lo: usize,
-        width: usize,
-        stride: usize,
-        out: &mut [f32],
-    ) {
-        let depth = self.k;
-        let a_rows: [&[f32]; MB] = core::array::from_fn(|r| &a[(i + r) * depth..][..depth]);
-        let mut j = 0;
-        while j + NR <= width {
-            let mut acc = [[0.0f32; NR]; MB];
-            for kk in 0..depth {
-                let base = kk * self.n + col_lo + j;
-                let seg: &[Bf16; NR] = self.data[base..base + NR]
-                    .try_into()
-                    .expect("NR-wide weight segment");
-                let w: [f32; NR] = core::array::from_fn(|l| seg[l].to_f32());
-                for r in 0..MB {
-                    let av = a_rows[r][kk];
-                    for (l, acc_l) in acc[r].iter_mut().enumerate() {
-                        *acc_l += av * w[l];
-                    }
-                }
+/// One `MB`-row band of one full panel. The `MB × NR` accumulator tile
+/// lives in registers across the whole k-loop; each panel row is loaded
+/// and widened once per k step and reused by all `MB` activation rows.
+// `r` deliberately indexes both the activation rows and the
+// accumulators; an iterator over one would hide the shared induction
+// variable.
+#[allow(clippy::needless_range_loop)]
+fn tile<W: Copy + Into<f32>, const MB: usize>(
+    panel: &[[W; NR]],
+    scale: Option<&[f32]>,
+    a: &[f32],
+    i: usize,
+    stride: usize,
+    out: &mut [f32],
+) {
+    let depth = panel.len();
+    let a_rows: [&[f32]; MB] = core::array::from_fn(|r| &a[(i + r) * depth..][..depth]);
+    let mut acc = [[0.0f32; NR]; MB];
+    for (kk, seg) in panel.iter().enumerate() {
+        let w: [f32; NR] = core::array::from_fn(|l| seg[l].into());
+        for r in 0..MB {
+            let av = a_rows[r][kk];
+            for (acc_l, &w_l) in acc[r].iter_mut().zip(&w) {
+                *acc_l += av * w_l;
             }
-            for (r, acc_row) in acc.iter().enumerate() {
-                out[(i + r) * stride + j..][..NR].copy_from_slice(acc_row);
-            }
-            j += NR;
         }
-        // Remainder columns, one scalar accumulator per output.
-        while j < width {
-            for (r, a_row) in a_rows.iter().enumerate() {
-                let mut acc = 0.0f32;
-                for (kk, &av) in a_row.iter().enumerate() {
-                    acc += av * self.data[kk * self.n + col_lo + j].to_f32();
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        let dst = &mut out[(i + r) * stride..][..NR];
+        match scale {
+            None => dst.copy_from_slice(acc_row),
+            Some(s) => {
+                for ((d, &v), &s) in dst.iter_mut().zip(acc_row).zip(s) {
+                    *d = v * s;
                 }
-                out[(i + r) * stride + j] = acc;
             }
-            j += 1;
+        }
+    }
+}
+
+/// The last panel when it is narrower than `NR`: one scalar accumulator
+/// per output, in the same order as [`tile`].
+#[allow(clippy::too_many_arguments)]
+fn narrow_panel<W: Copy + Into<f32>>(
+    panel: &[W],
+    pw: usize,
+    scale: Option<&[f32]>,
+    a: &[f32],
+    m: usize,
+    k: usize,
+    stride: usize,
+    out: &mut [f32],
+) {
+    for r in 0..m {
+        let a_row = &a[r * k..][..k];
+        for c in 0..pw {
+            let mut acc = 0.0f32;
+            for (&av, seg) in a_row.iter().zip(panel.chunks_exact(pw)) {
+                acc += av * seg[c].into();
+            }
+            out[r * stride + c] = scale.map_or(acc, |s| acc * s[c]);
         }
     }
 }
 
 /// A weight matrix quantized to int8 with one scale per *output channel*
 /// (column): `s_j = max_k |w[k][j]| / 127`, `q[k][j] =
-/// round(w[k][j] / s_j)` clamped to `[-127, 127]`. The GEMM microkernel
-/// accumulates `Σ_k a[k] · f32(q[k][j])` in f32 and multiplies by `s_j`
-/// once at the end — dequantization happens in-register, never as a
-/// materialized f32 copy of the weights.
+/// round(w[k][j] / s_j)` clamped to `[-127, 127]`. The codes keep the
+/// panel layout of [`PackedMatrix`], and the same panel walk accumulates
+/// `Σ_k a[k] · f32(q[k][j])` in f32 and multiplies by `s_j` once at the
+/// end — dequantization happens in-register, never as a materialized f32
+/// copy of the weights.
 ///
 /// # Error bound
 ///
@@ -359,39 +540,45 @@ pub struct QuantMatrix {
     pub k: usize,
     /// Output dimension (columns of the logical weight).
     pub n: usize,
-    /// `k × n` row-major int8 codes, same layout as [`PackedMatrix`].
+    /// Panel-major int8 codes, the same layout as [`PackedMatrix`].
     data: Arc<Vec<i8>>,
     /// Per-output-channel scales, `n` long.
     scales: Arc<Vec<f32>>,
 }
 
 impl QuantMatrix {
-    /// Quantizes a `(k × n)` weight stored input-major, f32 or bf16.
+    /// Quantizes a `(k × n)` weight in either layout, f32 or bf16.
     /// Deterministic: `round` half-away-from-zero, scales derived only
     /// from the column maxima.
     #[must_use]
     pub fn quantize<W: Copy + Into<f32>>(w: &Matrix<W>) -> Self {
-        let (k, n) = (w.rows, w.cols);
-        let mut scales = vec![0.0f32; n];
-        for row in w.data.chunks_exact(n) {
-            for (s, &v) in scales.iter_mut().zip(row) {
-                *s = s.max(v.into().abs());
+        let w = w.to_panels();
+        let mut scales = vec![0.0f32; w.cols];
+        for (lo, pw, panel) in w.panels() {
+            for row in panel.chunks_exact(pw) {
+                for (s, &v) in scales[lo..lo + pw].iter_mut().zip(row) {
+                    *s = s.max(v.into().abs());
+                }
             }
         }
         for s in &mut scales {
             *s /= 127.0;
         }
-        let mut data = vec![0i8; k * n];
-        for (qrow, row) in data.chunks_exact_mut(n).zip(w.data.chunks_exact(n)) {
-            for ((q, &v), &s) in qrow.iter_mut().zip(row).zip(&scales) {
-                if s > 0.0 {
-                    *q = (v.into() / s).round().clamp(-127.0, 127.0) as i8;
-                }
+        let mut data = Vec::with_capacity(w.data.len());
+        for (lo, pw, panel) in w.panels() {
+            for row in panel.chunks_exact(pw) {
+                data.extend(row.iter().zip(&scales[lo..lo + pw]).map(|(&v, &s)| {
+                    if s > 0.0 {
+                        (v.into() / s).round().clamp(-127.0, 127.0) as i8
+                    } else {
+                        0
+                    }
+                }));
             }
         }
         QuantMatrix {
-            k,
-            n,
+            k: w.rows,
+            n: w.cols,
             data: Arc::new(data),
             scales: Arc::new(scales),
         }
@@ -403,18 +590,14 @@ impl QuantMatrix {
         self.scales[j]
     }
 
-    /// Reconstructs the dequantized weights (`s_j · q[k][j]`) — test and
-    /// inspection helper, never on the hot path.
+    /// Reconstructs the dequantized weights (`s_j · q[k][j]`), row-major
+    /// — test and inspection helper, never on the hot path.
     #[must_use]
     pub fn dequantized(&self) -> Matrix {
-        let mut out = vec![0.0; self.k * self.n];
-        for (row, qrow) in out
-            .chunks_exact_mut(self.n)
-            .zip(self.data.chunks_exact(self.n))
-        {
-            for ((v, &q), &s) in row.iter_mut().zip(qrow).zip(self.scales.iter()) {
-                *v = s * f32::from(q);
-            }
+        let codes = Matrix::with_panel(self.k, self.n, Arc::clone(&self.data), NR);
+        let mut out = Vec::with_capacity(self.k * self.n);
+        for kk in 0..self.k {
+            out.extend((0..self.n).map(|j| self.scales[j] * f32::from(codes.at(kk, j))));
         }
         Matrix::from_vec(self.k, self.n, out)
     }
@@ -444,74 +627,10 @@ impl QuantMatrix {
         out: &mut [f32],
     ) {
         let _prof = distserve_prof::scope("gemm_int8");
-        let mut i = 0;
-        while i < m {
-            match m - i {
-                1 => self.tile_rows_q::<1>(a, i, col_lo, width, stride, out),
-                2 => self.tile_rows_q::<2>(a, i, col_lo, width, stride, out),
-                3 => self.tile_rows_q::<3>(a, i, col_lo, width, stride, out),
-                4 => self.tile_rows_q::<4>(a, i, col_lo, width, stride, out),
-                5 => self.tile_rows_q::<5>(a, i, col_lo, width, stride, out),
-                _ => self.tile_rows_q::<MR>(a, i, col_lo, width, stride, out),
-            }
-            i += (m - i).min(MR);
-        }
-    }
-
-    /// Int8 twin of `PackedMatrix::tile_rows`: identical tiling, identical
-    /// accumulation order (so the threaded int8 path is bit-identical to
-    /// the serial int8 path), and the same once-per-k-step widening, here
-    /// `i8 → f32`; the only addition is the final scale multiply.
-    #[allow(clippy::needless_range_loop)]
-    fn tile_rows_q<const MB: usize>(
-        &self,
-        a: &[f32],
-        i: usize,
-        col_lo: usize,
-        width: usize,
-        stride: usize,
-        out: &mut [f32],
-    ) {
-        let depth = self.k;
-        let a_rows: [&[f32]; MB] = core::array::from_fn(|r| &a[(i + r) * depth..][..depth]);
-        let mut j = 0;
-        while j + NR <= width {
-            let mut acc = [[0.0f32; NR]; MB];
-            for kk in 0..depth {
-                let base = kk * self.n + col_lo + j;
-                let q: &[i8; NR] = self.data[base..base + NR]
-                    .try_into()
-                    .expect("NR-wide weight segment");
-                let w: [f32; NR] = core::array::from_fn(|l| f32::from(q[l]));
-                for r in 0..MB {
-                    let av = a_rows[r][kk];
-                    for (l, acc_l) in acc[r].iter_mut().enumerate() {
-                        *acc_l += av * w[l];
-                    }
-                }
-            }
-            let scales: &[f32; NR] = self.scales[col_lo + j..col_lo + j + NR]
-                .try_into()
-                .expect("NR-wide scale segment");
-            for r in 0..MB {
-                let dst = &mut out[(i + r) * stride + j..][..NR];
-                for (l, d) in dst.iter_mut().enumerate() {
-                    *d = acc[r][l] * scales[l];
-                }
-            }
-            j += NR;
-        }
-        while j < width {
-            let s = self.scales[col_lo + j];
-            for (r, a_row) in a_rows.iter().enumerate() {
-                let mut acc = 0.0f32;
-                for (kk, &av) in a_row.iter().enumerate() {
-                    acc += av * f32::from(self.data[kk * self.n + col_lo + j]);
-                }
-                out[(i + r) * stride + j] = acc * s;
-            }
-            j += 1;
-        }
+        let scales = Some(self.scales.as_slice());
+        gemm_panels(
+            &self.data, self.k, self.n, scales, a, m, col_lo, width, stride, out,
+        );
     }
 }
 
@@ -862,25 +981,28 @@ mod tests {
         // Writing a column strip into a wider destination (the worker-
         // pool main-lane path) must produce the same bits as the dense
         // product restricted to that strip.
-        let (m, k, n) = (5, 40, 48);
+        // Strips start on panel boundaries: one full panel in the middle,
+        // and a full panel plus the narrow last one.
+        let (m, k, n) = (5, 40, 80);
         let a = test_act(m, k);
         let b = test_bf16_weight(k, n);
         let packed = PackedMatrix::pack(&b);
         let mut dense = vec![0.0; m * n];
         packed.matmul_into(&a.data, m, &mut dense);
-        let (lo, width) = (16, 24);
-        let mut strided = vec![99.0f32; m * n];
-        packed.gemm_strip(&a.data, m, lo, width, n, &mut strided);
-        for r in 0..m {
-            // The strip lands at the *start* of each stride-wide row.
-            assert_eq!(
-                &dense[r * n + lo..r * n + lo + width],
-                &strided[r * n..r * n + width]
-            );
-            // Everything past the strip is untouched.
-            assert!(strided[r * n + width..(r + 1) * n]
-                .iter()
-                .all(|&v| v == 99.0));
+        for (lo, width) in [(32, 32), (32, 48)] {
+            let mut strided = vec![99.0f32; m * n];
+            packed.gemm_strip(&a.data, m, lo, width, n, &mut strided);
+            for r in 0..m {
+                // The strip lands at the *start* of each stride-wide row.
+                assert_eq!(
+                    &dense[r * n + lo..r * n + lo + width],
+                    &strided[r * n..r * n + width]
+                );
+                // Everything past the strip is untouched.
+                assert!(strided[r * n + width..(r + 1) * n]
+                    .iter()
+                    .all(|&v| v == 99.0));
+            }
         }
     }
 
@@ -933,9 +1055,9 @@ mod tests {
         let q = QuantMatrix::quantize(&w);
         let mut dense = vec![0.0; m * n];
         q.matmul_into(&a.data, m, &mut dense);
-        // Split at an arbitrary non-tile-aligned column: strips must
-        // reproduce the dense bits exactly.
-        let split = 21;
+        // Split at the panel boundary, leaving a narrow last panel:
+        // strips must reproduce the dense bits exactly.
+        let split = 32;
         let mut strips = vec![0.0f32; m * n];
         q.gemm_strip(&a.data, m, 0, split, n, &mut strips);
         q.gemm_strip(&a.data, m, split, n - split, n, &mut strips[split..]);

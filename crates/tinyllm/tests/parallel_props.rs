@@ -21,7 +21,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Any `(m, k, n)` shape at any thread count — including `n` not
-    /// divisible by the 16-wide register tile — produces exactly the
+    /// divisible by the 32-column weight panel — produces exactly the
     /// serial kernel's bits. The dispatch may split the N dimension into
     /// strips, but every output element's multiply-add chain is the
     /// same either way.
@@ -40,6 +40,27 @@ proptest! {
         let mut parallel = vec![0.0f32; m * n];
         WorkerPool::new(threads).gemm(&kern, &a, m, &mut parallel);
         prop_assert_eq!(serial, parallel);
+    }
+
+    /// The panel walk equals the reference matmul over the row-major
+    /// weight bit for bit, at any lane count: every band height, full
+    /// and narrow panels, and strips split across lanes.
+    #[test]
+    fn panel_gemm_equals_reference_matmul(
+        m in 1usize..=40,
+        k in 1usize..=300,
+        n in 1usize..=200,
+        lanes in 1usize..=5,
+    ) {
+        let a = fill(m, k, 0x0F0F);
+        let rows = Matrix::from_vec(k, n, fill(k, n, 0xF0F0)).to_bf16();
+        let reference = Matrix::from_vec(m, k, a.clone()).matmul(&rows);
+        let panels = rows.to_panels();
+        prop_assert_eq!(&Matrix::from_vec(m, k, a.clone()).matmul(&panels), &reference);
+        let kern = Kernel::F32(PackedMatrix::pack(&panels));
+        let mut out = vec![f32::NAN; m * n];
+        WorkerPool::new(lanes).gemm(&kern, &a, m, &mut out);
+        prop_assert_eq!(&out, &*reference.data);
     }
 
     /// Int8 GEMM stays within the documented per-channel bound:
