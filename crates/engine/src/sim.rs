@@ -828,15 +828,42 @@ impl<'a> ServingSim<'a> {
     /// No entry instance can take new work: park `id` if one is on its
     /// way back, otherwise fail it.
     fn park_or_fail_entry(&mut self, id: RequestId, now: SimTime) {
-        let recovery_pending = self
-            .prefill_ids
-            .iter()
-            .chain(&self.coloc_ids)
-            .any(|&i| self.instances[i].recover_scheduled);
-        if recovery_pending {
+        if self.recovery_pending(false) {
             self.parked_prefill.push_back(id);
         } else {
             self.fail_request(id, now);
+        }
+    }
+
+    /// Whether an instance of the decode side (`decode`) or of the entry
+    /// side (prefill and colocated instances) is on its way back.
+    fn recovery_pending(&self, decode: bool) -> bool {
+        let pending = |ids: &[usize]| ids.iter().any(|&i| self.instances[i].recover_scheduled);
+        if decode {
+            pending(&self.decode_ids)
+        } else {
+            pending(&self.prefill_ids) || pending(&self.coloc_ids)
+        }
+    }
+
+    /// Sends the work parked for the decode side (`decode`) or the entry
+    /// side back through dispatch: to an instance that takes work, into
+    /// the park again behind a pending recovery, or to failure.
+    fn release_parked(&mut self, decode: bool, now: SimTime) {
+        if decode {
+            let parked: Vec<RequestId> = self.parked_pull.drain(..).collect();
+            for id in parked {
+                if self.states.contains_key(&id) {
+                    self.route_to_decode(id, now);
+                }
+            }
+        } else {
+            let parked: Vec<RequestId> = self.parked_prefill.drain(..).collect();
+            for id in parked {
+                if self.states.contains_key(&id) {
+                    self.dispatch_prefill(id, now);
+                }
+            }
         }
     }
 
@@ -1139,11 +1166,7 @@ impl<'a> ServingSim<'a> {
     /// Every decoding instance is down: park `id` if one is on its way
     /// back, otherwise fail it.
     fn park_or_fail_pull(&mut self, id: RequestId, now: SimTime) {
-        if self
-            .decode_ids
-            .iter()
-            .any(|&d| self.instances[d].recover_scheduled)
-        {
+        if self.recovery_pending(true) {
             self.parked_pull.push_back(id);
         } else {
             self.fail_request(id, now);
@@ -1774,10 +1797,18 @@ impl<'a> ServingSim<'a> {
         // Warm-up (weight reload) takes another 10% of the outage.
         let back = downtime.map(|d| d.max(1e-3)).map(|d| (d, d * 1.1));
         self.take_down(i, now, back);
-        match self.instances[i].spec.role {
+        let role = self.instances[i].spec.role;
+        match role {
             InstanceRole::Prefill => self.crash_prefill(i, now),
             InstanceRole::Decode => self.crash_decode(i, now),
             InstanceRole::Colocated => self.crash_coloc(i, now),
+        }
+        // A permanent loss can cancel the last recovery its side was
+        // parking work behind (a drain's, say); nothing would release
+        // that work again.
+        let decode = role == InstanceRole::Decode;
+        if downtime.is_none() && !self.recovery_pending(decode) {
+            self.release_parked(decode, now);
         }
     }
 
@@ -2105,21 +2136,7 @@ impl<'a> ServingSim<'a> {
             inst.recover_scheduled = false;
         }
         self.sink.gauge_set(metrics::INSTANCE_UP, track_id(i), 1.0);
-        if self.instances[i].spec.role == InstanceRole::Decode {
-            let parked: Vec<RequestId> = self.parked_pull.drain(..).collect();
-            for id in parked {
-                if self.states.contains_key(&id) {
-                    self.route_to_decode(id, now);
-                }
-            }
-        } else {
-            let parked: Vec<RequestId> = self.parked_prefill.drain(..).collect();
-            for id in parked {
-                if self.states.contains_key(&id) {
-                    self.dispatch_prefill(id, now);
-                }
-            }
-        }
+        self.release_parked(self.instances[i].spec.role == InstanceRole::Decode, now);
         self.kick(i, now);
     }
 

@@ -9,7 +9,7 @@ use distserve::engine::sim::InstanceStats;
 use distserve::engine::{
     ColocatedPolicy, InstanceRole, InstanceSpec, RequestRecord, ServingSim, SimConfig, SimOutcome,
 };
-use distserve::faults::{FaultSchedule, RetryPolicy, StormConfig};
+use distserve::faults::{FaultKind, FaultSchedule, RetryPolicy, StormConfig};
 use distserve::models::{OptModel, ParallelismConfig, RooflineModel};
 use distserve::placement::TraceSource;
 use distserve::router::{DecisionRecord, RouterPolicy};
@@ -730,4 +730,51 @@ fn serving_sim_outcomes_match_golden() {
         ("routed P+D+C", [519, 77, 4, 0xde29_8127_6236_b1b2]),
     ];
     assert_eq!(got, expected);
+}
+
+/// A permanent GPU loss while the decoder drains must not stall the
+/// simulator. The drain parks KV pulls behind the decoder's maintenance
+/// window and the loss cancels that window, so the parked pulls must
+/// fail or move to a live decoder instead of waiting for a recovery that
+/// never comes. The stressed "tp2 P + pp2 D" set-up with a 20-fault
+/// storm that drains the decoder at 83.2 s, plus the loss at 85 s.
+#[test]
+fn gpu_loss_during_drain_ends_every_request() {
+    const N: usize = 600;
+    let rate = 6.0;
+    let cluster = Cluster::paper_testbed();
+    let (_, specs, ..) = golden_deployments(&cluster)
+        .into_iter()
+        .find(|(name, ..)| *name == "tp2 P + pp2 D")
+        .expect("golden deployment");
+    let trace = TraceBuilder::new(Dataset::ShareGpt.sampler())
+        .rate(rate)
+        .num_requests(N)
+        .build(&mut SimRng::seed(2024));
+    let mut cfg = SimConfig::new(OptModel::Opt13B.arch())
+        .with_seed(11)
+        .detailed()
+        .with_prefix_model(0.5, 0.6)
+        .with_admission_cap(6);
+    cfg.max_decode_batch = 12;
+    let storm = FaultSchedule::storm(
+        17,
+        &StormConfig {
+            horizon_secs: N as f64 / rate,
+            count: 20,
+            instances: 2,
+            mean_downtime_secs: 6.0,
+        },
+    )
+    .with(85.0, FaultKind::GpuLoss { instance: 1 });
+    let retry = RetryPolicy {
+        max_retries: 1,
+        ..RetryPolicy::default()
+    };
+    let out = ServingSim::new(cfg, &RooflineModel::a100(), &cluster, specs)
+        .unwrap()
+        .with_faults(&storm, retry)
+        .run(&trace);
+    assert_eq!(out.records.len() + out.rejected.len() + out.failed.len(), N);
+    assert!(!out.failed.is_empty(), "the lost decoder's work fails");
 }
