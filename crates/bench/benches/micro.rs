@@ -1,13 +1,17 @@
 //! Criterion micro-benchmarks of this repository's own hot paths: cost
 //! model evaluation, the event queue, the KV block manager, pipeline
-//! commits, workload generation, tinyllm GEMM kernels, tinyllm
-//! prefill/decode throughput (batched vs the token-at-a-time reference),
-//! and tinyllm model build time on the served shape.
+//! commits, workload generation, and tinyllm at the shape perfbench
+//! serves: GEMM kernels, prefill/decode throughput (batched vs the
+//! token-at-a-time reference), a thread × batch decode sweep, and model
+//! build time.
 //!
 //! After all groups run, the tinyllm numbers are written to
 //! `BENCH_tinyllm.json` at the repository root so the compute tier's
 //! trajectory is recorded alongside the code. Every decode number runs
-//! `distserve_bench::overhead`'s batch fixture.
+//! `distserve_bench::overhead`'s batch fixture. Only the paired
+//! fused-vs-reference decode estimate runs on `TinyConfig::small()`: its
+//! ~100 rounds of token-at-a-time batch-16 decode would take minutes at
+//! the served shape.
 
 use std::time::Instant;
 
@@ -118,23 +122,31 @@ fn bench_tinyllm(c: &mut Criterion) {
     });
 }
 
-/// Model build time, `Model::random_with` (weight draw, packing and
-/// worker-pool spawn), on perfbench's served shape: 6 layers, hidden 256,
-/// FFN 1024, vocab 4096, `max_seq` 1024 (6.0M parameters). Timed at one
-/// lane and at the host's lanes, since the weight draw splits across the
-/// model's lanes; this is the part of a server's set-up that grows with
-/// model size. Each iteration drops its model, so later builds reuse
-/// freed pages and these rows leave out most of the first-touch page
-/// faults a fresh process pays.
-fn bench_tinyllm_build(c: &mut Criterion) {
-    let served = TinyConfig {
+/// perfbench's served shape: 6 layers, hidden 256, FFN 1024, vocab 4096,
+/// `max_seq` 1024 (6.0M parameters).
+fn served() -> TinyConfig {
+    TinyConfig {
         layers: 6,
         hidden: 256,
         heads: 8,
         ffn: 1024,
         vocab: 4096,
         max_seq: 1024,
-    };
+    }
+}
+
+/// How `BENCH_tinyllm.json` names the served shape.
+const SERVED: &str = "6L/256H/1024FFN/4096V, max_seq 1024";
+
+/// Model build time, `Model::random_with` (weight draw, packing and
+/// worker-pool spawn), on the served shape. Timed at one lane and at the
+/// host's lanes, since the weight draw splits across the model's lanes;
+/// this is the part of a server's set-up that grows with model size.
+/// Each iteration drops its model, so later builds reuse freed pages and
+/// these rows leave out most of the first-touch page faults a fresh
+/// process pays.
+fn bench_tinyllm_build(c: &mut Criterion) {
+    let served = served();
     let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut lanes = vec![1, host_cores];
     lanes.dedup();
@@ -165,20 +177,20 @@ fn bench_matrix(rows: usize, cols: usize, salt: usize) -> Matrix {
     )
 }
 
-/// GEMM shape sweep over the shapes the small() forward pass actually
-/// runs: decode (m=1) and fused-decode (m=16) QKV, FFN up/down, batched
-/// prefill, and the logits projection — packed/blocked kernel vs the
+/// GEMM shape sweep over the shapes the served forward pass runs:
+/// decode (m=1) and fused-decode (m=16) QKV, FFN up/down, a 32-token
+/// prefill's QKV, and the logits projection — the packed kernel vs the
 /// allocating reference matmul, both over bf16 weights.
 fn bench_gemm_shapes(c: &mut Criterion) {
-    // (label, m, k, n) — k/n from TinyConfig::small(): hidden 64,
-    // ffn 256, vocab 512.
+    // (label, m, k, n) — k/n from the served shape: hidden 256, ffn
+    // 1024, vocab 4096.
     let shapes = [
-        ("qkv_m1", 1, 64, 192),
-        ("qkv_m16", 16, 64, 192),
-        ("ffn_up_m16", 16, 64, 256),
-        ("ffn_down_m16", 16, 256, 64),
-        ("prefill_qkv_m64", 64, 64, 192),
-        ("logits_m16", 16, 64, 512),
+        ("qkv_m1", 1, 256, 768),
+        ("qkv_m16", 16, 256, 768),
+        ("ffn_up_m16", 16, 256, 1024),
+        ("ffn_down_m16", 16, 1024, 256),
+        ("prefill_qkv_m32", 32, 256, 768),
+        ("logits_m16", 16, 256, 4096),
     ];
     for (label, m, k, n) in shapes {
         let a = bench_matrix(m, k, 1);
@@ -200,10 +212,9 @@ fn bench_gemm_shapes(c: &mut Criterion) {
 /// The packed kernels at the served model's shape (perfbench's hidden
 /// 256, FFN 1024): the QKV (256×768) and FFN-up (256×1024) projections at
 /// decode batch sizes 1, 4 and 16, at both precisions (`_f32` rows are
-/// `Precision::F32`: bf16 weights, f32 arithmetic). Unlike the small()
-/// rows, these weights (384–512 KiB as bf16) spill out of L1, so the rows
-/// see weight bytes, and a per-batch cliff like int8's old one at m ≥ 4
-/// shows here.
+/// `Precision::F32`: bf16 weights, f32 arithmetic). These weights
+/// (384–512 KiB as bf16) spill out of L1, so the rows see weight bytes,
+/// and a per-batch cliff like int8's old one at m ≥ 4 shows here.
 fn bench_gemm_served(c: &mut Criterion) {
     for (label, k, n) in [("qkv", 256, 768), ("ffn_up", 256, 1024)] {
         let w = bench_matrix(k, n, 2).to_bf16();
@@ -257,12 +268,11 @@ fn reference_step(model: &Model, kv: &mut PagedKv, seqs: &mut [(u64, usize, u32)
     }
 }
 
-/// Prefill and decode throughput on `TinyConfig::small()`: the fused
-/// batched scheduler at batch 1/4/16 versus the token-at-a-time
-/// reference tier (one `forward_token` per sequence per step) on the
-/// same batch-16 workload.
+/// Prefill and decode throughput on the served shape: a 64-token
+/// prompt batched and token at a time, and the fused batched scheduler's
+/// decode at batch 1/4/16.
 fn bench_tinyllm_throughput(c: &mut Criterion) {
-    let model = tinyllm::Model::random(&TinyConfig::small(), 5);
+    let model = tinyllm::Model::random(&served(), 5);
 
     // Batched prefill of one 64-token prompt (one activation matrix).
     let prompt64: Vec<u32> = (0..64).map(|p| (p * 3 % 512) as u32).collect();
@@ -316,20 +326,6 @@ fn bench_tinyllm_throughput(c: &mut Criterion) {
             )
         });
     }
-
-    // The reference tier's decode on the batch-16 workload.
-    c.bench_function("tinyllm/decode_reference_batch16", |b| {
-        b.iter_batched(
-            || reference_prefilled(&model),
-            |(mut kv, mut seqs)| {
-                for _ in 0..DECODE_STEPS {
-                    reference_step(&model, &mut kv, &mut seqs);
-                }
-                std::hint::black_box(seqs[0].2)
-            },
-            BatchSize::SmallInput,
-        )
-    });
 }
 
 /// One decode measurement of the thread × batch scaling sweep.
@@ -342,7 +338,7 @@ struct ScalePoint {
 /// Decode throughput sweep across worker-pool widths `{1, 2, 4, cores}`
 /// (deduplicated — on small hosts some of these oversubscribe, and the
 /// numbers are recorded honestly) and decode batch sizes `{1, 4, 16}`
-/// on `TinyConfig::small()`, plus an int8 batch-16 point at full width.
+/// on the served shape, plus an int8 batch-16 point at full width.
 /// Times whole scheduler decode steps — the end-to-end hot loop — with
 /// direct wall-clock rounds of the shared fixture.
 fn scaling_sweep() -> (usize, Vec<ScalePoint>, f64) {
@@ -364,7 +360,7 @@ fn scaling_sweep() -> (usize, Vec<ScalePoint>, f64) {
     let mut points = Vec::new();
     for &t in &threads {
         let model = Model::random_with(
-            &TinyConfig::small(),
+            &served(),
             5,
             ComputeConfig {
                 precision: Precision::F32,
@@ -380,7 +376,7 @@ fn scaling_sweep() -> (usize, Vec<ScalePoint>, f64) {
         }
     }
     let int8_model = Model::random_with(
-        &TinyConfig::small(),
+        &served(),
         5,
         ComputeConfig {
             precision: Precision::Int8,
@@ -393,9 +389,9 @@ fn scaling_sweep() -> (usize, Vec<ScalePoint>, f64) {
 
 /// Writes the tinyllm benchmark numbers (plus derived tokens/sec and the
 /// fused-vs-reference speedup) to `BENCH_tinyllm.json` at the repo root.
-/// `paired` is the batch-16 decode estimate with fused decode off and
-/// the reference tier on; the headline speedup derives from it rather
-/// than from dividing two rows timed minutes apart.
+/// `paired` is the batch-16 decode estimate on `TinyConfig::small()` with
+/// fused decode off and the reference tier on; the speedup derives from
+/// it rather than from dividing two rows timed minutes apart.
 fn write_tinyllm_json(
     c: &Criterion,
     paired: overhead::Estimate,
@@ -418,17 +414,16 @@ fn write_tinyllm_json(
             )),
         ));
     }
-    decode.push((
-        "reference_batch16_tok_s".into(),
-        Value::Float(tok_s("tinyllm/decode_reference_batch16", DECODE_STEPS * 16)),
-    ));
     let speedup = paired.on_s() / paired.base_s;
-    decode.push(("paired_fused_ms".into(), Value::Float(paired.base_s * 1e3)));
-    decode.push((
-        "paired_reference_ms".into(),
-        Value::Float(paired.on_s() * 1e3),
-    ));
-    decode.push(("speedup_batch16_vs_reference".into(), Value::Float(speedup)));
+    let reference = vec![
+        ("config".into(), Value::Str("TinyConfig::small()".into())),
+        ("paired_fused_ms".into(), Value::Float(paired.base_s * 1e3)),
+        (
+            "paired_reference_ms".into(),
+            Value::Float(paired.on_s() * 1e3),
+        ),
+        ("speedup_batch16_vs_reference".into(), Value::Float(speedup)),
+    ];
 
     let prefill = vec![
         (
@@ -461,10 +456,7 @@ fn write_tinyllm_json(
         find(&format!("tinyllm/build_served_lanes{lanes}")).map_or(0.0, |r| r.mean_s * 1e3)
     };
     let build = vec![
-        (
-            "config".into(),
-            Value::Str("6L/256H/1024FFN/4096V, max_seq 1024".into()),
-        ),
+        ("config".into(), Value::Str(SERVED.into())),
         ("lanes1_ms".into(), Value::Float(build_ms(1))),
         ("host_lanes".into(), Value::UInt(host_cores as u64)),
         ("host_lanes_ms".into(), Value::Float(build_ms(host_cores))),
@@ -498,13 +490,14 @@ fn write_tinyllm_json(
         ("int8_batch16_tok_s".into(), Value::Float(int8_tok_s)),
     ]);
 
-    let provenance = distserve_bench::sentinel::Provenance::capture("TinyConfig::small()", 5);
+    let provenance = distserve_bench::sentinel::Provenance::capture(SERVED, 5);
     let doc = Value::Object(vec![
         ("provenance".into(), provenance.value()),
-        ("config".into(), Value::Str("TinyConfig::small()".into())),
+        ("config".into(), Value::Str(SERVED.into())),
         ("decode_steps".into(), Value::UInt(DECODE_STEPS as u64)),
         ("decode".into(), Value::Object(decode)),
         ("prefill".into(), Value::Object(prefill)),
+        ("reference".into(), Value::Object(reference)),
         ("build".into(), Value::Object(build)),
         ("scaling".into(), scaling_obj),
         ("benches".into(), Value::Array(benches)),
@@ -529,6 +522,7 @@ fn main() {
     bench_tinyllm_build(&mut c);
     // Fused decode is the off arm and the reference tier the on arm, so
     // the estimate's on/base ratio is the reference's cost in fused runs.
+    // On small(): see the module docs.
     let model = Model::random(&TinyConfig::small(), 5);
     let paired = overhead::paired(|reference| {
         if !reference {

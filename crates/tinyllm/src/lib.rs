@@ -13,7 +13,7 @@
 //!   iteration-level colocated policy (prefill prioritized, decode
 //!   otherwise) running against real forward passes;
 //! * a **batched compute tier** ([`engine::Model::forward_batch`]) —
-//!   prompts and fused decode batches as single GEMMs over pre-packed
+//!   prompts and fused decode batches as single GEMMs over panel-major
 //!   weights ([`tensor::PackedMatrix`]) with a reusable [`engine::Scratch`]
 //!   arena, bit-identical to the token-at-a-time reference path;
 //! * a **persistent worker pool** ([`pool::WorkerPool`]) — spawned once
@@ -29,7 +29,8 @@
 //!
 //! Weights and K/V are stored once each, as bf16 ([`tensor::Bf16`]): two
 //! bytes per element, the paper's FP16 footprint and what the simulators
-//! bill. Every operation widens them exactly and computes in f32. Weights
+//! bill. The GEMM weights are stored in the kernels' panel-major layout,
+//! which the reference path reads too, so no second copy exists. Every operation widens them exactly and computes in f32. Weights
 //! are deterministic pseudo-random: serving behavior (the subject of the
 //! paper) depends on architecture shape, not weight values.
 //!
