@@ -478,6 +478,10 @@ fn tile<W: Copy + Into<f32>, const MB: usize>(
         match scale {
             None => dst.copy_from_slice(acc_row),
             Some(s) => {
+                // A fixed width keeps this loop unrolled; a variable one
+                // makes LLVM keep the accumulators in memory and store
+                // all of them on every k step.
+                let s: &[f32; NR] = s.try_into().expect("NR-wide scale segment");
                 for ((d, &v), &s) in dst.iter_mut().zip(acc_row).zip(s) {
                     *d = v * s;
                 }
