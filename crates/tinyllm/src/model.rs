@@ -292,10 +292,10 @@ impl Weights {
         let ffn_scale = 0.5 / (cfg.ffn as f32).sqrt();
         // Every matrix, in key order: the GEMM operands panel-major,
         // `pos` row-major.
-        let gemm = |rows, cols: usize, scale| Shape {
+        let gemm = |rows, cols, scale| Shape {
             rows,
             cols,
-            panel: NR.min(cols),
+            panel: NR,
             scale,
         };
         let mut shapes = vec![
@@ -355,11 +355,7 @@ impl Weights {
         let mut mats = data.into_iter().zip(shapes).map(|(m, s)| {
             // Reuses the allocation: `from_bits` is the identity.
             let m = m.into_iter().map(Bf16::from_bits).collect();
-            if s.panel == s.cols {
-                Matrix::from_vec(s.rows, s.cols, m)
-            } else {
-                Matrix::from_panels(s.rows, s.cols, m)
-            }
+            Matrix::from_panels(s.rows, s.cols, s.panel, m)
         });
         let mut next = || mats.next().expect("one matrix per shape");
         let (embed, pos) = (next(), next());

@@ -19,8 +19,8 @@
 //! elements past the last one. The kernels walk panels in the outer loop
 //! and row bands in the inner loop, so a panel that one band pulled into
 //! cache serves every other band of the batch. The reference tier reads
-//! the same storage through [`Matrix::row_runs`], [`Matrix::col`] and
-//! [`Matrix::at`].
+//! the same storage through `Matrix::row_runs`, `Matrix::col` and
+//! `Matrix::at`.
 //!
 //! Weights are stored as [`Bf16`] and every operation computes in f32:
 //! both tiers widen the same stored values exactly, so storage precision
@@ -99,9 +99,8 @@ impl From<Bf16> for f32 {
 /// their columns are cut into 32-wide panels, each stored k-major and
 /// contiguous (the module docs give the reason). A matrix of at most 32
 /// columns is a single panel, where the two layouts coincide.
-/// [`Matrix::at`], [`Matrix::col`], [`Matrix::row_runs`] and
-/// [`Matrix::matmul`] read either layout; [`Matrix::row`] needs rows to
-/// be contiguous.
+/// [`Matrix::matmul`] and [`Matrix::to_panels`] read either layout;
+/// [`Matrix::row`] needs rows to be contiguous.
 ///
 /// The elements sit behind an [`Arc`] so a weight's kernel
 /// ([`PackedMatrix::pack`]) shares its storage instead of copying it;
@@ -128,26 +127,22 @@ impl<T> Matrix<T> {
     /// Panics if `data.len() != rows * cols`.
     #[must_use]
     pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Self {
-        Matrix::with_panel(rows, cols, Arc::new(data), cols)
+        Matrix::from_panels(rows, cols, cols, data)
     }
 
-    /// Wraps existing panel-major data: 32-column panels in column
-    /// order, each `rows` rows of its width.
+    /// Wraps data stored in panels of `panel` columns: the panels in
+    /// column order, each `rows` rows of its width. `panel == cols` is
+    /// row-major, `panel == NR` the weights' layout.
     ///
     /// # Panics
     ///
     /// Panics if `data.len() != rows * cols`.
-    #[must_use]
-    pub fn from_panels(rows: usize, cols: usize, data: Vec<T>) -> Self {
-        Matrix::with_panel(rows, cols, Arc::new(data), NR)
-    }
-
-    fn with_panel(rows: usize, cols: usize, data: Arc<Vec<T>>, panel: usize) -> Self {
+    pub(crate) fn from_panels(rows: usize, cols: usize, panel: usize, data: Vec<T>) -> Self {
         assert_eq!(data.len(), rows * cols, "shape mismatch");
         Matrix {
             rows,
             cols,
-            data,
+            data: Arc::new(data),
             panel: panel.min(cols).max(1),
         }
     }
@@ -178,7 +173,7 @@ impl<T> Matrix<T> {
     /// Each storage panel as `(first column, width, elements)`, in column
     /// order; the elements are `rows × width`, row-major within the
     /// panel. A row-major matrix is one panel.
-    pub fn panels(&self) -> impl Iterator<Item = (usize, usize, &[T])> + '_ {
+    pub(crate) fn panels(&self) -> impl Iterator<Item = (usize, usize, &[T])> + '_ {
         (0..self.cols).step_by(self.panel).map(move |lo| {
             let w = self.panel.min(self.cols - lo);
             (lo, w, &self.data[lo * self.rows..][..self.rows * w])
@@ -187,20 +182,19 @@ impl<T> Matrix<T> {
 
     /// Row `r` as contiguous storage runs in column order: the whole row
     /// when row-major, one run per panel when panel-major.
-    pub fn row_runs(&self, r: usize) -> impl Iterator<Item = &[T]> + '_ {
+    pub(crate) fn row_runs(&self, r: usize) -> impl Iterator<Item = &[T]> + '_ {
         self.panels().map(move |(_, w, p)| &p[r * w..][..w])
     }
 }
 
 impl<T: Copy> Matrix<T> {
     /// Element `(r, c)`.
-    #[must_use]
-    pub fn at(&self, r: usize, c: usize) -> T {
+    pub(crate) fn at(&self, r: usize, c: usize) -> T {
         self.data[self.index(r, c)]
     }
 
     /// Column `c`, top to bottom: a strided read, one panel width apart.
-    pub fn col(&self, c: usize) -> impl Iterator<Item = T> + '_ {
+    pub(crate) fn col(&self, c: usize) -> impl Iterator<Item = T> + '_ {
         let lo = c / self.panel * self.panel;
         let stride = self.panel.min(self.cols - lo);
         self.data[self.index(0, c)..]
@@ -224,7 +218,7 @@ impl<T: Copy> Matrix<T> {
                 data.extend((lo..hi).map(|c| self.at(r, c)));
             }
         }
-        Matrix::from_panels(self.rows, self.cols, data)
+        Matrix::from_panels(self.rows, self.cols, NR, data)
     }
 }
 
@@ -264,14 +258,15 @@ impl Matrix {
     #[must_use]
     pub fn to_bf16(&self) -> Matrix<Bf16> {
         let data = self.data.iter().map(|&v| Bf16::from_f32(v)).collect();
-        Matrix::with_panel(self.rows, self.cols, Arc::new(data), self.panel)
+        Matrix::from_panels(self.rows, self.cols, self.panel, data)
     }
 
     /// `self × other`, where `self` is row-major and `other` is
     /// `(self.cols × n)` in either layout, its elements widened to f32.
-    /// Reference implementation: allocating, unblocked, and in the order
-    /// every kernel keeps — for each output row, `k` ascending, then the
-    /// output columns in order.
+    /// Reference implementation: allocating and unblocked. For each output
+    /// row it walks `k` ascending, then the output columns in order, so
+    /// every output accumulates over `k` ascending — the association
+    /// every kernel keeps.
     ///
     /// # Panics
     ///
@@ -598,7 +593,7 @@ impl QuantMatrix {
     /// — test and inspection helper, never on the hot path.
     #[must_use]
     pub fn dequantized(&self) -> Matrix {
-        let codes = Matrix::with_panel(self.k, self.n, Arc::clone(&self.data), NR);
+        let codes = Matrix::from_panels(self.k, self.n, NR, self.data.to_vec());
         let mut out = Vec::with_capacity(self.k * self.n);
         for kk in 0..self.k {
             out.extend((0..self.n).map(|j| self.scales[j] * f32::from(codes.at(kk, j))));
