@@ -47,16 +47,15 @@ fn prompt(len: usize, salt: usize, vocab: usize) -> Vec<u32> {
         .collect()
 }
 
-/// Digest of one model's outputs: greedy reference-tier tokens, the bits
-/// of a batched prefill's last logits row (37 rows: every row-band height
-/// and remainder the kernels tile by), and the continuous batcher's
-/// tokens for mixed-length requests.
-fn digest(cfg: &TinyConfig, precision: Precision, threads: usize) -> u64 {
-    let model = Model::random_with(cfg, 2024, ComputeConfig { precision, threads });
-    let vocab = cfg.vocab;
+/// Digest of one model's outputs: its greedy reference-tier tokens
+/// (`reference`), the bits of a batched prefill's last logits row (37
+/// rows: every row-band height and remainder the kernels tile by), and
+/// the continuous batcher's tokens for mixed-length requests.
+fn digest(model: Model, reference: &[u32]) -> u64 {
+    let vocab = model.config().vocab;
     let mut h = Fnv::new();
 
-    for t in model.generate(&prompt(5, 1, vocab), 6) {
+    for &t in reference {
         h.word(u64::from(t));
     }
 
@@ -116,9 +115,16 @@ fn outputs_match_golden_digests() {
         ),
     ];
     for (name, cfg, wants) in cases {
+        let mut reference = None;
         for (precision, want) in [Precision::F32, Precision::Int8].into_iter().zip(wants) {
             for threads in [1, 2] {
-                let got = digest(&cfg, precision, threads);
+                let model = Model::random_with(&cfg, 2024, ComputeConfig { precision, threads });
+                // The reference tier reads the stored bf16 weights at
+                // either precision and never uses the pool: one run per
+                // shape serves all four models.
+                let tokens =
+                    reference.get_or_insert_with(|| model.generate(&prompt(5, 1, cfg.vocab), 6));
+                let got = digest(model, tokens);
                 assert_eq!(
                     got, want,
                     "{name} {precision:?} on {threads} lanes: digest {got:#018x}"
