@@ -4,8 +4,9 @@
 //! the DistServe paper (see `DESIGN.md` for the index and
 //! `EXPERIMENTS.md` for recorded paper-vs-measured results). This library
 //! holds what they share: the calibrated testbed cost model, goodput
-//! measurement against full-system simulations, and uniform headers so
-//! `bench_output.txt` is self-describing.
+//! measurement against full-system simulations, uniform headers so
+//! `bench_output.txt` is self-describing, and the one BENCH record
+//! ([`sentinel::BenchRecord`]) every `BENCH_*.json` writer saves.
 
 pub mod overhead;
 pub mod sentinel;
@@ -16,6 +17,9 @@ use distserve_engine::{FidelityConfig, InstanceSpec};
 use distserve_models::{ModelArch, RooflineModel};
 use distserve_placement::goodput::{max_goodput, probe_count_with};
 use distserve_placement::{SloSpec, TraceSource};
+use distserve_router::ScaleOutcome;
+
+use crate::sentinel::BenchRecord;
 
 /// The cost model used for every paper-figure reproduction: A100-80G
 /// under the calibrated 2023-era engine profile (see
@@ -23,6 +27,32 @@ use distserve_placement::{SloSpec, TraceSource};
 #[must_use]
 pub fn paper_cost() -> RooflineModel {
     RooflineModel::a100_conservative()
+}
+
+/// Adds one `ScaleSim` run to `rec` as `<arm>.*` metrics: every field
+/// of the outcome, plus its prefix hit rate, goodput and attainment.
+pub fn push_scale_outcome(rec: &mut BenchRecord, arm: &str, o: &ScaleOutcome) {
+    rec.push(format!("{arm}.offered"), o.offered as f64, "count")
+        .push(format!("{arm}.completed"), o.completed as f64, "count")
+        .push(format!("{arm}.shed"), o.shed as f64, "count")
+        .push(format!("{arm}.slo_ok"), o.slo_ok as f64, "count")
+        .push(format!("{arm}.requeues"), o.requeues as f64, "count")
+        .push(format!("{arm}.sim_s"), o.sim_secs, "s")
+        .push(format!("{arm}.mean_ttft_s"), o.mean_ttft_s, "s")
+        .push(format!("{arm}.mean_tpot_s"), o.mean_tpot_s, "s")
+        .push(format!("{arm}.prefix_hits"), o.prefix_hits as f64, "count")
+        .push(
+            format!("{arm}.cached_prompt_tokens"),
+            o.cached_prompt_tokens as f64,
+            "tok",
+        )
+        .push(
+            format!("{arm}.prefix_hit_rate"),
+            o.prefix_hit_rate(),
+            "frac",
+        )
+        .push(format!("{arm}.goodput_rps"), o.goodput_rps(), "req/s")
+        .push(format!("{arm}.attainment"), o.attainment(), "frac");
 }
 
 /// Prints a uniform experiment header.

@@ -34,7 +34,7 @@ use std::time::Instant;
 use distserve_telemetry::TelemetrySink;
 use tinyllm::{ContinuousBatcher, GenRequest, Model};
 
-use crate::sentinel::median;
+use crate::sentinel::{median, BenchRecord};
 
 // Serving-shaped decode: real traces (e.g. ShareGPT, §6 of the paper)
 // carry prompts of tens to hundreds of tokens, so decode attends over
@@ -122,6 +122,20 @@ impl Estimate {
     #[must_use]
     pub fn overhead_pct(&self) -> f64 {
         self.delta_s / self.base_s * 100.0
+    }
+
+    /// Adds the estimate to `record` as `overhead.*` metrics: the
+    /// fixture's shape, the off and on times per run, the overhead and
+    /// its budget.
+    pub fn push_to(&self, record: &mut BenchRecord) {
+        record
+            .push("overhead.batch", BATCH as f64, "req")
+            .push("overhead.decode_steps", DECODE_STEPS as f64, "count")
+            .push("overhead.rounds", ROUNDS as f64, "count")
+            .push("overhead.off_ms", self.base_s * 1e3, "ms")
+            .push("overhead.on_ms", self.on_s() * 1e3, "ms")
+            .push("overhead.pct", self.overhead_pct(), "%")
+            .push("overhead.budget_pct", BUDGET_PCT, "%");
     }
 }
 

@@ -1,15 +1,18 @@
-//! The perf-regression sentinel: a provenance-stamped, append-only
-//! bench-history ledger plus a noise-aware comparator.
+//! The one BENCH record and the perf-regression sentinel: a
+//! provenance-stamped, append-only bench-history ledger plus a
+//! noise-aware comparator.
 //!
-//! Every `BENCH_*.json` in this repo used to overwrite the previous
-//! run, so the perf trajectory across PRs was invisible and regressions
-//! landed silently. The sentinel fixes both halves:
-//!
-//! - **Ledger** — each bench run appends one JSON line to
-//!   `BENCH_history.jsonl` ([`append_record`]): a [`Provenance`] stamp
-//!   (git sha, rustc, CPU model, host cores, seed, config) plus the
-//!   run's key metrics. Append-only and newline-delimited, so history
-//!   survives every run and merges trivially.
+//! - **Record** — every bench writer builds one [`BenchRecord`]: a
+//!   [`Provenance`] stamp (git sha, rustc, CPU model, host cores, seed,
+//!   config label) plus named metrics, `{provenance, metrics: {name:
+//!   {value, unit}}}`. Names are dotted with the layer first
+//!   (`decode.batch16_tok_s`, `overhead.pct`, `sentinel.regressed`);
+//!   flags are 0/1 metrics with unit `bool`. [`BenchRecord::save`] writes
+//!   it as `BENCH_<name>.json` at the repository root and appends it to
+//!   the ledger.
+//! - **Ledger** — `BENCH_history.jsonl` at the repository root holds
+//!   one compact record per line, append-only, so history survives every
+//!   run and merges trivially.
 //! - **Comparator** — [`check`] compares a fresh record against the
 //!   ledger records from its own host (same CPU model and core count)
 //!   per metric: the baseline is the *median* of those prior runs and
@@ -30,6 +33,16 @@
 use std::io::Write as _;
 
 use serde::Value;
+
+/// The repository root, where every `BENCH_*.json` lives.
+const ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+
+/// The bench-history ledger at the repository root.
+const LEDGER: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_history.jsonl");
+
+/// The comparator's noise multiplier `k` (see [`check`]) for every
+/// record [`BenchRecord::judge`] judges.
+const SENTINEL_K: f64 = 3.0;
 
 /// Minimum prior samples of a metric from the current record's host
 /// before the comparator will call a regression: below this, MAD is
@@ -57,7 +70,7 @@ pub struct Provenance {
     pub host_cores: u64,
     /// Workload seed the run used.
     pub seed: u64,
-    /// Free-form config label (model config, batch, request count).
+    /// Free-form config label: the model, workload or fleet measured.
     pub config: String,
     /// Unix seconds when the record was captured.
     pub unix_time_s: u64,
@@ -126,10 +139,7 @@ impl Provenance {
             && self.host_cores == other.host_cores
     }
 
-    /// The stamp as a JSON object — embed under a `"provenance"` key in
-    /// any `BENCH_*.json` document.
-    #[must_use]
-    pub fn value(&self) -> Value {
+    fn value(&self) -> Value {
         Value::Object(vec![
             ("git_sha".into(), Value::Str(self.git_sha.clone())),
             ("rustc".into(), Value::Str(self.rustc.clone())),
@@ -157,71 +167,173 @@ impl Provenance {
     }
 }
 
-/// One ledger line: a provenance stamp plus named metric values.
+/// One measured number of a [`BenchRecord`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Metric {
+    /// Dotted name, layer first.
+    pub name: String,
+    /// The number. JSON has no NaN, so a NaN (a baseline with no
+    /// history) is written as `null` and read back as NaN.
+    pub value: f64,
+    /// Unit (`s`, `ms`, `tok/s`, `req/s`, `frac`, `%`, `count`, `bool`, …).
+    pub unit: String,
+}
+
+/// A BENCH file and a ledger line: a provenance stamp plus named
+/// metrics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
     /// Where the numbers came from.
     pub provenance: Provenance,
-    /// `(metric name, value)` pairs, insertion-ordered.
-    pub metrics: Vec<(String, f64)>,
+    /// The metrics in insertion order.
+    pub metrics: Vec<Metric>,
 }
 
 impl BenchRecord {
-    /// A record stamping `metrics` with `provenance`.
+    /// An empty record stamped with `provenance`.
     #[must_use]
-    pub fn new(provenance: Provenance, metrics: Vec<(String, f64)>) -> Self {
+    pub fn new(provenance: Provenance) -> Self {
         BenchRecord {
             provenance,
-            metrics,
+            metrics: Vec::new(),
         }
     }
 
-    /// Looks up a metric by name.
+    /// Appends one metric.
+    pub fn push(&mut self, name: impl Into<String>, value: f64, unit: &str) -> &mut Self {
+        self.metrics.push(Metric {
+            name: name.into(),
+            value,
+            unit: unit.to_string(),
+        });
+        self
+    }
+
+    /// Looks up a metric's value by name.
     #[must_use]
     pub fn metric(&self, name: &str) -> Option<f64> {
         self.metrics
             .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
+            .find(|m| m.name == name)
+            .map(|m| m.value)
     }
 
-    /// One compact JSON line (no trailing newline).
+    fn value(&self) -> Value {
+        let metrics = self.metrics.iter().map(|m| {
+            let entry = Value::Object(vec![
+                ("value".into(), Value::Float(m.value)),
+                ("unit".into(), Value::Str(m.unit.clone())),
+            ]);
+            (m.name.clone(), entry)
+        });
+        Value::Object(vec![
+            ("provenance".into(), self.provenance.value()),
+            ("metrics".into(), Value::Object(metrics.collect())),
+        ])
+    }
+
+    /// One compact JSON line (no trailing newline): the ledger's form.
     ///
     /// # Panics
     ///
     /// Panics if serialization fails (cannot happen for this shape).
     #[must_use]
     pub fn to_json_line(&self) -> String {
-        let doc = Value::Object(vec![
-            ("provenance".into(), self.provenance.value()),
-            (
-                "metrics".into(),
-                Value::Object(
-                    self.metrics
-                        .iter()
-                        .map(|(n, v)| (n.clone(), Value::Float(*v)))
-                        .collect(),
-                ),
-            ),
-        ]);
-        serde_json::to_string(&doc).expect("serialize bench record")
+        serde_json::to_string(&self.value()).expect("serialize bench record")
     }
 
-    /// Parses one ledger line; `None` on malformed input (a corrupt
-    /// line skips, it does not poison the ledger).
+    /// Parses a record from JSON text, a ledger line or a whole
+    /// `BENCH_*.json` file; `None` on malformed input (a corrupt line
+    /// skips, it does not poison the ledger).
     #[must_use]
-    pub fn from_json_line(line: &str) -> Option<Self> {
-        let doc: Value = serde_json::from_str(line.trim()).ok()?;
+    pub fn from_json(text: &str) -> Option<Self> {
+        let doc: Value = serde_json::from_str(text.trim()).ok()?;
         let provenance = Provenance::from_value(&doc["provenance"])?;
         let metrics = doc["metrics"]
             .as_object()?
             .iter()
-            .map(|(n, v)| Some((n.clone(), v.as_f64()?)))
+            .map(|(name, m)| {
+                let value = match &m["value"] {
+                    Value::Null => f64::NAN,
+                    v => v.as_f64()?,
+                };
+                Some(Metric {
+                    name: name.clone(),
+                    value,
+                    unit: m["unit"].as_str()?.to_string(),
+                })
+            })
             .collect::<Option<Vec<_>>>()?;
         Some(BenchRecord {
             provenance,
             metrics,
         })
+    }
+
+    /// Writes the record as pretty JSON to `BENCH_<name>.json` at the
+    /// repository root, without touching the ledger.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if serialization fails (cannot happen for this shape).
+    pub fn write(&self, name: &str) -> std::io::Result<()> {
+        let json = serde_json::to_string_pretty(&self.value()).expect("serialize bench record");
+        std::fs::write(format!("{ROOT}/BENCH_{name}.json"), json + "\n")
+    }
+
+    /// [`BenchRecord::write`]s `BENCH_<name>.json` and appends the record
+    /// to the ledger: the save path of every bench writer.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn save(&self, name: &str) -> std::io::Result<()> {
+        self.write(name)?;
+        append_record(LEDGER, self)
+    }
+
+    /// Judges this record against the ledger's same-host history over
+    /// [`KEY_METRICS`], prints the verdicts, and adds them as metrics:
+    /// `sentinel.history_len`, `sentinel.k`, `sentinel.regressed`, and
+    /// per gated metric `sentinel.<metric>.{baseline_median, noise_sigma,
+    /// current, threshold, samples, enough_history, regressed}`. Returns
+    /// whether any metric regressed.
+    pub fn judge(&mut self) -> bool {
+        let history = load_ledger(LEDGER);
+        let verdicts = check(&history, self, KEY_METRICS, SENTINEL_K);
+        let regressed = verdicts.iter().any(|v| v.regressed);
+        println!(
+            "  sentinel vs {} ledger records:\n{}",
+            history.len(),
+            render_verdicts(&verdicts)
+        );
+        let flag = |b: bool| f64::from(u8::from(b));
+        self.push("sentinel.history_len", history.len() as f64, "count")
+            .push("sentinel.k", SENTINEL_K, "x")
+            .push("sentinel.regressed", flag(regressed), "bool");
+        for (v, spec) in verdicts.iter().zip(KEY_METRICS) {
+            let (m, unit) = (&v.metric, spec.unit);
+            self.push(
+                format!("sentinel.{m}.baseline_median"),
+                v.baseline_median,
+                unit,
+            )
+            .push(format!("sentinel.{m}.noise_sigma"), v.noise_sigma, unit)
+            .push(format!("sentinel.{m}.current"), v.current, unit)
+            .push(format!("sentinel.{m}.threshold"), v.threshold, unit)
+            .push(format!("sentinel.{m}.samples"), v.samples as f64, "count")
+            .push(
+                format!("sentinel.{m}.enough_history"),
+                flag(v.enough_history),
+                "bool",
+            )
+            .push(format!("sentinel.{m}.regressed"), flag(v.regressed), "bool");
+        }
+        regressed
     }
 }
 
@@ -232,7 +344,7 @@ impl BenchRecord {
 /// # Errors
 ///
 /// Propagates filesystem errors (unwritable path).
-pub fn append_record(path: &str, record: &BenchRecord) -> std::io::Result<()> {
+fn append_record(path: &str, record: &BenchRecord) -> std::io::Result<()> {
     let mut f = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
@@ -243,13 +355,13 @@ pub fn append_record(path: &str, record: &BenchRecord) -> std::io::Result<()> {
 /// Loads every parseable record from the ledger; a missing file is an
 /// empty history, malformed lines are skipped.
 #[must_use]
-pub fn load_ledger(path: &str) -> Vec<BenchRecord> {
+fn load_ledger(path: &str) -> Vec<BenchRecord> {
     let Ok(text) = std::fs::read_to_string(path) else {
         return Vec::new();
     };
     text.lines()
         .filter(|l| !l.trim().is_empty())
-        .filter_map(BenchRecord::from_json_line)
+        .filter_map(BenchRecord::from_json)
         .collect()
 }
 
@@ -258,6 +370,8 @@ pub fn load_ledger(path: &str) -> Vec<BenchRecord> {
 pub struct MetricSpec {
     /// Ledger metric name.
     pub name: &'static str,
+    /// The metric's unit, which its verdict's figures share.
+    pub unit: &'static str,
     /// `true` when larger is better (throughputs); `false` when smaller
     /// is better (latencies, overhead percentages).
     pub higher_is_better: bool,
@@ -285,6 +399,7 @@ pub const KEY_METRICS: &[MetricSpec] = &[
     // 10% regressions the sentinel exists to catch.
     MetricSpec {
         name: "decode_tok_s",
+        unit: "tok/s",
         higher_is_better: true,
         rel_floor: 0.05,
         abs_floor: 0.0,
@@ -297,6 +412,7 @@ pub const KEY_METRICS: &[MetricSpec] = &[
     // lost fast path — not scheduler weather.
     MetricSpec {
         name: "sim_req_s",
+        unit: "req/s",
         higher_is_better: true,
         rel_floor: 0.25,
         abs_floor: 0.0,
@@ -304,6 +420,7 @@ pub const KEY_METRICS: &[MetricSpec] = &[
     },
     MetricSpec {
         name: "prof_overhead_pct",
+        unit: "%",
         higher_is_better: false,
         rel_floor: 0.0,
         abs_floor: 1.0,
@@ -315,6 +432,7 @@ pub const KEY_METRICS: &[MetricSpec] = &[
     // wall-clock-window sensitivity and gets the same wide floor.
     MetricSpec {
         name: "prefix_hit_rate",
+        unit: "frac",
         higher_is_better: true,
         rel_floor: 0.05,
         abs_floor: 0.02,
@@ -322,6 +440,7 @@ pub const KEY_METRICS: &[MetricSpec] = &[
     },
     MetricSpec {
         name: "cached_goodput_rps",
+        unit: "req/s",
         higher_is_better: true,
         rel_floor: 0.25,
         abs_floor: 0.0,
@@ -455,6 +574,16 @@ mod tests {
         }
     }
 
+    /// A record of `metrics`, each in its [`KEY_METRICS`] unit.
+    fn record(provenance: Provenance, metrics: &[(&str, f64)]) -> BenchRecord {
+        let mut rec = BenchRecord::new(provenance);
+        for &(name, value) in metrics {
+            let spec = KEY_METRICS.iter().find(|s| s.name == name).expect("gated");
+            rec.push(name, value, spec.unit);
+        }
+        rec
+    }
+
     /// Deterministic ±2% jitter around `base`.
     fn jitter(base: f64, i: u64) -> f64 {
         let r = ((i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) % 4001) as f64 / 4000.0;
@@ -464,12 +593,12 @@ mod tests {
     fn fixture_ledger(n: u64) -> Vec<BenchRecord> {
         (0..n)
             .map(|i| {
-                BenchRecord::new(
+                record(
                     prov(i),
-                    vec![
-                        ("decode_tok_s".into(), jitter(1000.0, i)),
-                        ("sim_req_s".into(), jitter(1.4e6, i.wrapping_add(7))),
-                        ("prof_overhead_pct".into(), 1.0 + 0.3 * jitter(1.0, i) - 0.3),
+                    &[
+                        ("decode_tok_s", jitter(1000.0, i)),
+                        ("sim_req_s", jitter(1.4e6, i.wrapping_add(7))),
+                        ("prof_overhead_pct", 1.0 + 0.3 * jitter(1.0, i) - 0.3),
                     ],
                 )
             })
@@ -478,15 +607,53 @@ mod tests {
 
     #[test]
     fn record_round_trips_through_json_line() {
-        let rec = fixture_ledger(1).remove(0);
+        let mut rec = fixture_ledger(1).remove(0);
+        rec.push("sentinel.decode_tok_s.baseline_median", f64::NAN, "tok/s");
         let line = rec.to_json_line();
         assert!(!line.contains('\n'), "one line per record");
-        let back = BenchRecord::from_json_line(&line).expect("parse own output");
+        let back = BenchRecord::from_json(&line).expect("parse own output");
         assert_eq!(back.provenance, rec.provenance);
         assert_eq!(back.metrics.len(), rec.metrics.len());
-        for ((n1, v1), (n2, v2)) in back.metrics.iter().zip(&rec.metrics) {
-            assert_eq!(n1, n2);
-            assert!((v1 - v2).abs() < 1e-9);
+        for (m1, m2) in back.metrics.iter().zip(&rec.metrics) {
+            assert_eq!((&m1.name, &m1.unit), (&m2.name, &m2.unit));
+            assert!(m1.value == m2.value || (m1.value.is_nan() && m2.value.is_nan()));
+        }
+    }
+
+    /// Every committed `BENCH_*.json` and every ledger line is one
+    /// record, with each metric named once.
+    #[test]
+    fn committed_bench_files_parse_as_records() {
+        let mut texts: Vec<(String, String)> = std::fs::read_dir(ROOT)
+            .expect("repository root")
+            .map(|e| {
+                e.expect("dir entry")
+                    .file_name()
+                    .into_string()
+                    .expect("utf8")
+            })
+            .filter(|f| f.starts_with("BENCH_") && f.ends_with(".json"))
+            .map(|f| {
+                let text = std::fs::read_to_string(format!("{ROOT}/{f}")).expect("read");
+                (f, text)
+            })
+            .collect();
+        assert!(texts.len() >= 7, "BENCH files: {texts:?}");
+        let ledger = std::fs::read_to_string(LEDGER).expect("read the ledger");
+        texts.extend(
+            ledger
+                .lines()
+                .enumerate()
+                .map(|(i, l)| (format!("ledger line {}", i + 1), l.to_string())),
+        );
+        for (what, text) in &texts {
+            let rec = BenchRecord::from_json(text).unwrap_or_else(|| panic!("{what} is no record"));
+            assert!(!rec.metrics.is_empty(), "{what} has no metrics");
+            let mut names: Vec<&str> = rec.metrics.iter().map(|m| m.name.as_str()).collect();
+            names.sort_unstable();
+            let n = names.len();
+            names.dedup();
+            assert_eq!(names.len(), n, "{what} repeats a metric name");
         }
     }
 
@@ -522,12 +689,12 @@ mod tests {
     #[test]
     fn injected_ten_percent_slowdown_is_flagged() {
         let history = fixture_ledger(12);
-        let slow = BenchRecord::new(
+        let slow = record(
             prov(99),
-            vec![
-                ("decode_tok_s".into(), 900.0), // 10% below the ~1000 baseline
-                ("sim_req_s".into(), 1.4e6),
-                ("prof_overhead_pct".into(), 1.0),
+            &[
+                ("decode_tok_s", 900.0), // 10% below the ~1000 baseline
+                ("sim_req_s", 1.4e6),
+                ("prof_overhead_pct", 1.0),
             ],
         );
         let verdicts = check(&history, &slow, KEY_METRICS, 3.0);
@@ -542,12 +709,12 @@ mod tests {
     #[test]
     fn noise_only_rerun_passes() {
         let history = fixture_ledger(12);
-        let rerun = BenchRecord::new(
+        let rerun = record(
             prov(77),
-            vec![
-                ("decode_tok_s".into(), jitter(1000.0, 77)),
-                ("sim_req_s".into(), jitter(1.4e6, 78)),
-                ("prof_overhead_pct".into(), 1.4),
+            &[
+                ("decode_tok_s", jitter(1000.0, 77)),
+                ("sim_req_s", jitter(1.4e6, 78)),
+                ("prof_overhead_pct", 1.4),
             ],
         );
         let verdicts = check(&history, &rerun, KEY_METRICS, 3.0);
@@ -562,16 +729,16 @@ mod tests {
         // slowdown would sail through; the 8% rel_cap still catches it.
         let history: Vec<BenchRecord> = (0..12)
             .map(|i| {
-                BenchRecord::new(
+                record(
                     prov(i),
-                    vec![(
-                        "decode_tok_s".into(),
+                    &[(
+                        "decode_tok_s",
                         jitter(1000.0, i) + ((i % 3) as f64 - 1.0) * 100.0,
                     )],
                 )
             })
             .collect();
-        let slow = BenchRecord::new(prov(99), vec![("decode_tok_s".into(), 900.0)]);
+        let slow = record(prov(99), &[("decode_tok_s", 900.0)]);
         let verdicts = check(&history, &slow, KEY_METRICS, 3.0);
         let decode = &verdicts[0];
         assert!(
@@ -584,12 +751,12 @@ mod tests {
     #[test]
     fn overhead_regression_uses_absolute_floor() {
         let history = fixture_ledger(12);
-        let bloated = BenchRecord::new(
+        let bloated = record(
             prov(50),
-            vec![
-                ("decode_tok_s".into(), 1000.0),
-                ("sim_req_s".into(), 1.4e6),
-                ("prof_overhead_pct".into(), 8.0), // way past the ~1% baseline
+            &[
+                ("decode_tok_s", 1000.0),
+                ("sim_req_s", 1.4e6),
+                ("prof_overhead_pct", 8.0), // way past the ~1% baseline
             ],
         );
         let verdicts = check(&history, &bloated, KEY_METRICS, 3.0);
@@ -603,12 +770,12 @@ mod tests {
     #[test]
     fn thin_history_never_calls_regressions() {
         let history = fixture_ledger(2); // below MIN_BASELINE
-        let awful = BenchRecord::new(
+        let awful = record(
             prov(1),
-            vec![
-                ("decode_tok_s".into(), 1.0),
-                ("sim_req_s".into(), 1.0),
-                ("prof_overhead_pct".into(), 99.0),
+            &[
+                ("decode_tok_s", 1.0),
+                ("sim_req_s", 1.0),
+                ("prof_overhead_pct", 99.0),
             ],
         );
         for v in check(&history, &awful, KEY_METRICS, 3.0) {
@@ -621,7 +788,7 @@ mod tests {
     /// another host, a flag against the same records stamped with its own.
     #[test]
     fn baseline_comes_from_the_same_host_only() {
-        let slow = BenchRecord::new(prov(99), vec![("decode_tok_s".into(), 900.0)]);
+        let slow = record(prov(99), &[("decode_tok_s", 900.0)]);
         let other_hosts = [
             (Some("Other CPU @ 3.00GHz"), 8),
             (Some("Fixture CPU @ 2.00GHz"), 1),
@@ -647,11 +814,11 @@ mod tests {
 
     #[test]
     fn records_without_cpu_model_parse_and_match_no_host() {
-        let line = r#"{"provenance":{"git_sha":"867d2c2","rustc":"rustc 1.95.0","host_cores":1,"seed":7,"config":"c","unix_time_s":1786220796},"metrics":{"sim_req_s":1345271.1}}"#;
-        let old = BenchRecord::from_json_line(line).expect("pre-cpu_model record parses");
+        let line = r#"{"provenance":{"git_sha":"867d2c2","rustc":"rustc 1.95.0","host_cores":1,"seed":7,"config":"c","unix_time_s":1786220796},"metrics":{"sim_req_s":{"value":1345271.1,"unit":"req/s"}}}"#;
+        let old = BenchRecord::from_json(line).expect("pre-cpu_model record parses");
         assert_eq!(old.provenance.cpu_model, None);
         assert!(!old.provenance.same_host(&old.provenance));
-        let back = BenchRecord::from_json_line(&old.to_json_line()).expect("round trip");
+        let back = BenchRecord::from_json(&old.to_json_line()).expect("round trip");
         assert_eq!(back.provenance, old.provenance);
     }
 

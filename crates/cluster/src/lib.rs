@@ -8,8 +8,6 @@
 //!   (NVLink when colocated on a node, the cross-node fabric otherwise).
 //! * [`alloc`] — assignment of GPU groups to instances, with the
 //!   same-node constraint the low node-affinity placement needs.
-//! * [`memory`] — a per-GPU memory ledger (weights, reserved activations,
-//!   KV cache) enforcing capacity.
 //! * [`transfer`] — KV-cache transfer timing between prefill and decoding
 //!   instances, path-aware (§3.3's bandwidth arithmetic).
 //!
@@ -23,11 +21,9 @@
 //! ```
 
 pub mod alloc;
-pub mod memory;
 pub mod topology;
 pub mod transfer;
 
 pub use alloc::GpuAllocator;
-pub use memory::{LedgerBank, MemoryLedger};
 pub use topology::{Cluster, GpuId, NodeId};
 pub use transfer::KvTransferModel;

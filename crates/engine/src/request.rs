@@ -12,7 +12,12 @@ use serde::{Deserialize, Serialize};
 use distserve_simcore::SimTime;
 use distserve_workload::{Request, RequestId};
 
-/// Completed-request timestamps.
+/// Completed-request timestamps, ordered `arrival ≤ prefill_start ≤
+/// first_token ≤ transfer_done ≤ decode_start ≤ completion`, so the five
+/// stages sum to the request's latency. When a fault forces a request
+/// that already decoded to prefill again, its stamps keep describing the
+/// attempt that delivered the first token, and the recovery counts as
+/// decoding execution.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RequestRecord {
     /// Request identity.

@@ -1073,11 +1073,9 @@ impl<'a> ServingSim<'a> {
             )
             .total();
         let (bid, commit) = self.commit_step(i, raw, now);
-        // A recomputation on the split path keeps its first prefill start.
-        let split = self.instances[i].spec.role == InstanceRole::Prefill;
         for id in &members {
             let st = self.states.get_mut(id).expect("state exists");
-            if !split || st.resume_generated == 0 {
+            if st.resume_generated == 0 {
                 st.prefill_start = commit.start;
             }
             st.phase = RequestPhase::Prefilling;
@@ -1247,7 +1245,9 @@ impl<'a> ServingSim<'a> {
         {
             let st = self.states.get_mut(&id).expect("state exists");
             let resume = st.resume_generated;
-            st.transfer_done = now;
+            if resume == 0 {
+                st.transfer_done = now;
+            }
             st.phase = RequestPhase::Decoding {
                 generated: resume.max(1),
             };
@@ -1487,7 +1487,9 @@ impl<'a> ServingSim<'a> {
                 }
                 self.instances[c].note_kv();
                 let st = self.states.get_mut(&head.id).expect("state exists");
-                st.prefill_start = now;
+                if st.resume_generated == 0 {
+                    st.prefill_start = now;
+                }
                 st.phase = RequestPhase::Prefilling;
                 self.emit(head.id, now, LifecycleEvent::PrefillStart);
                 self.emit_kv(c);
@@ -1584,10 +1586,10 @@ impl<'a> ServingSim<'a> {
     }
 
     fn coloc_first_token(&mut self, c: usize, id: RequestId, now: SimTime) {
-        self.states
-            .get_mut(&id)
-            .expect("state exists")
-            .transfer_done = now;
+        let st = self.states.get_mut(&id).expect("state exists");
+        if st.resume_generated == 0 {
+            st.transfer_done = now;
+        }
         if self.deliver_first_token(c, id, now) {
             self.instances[c].kv.free(id).expect("coloc KV allocated");
             self.emit_kv(c);
@@ -2916,7 +2918,6 @@ mod tests {
             queue_cap: 2,
             max_wait_secs: 0.5,
             retry_gap_secs: 0.1,
-            ..RouterPolicy::default()
         };
         let (out, log) = ServingSim::new_routed(cfg, &cost, &cl, disagg_deployment(&cl), policy)
             .unwrap()

@@ -3,7 +3,7 @@
 //! Serving performance depends only on the *shape* of a model — layer
 //! count, hidden size, head geometry, FFN width — never on its weights.
 //! [`ModelArch`] captures that shape and derives the quantities the latency
-//! model and the memory ledger need: FLOP counts, weight bytes, and
+//! model and the engines' KV capacity need: FLOP counts, weight bytes, and
 //! KV-cache bytes per token.
 
 use serde::{Deserialize, Serialize};

@@ -15,13 +15,12 @@
 //! length `p` and predicted decode length `g`:
 //!
 //! - **split P/D path** via prefill replica `P` and decode replica `D`:
-//!   `score = load(P) + p + transfer_penalty_tokens + load(D) + g`
+//!   `score = load(P) + p + TRANSFER_PENALTY_TOKENS + load(D) + g`
 //! - **colocated path** via replica `C`:
-//!   `score = load(C) + p + g + p·active(C)·coloc_interference_num /
-//!   coloc_interference_den`
+//!   `score = load(C) + p + g + p·active(C) / COLOC_INTERFERENCE_DEN`
 //!
 //! where `load(r) = queued_tokens + inflight_tokens +
-//! active_decodes·decode_load_weight`. The last colocated term is the
+//! active_decodes·DECODE_LOAD_WEIGHT`. The last colocated term is the
 //! paper's prefill/decoding interference: a long prompt executed on an
 //! instance with many active decodes stalls all of them, so its cost
 //! grows with `p × active`. At low load colocation wins (no KV transfer);
@@ -125,16 +124,27 @@ impl ReplicaSnapshot {
         }
     }
 
-    /// Load in token-equivalents under `policy`.
+    /// Load in token-equivalents.
     #[must_use]
-    pub fn load(&self, policy: &RouterPolicy) -> u64 {
+    pub fn load(&self) -> u64 {
         self.queued_tokens
             + self.inflight_tokens
-            + u64::from(self.active_decodes) * policy.decode_load_weight
+            + u64::from(self.active_decodes) * DECODE_LOAD_WEIGHT
     }
 }
 
-/// Router configuration: scoring weights and the admission policy.
+/// Token-equivalents of load contributed by one active decode.
+const DECODE_LOAD_WEIGHT: u64 = 32;
+/// Fixed token-equivalent cost of the split path's KV transfer.
+const TRANSFER_PENALTY_TOKENS: u64 = 96;
+/// A colocated prefill's interference cost is `prompt × active_decodes /
+/// COLOC_INTERFERENCE_DEN` token-equivalents. Keep it small: interference
+/// is a transient per-step stall, and overpricing it herds all traffic
+/// onto the dedicated prefill lanes while the colocated lanes idle
+/// (exactly the TTFT collapse the router is supposed to prevent).
+const COLOC_INTERFERENCE_DEN: u64 = 64;
+
+/// Router configuration: the admission policy.
 #[derive(Debug, Clone, Copy)]
 pub struct RouterPolicy {
     /// Per-replica prefill-queue depth above which the replica stops
@@ -145,19 +155,6 @@ pub struct RouterPolicy {
     pub max_wait_secs: f64,
     /// Requeue interval while waiting for capacity.
     pub retry_gap_secs: f64,
-    /// Token-equivalents of load contributed by one active decode.
-    pub decode_load_weight: u64,
-    /// Fixed token-equivalent cost of the split path's KV transfer.
-    pub transfer_penalty_tokens: u64,
-    /// Interference scaling for colocated prefills, as the rational
-    /// `num/den` applied to `prompt × active_decodes`. Keep this small:
-    /// interference is a transient per-step stall, and overpricing it
-    /// herds all traffic onto the dedicated prefill lanes while the
-    /// colocated lanes idle (exactly the TTFT collapse the router is
-    /// supposed to prevent).
-    pub coloc_interference_num: u64,
-    /// Denominator of the interference scaling (never zero).
-    pub coloc_interference_den: u64,
 }
 
 impl Default for RouterPolicy {
@@ -166,10 +163,6 @@ impl Default for RouterPolicy {
             queue_cap: 64,
             max_wait_secs: 2.0,
             retry_gap_secs: 0.25,
-            decode_load_weight: 32,
-            transfer_penalty_tokens: 96,
-            coloc_interference_num: 1,
-            coloc_interference_den: 64,
         }
     }
 }
@@ -235,11 +228,9 @@ impl RouterState {
     ///
     /// # Panics
     ///
-    /// Panics if a snapshot's id disagrees with its position or the
-    /// policy's interference denominator is zero.
+    /// Panics if a snapshot's id disagrees with its position.
     #[must_use]
     pub fn new(replicas: Vec<ReplicaSnapshot>, policy: RouterPolicy, seed: u64) -> Self {
-        assert!(policy.coloc_interference_den > 0, "zero denominator");
         for (i, r) in replicas.iter().enumerate() {
             assert_eq!(r.id.0 as usize, i, "replica id must match position");
         }
@@ -358,7 +349,7 @@ impl RouterState {
             if !eligible(r) {
                 continue;
             }
-            let load = r.load(&self.policy);
+            let load = r.load();
             if found.is_none_or(|(least, _)| load < least) {
                 found = Some((load, r));
             }
@@ -538,11 +529,7 @@ pub(crate) fn route_with_holder(
     let split = state.best(ReplicaRole::Prefill, eligible).and_then(|p| {
         let d = state.best(ReplicaRole::Decode, |r| r.health.accepts_new_work())?;
         let score_via = |p: &ReplicaSnapshot| {
-            p.load(&policy)
-                + (prompt - saved_on(p.id))
-                + policy.transfer_penalty_tokens
-                + d.load(&policy)
-                + predicted
+            p.load() + (prompt - saved_on(p.id)) + TRANSFER_PENALTY_TOKENS + d.load() + predicted
         };
         let mut pick = (score_via(p), p.id);
         if let Some(h) = holder_snap {
@@ -562,9 +549,8 @@ pub(crate) fn route_with_holder(
     let coloc = state.best(ReplicaRole::Colocated, eligible).map(|c| {
         let score_via = |c: &ReplicaSnapshot| {
             let eff = prompt - saved_on(c.id);
-            let interference = eff * u64::from(c.active_decodes) * policy.coloc_interference_num
-                / policy.coloc_interference_den;
-            c.load(&policy) + eff + predicted + interference
+            let interference = eff * u64::from(c.active_decodes) / COLOC_INTERFERENCE_DEN;
+            c.load() + eff + predicted + interference
         };
         let mut pick = (score_via(c), c.id);
         if let Some(h) = holder_snap {
@@ -715,7 +701,6 @@ mod tests {
             queue_cap: 2,
             max_wait_secs: 1.0,
             retry_gap_secs: 0.5,
-            ..RouterPolicy::default()
         };
         let state = RouterState::new(
             fleet(&[(ReplicaRole::Prefill, 500, 2), (ReplicaRole::Decode, 0, 0)]),
@@ -816,7 +801,6 @@ mod tests {
             queue_cap: 4,
             max_wait_secs: 2.0,
             retry_gap_secs: 0.25,
-            ..RouterPolicy::default()
         };
         // Queue depth 3: under the full cap (4) but at the throttled
         // cap (2).

@@ -1003,7 +1003,6 @@ mod tests {
             queue_cap: 4,
             max_wait_secs: 0.5,
             retry_gap_secs: 0.1,
-            ..RouterPolicy::default()
         }
     }
 

@@ -19,8 +19,8 @@
 //! elements past the last one. The kernels walk panels in the outer loop
 //! and row bands in the inner loop, so a panel that one band pulled into
 //! cache serves every other band of the batch. The reference tier reads
-//! the same storage through `Matrix::row_runs`, `Matrix::col` and
-//! `Matrix::at`.
+//! the same storage through `Matrix::panels` (its `matmul` walks panels
+//! outermost too), `Matrix::col` and `Matrix::at`.
 //!
 //! Weights are stored as [`Bf16`] and every operation computes in f32:
 //! both tiers widen the same stored values exactly, so storage precision
@@ -179,12 +179,6 @@ impl<T> Matrix<T> {
             (lo, w, &self.data[lo * self.rows..][..self.rows * w])
         })
     }
-
-    /// Row `r` as contiguous storage runs in column order: the whole row
-    /// when row-major, one run per panel when panel-major.
-    pub(crate) fn row_runs(&self, r: usize) -> impl Iterator<Item = &[T]> + '_ {
-        self.panels().map(move |(_, w, p)| &p[r * w..][..w])
-    }
 }
 
 impl<T: Copy> Matrix<T> {
@@ -264,9 +258,10 @@ impl Matrix {
     /// `self × other`, where `self` is row-major and `other` is
     /// `(self.cols × n)` in either layout, its elements widened to f32.
     /// Reference implementation: allocating and unblocked. For each output
-    /// row it walks `k` ascending, then the output columns in order, so
-    /// every output accumulates over `k` ascending — the association
-    /// every kernel keeps.
+    /// row it walks `other`'s storage panels in order, and within a panel
+    /// `k` ascending, then the panel's columns, so `other` streams through
+    /// once per row and every output accumulates over `k` ascending — the
+    /// association every kernel keeps.
     ///
     /// # Panics
     ///
@@ -278,13 +273,12 @@ impl Matrix {
         for i in 0..self.rows {
             let a_row = self.row(i);
             let out_row = out.row_mut(i);
-            for (k, &a) in a_row.iter().enumerate() {
-                let mut j = 0;
-                for run in other.row_runs(k) {
-                    for (o, &b) in out_row[j..j + run.len()].iter_mut().zip(run) {
+            for (lo, w, panel) in other.panels() {
+                let out_run = &mut out_row[lo..lo + w];
+                for (&a, b_row) in a_row.iter().zip(panel.chunks_exact(w)) {
+                    for (o, &b) in out_run.iter_mut().zip(b_row) {
                         *o += a * b.into();
                     }
-                    j += run.len();
                 }
             }
         }

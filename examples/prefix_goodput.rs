@@ -11,9 +11,9 @@
 //! with prefix lineages visible to the cache-affine router and once with
 //! them stripped, and reports the goodput uplift at matched SLOs.
 //!
-//! Writes `BENCH_prefix.json` and appends a provenance-stamped record
-//! (`prefix_hit_rate`, `cached_goodput_rps`) to `BENCH_history.jsonl`
-//! for the perf sentinel.
+//! Saves `BENCH_prefix.json` and appends it to `BENCH_history.jsonl`,
+//! after the perf sentinel has judged its gated `prefix_hit_rate` and
+//! `cached_goodput_rps` against the ledger.
 //!
 //! Set `PREFIX_GOODPUT_REQUESTS=100000` for a CI-sized smoke.
 //!
@@ -27,9 +27,8 @@ use distserve::router::{
     Assignment, FleetSpec, RouterPolicy, ScaleOutcome, ScaleSim, ScaleSlo, ServiceProfile,
 };
 use distserve::workload::{ChatConfig, ChatSessionStream, Dataset};
-use distserve_bench::sentinel::{
-    append_record, check, load_ledger, render_verdicts, BenchRecord, Provenance, KEY_METRICS,
-};
+use distserve_bench::push_scale_outcome;
+use distserve_bench::sentinel::{BenchRecord, Provenance};
 use tinyllm::{ContinuousBatcher, GenRequest, Model, TinyConfig};
 
 /// Tenants in the real-engine workload, each with a distinct system
@@ -114,7 +113,6 @@ fn policy() -> RouterPolicy {
         queue_cap: 4,
         max_wait_secs: 0.5,
         retry_gap_secs: 0.1,
-        ..RouterPolicy::default()
     }
 }
 
@@ -145,39 +143,6 @@ fn run_scale(n: usize, warm: bool) -> (ScaleOutcome, f64) {
     let started = Instant::now();
     let out = sim.run_sessions(stream);
     (out, started.elapsed().as_secs_f64())
-}
-
-fn outcome_json(o: &ScaleOutcome) -> String {
-    format!(
-        concat!(
-            "{{\n",
-            "    \"offered\": {},\n",
-            "    \"completed\": {},\n",
-            "    \"shed\": {},\n",
-            "    \"slo_ok\": {},\n",
-            "    \"sim_secs\": {:.3},\n",
-            "    \"mean_ttft_s\": {:.6},\n",
-            "    \"mean_tpot_s\": {:.6},\n",
-            "    \"prefix_hits\": {},\n",
-            "    \"cached_prompt_tokens\": {},\n",
-            "    \"prefix_hit_rate\": {:.6},\n",
-            "    \"goodput_rps\": {:.3},\n",
-            "    \"attainment\": {:.6}\n",
-            "  }}"
-        ),
-        o.offered,
-        o.completed,
-        o.shed,
-        o.slo_ok,
-        o.sim_secs,
-        o.mean_ttft_s,
-        o.mean_tpot_s,
-        o.prefix_hits,
-        o.cached_prompt_tokens,
-        o.prefix_hit_rate(),
-        o.goodput_rps(),
-        o.attainment()
-    )
 }
 
 fn main() {
@@ -281,68 +246,25 @@ fn main() {
     );
 
     // --- BENCH_prefix.json + sentinel ledger -----------------------------
-    let provenance = Provenance::capture("multi-turn chat, shared 256-token system prompt", 7);
-    let current = BenchRecord::new(
-        provenance.clone(),
-        vec![
-            ("prefix_hit_rate".into(), warm.prefix_hit_rate()),
-            ("cached_goodput_rps".into(), warm.goodput_rps()),
-        ],
-    );
-    let history = load_ledger("BENCH_history.jsonl");
-    let verdicts = check(&history, &current, KEY_METRICS, 3.0);
-    let regressed = verdicts.iter().any(|v| v.regressed);
-    let prov_json = serde_json::to_string(&provenance.value()).expect("serialize provenance stamp");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"provenance\": {},\n",
-            "  \"requests\": {},\n",
-            "  \"engine\": {{\n",
-            "    \"requests\": {},\n",
-            "    \"bit_exact\": true,\n",
-            "    \"cache_hits\": {},\n",
-            "    \"cache_misses\": {},\n",
-            "    \"matched_tokens\": {},\n",
-            "    \"token_hit_rate\": {:.6},\n",
-            "    \"cold_wall_s\": {:.4},\n",
-            "    \"warm_wall_s\": {:.4}\n",
-            "  }},\n",
-            "  \"prefix_hit_rate\": {:.6},\n",
-            "  \"cached_goodput_rps\": {:.3},\n",
-            "  \"cold_goodput_rps\": {:.3},\n",
-            "  \"goodput_uplift\": {:.4},\n",
-            "  \"warm\": {},\n",
-            "  \"cold\": {},\n",
-            "  \"sentinel\": {{\"history_len\": {}, \"regressed\": {}}}\n",
-            "}}\n"
-        ),
-        prov_json,
-        n,
-        cold_out.len(),
-        stats.hits,
-        stats.misses,
-        stats.matched_tokens,
-        token_hit_rate,
-        cold_wall,
-        warm_wall,
-        warm.prefix_hit_rate(),
-        warm.goodput_rps(),
-        cold.goodput_rps(),
-        uplift,
-        outcome_json(&warm),
-        outcome_json(&cold),
-        history.len(),
-        regressed,
-    );
-    std::fs::write("BENCH_prefix.json", &json).expect("write BENCH_prefix.json");
-
-    println!(
-        "  sentinel vs {} ledger records:\n{}",
-        history.len(),
-        render_verdicts(&verdicts)
-    );
-    if regressed {
+    let mut rec = BenchRecord::new(Provenance::capture(
+        "multi-turn chat, shared 256-token system prompt",
+        7,
+    ));
+    rec.push("prefix_hit_rate", warm.prefix_hit_rate(), "frac")
+        .push("cached_goodput_rps", warm.goodput_rps(), "req/s")
+        .push("workload.requests", n as f64, "count")
+        .push("engine.requests", cold_out.len() as f64, "count")
+        .push("engine.bit_exact", 1.0, "bool")
+        .push("engine.cache_hits", stats.hits as f64, "count")
+        .push("engine.cache_misses", stats.misses as f64, "count")
+        .push("engine.matched_tokens", stats.matched_tokens as f64, "tok")
+        .push("engine.token_hit_rate", token_hit_rate, "frac")
+        .push("engine.cold_wall_s", cold_wall, "s")
+        .push("engine.warm_wall_s", warm_wall, "s")
+        .push("warm.goodput_uplift", uplift, "x");
+    push_scale_outcome(&mut rec, "warm", &warm);
+    push_scale_outcome(&mut rec, "cold", &cold);
+    if rec.judge() {
         // CI sets PREFIX_GOODPUT_STRICT=1 to turn a sentinel regression
         // on cached_goodput_rps / prefix_hit_rate into a hard failure.
         assert!(
@@ -351,9 +273,9 @@ fn main() {
         );
         eprintln!("  WARN: sentinel flagged a regression (see verdicts above)");
     }
-    append_record("BENCH_history.jsonl", &current).expect("append BENCH_history.jsonl");
+    rec.save("prefix").expect("save BENCH_prefix.json");
     println!(
-        "  wrote BENCH_prefix.json (hit rate {:.3}, engine hit rate {:.3}), appended to BENCH_history.jsonl",
+        "  saved BENCH_prefix.json (hit rate {:.3}, engine hit rate {:.3}), appended to BENCH_history.jsonl",
         warm.prefix_hit_rate(),
         engine_hit_rate,
     );

@@ -16,8 +16,8 @@
 //! - `BENCH_prof.json` — profiler overhead on the batch-16 decode loop
 //!   (`distserve_bench::overhead`'s paired estimator; budget <3%),
 //!   decode and sim throughput, and the sentinel's verdicts against the
-//!   bench-history ledger. The run's key metrics are appended to
-//!   `BENCH_history.jsonl` with a full provenance stamp.
+//!   bench-history ledger. The record is appended to
+//!   `BENCH_history.jsonl` as well.
 //!
 //! Self-validates: the flamegraph's leaf re-sum (Σ self time) must match
 //! the profile total within 1%, and the profile must contain both the
@@ -39,14 +39,10 @@ use distserve::workload::{Dataset, DiurnalCurve, RequestStream};
 use distserve_bench::overhead::{
     paired, prefilled, step_times, BATCH, BUDGET_PCT, DECODE_STEPS, ROUNDS,
 };
-use distserve_bench::sentinel::{
-    self, append_record, check, load_ledger, render_verdicts, BenchRecord, KEY_METRICS,
-};
-use serde::Value;
+use distserve_bench::sentinel::{BenchRecord, Provenance};
 use tinyllm::{Model, TinyConfig};
 
 const SIM_RUNS: usize = 3;
-const SENTINEL_K: f64 = 3.0;
 
 /// The routed fleet-scale run under the profiler, same fleet and diurnal
 /// overload shape as `router_scale`. Returns simulated requests/sec —
@@ -70,7 +66,6 @@ fn profiled_sim_once(n: u64) -> f64 {
         queue_cap: 4,
         max_wait_secs: 0.5,
         retry_gap_secs: 0.1,
-        ..RouterPolicy::default()
     };
     let slo = ScaleSlo {
         ttft_s: 0.4,
@@ -194,92 +189,34 @@ fn main() {
         profile.node_count(),
     );
 
-    // --- Part 4: sentinel — ledger append + regression check -------------
-    let provenance =
-        sentinel::Provenance::capture("TinyConfig::small() batch16 + diurnal routed sim", 7);
+    // --- Part 4: sentinel — regression check + ledger append -------------
     let reported_tok_s = decode_tok_s / (1.0 + inject_pct / 100.0);
     if inject_pct != 0.0 {
         println!("  injecting synthetic {inject_pct:.0}% decode slowdown into the current record");
     }
-    let current = BenchRecord::new(
-        provenance.clone(),
-        vec![
-            ("decode_tok_s".into(), reported_tok_s),
-            ("sim_req_s".into(), sim_req_s),
-            ("prof_overhead_pct".into(), overhead_pct),
-        ],
-    );
-    let history = load_ledger("BENCH_history.jsonl");
-    let verdicts = check(&history, &current, KEY_METRICS, SENTINEL_K);
-    let regressed = verdicts.iter().any(|v| v.regressed);
-    println!(
-        "  sentinel vs {} ledger records:\n{}",
-        history.len(),
-        render_verdicts(&verdicts)
-    );
-    if regressed {
+    let mut rec = BenchRecord::new(Provenance::capture(
+        "TinyConfig::small() batch16 + diurnal routed sim",
+        7,
+    ));
+    rec.push("decode_tok_s", reported_tok_s, "tok/s")
+        .push("sim_req_s", sim_req_s, "req/s")
+        .push("prof_overhead_pct", overhead_pct, "%");
+    est.push_to(&mut rec);
+    rec.push("workload.requests", n as f64, "count")
+        .push("profile.paths", profile.node_count() as f64, "count")
+        .push("profile.total_s", total_s, "s")
+        .push("profile.self_resum_err_pct", resum_err_pct, "%")
+        .push("sentinel.injected_slowdown_pct", inject_pct, "%");
+    if rec.judge() {
         eprintln!("  WARN: sentinel flagged a regression (see verdicts above)");
     }
     // Synthetic-slowdown runs exist to prove detection; keep them out of
     // the ledger so they don't drag the baseline down.
     if inject_pct == 0.0 {
-        append_record("BENCH_history.jsonl", &current).expect("append BENCH_history.jsonl");
-        println!("  appended provenance-stamped record to BENCH_history.jsonl");
+        rec.save("prof").expect("save BENCH_prof.json");
+        println!("  saved BENCH_prof.json, appended to BENCH_history.jsonl");
+    } else {
+        rec.write("prof").expect("write BENCH_prof.json");
+        println!("  wrote BENCH_prof.json (ledger untouched)");
     }
-
-    let verdict_values: Vec<Value> = verdicts
-        .iter()
-        .map(|v| {
-            Value::Object(vec![
-                ("metric".into(), Value::Str(v.metric.clone())),
-                ("baseline_median".into(), Value::Float(v.baseline_median)),
-                ("noise_sigma".into(), Value::Float(v.noise_sigma)),
-                ("current".into(), Value::Float(v.current)),
-                ("threshold".into(), Value::Float(v.threshold)),
-                ("samples".into(), Value::UInt(v.samples as u64)),
-                ("enough_history".into(), Value::Bool(v.enough_history)),
-                ("regressed".into(), Value::Bool(v.regressed)),
-            ])
-        })
-        .collect();
-    let doc = Value::Object(vec![
-        ("provenance".into(), provenance.value()),
-        ("batch".into(), Value::UInt(BATCH as u64)),
-        ("decode_steps".into(), Value::UInt(DECODE_STEPS as u64)),
-        ("rounds".into(), Value::UInt(ROUNDS as u64)),
-        (
-            "decode_step_off_us".into(),
-            Value::Float(off_s / DECODE_STEPS as f64 * 1e6),
-        ),
-        (
-            "decode_step_on_us".into(),
-            Value::Float(on_s / DECODE_STEPS as f64 * 1e6),
-        ),
-        ("overhead_pct".into(), Value::Float(overhead_pct)),
-        ("budget_pct".into(), Value::Float(BUDGET_PCT)),
-        ("decode_tok_s".into(), Value::Float(reported_tok_s)),
-        ("sim_requests".into(), Value::UInt(n)),
-        ("sim_req_s".into(), Value::Float(sim_req_s)),
-        (
-            "profile".into(),
-            Value::Object(vec![
-                ("paths".into(), Value::UInt(profile.node_count() as u64)),
-                ("total_s".into(), Value::Float(total_s)),
-                ("self_resum_err_pct".into(), Value::Float(resum_err_pct)),
-            ]),
-        ),
-        (
-            "sentinel".into(),
-            Value::Object(vec![
-                ("history_len".into(), Value::UInt(history.len() as u64)),
-                ("k".into(), Value::Float(SENTINEL_K)),
-                ("injected_slowdown_pct".into(), Value::Float(inject_pct)),
-                ("regressed".into(), Value::Bool(regressed)),
-                ("verdicts".into(), Value::Array(verdict_values)),
-            ]),
-        ),
-    ]);
-    let json = serde_json::to_string_pretty(&doc).expect("serialize bench results");
-    std::fs::write("BENCH_prof.json", json + "\n").expect("write BENCH_prof.json");
-    println!("  wrote BENCH_prof.json");
 }

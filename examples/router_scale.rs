@@ -10,8 +10,10 @@
 //!
 //! Self-validates: both runs must conserve every request
 //! (completed + shed == offered) and the routed run's goodput must be
-//! at least the static baseline's. Writes `BENCH_sim.json` with the
-//! wall-clock simulated-requests-per-second figure (target: ≥1M/s).
+//! at least the static baseline's. Saves `BENCH_sim.json` (and appends
+//! it to `BENCH_history.jsonl`) with the wall-clock
+//! simulated-requests-per-second figure `routed.sim_req_s` (target:
+//! ≥1M/s).
 //!
 //! Set `ROUTER_SCALE_REQUESTS=100000` for a CI-sized smoke.
 //!
@@ -23,6 +25,8 @@ use distserve::router::{
     Assignment, FleetSpec, RouterPolicy, ScaleOutcome, ScaleSim, ScaleSlo, ServiceProfile,
 };
 use distserve::workload::{Dataset, DiurnalCurve, RequestStream};
+use distserve_bench::push_scale_outcome;
+use distserve_bench::sentinel::{BenchRecord, Provenance};
 
 /// Fleet and workload for the scale run. 14 entry replicas (6 prefill +
 /// 8 colocated) absorb ~100 rps within SLO; the diurnal peak pushes past
@@ -59,7 +63,6 @@ fn policy() -> RouterPolicy {
         queue_cap: 4,
         max_wait_secs: 0.5,
         retry_gap_secs: 0.1,
-        ..RouterPolicy::default()
     }
 }
 
@@ -70,35 +73,6 @@ fn run(assignment: Assignment, n: u64) -> (ScaleOutcome, f64) {
     let started = Instant::now();
     let out = sim.run(stream);
     (out, started.elapsed().as_secs_f64())
-}
-
-fn outcome_json(o: &ScaleOutcome) -> String {
-    format!(
-        concat!(
-            "{{\n",
-            "    \"offered\": {},\n",
-            "    \"completed\": {},\n",
-            "    \"shed\": {},\n",
-            "    \"slo_ok\": {},\n",
-            "    \"requeues\": {},\n",
-            "    \"sim_secs\": {:.3},\n",
-            "    \"mean_ttft_s\": {:.6},\n",
-            "    \"mean_tpot_s\": {:.6},\n",
-            "    \"goodput_rps\": {:.3},\n",
-            "    \"attainment\": {:.6}\n",
-            "  }}"
-        ),
-        o.offered,
-        o.completed,
-        o.shed,
-        o.slo_ok,
-        o.requeues,
-        o.sim_secs,
-        o.mean_ttft_s,
-        o.mean_tpot_s,
-        o.goodput_rps(),
-        o.attainment()
-    )
 }
 
 fn main() {
@@ -156,36 +130,19 @@ fn main() {
         eprintln!("  WARN: {rate:.0} sim-req/s is below the 1M/s target on this host");
     }
 
-    let provenance = distserve_bench::sentinel::Provenance::capture("router_scale diurnal", 7);
-    let prov_json = serde_json::to_string(&provenance.value()).expect("serialize provenance stamp");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"provenance\": {},\n",
-            "  \"requests\": {},\n",
-            "  \"wall_secs\": {:.3},\n",
-            "  \"sim_requests_per_sec\": {:.0},\n",
-            "  \"workload\": {{\n",
-            "    \"arrival\": \"diurnal\",\n",
-            "    \"base_rate_rps\": {:.1},\n",
-            "    \"amplitude\": {:.2},\n",
-            "    \"period_secs\": {:.0},\n",
-            "    \"dataset\": \"sharegpt\"\n",
-            "  }},\n",
-            "  \"routed\": {},\n",
-            "  \"static\": {}\n",
-            "}}\n"
-        ),
-        prov_json,
-        n,
-        routed_wall,
-        rate,
-        c.base_rate,
-        c.amplitude,
-        c.period_secs,
-        outcome_json(&routed),
-        outcome_json(&fixed),
-    );
-    std::fs::write("BENCH_sim.json", &json).expect("write BENCH_sim.json");
-    println!("  wrote BENCH_sim.json ({:.0} sim-req/s)", rate);
+    let mut rec = BenchRecord::new(Provenance::capture(
+        "router_scale: diurnal ShareGPT arrivals, fleet 6P/10D/8C",
+        7,
+    ));
+    rec.push("workload.requests", n as f64, "count")
+        .push("workload.base_rate_rps", c.base_rate, "req/s")
+        .push("workload.amplitude", c.amplitude, "frac")
+        .push("workload.period_s", c.period_secs, "s")
+        .push("routed.wall_s", routed_wall, "s")
+        .push("routed.sim_req_s", rate, "req/s")
+        .push("static.wall_s", static_wall, "s");
+    push_scale_outcome(&mut rec, "routed", &routed);
+    push_scale_outcome(&mut rec, "static", &fixed);
+    rec.save("sim").expect("save BENCH_sim.json");
+    println!("  saved BENCH_sim.json ({rate:.0} sim-req/s)");
 }

@@ -21,9 +21,10 @@
 //!    Every request finishes inside the timed window, so span
 //!    finalization and tail sampling are timed.
 //!
-//! Writes `BENCH_trace.json`, `trace_waterfalls.json` (Perfetto; load
-//! in ui.perfetto.dev), `flight_recorder.json`, and
-//! `trace_dashboard.html` (per-tenant burn panel + waterfall SVG).
+//! Saves `BENCH_trace.json` (and appends it to `BENCH_history.jsonl`),
+//! and writes `trace_waterfalls.json` (Perfetto; load in
+//! ui.perfetto.dev), `flight_recorder.json`, and `trace_dashboard.html`
+//! (per-tenant burn panel + waterfall SVG).
 //!
 //! Set `TRACE_FLIGHT_REQUESTS=100000` for a CI-sized smoke.
 //!
@@ -49,6 +50,7 @@ use distserve::trace::{
 use distserve::workload::datasets::FixedLengths;
 use distserve::workload::{Dataset, MultiTenantMix, TenantSpec};
 use distserve_bench::overhead::{paired, prefilled, step_times, Estimate, BATCH, BUDGET_PCT};
+use distserve_bench::sentinel::{BenchRecord, Provenance};
 use tinyllm::{Model, TinyConfig};
 
 /// Same fleet as `router_scale`: 6 prefill + 8 colocated entry replicas
@@ -74,7 +76,6 @@ fn policy() -> RouterPolicy {
         queue_cap: 4,
         max_wait_secs: 0.5,
         retry_gap_secs: 0.1,
-        ..RouterPolicy::default()
     }
 }
 
@@ -438,46 +439,32 @@ fn main() {
         );
     }
 
-    let provenance = distserve_bench::sentinel::Provenance::capture("trace_flight diurnal", 7);
-    let prov_json = serde_json::to_string(&provenance.value()).expect("serialize provenance stamp");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"provenance\": {},\n",
-            "  \"requests\": {},\n",
-            "  \"wall_secs\": {:.3},\n",
-            "  \"sim_requests_per_sec\": {:.0},\n",
-            "  \"kept_traces\": {},\n",
-            "  \"interesting\": {},\n",
-            "  \"burn_alerts\": {},\n",
-            "  \"throttled_tenants\": {},\n",
-            "  \"replan_armed\": {},\n",
-            "  \"peak_rss_before_kib\": {},\n",
-            "  \"peak_rss_after_kib\": {},\n",
-            "  \"noop_ms\": {:.4},\n",
-            "  \"traced_ms\": {:.4},\n",
-            "  \"overhead_pct\": {:.4},\n",
-            "  \"traces_per_run\": {},\n",
-            "  \"budget_pct\": {:.1}\n",
-            "}}\n"
-        ),
-        prov_json,
-        run.offered,
-        run.wall_secs,
-        run.offered as f64 / run.wall_secs,
-        run.kept,
-        run.interesting,
-        run.alerts.len(),
-        run.throttled.len(),
-        run.replan_armed,
-        rss_before.unwrap_or(0),
-        rss_after.unwrap_or(0),
-        est.base_s * 1e3,
-        est.on_s() * 1e3,
-        overhead_pct,
-        traces,
-        BUDGET_PCT,
-    );
-    std::fs::write("BENCH_trace.json", &json).expect("write BENCH_trace.json");
-    println!("  wrote BENCH_trace.json");
+    let mut rec = BenchRecord::new(Provenance::capture(
+        "trace_flight: three-tenant mix, fleet 6P/10D/8C",
+        7,
+    ));
+    let flag = |b: bool| f64::from(u8::from(b));
+    let kib = |v: Option<u64>| v.unwrap_or(0) as f64;
+    rec.push("workload.requests", run.offered as f64, "count")
+        .push("traced.wall_s", run.wall_secs, "s")
+        .push(
+            "traced.sim_req_s",
+            run.offered as f64 / run.wall_secs,
+            "req/s",
+        )
+        .push("traced.peak_rss_before_kib", kib(rss_before), "KiB")
+        .push("traced.peak_rss_after_kib", kib(rss_after), "KiB")
+        .push("trace.kept", run.kept as f64, "count")
+        .push("trace.interesting", run.interesting as f64, "count")
+        .push("burn.alerts", run.alerts.len() as f64, "count")
+        .push(
+            "burn.throttled_tenants",
+            run.throttled.len() as f64,
+            "count",
+        )
+        .push("replan_armed", flag(run.replan_armed), "bool");
+    est.push_to(&mut rec);
+    rec.push("overhead.traces_per_run", traces as f64, "count");
+    rec.save("trace").expect("save BENCH_trace.json");
+    println!("  saved BENCH_trace.json");
 }

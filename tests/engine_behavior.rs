@@ -642,13 +642,18 @@ fn golden_deployments(c: &Cluster) -> Vec<(&'static str, Vec<InstanceSpec>, f64,
     ]
 }
 
-/// Runs one golden configuration and returns `[completed, rejected,
-/// failed, digest]`. The stressed variant switches on detailed
-/// fidelity, a fault storm over every instance, a one-retry budget, the analytic
+/// Runs one golden configuration: its outcome, decision log and
+/// telemetry. The stressed variant switches on detailed fidelity, a
+/// fault storm over every instance, a one-retry budget, the analytic
 /// prefix hit model, an admission cap (a bounded-wait queue cap when
 /// routed), and a small decode batch so the decode overflow queue
 /// engages.
-fn golden_run(specs: Vec<InstanceSpec>, rate: f64, routed: bool, stressed: bool) -> [u64; 4] {
+fn golden_outcome(
+    specs: Vec<InstanceSpec>,
+    rate: f64,
+    routed: bool,
+    stressed: bool,
+) -> (SimOutcome, Vec<DecisionRecord>, Recording) {
     const N: usize = 600;
     let cluster = Cluster::paper_testbed();
     let cost = RooflineModel::a100();
@@ -681,7 +686,6 @@ fn golden_run(specs: Vec<InstanceSpec>, rate: f64, routed: bool, stressed: bool)
             queue_cap: 4,
             max_wait_secs: 0.5,
             retry_gap_secs: 0.1,
-            ..policy
         };
     }
     let sim = if routed {
@@ -695,7 +699,13 @@ fn golden_run(specs: Vec<InstanceSpec>, rate: f64, routed: bool, stressed: bool)
         .with_faults(&storm, retry)
         .with_sink(&rec)
         .run_logged(&trace);
-    let digest = outcome_digest(&out, &log, &rec.snapshot());
+    (out, log, rec.snapshot())
+}
+
+/// One golden configuration as `[completed, rejected, failed, digest]`.
+fn golden_run(specs: Vec<InstanceSpec>, rate: f64, routed: bool, stressed: bool) -> [u64; 4] {
+    let (out, log, rec) = golden_outcome(specs, rate, routed, stressed);
+    let digest = outcome_digest(&out, &log, &rec);
     [
         out.records.len() as u64,
         out.rejected.len() as u64,
@@ -719,17 +729,50 @@ fn serving_sim_outcomes_match_golden() {
         .collect();
     let expected: [(&str, [u64; 4]); 10] = [
         ("2P+2D", [600, 0, 0, 0x2724_2c82_201e_6eb4]),
-        ("2P+2D", [395, 99, 106, 0xe32b_1a3c_1dd8_84d6]),
+        ("2P+2D", [395, 99, 106, 0xc25c_b82b_4c53_c024]),
         ("tp2 P + pp2 D", [600, 0, 0, 0x1c06_2176_2f80_527a]),
-        ("tp2 P + pp2 D", [511, 83, 6, 0x6d0b_5307_518c_50a8]),
+        ("tp2 P + pp2 D", [511, 83, 6, 0xdaed_856b_aca4_7029]),
         ("2C", [600, 0, 0, 0xf4b4_7b85_0086_b2ac]),
-        ("2C", [372, 218, 10, 0xa263_1360_be50_957b]),
+        ("2C", [372, 218, 10, 0x795f_22b8_96d3_6b41]),
         ("2C chunked", [600, 0, 0, 0x872c_0cd1_b51a_2cb1]),
-        ("2C chunked", [388, 200, 12, 0xecdf_1ace_e143_a617]),
+        ("2C chunked", [388, 200, 12, 0xaa61_69bf_0575_7c73]),
         ("routed P+D+C", [600, 0, 0, 0xdf66_c25a_bcba_343c]),
-        ("routed P+D+C", [519, 77, 4, 0xde29_8127_6236_b1b2]),
+        ("routed P+D+C", [519, 77, 4, 0x1803_5c97_134f_eebd]),
     ];
     assert_eq!(got, expected);
+}
+
+/// Every record of the golden runs, faulted ones included, stamps its
+/// stages in lifecycle order, so the five stages sum to its latency. A
+/// request that re-prefills after a decode-side crash keeps the stamps
+/// of the attempt that delivered its first token.
+#[test]
+fn golden_run_stages_add_up() {
+    let cluster = Cluster::paper_testbed();
+    for (name, specs, rate, routed) in golden_deployments(&cluster) {
+        for stressed in [false, true] {
+            let (out, ..) = golden_outcome(specs.clone(), rate, routed, stressed);
+            for r in &out.records {
+                let stamps = [
+                    r.arrival,
+                    r.prefill_start,
+                    r.first_token,
+                    r.transfer_done,
+                    r.decode_start,
+                    r.completion,
+                ];
+                assert!(
+                    stamps.windows(2).all(|w| w[0] <= w[1]),
+                    "{name} (stressed: {stressed}): stamps out of order: {r:?}"
+                );
+                let gap = (r.breakdown().total() - r.total_latency()).abs();
+                assert!(
+                    gap <= 1e-9,
+                    "{name} (stressed: {stressed}): stages miss the latency by {gap}: {r:?}"
+                );
+            }
+        }
+    }
 }
 
 /// A permanent GPU loss while the decoder drains must not stall the

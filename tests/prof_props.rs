@@ -185,7 +185,6 @@ fn routed_outcome(n: usize, arrival_seed: u64, sim_seed: u64) -> ScaleOutcome {
         queue_cap: 4,
         max_wait_secs: 0.5,
         retry_gap_secs: 0.1,
-        ..RouterPolicy::default()
     };
     let slo = ScaleSlo {
         ttft_s: 0.4,

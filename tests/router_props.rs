@@ -132,12 +132,7 @@ fn least_loaded(
         .replicas()
         .iter()
         .filter(|r| r.role == role && eligible(r))
-        .min_by_key(|r| {
-            (
-                r.load(state.policy()),
-                splitmix64(state.seed() ^ u64::from(r.id.0)),
-            )
-        })
+        .min_by_key(|r| (r.load(), splitmix64(state.seed() ^ u64::from(r.id.0))))
         .map(|r| r.id)
 }
 
@@ -157,7 +152,6 @@ fn tight_policy(queue_cap: u32) -> RouterPolicy {
         queue_cap,
         max_wait_secs: 2.0,
         retry_gap_secs: 0.25,
-        ..RouterPolicy::default()
     }
 }
 
@@ -366,7 +360,7 @@ proptest! {
             RequestStream::poisson(Dataset::ShareGpt.sampler(), rate, seed).take(n);
         let out = ScaleSim::new(
             fleet,
-            RouterPolicy { queue_cap: 4, max_wait_secs: 0.5, retry_gap_secs: 0.1, ..RouterPolicy::default() },
+            RouterPolicy { queue_cap: 4, max_wait_secs: 0.5, retry_gap_secs: 0.1 },
             ScaleSlo { ttft_s: 0.4, tpot_s: 0.1 },
             Assignment::Routed,
             seed,
@@ -454,7 +448,6 @@ fn session_fleet(session_rate: f64, n: usize) -> ScaleOutcome {
         queue_cap: 4,
         max_wait_secs: 0.5,
         retry_gap_secs: 0.1,
-        ..RouterPolicy::default()
     };
     let sessions = ChatSessionStream::new(
         ChatConfig {

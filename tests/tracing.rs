@@ -51,7 +51,6 @@ fn traced_run(
             queue_cap: 4,
             max_wait_secs: 0.5,
             retry_gap_secs: 0.1,
-            ..RouterPolicy::default()
         },
         ScaleSlo {
             ttft_s: 0.4,
@@ -171,7 +170,6 @@ fn traced_scale_sim_holds_flat_rss() {
             queue_cap: 4,
             max_wait_secs: 0.5,
             retry_gap_secs: 0.1,
-            ..RouterPolicy::default()
         },
         ScaleSlo {
             ttft_s: 0.4,
