@@ -537,7 +537,7 @@ pub fn check(
 
 /// Renders verdicts as an aligned report block.
 #[must_use]
-pub fn render_verdicts(verdicts: &[Verdict]) -> String {
+fn render_verdicts(verdicts: &[Verdict]) -> String {
     let mut out = String::new();
     for v in verdicts {
         let call = if !v.enough_history {
