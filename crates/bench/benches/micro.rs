@@ -461,10 +461,12 @@ fn scaling_sweep(rec: &mut BenchRecord) {
 /// The throughputs derived from the rows, and the paired fused-vs-
 /// reference estimate on `TinyConfig::small()` (fused decode off, the
 /// reference tier on): the speedup derives from the estimate rather than
-/// from dividing two rows timed minutes apart.
+/// from dividing two rows timed minutes apart. Each throughput divides
+/// by its row's `min_s`, so one disturbed sample cannot move it (the
+/// per-step-minimum rule of the gated `decode_tok_s`).
 fn push_derived(rec: &mut BenchRecord, paired: overhead::Estimate) {
     let tok_s = |rec: &BenchRecord, row: &str, tokens: usize| {
-        tokens as f64 / rec.metric(&format!("{row}.mean_s")).expect("row timed")
+        tokens as f64 / rec.metric(&format!("{row}.min_s")).expect("row timed")
     };
     rec.push("decode.steps", DECODE_STEPS as f64, "count");
     for batch in [1usize, 4, 16] {

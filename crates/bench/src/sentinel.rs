@@ -297,14 +297,20 @@ impl BenchRecord {
     }
 
     /// Judges this record against the ledger's same-host history over
-    /// [`KEY_METRICS`], prints the verdicts, and adds them as metrics:
-    /// `sentinel.history_len`, `sentinel.k`, `sentinel.regressed`, and
-    /// per gated metric `sentinel.<metric>.{baseline_median, noise_sigma,
-    /// current, threshold, samples, enough_history, regressed}`. Returns
-    /// whether any metric regressed.
+    /// the [`KEY_METRICS`] it carries, prints the verdicts, and adds them
+    /// as metrics: `sentinel.history_len`, `sentinel.k`,
+    /// `sentinel.regressed`, and per judged metric
+    /// `sentinel.<metric>.{baseline_median, noise_sigma, current,
+    /// threshold, samples, enough_history, regressed}`. Returns whether
+    /// any metric regressed.
     pub fn judge(&mut self) -> bool {
         let history = load_ledger(LEDGER);
-        let verdicts = check(&history, self, KEY_METRICS, SENTINEL_K);
+        let specs: Vec<MetricSpec> = KEY_METRICS
+            .iter()
+            .filter(|spec| self.metric(spec.name).is_some())
+            .copied()
+            .collect();
+        let verdicts = check(&history, self, &specs, SENTINEL_K);
         let regressed = verdicts.iter().any(|v| v.regressed);
         println!(
             "  sentinel vs {} ledger records:\n{}",
@@ -315,7 +321,7 @@ impl BenchRecord {
         self.push("sentinel.history_len", history.len() as f64, "count")
             .push("sentinel.k", SENTINEL_K, "x")
             .push("sentinel.regressed", flag(regressed), "bool");
-        for (v, spec) in verdicts.iter().zip(KEY_METRICS) {
+        for (v, spec) in verdicts.iter().zip(&specs) {
             let (m, unit) = (&v.metric, spec.unit);
             self.push(
                 format!("sentinel.{m}.baseline_median"),
@@ -655,6 +661,21 @@ mod tests {
             names.dedup();
             assert_eq!(names.len(), n, "{what} repeats a metric name");
         }
+    }
+
+    #[test]
+    fn judge_reports_only_the_gated_metrics_a_record_carries() {
+        let mut rec = record(prov(1), &[("decode_tok_s", 1000.0)]);
+        rec.judge();
+        let judged: Vec<&str> = rec
+            .metrics
+            .iter()
+            .filter_map(|m| m.name.strip_prefix("sentinel."))
+            .filter_map(|rest| rest.split_once('.'))
+            .map(|(metric, _)| metric)
+            .collect();
+        assert_eq!(judged.len(), 7, "{judged:?}");
+        assert!(judged.iter().all(|&m| m == "decode_tok_s"), "{judged:?}");
     }
 
     #[test]

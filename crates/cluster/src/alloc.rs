@@ -91,12 +91,6 @@ impl GpuAllocator {
         self.total
     }
 
-    /// Free GPUs on one node.
-    #[must_use]
-    pub fn free_on_node(&self, node: NodeId) -> u32 {
-        self.free.iter().filter(|g| g.node == node).count() as u32
-    }
-
     /// Allocates `count` GPUs that all reside on a single node — required
     /// for tensor-parallel groups and for §4.2's colocated segments.
     /// Prefers the node with the *least* free capacity that still fits

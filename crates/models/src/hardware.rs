@@ -142,16 +142,6 @@ impl LinkSpec {
         }
     }
 
-    /// PCIe 4.0 x16.
-    #[must_use]
-    pub fn pcie_gen4() -> Self {
-        LinkSpec {
-            bandwidth: 32e9,
-            latency: 10e-6,
-            efficiency: 0.80,
-        }
-    }
-
     /// Time to move `bytes` across the link, seconds.
     #[must_use]
     pub fn transfer_time(&self, bytes: u64) -> f64 {

@@ -310,84 +310,6 @@ pub fn pool_panel(workers: &[(f64, f64, u64)], dispatch_wait_s: f64, dispatches:
     out
 }
 
-/// Prefix-cache panel: hit-rate sparkline, shared-block occupancy bar,
-/// and lifetime counters, as an embeddable zero-JS fragment.
-///
-/// Inputs are plain values — the shape `distserve_prefix::CacheStats`
-/// reports — so observe stays decoupled from the cache tier. `series`
-/// is windowed `(hit_rate, shared_blocks)` samples in time order (the
-/// sparkline is skipped when empty); `owned` / `capacity` are current
-/// block occupancy.
-#[must_use]
-pub fn prefix_panel(
-    series: &[(f64, u64)],
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    owned: u64,
-    capacity: u64,
-) -> String {
-    let lookups = hits + misses;
-    if lookups == 0 && series.is_empty() {
-        return String::from("<p class=\"empty\">no prefix-cache lookups</p>");
-    }
-    let hit_rate = if lookups == 0 {
-        0.0
-    } else {
-        hits as f64 / lookups as f64
-    };
-    let mut out = format!(
-        "<p>hit rate {:.1}% ({hits} hits / {misses} misses, {evictions} evictions)</p>",
-        hit_rate * 100.0
-    );
-    if !series.is_empty() {
-        // Hit rate (blue) and shared-block occupancy fraction (green)
-        // share one viewBox: both are 0–1 after normalizing blocks by
-        // capacity, so the lines are directly comparable.
-        let (w, h, pad) = (640.0, 80.0, 4.0);
-        let n = series.len().max(2) as f64;
-        let cap = capacity.max(1) as f64;
-        let mut rate_pts = String::new();
-        let mut occ_pts = String::new();
-        for (i, &(r, blocks)) in series.iter().enumerate() {
-            let x = pad + (w - 2.0 * pad) * i as f64 / (n - 1.0);
-            let yr = pad + (h - 2.0 * pad) * (1.0 - r.clamp(0.0, 1.0));
-            let yo = pad + (h - 2.0 * pad) * (1.0 - (blocks as f64 / cap).clamp(0.0, 1.0));
-            let _ = write!(rate_pts, "{x:.1},{yr:.1} ");
-            let _ = write!(occ_pts, "{x:.1},{yo:.1} ");
-        }
-        let _ = write!(
-            out,
-            "<svg viewBox=\"0 0 {w:.0} {h:.0}\" width=\"{w:.0}\" height=\"{h:.0}\" \
-             role=\"img\" aria-label=\"prefix cache hit rate and occupancy over time\">\
-             <rect width=\"{w:.0}\" height=\"{h:.0}\" fill=\"#f7f7f9\"/>\
-             <polyline points=\"{rate_pts}\" fill=\"none\" stroke=\"#4c72b0\" stroke-width=\"2\"/>\
-             <polyline points=\"{occ_pts}\" fill=\"none\" stroke=\"#66c2a5\" stroke-width=\"2\"/>\
-             </svg>\
-             <ul class=\"legend\">\
-             <li><span class=\"swatch\" style=\"background:#4c72b0\"></span>hit rate</li>\
-             <li><span class=\"swatch\" style=\"background:#66c2a5\"></span>occupancy</li>\
-             </ul>"
-        );
-    }
-    let frac = if capacity > 0 {
-        (owned as f64 / capacity as f64).clamp(0.0, 1.0)
-    } else {
-        0.0
-    };
-    let _ = write!(
-        out,
-        "<p><svg width=\"204\" height=\"14\" role=\"img\" \
-         aria-label=\"shared blocks {owned} of {capacity}\">\
-         <rect width=\"204\" height=\"14\" fill=\"#f0f0f3\"/>\
-         <rect width=\"{:.1}\" height=\"14\" fill=\"#66c2a5\"/>\
-         </svg> {owned} / {capacity} blocks shared ({:.1}%)</p>",
-        2.0 + 200.0 * frac,
-        frac * 100.0,
-    );
-    out
-}
-
 /// Flamegraph panel: a self-profiler snapshot rendered as an embeddable
 /// fragment — headline numbers plus the full icicle SVG from
 /// [`distserve_prof::Profile::flamegraph_svg`] (same zero-JS contract as
@@ -558,27 +480,6 @@ mod tests {
         assert!(panel.contains("0.0%"), "idle worker renders zero, not NaN");
         assert!(panel.contains("gather-wait 0.250 s over 16 dispatches"));
         assert!(pool_panel(&[], 0.0, 0).contains("no pool workers"));
-    }
-
-    #[test]
-    fn prefix_panel_renders_sparkline_occupancy_and_empty_state() {
-        let series = [(0.0, 0u64), (0.5, 64), (0.8, 200), (0.75, 256)];
-        let panel = prefix_panel(&series, 300, 100, 12, 200, 256);
-        assert!(panel.contains("hit rate 75.0%"));
-        assert!(panel.contains("300 hits / 100 misses, 12 evictions"));
-        assert_eq!(
-            panel.matches("<polyline").count(),
-            2,
-            "rate + occupancy lines"
-        );
-        assert!(panel.contains("200 / 256 blocks shared (78.1%)"));
-        assert!(!panel.contains("<script") && !panel.contains("href"));
-        // No lookups yet → empty state, not a 0%-everything panel.
-        assert!(prefix_panel(&[], 0, 0, 0, 0, 256).contains("no prefix-cache lookups"));
-        // Counters without a windowed series still render (no sparkline).
-        let no_series = prefix_panel(&[], 10, 0, 0, 8, 0);
-        assert!(no_series.contains("hit rate 100.0%"));
-        assert!(!no_series.contains("<polyline"));
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub use attribution::{
 pub use bottleneck::{diagnose, BindingSlo, BottleneckReport, InstanceReport};
 pub use burn::{BurnConfig, BurnEvent, BurnReading, TenantBurnMonitor};
 pub use dashboard::{
-    pool_panel, prefix_panel, profile_panel, render_dashboard, tenant_panel, trace_waterfall_svg,
+    pool_panel, profile_panel, render_dashboard, tenant_panel, trace_waterfall_svg,
 };
 pub use live::{InstanceLoad, InstanceUse, ObserverSink};
 pub use serve::{http_get, MetricsServer, Provider};

@@ -352,12 +352,6 @@ impl Histogram {
         (start, start + width)
     }
 
-    /// Number of bins.
-    #[must_use]
-    pub fn num_bins(&self) -> usize {
-        self.bins.len()
-    }
-
     /// Samples below the range.
     #[must_use]
     pub fn underflow(&self) -> u64 {

@@ -1,35 +1,47 @@
 //! Exporters: Chrome/Perfetto trace JSON, Prometheus text format, and a
 //! per-request lifecycle CSV.
 //!
-//! The Perfetto trace uses the Chrome trace-event JSON flavour (an
-//! object with a `traceEvents` array), which `ui.perfetto.dev` opens
-//! directly: one *process* per instance track so prefill/decode
-//! interference is literally visible as stacked slices, plus a
-//! `lifecycle` pseudo-process carrying request instants. Timestamps are
-//! microseconds, as the format requires.
+//! [`Recording::perfetto_json`] is the workspace's one Chrome
+//! trace-event writer: the flight recorder's dump and the tail
+//! sampler's kept traces are written by building a [`Recording`] and
+//! calling it. It writes the JSON-object flavour
+//! (`{"displayTimeUnit":"ms","traceEvents":[…]}`), which
+//! `ui.perfetto.dev` opens directly, under one set of conventions:
+//! timestamps and durations in microseconds with three decimals, and
+//! every string through one JSON escaper.
 
-use std::fmt::Write as _;
+use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 
-use crate::event::LifecycleEvent;
+use crate::event::{LifecycleEvent, SpanEvent, SpanKind, TrackId, NO_PARENT};
 use crate::recorder::Recording;
 use crate::registry::MetricsRegistry;
 
-/// Pseudo-track (Chrome `pid`) carrying request lifecycle instants.
-pub const LIFECYCLE_TRACK: u64 = 1_000_000;
+/// Pseudo-track (Chrome `pid`) carrying request lifecycle instants. A
+/// track declared under this id names the lifecycle process.
+pub const LIFECYCLE_TRACK: TrackId = 1_000_000;
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// Most per-step slices written for one [`SpanKind::DecodeExec`] span;
+/// longer decodes coalesce several steps per slice (the
+/// `steps_per_slice` arg says how many).
+pub const MAX_STEP_SLICES: u32 = 64;
+
+/// A string as a quoted JSON string literal.
+struct Json<'a>(&'a str);
+
+impl fmt::Display for Json<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('"')?;
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
             }
-            c => out.push(c),
         }
+        f.write_char('"')
     }
-    out
 }
 
 /// Seconds → trace microseconds, clamped finite.
@@ -41,85 +53,183 @@ fn us(t: f64) -> f64 {
     }
 }
 
+/// `spans` grouped by trace id: traces in first-seen order, each trace's
+/// spans in emission order.
+fn traces(spans: &[SpanEvent]) -> Vec<Vec<&SpanEvent>> {
+    let mut index: BTreeMap<u64, usize> = BTreeMap::new();
+    let mut out: Vec<Vec<&SpanEvent>> = Vec::new();
+    for s in spans {
+        let i = *index.entry(s.ctx.trace_id).or_insert_with(|| {
+            out.push(Vec::new());
+            out.len() - 1
+        });
+        out[i].push(s);
+    }
+    out
+}
+
+/// The `traceEvents` array under construction: one event per line.
+struct Events {
+    out: String,
+    first: bool,
+}
+
+impl Events {
+    fn push(&mut self, event: fmt::Arguments<'_>) {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        self.out.push('\n');
+        let _ = self.out.write_fmt(event);
+    }
+
+    /// A metadata event naming process `pid` (`what` = `process_name`)
+    /// or its lane `tid` (`what` = `thread_name`).
+    fn name(&mut self, what: &str, pid: u64, tid: u32, name: &str) {
+        self.push(format_args!(
+            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{what}\",\
+             \"args\":{{\"name\":{}}}}}",
+            Json(name)
+        ));
+    }
+
+    /// One trace's waterfall as process `pid`: each span a `B`/`E` pair
+    /// on its kind's lane (`tid` = the kind's declaration index), each
+    /// `DecodeExec` also expanded into per-step `X` slices on the
+    /// `decode_step` lane.
+    fn waterfall(&mut self, pid: u64, root: &SpanEvent, spans: &[&SpanEvent]) {
+        let name = format!(
+            "req {} tenant {} trace {:016x}",
+            root.request, root.tenant, root.ctx.trace_id
+        );
+        self.name("process_name", pid, 0, &name);
+        let mut lanes_seen = 0u32;
+        let mut open_lane = |events: &mut Self, kind: SpanKind| {
+            let l = kind as u32;
+            if lanes_seen & (1 << l) == 0 {
+                lanes_seen |= 1 << l;
+                events.name("thread_name", pid, l, kind.name());
+            }
+            l
+        };
+        for s in spans {
+            let l = open_lane(self, s.kind);
+            self.push(format_args!(
+                "{{\"ph\":\"B\",\"pid\":{pid},\"tid\":{l},\"ts\":{:.3},\"name\":{},\
+                 \"cat\":\"span\",\"args\":{{\"trace_id\":\"{:016x}\",\"span\":{},\
+                 \"parent\":{},\"track\":{},\"tenant\":{},\"payload\":{}}}}}",
+                us(s.start_s),
+                Json(s.kind.name()),
+                s.ctx.trace_id,
+                s.ctx.span_id,
+                i64::from(s.ctx.parent as i32),
+                i64::from(s.track as i32),
+                s.tenant,
+                s.payload
+            ));
+            self.push(format_args!(
+                "{{\"ph\":\"E\",\"pid\":{pid},\"tid\":{l},\"ts\":{:.3}}}",
+                us(s.end_s)
+            ));
+            if s.kind == SpanKind::DecodeExec && s.payload > 1 && s.end_s > s.start_s {
+                let l = open_lane(self, SpanKind::DecodeStep);
+                self.decode_steps(pid, l, s);
+            }
+        }
+    }
+
+    /// Splits a `DecodeExec` span's `payload` steps evenly over at most
+    /// [`MAX_STEP_SLICES`] `X` slices.
+    fn decode_steps(&mut self, pid: u64, tid: u32, s: &SpanEvent) {
+        let steps = s.payload;
+        let per_slice = steps.div_ceil(steps.min(MAX_STEP_SLICES));
+        let at =
+            |step: u32| us(s.start_s + (s.end_s - s.start_s) * f64::from(step) / f64::from(steps));
+        let mut emitted = 0u32;
+        while emitted < steps {
+            let batch = per_slice.min(steps - emitted);
+            let (t0, t1) = (at(emitted), at(emitted + batch));
+            self.push(format_args!(
+                "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{t0:.3},\"dur\":{:.3},\
+                 \"name\":{},\"cat\":\"step\",\"args\":{{\"step\":{},\
+                 \"steps_per_slice\":{batch},\"parent\":{}}}}}",
+                t1 - t0,
+                Json(SpanKind::DecodeStep.name()),
+                emitted + 1,
+                s.ctx.span_id
+            ));
+            emitted += batch;
+        }
+    }
+}
+
 impl Recording {
-    /// Renders the Chrome/Perfetto trace JSON.
+    /// Renders the Chrome/Perfetto trace JSON of all three parts of the
+    /// recording:
     ///
-    /// Each instance track becomes a process (`pid` = track id) whose
-    /// batch executions are complete (`ph: "X"`) slices with batch size
-    /// and token count in `args`. Lifecycle events except `DecodeStep`
-    /// (one per generated token — they would dwarf the file) appear as
-    /// instants on [`LIFECYCLE_TRACK`].
+    /// * each instance track is a process (`pid` = track id) whose batch
+    ///   executions are complete (`ph: "X"`) slices with batch size and
+    ///   token count in `args`;
+    /// * every lifecycle event is an instant on [`LIFECYCLE_TRACK`], on
+    ///   one thread lane per tenant (`tid` = tenant);
+    /// * spans are grouped by trace id in first-seen order, one process
+    ///   per trace numbered above every track id and
+    ///   [`LIFECYCLE_TRACK`]; each [`SpanKind`] gets one lane of
+    ///   `B`/`E` pairs, and each `DecodeExec` span also expands into at
+    ///   most [`MAX_STEP_SLICES`] per-step `X` slices. A trace without a
+    ///   root span is skipped.
     #[must_use]
     pub fn perfetto_json(&self) -> String {
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        let push = |s: String, out: &mut String, first: &mut bool| {
-            if !*first {
-                out.push(',');
-            }
-            *first = false;
-            out.push('\n');
-            out.push_str(&s);
+        let mut ev = Events {
+            out: String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["),
+            first: true,
         };
-        for (id, name) in self.track_names() {
-            push(
-                format!(
-                    "{{\"ph\":\"M\",\"pid\":{id},\"tid\":0,\"name\":\"process_name\",\
-                     \"args\":{{\"name\":\"{}\"}}}}",
-                    json_escape(&name)
-                ),
-                &mut out,
-                &mut first,
-            );
-        }
+        let mut processes = self.track_names();
         if !self.events.is_empty() {
-            push(
-                format!(
-                    "{{\"ph\":\"M\",\"pid\":{LIFECYCLE_TRACK},\"tid\":0,\
-                     \"name\":\"process_name\",\"args\":{{\"name\":\"lifecycle\"}}}}"
-                ),
-                &mut out,
-                &mut first,
-            );
+            processes
+                .entry(LIFECYCLE_TRACK)
+                .or_insert_with(|| "lifecycle".into());
+        }
+        for (&id, name) in &processes {
+            ev.name("process_name", u64::from(id), 0, name);
         }
         for s in &self.slices {
-            let dur = (us(s.end_s) - us(s.start_s)).max(0.0);
-            push(
-                format!(
-                    "{{\"ph\":\"X\",\"pid\":{},\"tid\":0,\"name\":\"{}\",\
-                     \"ts\":{:.3},\"dur\":{:.3},\
-                     \"args\":{{\"batch\":{},\"tokens\":{}}}}}",
-                    s.track,
-                    json_escape(s.name),
-                    us(s.start_s),
-                    dur,
-                    s.batch,
-                    s.tokens
-                ),
-                &mut out,
-                &mut first,
-            );
+            ev.push(format_args!(
+                "{{\"ph\":\"X\",\"pid\":{},\"tid\":0,\"name\":{},\"ts\":{:.3},\
+                 \"dur\":{:.3},\"args\":{{\"batch\":{},\"tokens\":{}}}}}",
+                s.track,
+                Json(s.name),
+                us(s.start_s),
+                (us(s.end_s) - us(s.start_s)).max(0.0),
+                s.batch,
+                s.tokens
+            ));
         }
-        for ev in &self.events {
-            if matches!(ev.kind, LifecycleEvent::DecodeStep { .. }) {
-                continue;
+        for e in &self.events {
+            ev.push(format_args!(
+                "{{\"ph\":\"i\",\"pid\":{LIFECYCLE_TRACK},\"tid\":{},\"s\":\"t\",\
+                 \"name\":{},\"ts\":{:.3},\"args\":{{\"request\":{},\"tenant\":{}}}}}",
+                e.tenant,
+                Json(e.kind.name()),
+                us(e.time_s),
+                e.request,
+                e.tenant
+            ));
+        }
+        let first_pid = processes
+            .keys()
+            .next_back()
+            .map_or(LIFECYCLE_TRACK, |&id| id.max(LIFECYCLE_TRACK));
+        let mut pid = u64::from(first_pid);
+        for spans in traces(&self.spans) {
+            if let Some(root) = spans.iter().find(|s| s.ctx.parent == NO_PARENT) {
+                pid += 1;
+                ev.waterfall(pid, root, &spans);
             }
-            push(
-                format!(
-                    "{{\"ph\":\"i\",\"pid\":{LIFECYCLE_TRACK},\"tid\":0,\"s\":\"p\",\
-                     \"name\":\"{}\",\"ts\":{:.3},\
-                     \"args\":{{\"request\":{},\"tenant\":{}}}}}",
-                    ev.kind.name(),
-                    us(ev.time_s),
-                    ev.request,
-                    ev.tenant
-                ),
-                &mut out,
-                &mut first,
-            );
         }
-        out.push_str("\n]}\n");
-        out
+        ev.out.push_str("\n]}\n");
+        ev.out
     }
 
     /// Renders the per-request lifecycle CSV: one row per request, one
@@ -245,7 +355,7 @@ pub fn prometheus_text(reg: &MetricsRegistry) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Event, Slice};
+    use crate::event::{Event, Slice, TraceCtx};
     use crate::recorder::Recorder;
     use crate::sink::TelemetrySink;
     use LifecycleEvent as E;
@@ -296,21 +406,128 @@ mod tests {
         let json = sample_recording().perfetto_json();
         let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
         let events = v["traceEvents"].as_array().unwrap();
-        // 2 track names + lifecycle name + 2 slices + 5 instants
-        // (DecodeStep excluded).
+        // 2 track names + lifecycle name + 2 slices + 6 instants.
         let slices: Vec<_> = events.iter().filter(|e| e["ph"] == "X").collect();
         assert_eq!(slices.len(), 2);
         assert_eq!(slices[0]["args"]["tokens"].as_u64(), Some(1024));
         // µs timestamps.
         assert!((slices[0]["ts"].as_f64().unwrap() - 10_000.0).abs() < 1e-6);
         assert!((slices[0]["dur"].as_f64().unwrap() - 33_000.0).abs() < 1e-6);
-        let instants = events.iter().filter(|e| e["ph"] == "i").count();
-        assert_eq!(instants, 5);
+        let instants: Vec<_> = events.iter().filter(|e| e["ph"] == "i").collect();
+        assert_eq!(instants.len(), 6);
+        // One lane per tenant.
+        assert!(instants.iter().all(|e| e["tid"].as_u64() == Some(2)));
         // Escaped track name survives the round trip.
         let meta: Vec<_> = events.iter().filter(|e| e["ph"] == "M").collect();
         assert!(meta
             .iter()
             .any(|e| e["args"]["name"] == "prefill[0] \"tp1\""));
+    }
+
+    fn span(trace: u64, id: u32, kind: SpanKind, start: f64, end: f64, payload: u32) -> SpanEvent {
+        let root = TraceCtx::root(trace);
+        SpanEvent {
+            ctx: if id == 0 { root } else { root.child(id) },
+            request: 42,
+            tenant: 1,
+            track: 3,
+            kind,
+            start_s: start,
+            end_s: end,
+            payload,
+        }
+    }
+
+    fn parse(r: &Recording) -> Vec<serde_json::Value> {
+        let v: serde_json::Value = serde_json::from_str(&r.perfetto_json()).expect("valid JSON");
+        v["traceEvents"].as_array().unwrap().to_vec()
+    }
+
+    fn count(events: &[serde_json::Value], ph: &str) -> usize {
+        events.iter().filter(|e| e["ph"] == ph).count()
+    }
+
+    #[test]
+    fn waterfall_has_matched_pairs_and_expanded_steps() {
+        let mut r = sample_recording();
+        r.spans = vec![
+            span(9, 1, SpanKind::RouterDecision, 0.0, 0.0, 0),
+            span(9, 2, SpanKind::PrefillQueue, 0.0, 0.1, 0),
+            span(5, 0, SpanKind::Request, 0.0, 0.5, 0),
+            span(9, 3, SpanKind::PrefillExec, 0.1, 0.3, 256),
+            span(9, 4, SpanKind::KvTransfer, 0.3, 0.31, 256),
+            span(9, 5, SpanKind::DecodeExec, 0.31, 0.95, 4),
+            span(9, 0, SpanKind::Request, 0.0, 0.95, 1),
+        ];
+        r.tracks.insert(LIFECYCLE_TRACK + 7, "late track".into());
+        let events = parse(&r);
+        assert_eq!(count(&events, "B"), 7, "one B per span");
+        assert_eq!(count(&events, "E"), 7, "matched B/E pairs");
+        // 2 batch slices + 4 decode steps expanded into 4 X slices.
+        assert_eq!(count(&events, "X"), 6);
+        let names: Vec<&str> = events
+            .iter()
+            .filter(|e| e["name"] == "process_name")
+            .filter_map(|e| e["args"]["name"].as_str())
+            .collect();
+        // Traces in first-seen order: trace 9, then trace 5.
+        let first = names
+            .iter()
+            .position(|n| n.ends_with("trace 0000000000000009"));
+        let second = names
+            .iter()
+            .position(|n| n.ends_with("trace 0000000000000005"));
+        assert!(first.unwrap() < second.unwrap(), "{names:?}");
+        let trace_pids: Vec<u64> = events
+            .iter()
+            .filter(|e| e["ph"] == "B")
+            .filter_map(|e| e["pid"].as_u64())
+            .collect();
+        let floor = u64::from(LIFECYCLE_TRACK) + 7;
+        assert!(trace_pids.iter().all(|&p| p > floor), "{trace_pids:?}");
+        let step = events
+            .iter()
+            .find(|e| e["name"] == "decode_step" && e["ph"] == "X");
+        assert_eq!(step.unwrap()["ts"].as_f64(), Some(310_000.0));
+        let root = events
+            .iter()
+            .find(|e| e["ph"] == "B" && e["name"] == "request")
+            .unwrap();
+        assert_eq!(root["args"]["parent"].as_f64(), Some(-1.0));
+    }
+
+    #[test]
+    fn long_decodes_coalesce_to_the_slice_cap() {
+        let r = Recording {
+            spans: vec![
+                span(9, 1, SpanKind::DecodeExec, 0.0, 10.0, 1000),
+                span(9, 0, SpanKind::Request, 0.0, 10.0, 0),
+            ],
+            ..Recording::default()
+        };
+        let events = parse(&r);
+        let steps: Vec<_> = events.iter().filter(|e| e["ph"] == "X").collect();
+        assert!(
+            steps.len() <= MAX_STEP_SLICES as usize,
+            "{} step slices",
+            steps.len()
+        );
+        assert_eq!(steps[0]["args"]["steps_per_slice"].as_u64(), Some(16));
+        let covered: u64 = steps
+            .iter()
+            .filter_map(|e| e["args"]["steps_per_slice"].as_u64())
+            .sum();
+        assert_eq!(covered, 1000);
+    }
+
+    #[test]
+    fn empty_input_is_valid_and_rootless_traces_skipped() {
+        assert!(parse(&Recording::default()).is_empty());
+        let rootless = Recording {
+            spans: vec![span(9, 1, SpanKind::PrefillExec, 0.0, 1.0, 0)],
+            ..Recording::default()
+        };
+        assert!(parse(&rootless).is_empty());
     }
 
     #[test]

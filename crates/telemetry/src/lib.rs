@@ -19,8 +19,9 @@
 //!   tail-based sampler.
 //! * **Metrics** ([`MetricsRegistry`]): counters, gauges, and
 //!   log-bucketed [`LogHistogram`]s keyed by `(name, instance)`.
-//! * **Exporters**: Chrome/Perfetto trace JSON
-//!   ([`Recording::perfetto_json`]), Prometheus text format
+//! * **Exporters**: Chrome/Perfetto trace JSON of slices, lifecycle
+//!   instants and span waterfalls ([`Recording::perfetto_json`], the
+//!   workspace's one trace-event writer), Prometheus text format
 //!   ([`Recording::prometheus_text`]), and a per-request lifecycle CSV
 //!   ([`Recording::lifecycle_csv`]).
 //!
@@ -56,7 +57,7 @@ pub use event::{
     metrics, span_flags, trace_id, Event, LifecycleEvent, RequestKey, Slice, SpanEvent, SpanGuard,
     SpanKind, TenantId, TraceCtx, TrackId, WallClock, NO_PARENT,
 };
-pub use export::{prometheus_text, LIFECYCLE_TRACK};
+pub use export::{prometheus_text, LIFECYCLE_TRACK, MAX_STEP_SLICES};
 pub use recorder::{Lifecycle, Recorder, Recording};
 pub use registry::{LogHistogram, MetricsRegistry};
 pub use sink::{NoopSink, TeeSink, TelemetrySink, NOOP};

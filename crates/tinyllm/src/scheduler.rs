@@ -651,13 +651,6 @@ impl ContinuousBatcher {
     pub fn kv_total_blocks(&self) -> usize {
         self.kv.total_blocks()
     }
-
-    /// Mutable access to the KV pool, for prefix-cache maintenance that
-    /// needs both the cache and the pool (e.g. releasing every cached
-    /// block at shutdown to verify nothing leaks).
-    pub fn kv_mut(&mut self) -> &mut PagedKv {
-        &mut self.kv
-    }
 }
 
 #[cfg(test)]

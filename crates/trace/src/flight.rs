@@ -12,10 +12,10 @@
 //!
 //! Attach it alongside other sinks with `telemetry::TeeSink`.
 
-use std::fmt::Write as _;
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use distserve_telemetry::{Event, TelemetrySink};
+use distserve_telemetry::{Event, Recording, TelemetrySink, LIFECYCLE_TRACK};
 
 struct Ring {
     buf: Vec<Event>,
@@ -76,38 +76,25 @@ impl FlightRecorder {
         out
     }
 
-    /// Dumps the retained window as Chrome trace-event JSON: one
-    /// instant event per lifecycle event (lane per tenant), with
-    /// `reason` and drop counts in the metadata. Load next to the
-    /// waterfall file to see fleet state around the trigger.
+    /// Dumps the retained window as Chrome trace-event JSON through
+    /// [`Recording::perfetto_json`]: one instant per lifecycle event
+    /// (lane per tenant) in a process named `flight recorder: {reason}
+    /// ({n} retained of {total} seen)`. Load next to the waterfall file
+    /// to see fleet state around the trigger.
     #[must_use]
     pub fn dump_perfetto(&self, reason: &str) -> String {
-        let window = self.window();
-        let total = self.total_seen();
-        let mut out = String::with_capacity(128 + window.len() * 96);
-        out.push_str("{\"traceEvents\":[\n");
-        let _ = write!(
-            out,
-            "{{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{{\"name\":\
-             \"flight recorder: {} ({} retained of {} seen)\"}}}}",
-            reason.escape_default(),
-            window.len(),
-            total
+        let events = self.window();
+        let name = format!(
+            "flight recorder: {reason} ({} retained of {} seen)",
+            events.len(),
+            self.total_seen()
         );
-        for ev in &window {
-            let _ = write!(
-                out,
-                ",\n{{\"ph\":\"i\",\"pid\":1,\"tid\":{},\"ts\":{},\"s\":\"t\",\
-                 \"name\":\"{}\",\"args\":{{\"request\":{},\"tenant\":{}}}}}",
-                ev.tenant,
-                (ev.time_s * 1e6 + 0.5) as i64,
-                ev.kind.name(),
-                ev.request,
-                ev.tenant
-            );
+        Recording {
+            events,
+            tracks: BTreeMap::from([(LIFECYCLE_TRACK, name)]),
+            ..Recording::default()
         }
-        out.push_str("\n]}\n");
-        out
+        .perfetto_json()
     }
 }
 
@@ -198,6 +185,25 @@ mod tests {
         assert!(json.contains("(2 retained of 2 seen)"));
         assert_eq!(json.matches("\"ph\":\"i\"").count(), 2);
         assert!(json.contains("\"ts\":500000"));
+    }
+
+    #[test]
+    fn dump_parses_and_round_trips_the_reason() {
+        for reason in ["tenant 1's burn", "naïve storm", "a \"quoted\\path\"\n"] {
+            let fr = FlightRecorder::new(4);
+            fr.event(ev(1, 0.5));
+            let json = fr.dump_perfetto(reason);
+            let v: serde_json::Value = serde_json::from_str(&json).expect("dump parses");
+            let names: Vec<&str> = v["traceEvents"]
+                .as_array()
+                .unwrap()
+                .iter()
+                .filter(|e| e["name"] == "process_name")
+                .filter_map(|e| e["args"]["name"].as_str())
+                .collect();
+            let expected = format!("flight recorder: {reason} (1 retained of 1 seen)");
+            assert_eq!(names, [expected.as_str()]);
+        }
     }
 
     #[test]

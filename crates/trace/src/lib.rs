@@ -1,5 +1,5 @@
 //! Causal request tracing for the routed fleet: tail-based sampling,
-//! span synthesis, Perfetto waterfalls, and a flight recorder.
+//! span synthesis, and a flight recorder.
 //!
 //! DistServe splits one request across tiers — router, prefill replica,
 //! KV transfer, decode replica — which is exactly when flat logs stop
@@ -17,11 +17,13 @@
 //!   simulator, `tinyllm`'s scheduler) into the same span family, so
 //!   disaggregated, colocated, and chunked runs all produce linkable
 //!   traces.
-//! * [`waterfall_json`] — Perfetto/Chrome trace export, one process per
-//!   kept trace with matched `B`/`E` pairs and export-time expansion of
-//!   decode steps.
 //! * [`FlightRecorder`] — a fixed-size ring of recent lifecycle events
 //!   dumped to Perfetto when a burn-rate alert or fault storm fires.
+//!
+//! Nothing here writes trace JSON itself: kept traces and the flight
+//! recorder's window go into a [`distserve_telemetry::Recording`], whose
+//! `perfetto_json` draws each trace as a waterfall process (one lane per
+//! span kind, decode steps expanded at export time).
 //!
 //! Trace ids are pure functions of `(seed, request id)`
 //! ([`distserve_telemetry::trace_id`], re-exported here), so a
@@ -30,8 +32,10 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use distserve_trace::{waterfall_json, TailSampler, TailSamplerConfig};
-//! use distserve_telemetry::{span_flags, SpanEvent, SpanKind, TelemetrySink, TraceCtx};
+//! use distserve_trace::{TailSampler, TailSamplerConfig};
+//! use distserve_telemetry::{
+//!     span_flags, Recording, SpanEvent, SpanKind, TelemetrySink, TraceCtx,
+//! };
 //!
 //! let sampler = Arc::new(TailSampler::new(TailSamplerConfig::default()));
 //! // ... attach to ScaleSim::set_tracing / a SpanSynthesizer and run ...
@@ -47,16 +51,15 @@
 //! });
 //! let kept = sampler.take_kept();
 //! assert_eq!(kept.len(), 1);
-//! assert!(waterfall_json(&kept).contains("prefill_exec"));
+//! let waterfalls = Recording { spans: kept.concat(), ..Recording::default() };
+//! assert!(waterfalls.perfetto_json().contains("prefill_exec"));
 //! ```
 
 mod flight;
-mod perfetto;
 mod sampler;
 mod synth;
 
 pub use distserve_telemetry::trace_id;
 pub use flight::{FlightRecorder, IncidentDump};
-pub use perfetto::{waterfall_json, MAX_STEP_SLICES};
 pub use sampler::{SamplerStats, TailSampler, TailSamplerConfig};
 pub use synth::SpanSynthesizer;

@@ -160,13 +160,6 @@ impl ChatSessionStream {
         }
     }
 
-    /// Conversations currently between turns (a memory gauge, not a
-    /// request count).
-    #[must_use]
-    pub fn live_sessions(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Drops the metadata, yielding bare requests.
     pub fn requests(self) -> impl Iterator<Item = Request> {
         self.map(|s| s.request)

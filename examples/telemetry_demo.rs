@@ -7,14 +7,16 @@
 //! since one recording must not mix clock domains). Writes:
 //!
 //! - `trace.perfetto.json` — open at <https://ui.perfetto.dev>; one
-//!   track per GPU instance, one slice per batch, lifecycle instants.
+//!   track per GPU instance, one slice per batch, and every lifecycle
+//!   event (decode steps included) as an instant on its tenant's lane.
 //! - `metrics.prom` — Prometheus text exposition of the sim run.
 //! - `requests.csv` — per-request lifecycle timestamps of the sim run.
 //! - `tinyllm.perfetto.json` / `tinyllm.prom` — the real-engine run.
 //!
 //! The demo self-validates before writing: the trace JSON must parse,
-//! every instance track must carry at least one slice, and every
-//! request lifecycle must be well-formed.
+//! every instance track must carry at least one slice, every lifecycle
+//! event must appear as an instant, and every request lifecycle must be
+//! well-formed.
 //!
 //! Run with: `cargo run --release --example telemetry_demo`
 
@@ -67,9 +69,7 @@ fn main() {
     )
     .expect("deployment is valid");
     let snap = rec.snapshot();
-    validate(&snap, "sim");
-
-    std::fs::write("trace.perfetto.json", snap.perfetto_json()).expect("write trace");
+    std::fs::write("trace.perfetto.json", validate(&snap, "sim")).expect("write trace");
     std::fs::write("metrics.prom", snap.prometheus_text()).expect("write metrics");
     std::fs::write("requests.csv", snap.lifecycle_csv()).expect("write csv");
 
@@ -89,9 +89,7 @@ fn main() {
     }
     let done = batcher.run_to_completion();
     let tiny_snap = tiny_rec.snapshot();
-    validate(&tiny_snap, "tinyllm");
-
-    std::fs::write("tinyllm.perfetto.json", tiny_snap.perfetto_json()).expect("write trace");
+    std::fs::write("tinyllm.perfetto.json", validate(&tiny_snap, "tinyllm")).expect("write trace");
     std::fs::write("tinyllm.prom", tiny_snap.prometheus_text()).expect("write metrics");
 
     // --- Summary ---------------------------------------------------------
@@ -126,10 +124,11 @@ fn main() {
 }
 
 /// Self-check: the recording must round-trip as valid trace JSON with at
-/// least one slice per instance track, and every request's lifecycle
-/// must be well-formed. Panics (failing the demo and the CI step that
-/// runs it) otherwise.
-fn validate(snap: &Recording, label: &str) {
+/// least one slice per instance track and one instant per lifecycle
+/// event, and every request's lifecycle must be well-formed. Panics
+/// (failing the demo and the CI step that runs it) otherwise; returns
+/// the trace JSON.
+fn validate(snap: &Recording, label: &str) -> String {
     let json = snap.perfetto_json();
     let parsed: serde_json::Value =
         serde_json::from_str(&json).unwrap_or_else(|e| panic!("{label}: trace JSON invalid: {e}"));
@@ -145,9 +144,12 @@ fn validate(snap: &Recording, label: &str) {
             .count();
         assert!(slices >= 1, "{label}: track {track} ({name}) has no slices");
     }
+    let instants = events.iter().filter(|e| e["ph"] == "i").count();
+    assert_eq!(instants, snap.events.len(), "{label}: lifecycle instants");
     for (id, lc) in &snap.lifecycles() {
         lc.validate()
             .unwrap_or_else(|e| panic!("{label}: request {id}: {e}"));
     }
     println!("{label}: trace validated ({} trace events)", events.len());
+    json
 }

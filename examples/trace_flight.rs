@@ -43,10 +43,8 @@ use distserve::observe::{
 };
 use distserve::placement::{SloSpec, TraceSource};
 use distserve::router::{Assignment, FleetSpec, RouterPolicy, ScaleSim, ScaleSlo, ServiceProfile};
-use distserve::telemetry::{TelemetrySink, NO_PARENT};
-use distserve::trace::{
-    waterfall_json, FlightRecorder, SpanSynthesizer, TailSampler, TailSamplerConfig,
-};
+use distserve::telemetry::{Recording, TelemetrySink, NO_PARENT};
+use distserve::trace::{FlightRecorder, SpanSynthesizer, TailSampler, TailSamplerConfig};
 use distserve::workload::datasets::FixedLengths;
 use distserve::workload::{Dataset, MultiTenantMix, TenantSpec};
 use distserve_bench::overhead::{paired, prefilled, step_times, Estimate, BATCH, BUDGET_PCT};
@@ -210,7 +208,11 @@ fn traced_fleet(n: u64) -> FleetRun {
         alerts,
         throttled,
         replan_armed: controller.slo_eroded().is_some(),
-        waterfalls: waterfall_json(&kept[..kept.len().min(64)]),
+        waterfalls: Recording {
+            spans: kept[..kept.len().min(64)].concat(),
+            ..Recording::default()
+        }
+        .perfetto_json(),
         panel,
         waterfall_svg: svg,
     }

@@ -26,10 +26,10 @@ pub use distserve_engine as engine;
 pub use distserve_faults as faults;
 /// LLM architectures, parallelism, and the analytical latency model.
 pub use distserve_models as models;
-/// Placement search: Algorithms 1 and 2, goodput optimization.
 /// Latency attribution, online SLO windows, bottleneck reports, and the
 /// live dashboard.
 pub use distserve_observe as observe;
+/// Placement search: Algorithms 1 and 2, goodput optimization.
 pub use distserve_placement as placement;
 /// Radix-tree prefix cache: copy-on-write KV block sharing across
 /// requests.
@@ -43,7 +43,7 @@ pub use distserve_router as router;
 pub use distserve_simcore as simcore;
 /// Request-lifecycle tracing, metrics, and Perfetto/Prometheus export.
 pub use distserve_telemetry as telemetry;
-/// Causal spans, tail-based sampling, waterfalls, and a flight recorder.
+/// Span synthesis, tail-based sampling, and a flight recorder.
 pub use distserve_trace as trace;
 /// Synthetic datasets, arrival processes, and workload profiling.
 pub use distserve_workload as workload;

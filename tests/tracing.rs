@@ -1,4 +1,5 @@
-//! Tracing-pipeline gates: tail-sampling determinism and flat memory.
+//! Tracing-pipeline gates: tail-sampling determinism, flat memory, and
+//! the Perfetto export pinned by a golden fixture.
 //!
 //! The tracing design leans on two load-bearing claims:
 //!
@@ -19,9 +20,15 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use distserve::cluster::Cluster;
+use distserve::core::serve_trace_with_sink;
+use distserve::engine::{FidelityConfig, InstanceRole, InstanceSpec};
+use distserve::models::{OptModel, ParallelismConfig, RooflineModel};
+use distserve::placement::TraceSource;
 use distserve::router::{Assignment, FleetSpec, RouterPolicy, ScaleSim, ScaleSlo, ServiceProfile};
-use distserve::telemetry::NO_PARENT;
-use distserve::trace::{TailSampler, TailSamplerConfig};
+use distserve::telemetry::{Recorder, NO_PARENT};
+use distserve::trace::{SpanSynthesizer, TailSampler, TailSamplerConfig};
+use distserve::workload::datasets::FixedLengths;
 use distserve::workload::{Dataset, RequestStream};
 
 fn cases(default: u32) -> u32 {
@@ -197,5 +204,63 @@ fn traced_scale_sim_holds_flat_rss() {
     assert!(
         grew_kib < 64 * 1024,
         "traced {n}-request run grew peak RSS by {grew_kib} KiB (cap 64 MiB)"
+    );
+}
+
+/// Pins the workspace's one Perfetto writer byte for byte. A small
+/// disaggregated `ServingSim` run is recorded through a
+/// `SpanSynthesizer` into a `Recorder`, so the file holds instance
+/// slices, lifecycle instants and span waterfalls. Regenerate
+/// deliberately with `UPDATE_GOLDEN=1 cargo test --test tracing
+/// perfetto_export_matches_golden` after an intentional format change.
+#[test]
+fn perfetto_export_matches_golden() {
+    let cluster = Cluster::single_node(2);
+    let instance = |role, gpu| {
+        InstanceSpec::new(
+            role,
+            ParallelismConfig::SINGLE,
+            vec![vec![cluster.gpu(0, gpu)]],
+        )
+        .expect("valid instance")
+    };
+    let specs = vec![
+        instance(InstanceRole::Prefill, 0),
+        instance(InstanceRole::Decode, 1),
+    ];
+    let trace = FixedLengths {
+        input_len: 256,
+        output_len: 6,
+    }
+    .make_trace(8.0, 4, 3);
+    let rec = Arc::new(Recorder::new());
+    let synth = SpanSynthesizer::new(rec.clone(), 3).with_slos(0.4, 0.1);
+    serve_trace_with_sink(
+        &RooflineModel::a100(),
+        &cluster,
+        &OptModel::Opt13B.arch(),
+        specs,
+        &trace,
+        FidelityConfig::ideal(),
+        3,
+        &synth,
+    )
+    .expect("deployment is valid");
+    let snap = rec.snapshot();
+    assert!(!snap.slices.is_empty() && !snap.events.is_empty() && !snap.spans.is_empty());
+    let json = snap.perfetto_json();
+
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/perfetto.golden.json"
+    );
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::write(path, &json).expect("write fixture");
+    }
+    let golden = std::fs::read_to_string(path).expect("fixture exists");
+    assert_eq!(
+        json, golden,
+        "Perfetto export drifted from the golden fixture; if the format \
+         change is intentional, regenerate with UPDATE_GOLDEN=1"
     );
 }
