@@ -217,11 +217,12 @@ impl Recording {
                 e.tenant
             ));
         }
-        let first_pid = processes
+        // Trace processes are numbered above every other process.
+        let top = processes
             .keys()
             .next_back()
             .map_or(LIFECYCLE_TRACK, |&id| id.max(LIFECYCLE_TRACK));
-        let mut pid = u64::from(first_pid);
+        let mut pid = u64::from(top);
         for spans in traces(&self.spans) {
             if let Some(root) = spans.iter().find(|s| s.ctx.parent == NO_PARENT) {
                 pid += 1;
