@@ -328,3 +328,85 @@ fn golden_replay_fixture_reproduces_routed_run() {
     assert_eq!(replayed.makespan, live.makespan);
     assert_eq!(replay_log, fixture_log, "replay re-emits the golden log");
 }
+
+/// One plan as a line: each parallelism, the replica or unit count, and
+/// the exact bits of every goodput (the value beside them is for the
+/// reader; the bits are what must not move).
+fn plan_line(plan: &Deployment) -> String {
+    let g = |x: f64| format!("{:#018x} ({x:.4} rps)", x.to_bits());
+    match plan {
+        Deployment::High(p) => format!(
+            "high: prefill {} x{} goodput {}; decode {} x{} goodput {}",
+            p.prefill.par,
+            p.num_prefill,
+            g(p.prefill.goodput),
+            p.decode.par,
+            p.num_decode,
+            g(p.decode.goodput)
+        ),
+        Deployment::Low(p) => format!(
+            "low: prefill {} + decode {} x{} units, unit goodput {}",
+            p.prefill_par,
+            p.decode_par,
+            p.num_units,
+            g(p.unit_goodput)
+        ),
+        Deployment::Coloc(p) => format!(
+            "coloc: {} x{} goodput {}",
+            p.par,
+            p.num_replicas,
+            g(p.goodput)
+        ),
+    }
+}
+
+/// Planner golden: the OPT-13B chatbot planned by Algorithm 1 on a
+/// high-affinity cluster, by Algorithm 2 on the paper testbed and by
+/// vLLM++, each pinned by parallelism, replica and unit counts and the
+/// bits of every goodput. A change that moves a plan on purpose
+/// re-records `tests/fixtures/planner.golden.txt` with `UPDATE_GOLDEN=1
+/// cargo test --test end_to_end planner_plans_match_golden` and says why.
+#[test]
+fn planner_plans_match_golden() {
+    let app = Application::ChatbotOpt13B;
+    let cost = RooflineModel::a100_conservative();
+    let (slo, dataset) = (app.slo(), app.dataset());
+    let params = SearchParams {
+        max_tp: 4,
+        max_pp: 2,
+        probe_requests: 64,
+        probe_secs: 10.0,
+        search_iters: 10,
+        threads: 2,
+        seed: 0,
+    };
+    let planner = |cluster| {
+        let mut p = Planner::new(&cost, cluster, app.model().arch());
+        p.params = params.clone();
+        p
+    };
+    let (high, testbed) = (Cluster::high_affinity(4, 8), Cluster::paper_testbed());
+    let plans = [
+        planner(&high).plan_distserve_high(&dataset, slo, 6.0),
+        planner(&testbed).plan_distserve_low(&dataset, slo, 6.0),
+        planner(&testbed).plan_vllm_plus_plus(&dataset, slo, 6.0),
+    ];
+    let got: String = plans
+        .iter()
+        .map(|p| plan_line(p.as_ref().expect("OPT-13B plans")) + "\n")
+        .collect();
+
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/planner.golden.txt"
+    );
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::write(path, &got).expect("write fixture");
+    }
+    let golden = std::fs::read_to_string(path).expect("fixture exists");
+    assert_eq!(
+        got, golden,
+        "plans drifted from the golden fixture; if the change is \
+         intentional, regenerate with UPDATE_GOLDEN=1 and say why"
+    );
+}
