@@ -9,11 +9,12 @@
 
 use distserve_bench::{header, paper_cost};
 use distserve_core::Table;
+use distserve_engine::SimConfig;
 use distserve_models::{
-    CostModel, DType, DecodeBatch, GpuSpec, LlamaModel, ModelArch, ParallelismConfig,
+    CostModel, DecodeBatch, GpuSpec, LlamaModel, ModelArch, ParallelismConfig, MEM_MARGIN,
 };
 use distserve_placement::goodput::{max_goodput, probe_count_with};
-use distserve_placement::phase_sim::{decode_tpots, PhaseSimConfig};
+use distserve_placement::phase_sim::decode_tpots;
 use distserve_placement::TraceSource;
 use distserve_workload::datasets::FixedLengths;
 
@@ -57,20 +58,18 @@ fn main() {
         "decode goodput (rps)",
     ]);
     for arch in [&gqa, &mha] {
-        let kv_mb = arch.kv_bytes_per_token(DType::F16) as f64 / 1e6;
+        let kv_mb = arch.kv_bytes_per_token() as f64 / 1e6;
         let gpu = GpuSpec::a100_80g();
-        let shard = par.shard_weight_bytes(arch, DType::F16);
-        let pool = (gpu.mem_capacity - gpu.mem_capacity / 10 - shard) * u64::from(par.num_gpus());
-        let capacity_tokens = pool / arch.kv_bytes_per_token(DType::F16);
+        let capacity_tokens = par.kv_pool_bytes(arch, &gpu, MEM_MARGIN) / arch.kv_bytes_per_token();
         let step = cost
             .decode_stage_time(arch, par, &DecodeBatch::uniform(256, 640))
             .total();
-        let cfg = PhaseSimConfig::new(arch.clone(), gpu);
+        let cfg = SimConfig::new(arch.clone());
         let goodput = max_goodput(
             |r| {
                 let n = probe_count_with(r, 192, 45.0);
                 let trace = source.make_trace(r, n, 6);
-                let s = decode_tpots(&cost, &cfg, par, &trace);
+                let s = decode_tpots(&cost, &cfg, &gpu, par, &trace);
                 if s.is_empty() {
                     0.0
                 } else {

@@ -7,9 +7,10 @@
 
 use distserve_bench::{header, paper_cost};
 use distserve_core::Table;
+use distserve_engine::SimConfig;
 use distserve_models::queueing::{eq1_avg_ttft, eq2_avg_ttft_inter, eq3_avg_ttft_intra};
-use distserve_models::{CostModel, GpuSpec, OptModel, ParallelismConfig, PrefillBatch};
-use distserve_placement::phase_sim::{prefill_ttfts, PhaseSimConfig};
+use distserve_models::{CostModel, OptModel, ParallelismConfig, PrefillBatch};
+use distserve_placement::phase_sim::prefill_ttfts;
 use distserve_placement::TraceSource;
 use distserve_workload::datasets::FixedLengths;
 
@@ -21,8 +22,7 @@ fn main() {
     );
     let cost = paper_cost();
     let arch = OptModel::Opt13B.arch();
-    let mut cfg = PhaseSimConfig::new(arch.clone(), GpuSpec::a100_80g());
-    cfg.l_m = 1;
+    let cfg = SimConfig::new(arch.clone()).with_l_m(1);
     let source = FixedLengths {
         input_len: 512,
         output_len: 1,

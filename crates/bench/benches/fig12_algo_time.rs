@@ -14,7 +14,7 @@ use std::time::Instant;
 use distserve_bench::{header, paper_cost};
 use distserve_cluster::Cluster;
 use distserve_core::Table;
-use distserve_models::{DType, OptModel};
+use distserve_models::OptModel;
 use distserve_placement::alg1::SearchParams;
 use distserve_placement::{high_affinity_placement, low_affinity_placement, SloSpec};
 use distserve_workload::Dataset;
@@ -55,7 +55,7 @@ fn main() {
         for threads in [1usize, 0] {
             let p = params(max_tp, max_pp, threads);
             let start = Instant::now();
-            let _ = high_affinity_placement(&cost, &gpu, &arch, DType::F16, &dataset, slo, 4.0, &p);
+            let _ = high_affinity_placement(&cost, &gpu, &arch, &dataset, slo, 4.0, &p);
             row.push(format!("{:.2}", start.elapsed().as_secs_f64()));
         }
         let cluster = Cluster::new(
@@ -68,8 +68,7 @@ fn main() {
         for threads in [1usize, 0] {
             let p = params(max_tp, max_pp, threads);
             let start = Instant::now();
-            let _ =
-                low_affinity_placement(&cost, &cluster, &arch, DType::F16, &dataset, slo, 4.0, &p);
+            let _ = low_affinity_placement(&cost, &cluster, &arch, &dataset, slo, 4.0, &p);
             row.push(format!("{:.2}", start.elapsed().as_secs_f64()));
         }
         table.row(row);
@@ -84,8 +83,7 @@ fn main() {
         let arch = model.arch();
         let p = params(4, 2, 0);
         let start = Instant::now();
-        let _ =
-            high_affinity_placement(&cost, &cost.gpu, &arch, DType::F16, &dataset, slo, 2.0, &p);
+        let _ = high_affinity_placement(&cost, &cost.gpu, &arch, &dataset, slo, 2.0, &p);
         table.row(vec![
             arch.name.clone(),
             format!("{:.2}", start.elapsed().as_secs_f64()),

@@ -13,10 +13,10 @@
 use distserve_bench::{header, paper_cost};
 use distserve_cluster::Cluster;
 use distserve_core::{serve_trace, Table};
-use distserve_engine::{FidelityConfig, InstanceRole, InstanceSpec};
-use distserve_models::{GpuSpec, OptModel, ParallelismConfig};
+use distserve_engine::{FidelityConfig, InstanceRole, InstanceSpec, SimConfig};
+use distserve_models::{OptModel, ParallelismConfig};
 use distserve_placement::goodput::max_goodput;
-use distserve_placement::phase_sim::{decode_tpots, prefill_ttfts, PhaseSimConfig};
+use distserve_placement::phase_sim::{decode_tpots, prefill_ttfts};
 use distserve_placement::TraceSource;
 use distserve_workload::datasets::FixedLengths;
 
@@ -60,7 +60,7 @@ fn main() {
     );
     let cost = paper_cost();
     let cluster = Cluster::single_node(8);
-    let phase_cfg = PhaseSimConfig::new(OptModel::Opt13B.arch(), GpuSpec::a100_80g());
+    let phase_cfg = SimConfig::new(OptModel::Opt13B.arch());
     let par1 = ParallelismConfig::SINGLE;
 
     let mut table = Table::new(vec![
@@ -77,7 +77,7 @@ fn main() {
         // The conservative-profile prefill instance can't sustain rates
         // past ~1/D; percentile summaries stay meaningful anyway.
         let prefill = prefill_ttfts(&cost, &phase_cfg, par1, &trace);
-        let decode = decode_tpots(&cost, &phase_cfg, par1, &trace);
+        let decode = decode_tpots(&cost, &phase_cfg, cluster.gpu_spec(), par1, &trace);
         table.row(vec![
             format!("{rate:.1}"),
             format!("{:.3}s", coloc.ttft_summary().percentile(0.9)),
@@ -113,7 +113,7 @@ fn main() {
         |r| {
             let n = ((r * 60.0) as usize).clamp(200, 4000);
             let trace = source().make_trace(r, n, 1);
-            let s = decode_tpots(&cost, &phase_cfg, par1, &trace);
+            let s = decode_tpots(&cost, &phase_cfg, cluster.gpu_spec(), par1, &trace);
             s.fraction_at_most(TPOT_SLO)
         },
         0.9,

@@ -12,9 +12,10 @@
 
 use distserve_bench::{header, paper_cost};
 use distserve_core::Table;
+use distserve_engine::SimConfig;
 use distserve_models::queueing::{eq2_avg_ttft_inter, eq3_avg_ttft_intra, intra_inter_crossover};
-use distserve_models::{CostModel, GpuSpec, OptModel, ParallelismConfig, PrefillBatch};
-use distserve_placement::phase_sim::{prefill_ttfts, PhaseSimConfig};
+use distserve_models::{CostModel, OptModel, ParallelismConfig, PrefillBatch};
+use distserve_placement::phase_sim::prefill_ttfts;
 use distserve_placement::TraceSource;
 use distserve_workload::datasets::FixedLengths;
 
@@ -28,8 +29,8 @@ fn main() {
     let arch = OptModel::Opt66B.arch();
     let intra = ParallelismConfig::new(2, 1);
     let inter = ParallelismConfig::new(1, 2);
-    let mut cfg = PhaseSimConfig::new(arch.clone(), GpuSpec::a100_80g());
-    cfg.l_m = 1; // No batching: the regime Eqs. 1-3 model.
+    // No batching: the regime Eqs. 1-3 model.
+    let cfg = SimConfig::new(arch.clone()).with_l_m(1);
     let source = FixedLengths {
         input_len: 512,
         output_len: 1,

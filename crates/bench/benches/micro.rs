@@ -462,8 +462,9 @@ fn scaling_sweep(rec: &mut BenchRecord) {
 /// reference estimate on `TinyConfig::small()` (fused decode off, the
 /// reference tier on): the speedup derives from the estimate rather than
 /// from dividing two rows timed minutes apart. Each throughput divides
-/// by its row's `min_s`, so one disturbed sample cannot move it (the
-/// per-step-minimum rule of the gated `decode_tok_s`).
+/// by its row's `min_s` and each build time is its row's `min_s`, so one
+/// disturbed sample cannot move them (the per-step-minimum rule of the
+/// gated `decode_tok_s`).
 fn push_derived(rec: &mut BenchRecord, paired: overhead::Estimate) {
     let tok_s = |rec: &BenchRecord, row: &str, tokens: usize| {
         tokens as f64 / rec.metric(&format!("{row}.min_s")).expect("row timed")
@@ -490,7 +491,7 @@ fn push_derived(rec: &mut BenchRecord, paired: overhead::Estimate) {
         );
     let host = host_cores();
     let build_ms = |rec: &BenchRecord, lanes: usize| {
-        rec.metric(&format!("tinyllm.build_served_lanes{lanes}.mean_s"))
+        rec.metric(&format!("tinyllm.build_served_lanes{lanes}.min_s"))
             .expect("row timed")
             * 1e3
     };

@@ -15,7 +15,8 @@ use distserve_cluster::Cluster;
 use distserve_core::serve_trace;
 use distserve_engine::{FidelityConfig, InstanceSpec};
 use distserve_models::{ModelArch, RooflineModel};
-use distserve_placement::goodput::{max_goodput, probe_count_with};
+use distserve_placement::alg1::SearchParams;
+use distserve_placement::goodput::{max_goodput, probe_count_with, served_attainment};
 use distserve_placement::{SloSpec, TraceSource};
 use distserve_router::ScaleOutcome;
 
@@ -65,7 +66,8 @@ pub fn header(id: &str, title: &str, paper_claim: &str) {
 }
 
 /// Measures a fixed deployment's per-GPU goodput with full simulations:
-/// the largest per-GPU rate whose joint-SLO attainment meets the target.
+/// the largest per-GPU rate whose joint-SLO attainment meets the target,
+/// each probe at least 200 requests covering `probe_secs` of arrivals.
 #[allow(clippy::too_many_arguments)]
 #[must_use]
 pub fn per_gpu_goodput(
@@ -78,26 +80,19 @@ pub fn per_gpu_goodput(
     probe_secs: f64,
     seed: u64,
 ) -> f64 {
+    let params = SearchParams {
+        probe_requests: 200,
+        probe_secs,
+        search_iters: 7,
+        seed,
+        ..SearchParams::default()
+    };
     let gpus: u32 = specs.iter().map(InstanceSpec::num_gpus).sum();
     let total = max_goodput(
-        |rate| {
-            let n = probe_count_with(rate, 200, probe_secs);
-            let trace = source.make_trace(rate, n, seed);
-            serve_trace(
-                cost,
-                cluster,
-                arch,
-                specs.to_vec(),
-                &trace,
-                FidelityConfig::ideal(),
-                seed,
-            )
-            .map(|o| o.attainment(slo.ttft, slo.tpot))
-            .unwrap_or(0.0)
-        },
+        |rate| served_attainment(cost, cluster, arch, specs, source, slo, rate, &params),
         slo.target,
         0.5,
-        7,
+        params.search_iters,
     );
     total / f64::from(gpus)
 }

@@ -13,7 +13,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use distserve_models::{DType, ModelArch, ParallelismConfig};
+use distserve_models::{ModelArch, ParallelismConfig};
 
 use crate::topology::{Cluster, GpuId};
 
@@ -24,11 +24,11 @@ use crate::topology::{Cluster, GpuId};
 ///
 /// ```
 /// use distserve_cluster::{Cluster, KvTransferModel};
-/// use distserve_models::{DType, OptModel, ParallelismConfig};
+/// use distserve_models::{OptModel, ParallelismConfig};
 ///
 /// let cluster = Cluster::paper_testbed();
 /// let arch = OptModel::Opt66B.arch();
-/// let model = KvTransferModel::new(arch, DType::F16);
+/// let model = KvTransferModel::new(arch);
 ///
 /// // Colocated on one node: NVLink, sub-10ms for a 512-token request.
 /// let prefill = vec![vec![cluster.gpu(0, 0)]];
@@ -44,20 +44,19 @@ use crate::topology::{Cluster, GpuId};
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct KvTransferModel {
     arch: ModelArch,
-    dtype: DType,
 }
 
 impl KvTransferModel {
-    /// Creates a transfer model for one architecture and precision.
+    /// Creates a transfer model for one architecture.
     #[must_use]
-    pub fn new(arch: ModelArch, dtype: DType) -> Self {
-        KvTransferModel { arch, dtype }
+    pub fn new(arch: ModelArch) -> Self {
+        KvTransferModel { arch }
     }
 
     /// Total KV bytes for a request of `tokens` context positions.
     #[must_use]
     pub fn request_kv_bytes(&self, tokens: u32) -> u64 {
-        self.arch.kv_bytes_per_token(self.dtype) * u64::from(tokens)
+        self.arch.kv_bytes_per_token() * u64::from(tokens)
     }
 
     /// Time to move one request's KV cache from a prefill instance to a
@@ -125,7 +124,7 @@ impl KvTransferModel {
     /// context `mean_tokens` (§3.3's "90 Gbps" arithmetic).
     #[must_use]
     pub fn bandwidth_demand(&self, rate: f64, mean_tokens: f64) -> f64 {
-        self.arch.kv_bytes_per_token(self.dtype) as f64 * mean_tokens * rate
+        self.arch.kv_bytes_per_token() as f64 * mean_tokens * rate
     }
 
     /// The architecture this model serves.
@@ -145,7 +144,7 @@ mod tests {
     use distserve_models::OptModel;
 
     fn model66b() -> KvTransferModel {
-        KvTransferModel::new(OptModel::Opt66B.arch(), DType::F16)
+        KvTransferModel::new(OptModel::Opt66B.arch())
     }
 
     #[test]

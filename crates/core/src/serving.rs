@@ -9,7 +9,7 @@
 use distserve_cluster::Cluster;
 use distserve_engine::{FidelityConfig, InstanceSpec, ServingSim, SimConfig, SimOutcome};
 use distserve_faults::{FaultSchedule, RetryPolicy};
-use distserve_models::{CostModel, DType, ModelArch, ParallelismConfig};
+use distserve_models::{CostModel, ModelArch, ParallelismConfig};
 use distserve_placement::alg1::SearchParams;
 use distserve_placement::deploy::Deployment;
 use distserve_placement::goodput::probe_count;
@@ -29,8 +29,6 @@ pub struct Planner<'a> {
     pub cluster: &'a Cluster,
     /// Served model.
     pub arch: ModelArch,
-    /// Precision.
-    pub dtype: DType,
     /// Search knobs.
     pub params: SearchParams,
 }
@@ -49,7 +47,6 @@ impl<'a> Planner<'a> {
             cost,
             cluster,
             arch,
-            dtype: DType::F16,
             params,
         }
     }
@@ -90,7 +87,6 @@ impl<'a> Planner<'a> {
             self.cost,
             self.cluster.gpu_spec(),
             &self.arch,
-            self.dtype,
             source,
             slo,
             rate,
@@ -116,7 +112,6 @@ impl<'a> Planner<'a> {
             self.cost,
             self.cluster,
             &self.arch,
-            self.dtype,
             source,
             slo,
             rate,
@@ -138,7 +133,7 @@ impl<'a> Planner<'a> {
         par: ParallelismConfig,
         num_replicas: u32,
     ) -> Result<Deployment, String> {
-        par.validate_memory(&self.arch, self.cluster.gpu_spec(), self.dtype)
+        par.validate_memory(&self.arch, self.cluster.gpu_spec())
             .map_err(|e| e.to_string())?;
         Ok(Deployment::Coloc(ColocPlacement {
             par,
@@ -162,7 +157,6 @@ impl<'a> Planner<'a> {
             self.cost,
             self.cluster,
             &self.arch,
-            self.dtype,
             source,
             slo,
             rate,

@@ -42,6 +42,9 @@ impl std::fmt::Display for KvError {
 
 impl std::error::Error for KvError {}
 
+/// PagedAttention block size of every simulated KV pool, tokens.
+pub const BLOCK_TOKENS: u32 = 16;
+
 /// Block-granular KV pool for one instance.
 ///
 /// # Examples

@@ -27,7 +27,7 @@ use distserve_telemetry::{metrics, Event, LifecycleEvent, Slice, TelemetrySink, 
 use distserve_workload::{RequestId, Trace};
 
 use crate::batching::{PrefillItem, PrefillQueue};
-use crate::kvcache::KvBlockManager;
+use crate::kvcache::{KvBlockManager, BLOCK_TOKENS};
 use crate::pipeline::{Commit, Pipeline};
 use crate::request::{RequestPhase, RequestRecord, RequestState, StageBreakdown};
 use crate::routing::RouterCtl;
@@ -421,18 +421,16 @@ impl<'a> ServingSim<'a> {
             spec.par
                 .validate(&cfg.arch)
                 .map_err(|e| format!("instance {i}: {e}"))?;
-            let pool = spec.kv_pool_bytes(&cfg.arch, cluster.gpu_spec(), cfg.dtype, cfg.mem_margin);
+            let pool = spec
+                .par
+                .kv_pool_bytes(&cfg.arch, cluster.gpu_spec(), cfg.mem_margin);
             if pool == 0 {
                 return Err(format!(
                     "instance {i} ({}) cannot hold its weight shard",
                     spec.par
                 ));
             }
-            let kv = KvBlockManager::from_bytes(
-                pool,
-                cfg.arch.kv_bytes_per_token(cfg.dtype),
-                cfg.block_size,
-            );
+            let kv = KvBlockManager::from_bytes(pool, cfg.arch.kv_bytes_per_token(), BLOCK_TOKENS);
             let budget = match spec.role {
                 InstanceRole::Colocated => spec.policy.prefill_token_budget,
                 _ => cfg.l_m,
@@ -471,7 +469,7 @@ impl<'a> ServingSim<'a> {
                 spec,
             });
         }
-        let transfer = KvTransferModel::new(cfg.arch.clone(), cfg.dtype);
+        let transfer = KvTransferModel::new(cfg.arch.clone());
         let rng = SimRng::seed(cfg.seed).split("serving-sim");
         Ok(ServingSim {
             cfg,
@@ -923,9 +921,8 @@ impl<'a> ServingSim<'a> {
         if u >= m.hit_prob {
             return 0;
         }
-        let bs = self.cfg.block_size.max(1);
         let matched = (f64::from(input_len) * m.matched_frac) as u32;
-        ((matched / bs) * bs).min(input_len - 1)
+        ((matched / BLOCK_TOKENS) * BLOCK_TOKENS).min(input_len - 1)
     }
 
     /// One router consultation: refresh the persistent state from the
@@ -2278,14 +2275,13 @@ mod tests {
         let cl = cluster();
         let cost = RooflineModel::a100();
         let cfg = SimConfig::new(OptModel::Opt13B.arch()).with_prefix_model(0.6, 0.5);
-        let bs = cfg.block_size;
         let sim = ServingSim::new(cfg.clone(), &cost, &cl, coloc_deployment(&cl)).unwrap();
         let mut hits = 0u32;
         for id in 0..200u64 {
             let a = sim.draw_cached_tokens(id, 512);
             let b = sim.draw_cached_tokens(id, 512);
             assert_eq!(a, b, "draw must be a pure function of (seed, id)");
-            assert_eq!(a % bs, 0, "matched tokens must be block-aligned");
+            assert_eq!(a % BLOCK_TOKENS, 0, "matched tokens must be block-aligned");
             assert!(a < 512);
             if a > 0 {
                 hits += 1;

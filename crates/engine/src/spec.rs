@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use distserve_cluster::GpuId;
-use distserve_models::{DType, GpuSpec, ModelArch, ParallelismConfig};
+use distserve_models::{ModelArch, ParallelismConfig, MEM_MARGIN};
 
 /// What work an instance performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -103,22 +103,6 @@ impl InstanceSpec {
     pub fn num_gpus(&self) -> u32 {
         self.par.num_gpus()
     }
-
-    /// Bytes of KV pool across the whole instance: per-GPU capacity minus
-    /// the weight shard and a runtime margin, summed over GPUs.
-    #[must_use]
-    pub fn kv_pool_bytes(
-        &self,
-        arch: &ModelArch,
-        gpu: &GpuSpec,
-        dtype: DType,
-        margin_frac: f64,
-    ) -> u64 {
-        let shard = self.par.shard_weight_bytes(arch, dtype);
-        let margin = (gpu.mem_capacity as f64 * margin_frac) as u64;
-        let per_gpu = gpu.mem_capacity.saturating_sub(shard + margin);
-        per_gpu * u64::from(self.num_gpus())
-    }
 }
 
 /// Analytic prefix-cache hit model for the token-granular simulator.
@@ -163,12 +147,8 @@ impl PrefixHitModel {
 pub struct SimConfig {
     /// Model being served.
     pub arch: ModelArch,
-    /// Weight and KV precision.
-    pub dtype: DType,
     /// Fidelity perturbations (ideal for planning, detailed for Table 2).
     pub fidelity: crate::fidelity::FidelityConfig,
-    /// PagedAttention block size, tokens.
-    pub block_size: u32,
     /// Fraction of GPU memory reserved for activations and runtime.
     pub mem_margin: f64,
     /// Maximum requests per decoding iteration.
@@ -193,15 +173,13 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// Reasonable defaults for `arch` at fp16.
+    /// Reasonable defaults for `arch`.
     #[must_use]
     pub fn new(arch: ModelArch) -> Self {
         SimConfig {
             arch,
-            dtype: DType::F16,
             fidelity: crate::fidelity::FidelityConfig::ideal(),
-            block_size: 16,
-            mem_margin: 0.10,
+            mem_margin: MEM_MARGIN,
             max_decode_batch: 256,
             l_m: 512,
             prefill_discipline: crate::batching::QueueDiscipline::Fcfs,
@@ -305,51 +283,11 @@ mod tests {
     }
 
     #[test]
-    fn kv_pool_scales_with_gpus() {
-        let c = Cluster::paper_testbed();
-        let arch = OptModel::Opt13B.arch();
-        let one = InstanceSpec::new(
-            InstanceRole::Decode,
-            ParallelismConfig::SINGLE,
-            vec![vec![c.gpu(0, 0)]],
-        )
-        .unwrap();
-        let two = InstanceSpec::new(
-            InstanceRole::Decode,
-            ParallelismConfig::new(2, 1),
-            vec![vec![c.gpu(0, 1), c.gpu(0, 2)]],
-        )
-        .unwrap();
-        let p1 = one.kv_pool_bytes(&arch, c.gpu_spec(), DType::F16, 0.1);
-        let p2 = two.kv_pool_bytes(&arch, c.gpu_spec(), DType::F16, 0.1);
-        // Two GPUs hold the same weights but twice the capacity: the pool
-        // more than doubles.
-        assert!(p2 > 2 * p1, "p1 {p1}, p2 {p2}");
-        // A 13B model on one A100 leaves roughly 80·0.9 − 26 ≈ 46 GB.
-        let gb = p1 as f64 / 1e9;
-        assert!((35.0..55.0).contains(&gb), "pool {gb} GB");
-    }
-
-    #[test]
-    fn oversized_shard_gives_zero_pool() {
-        let c = Cluster::paper_testbed();
-        let arch = OptModel::Opt175B.arch();
-        let spec = InstanceSpec::new(
-            InstanceRole::Decode,
-            ParallelismConfig::SINGLE,
-            vec![vec![c.gpu(0, 0)]],
-        )
-        .unwrap();
-        assert_eq!(spec.kv_pool_bytes(&arch, c.gpu_spec(), DType::F16, 0.1), 0);
-    }
-
-    #[test]
     fn config_builders() {
         let cfg = SimConfig::new(OptModel::Opt13B.arch())
             .detailed()
             .with_seed(7);
         assert_eq!(cfg.seed, 7);
         assert!(cfg.fidelity.jitter_frac > 0.0);
-        assert_eq!(cfg.block_size, 16);
     }
 }

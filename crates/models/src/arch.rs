@@ -8,43 +8,22 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Numeric precision of weights and KV cache entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum DType {
-    /// 32-bit IEEE float.
-    F32,
-    /// 16-bit IEEE float (the paper's precision for all experiments).
-    F16,
-    /// bfloat16.
-    BF16,
-    /// 8-bit integer quantization.
-    Int8,
-}
-
-impl DType {
-    /// Size of one element in bytes.
-    #[must_use]
-    pub fn bytes(self) -> u64 {
-        match self {
-            DType::F32 => 4,
-            DType::F16 | DType::BF16 => 2,
-            DType::Int8 => 1,
-        }
-    }
-}
+/// Bytes of one weight or KV-cache element. Every model is served in
+/// FP16 (§6.1), so this is fixed at 2.
+pub const BYTES_PER_ELEMENT: u64 = 2;
 
 /// The shape of a decoder-only transformer.
 ///
 /// # Examples
 ///
 /// ```
-/// use distserve_models::{ModelArch, DType, OptModel};
+/// use distserve_models::OptModel;
 ///
 /// let opt13b = OptModel::Opt13B.arch();
 /// let params = opt13b.param_count();
 /// assert!((12.0e9..14.0e9).contains(&(params as f64)));
 /// // Weight bytes at fp16 ≈ 26 GB, matching Table 1.
-/// let gb = opt13b.weight_bytes(DType::F16) as f64 / 1e9;
+/// let gb = opt13b.weight_bytes() as f64 / 1e9;
 /// assert!((24.0..28.0).contains(&gb));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -156,10 +135,10 @@ impl ModelArch {
         2 * h * h + 2 * h * kv + ffn_mats * h * m
     }
 
-    /// Bytes of dense weights per layer at `dtype`.
+    /// Bytes of dense weights per layer.
     #[must_use]
-    pub fn dense_weight_bytes_per_layer(&self, dtype: DType) -> u64 {
-        self.dense_macs_per_token() * dtype.bytes()
+    pub fn dense_weight_bytes_per_layer(&self) -> u64 {
+        self.dense_macs_per_token() * BYTES_PER_ELEMENT
     }
 
     /// Approximate parameter count: dense projections plus biases and
@@ -177,19 +156,19 @@ impl ModelArch {
         l * per_layer + embeddings + final_norm
     }
 
-    /// Total bytes of model weights at the given precision.
+    /// Total bytes of model weights.
     #[must_use]
-    pub fn weight_bytes(&self, dtype: DType) -> u64 {
-        self.param_count() * dtype.bytes()
+    pub fn weight_bytes(&self) -> u64 {
+        self.param_count() * BYTES_PER_ELEMENT
     }
 
     /// Bytes of KV cache for **one token position** across all layers:
-    /// `2 (K and V) * layers * kv_dim * element_size`. Under GQA this is
-    /// `kv_heads / num_heads` of the multi-head figure — the memory
-    /// saving §3.2 credits for larger decoding batches.
+    /// `2 (K and V) * layers * kv_dim` elements of [`BYTES_PER_ELEMENT`].
+    /// Under GQA this is `kv_heads / num_heads` of the multi-head figure —
+    /// the memory saving §3.2 credits for larger decoding batches.
     #[must_use]
-    pub fn kv_bytes_per_token(&self, dtype: DType) -> u64 {
-        2 * u64::from(self.num_layers) * u64::from(self.kv_dim()) * dtype.bytes()
+    pub fn kv_bytes_per_token(&self) -> u64 {
+        2 * u64::from(self.num_layers) * u64::from(self.kv_dim()) * BYTES_PER_ELEMENT
     }
 
     /// FLOPs for a prefill pass over `t` new tokens of a single request
@@ -331,7 +310,7 @@ mod tests {
     #[test]
     fn table1_weight_sizes() {
         // Table 1: OPT-13B = 26 GB, OPT-66B = 132 GB, OPT-175B = 350 GB.
-        let gb = |m: OptModel| m.arch().weight_bytes(DType::F16) as f64 / 1e9;
+        let gb = |m: OptModel| m.arch().weight_bytes() as f64 / 1e9;
         assert!((gb(OptModel::Opt13B) - 26.0).abs() < 2.0);
         assert!((gb(OptModel::Opt66B) - 132.0).abs() < 5.0);
         assert!((gb(OptModel::Opt175B) - 350.0).abs() < 10.0);
@@ -342,7 +321,7 @@ mod tests {
         // §3.3: "the KV cache size of a single 512-token request on OPT-66B
         // is approximately 1.13GB".
         let arch = OptModel::Opt66B.arch();
-        let gb = (arch.kv_bytes_per_token(DType::F16) * 512) as f64 / 1e9;
+        let gb = (arch.kv_bytes_per_token() * 512) as f64 / 1e9;
         assert!(
             (1.0..1.35).contains(&gb),
             "512-token OPT-66B KV = {gb:.3} GB, expected ≈1.13 GB"
@@ -403,10 +382,7 @@ mod tests {
         // is 1/8th of the equivalent multi-head figure (§3.2's GQA note).
         let gqa = LlamaModel::Llama2_70B.arch();
         let mha = ModelArch::new("mha-70b", 80, 8192, 64, 28_672, 32_000, 4096).unwrap();
-        assert_eq!(
-            gqa.kv_bytes_per_token(DType::F16) * 8,
-            mha.kv_bytes_per_token(DType::F16)
-        );
+        assert_eq!(gqa.kv_bytes_per_token() * 8, mha.kv_bytes_per_token());
         assert_eq!(gqa.kv_dim(), 1024);
     }
 
@@ -423,13 +399,5 @@ mod tests {
         let plain = OptModel::Opt13B.arch();
         let gated = OptModel::Opt13B.arch().with_gated_ffn();
         assert!(gated.dense_macs_per_token() > plain.dense_macs_per_token());
-    }
-
-    #[test]
-    fn dtype_sizes() {
-        assert_eq!(DType::F32.bytes(), 4);
-        assert_eq!(DType::F16.bytes(), 2);
-        assert_eq!(DType::BF16.bytes(), 2);
-        assert_eq!(DType::Int8.bytes(), 1);
     }
 }

@@ -28,7 +28,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::arch::{DType, ModelArch};
+use crate::arch::{ModelArch, BYTES_PER_ELEMENT};
 use crate::batch::{DecodeBatch, PrefillBatch};
 use crate::hardware::{GpuSpec, LinkSpec};
 use crate::parallel::ParallelismConfig;
@@ -123,9 +123,7 @@ pub trait CostModel: Send + Sync {
 /// # Examples
 ///
 /// ```
-/// use distserve_models::{
-///     CostModel, DType, OptModel, ParallelismConfig, PrefillBatch, RooflineModel,
-/// };
+/// use distserve_models::{CostModel, OptModel, ParallelismConfig, PrefillBatch, RooflineModel};
 ///
 /// let model = RooflineModel::a100();
 /// let arch = OptModel::Opt13B.arch();
@@ -145,8 +143,6 @@ pub struct RooflineModel {
     pub tp_link: LinkSpec,
     /// Link used for pipeline stage-to-stage activation transfer.
     pub pp_link: LinkSpec,
-    /// Weight and KV precision.
-    pub dtype: DType,
     /// FlashAttention block size `b` (paper A.2; 16 or 32).
     pub flash_block: u32,
     /// Fixed kernel-launch cost per transformer layer, seconds.
@@ -173,7 +169,6 @@ impl RooflineModel {
             gpu: GpuSpec::a100_80g(),
             tp_link: LinkSpec::nvlink(),
             pp_link: LinkSpec::nvlink(),
-            dtype: DType::F16,
             flash_block: 32,
             layer_overhead: 15e-6,
             step_overhead: 1.0e-3,
@@ -204,7 +199,6 @@ impl RooflineModel {
             },
             tp_link: LinkSpec::nvlink(),
             pp_link: LinkSpec::nvlink(),
-            dtype: DType::F16,
             flash_block: 32,
             layer_overhead: 25e-6,
             step_overhead: 5.0e-3,
@@ -224,7 +218,7 @@ impl RooflineModel {
         let h = f64::from(arch.hidden);
         let m = f64::from(arch.ffn);
         let tp_f = f64::from(tp);
-        let elem = self.dtype.bytes() as f64;
+        let elem = BYTES_PER_ELEMENT as f64;
         // Sharding shrinks per-GPU GEMMs, costing utilization; the hit
         // shrinks with hidden size (bigger shards stay efficient).
         const REF_HIDDEN: f64 = 5120.0;
@@ -295,7 +289,7 @@ impl RooflineModel {
         decode: &DecodeBatch,
     ) -> u64 {
         let t_new = prefill.total_tokens() + decode.batch_size() as u64;
-        t_new * u64::from(arch.hidden) * self.dtype.bytes()
+        t_new * u64::from(arch.hidden) * BYTES_PER_ELEMENT
     }
 
     /// Smallest prompt length at which the prefill GEMMs become
@@ -311,7 +305,7 @@ impl RooflineModel {
             let batch = PrefillBatch::single(mid);
             let h = f64::from(arch.hidden);
             let m = f64::from(arch.ffn);
-            let elem = self.dtype.bytes() as f64;
+            let elem = BYTES_PER_ELEMENT as f64;
             let t = batch.total_tokens() as f64;
             let dense_macs = arch.dense_macs_per_token() as f64;
             let compute = 2.0 * t * dense_macs / f64::from(tp) / self.gpu.effective_flops();
@@ -405,7 +399,7 @@ mod tests {
         let t = model()
             .decode_latency(&arch, p1(), &DecodeBatch::uniform(1, 512))
             .total();
-        let weight_read = arch.weight_bytes(DType::F16) as f64 / model().gpu.effective_bandwidth();
+        let weight_read = arch.weight_bytes() as f64 / model().gpu.effective_bandwidth();
         assert!(
             t > weight_read && t < weight_read * 1.8,
             "step {t}s vs weight read {weight_read}s"

@@ -29,8 +29,8 @@ pub mod latency;
 pub mod parallel;
 pub mod queueing;
 
-pub use arch::{DType, LlamaModel, ModelArch, OptModel};
+pub use arch::{LlamaModel, ModelArch, OptModel, BYTES_PER_ELEMENT};
 pub use batch::{DecodeBatch, PrefillBatch};
 pub use hardware::{GpuSpec, LinkSpec};
 pub use latency::{CostModel, PhaseTiming, RooflineModel};
-pub use parallel::ParallelismConfig;
+pub use parallel::{ParallelismConfig, MEM_MARGIN};

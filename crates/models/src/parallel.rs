@@ -9,8 +9,13 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-use crate::arch::{DType, ModelArch};
+use crate::arch::ModelArch;
 use crate::hardware::GpuSpec;
+
+/// Fraction of each GPU's memory reserved for activations and the
+/// runtime: [`ParallelismConfig::validate_memory`] keeps weight shards
+/// out of it, and it is the simulators' default KV-pool margin.
+pub const MEM_MARGIN: f64 = 0.10;
 
 /// A (tensor-parallel, pipeline-parallel) configuration for one instance.
 ///
@@ -132,22 +137,16 @@ impl ParallelismConfig {
         Ok(())
     }
 
-    /// Checks both divisibility and that the per-GPU weight shard (plus a
-    /// working margin) fits in `gpu` memory.
+    /// Checks both divisibility and that the per-GPU weight shard fits in
+    /// `gpu` memory outside the [`MEM_MARGIN`] reserve.
     ///
     /// # Errors
     ///
     /// Returns the specific [`ParallelismError`] violated.
-    pub fn validate_memory(
-        &self,
-        arch: &ModelArch,
-        gpu: &GpuSpec,
-        dtype: DType,
-    ) -> Result<(), ParallelismError> {
+    pub fn validate_memory(&self, arch: &ModelArch, gpu: &GpuSpec) -> Result<(), ParallelismError> {
         self.validate(arch)?;
-        let shard = self.shard_weight_bytes(arch, dtype);
-        // Reserve 10% of capacity for activations and CUDA context.
-        let usable = gpu.mem_capacity - gpu.mem_capacity / 10;
+        let shard = self.shard_weight_bytes(arch);
+        let usable = gpu.mem_capacity - reserved_bytes(gpu, MEM_MARGIN);
         if shard > usable {
             return Err(ParallelismError::ShardTooLarge {
                 shard_bytes: shard,
@@ -159,15 +158,18 @@ impl ParallelismConfig {
 
     /// Bytes of model weights held by each GPU.
     #[must_use]
-    pub fn shard_weight_bytes(&self, arch: &ModelArch, dtype: DType) -> u64 {
-        arch.weight_bytes(dtype) / u64::from(self.num_gpus())
+    pub fn shard_weight_bytes(&self, arch: &ModelArch) -> u64 {
+        arch.weight_bytes() / u64::from(self.num_gpus())
     }
 
-    /// Bytes of KV cache per token position held by each GPU of one
-    /// pipeline stage (KV is sharded over both tp and pp).
+    /// Bytes of KV pool across one instance of this configuration: on
+    /// each GPU, `gpu`'s capacity less the weight shard and a
+    /// `margin_frac` reserve, summed over the instance's GPUs. Zero when
+    /// the shard does not fit. Every simulator sizes its pools with this.
     #[must_use]
-    pub fn shard_kv_bytes_per_token(&self, arch: &ModelArch, dtype: DType) -> u64 {
-        arch.kv_bytes_per_token(dtype) / u64::from(self.num_gpus())
+    pub fn kv_pool_bytes(&self, arch: &ModelArch, gpu: &GpuSpec, margin_frac: f64) -> u64 {
+        let reserved = self.shard_weight_bytes(arch) + reserved_bytes(gpu, margin_frac);
+        gpu.mem_capacity.saturating_sub(reserved) * u64::from(self.num_gpus())
     }
 
     /// Layers per pipeline stage.
@@ -183,7 +185,6 @@ impl ParallelismConfig {
     pub fn enumerate(
         arch: &ModelArch,
         gpu: &GpuSpec,
-        dtype: DType,
         max_tp: u32,
         max_pp: u32,
     ) -> Vec<ParallelismConfig> {
@@ -191,13 +192,18 @@ impl ParallelismConfig {
         for tp in 1..=max_tp {
             for pp in 1..=max_pp {
                 let cfg = ParallelismConfig::new(tp, pp);
-                if cfg.validate_memory(arch, gpu, dtype).is_ok() {
+                if cfg.validate_memory(arch, gpu).is_ok() {
                     out.push(cfg);
                 }
             }
         }
         out
     }
+}
+
+/// Bytes of `gpu`'s memory held back by a `frac` reserve.
+fn reserved_bytes(gpu: &GpuSpec, frac: f64) -> u64 {
+    (gpu.mem_capacity as f64 * frac) as u64
 }
 
 impl fmt::Display for ParallelismConfig {
@@ -242,11 +248,11 @@ mod tests {
         let arch = OptModel::Opt175B.arch();
         let gpu = GpuSpec::a100_80g();
         assert!(matches!(
-            ParallelismConfig::new(2, 2).validate_memory(&arch, &gpu, DType::F16),
+            ParallelismConfig::new(2, 2).validate_memory(&arch, &gpu),
             Err(ParallelismError::ShardTooLarge { .. })
         ));
         assert!(ParallelismConfig::new(4, 2)
-            .validate_memory(&arch, &gpu, DType::F16)
+            .validate_memory(&arch, &gpu)
             .is_ok());
     }
 
@@ -254,25 +260,39 @@ mod tests {
     fn shard_sizes_divide_evenly() {
         let arch = OptModel::Opt66B.arch();
         let cfg = ParallelismConfig::new(2, 2);
-        assert_eq!(
-            cfg.shard_weight_bytes(&arch, DType::F16),
-            arch.weight_bytes(DType::F16) / 4
-        );
-        assert_eq!(
-            cfg.shard_kv_bytes_per_token(&arch, DType::F16),
-            arch.kv_bytes_per_token(DType::F16) / 4
-        );
+        assert_eq!(cfg.shard_weight_bytes(&arch), arch.weight_bytes() / 4);
         assert_eq!(cfg.layers_per_stage(&arch), 32);
+    }
+
+    #[test]
+    fn kv_pool_scales_with_gpus() {
+        let arch = OptModel::Opt13B.arch();
+        let gpu = GpuSpec::a100_80g();
+        let p1 = ParallelismConfig::SINGLE.kv_pool_bytes(&arch, &gpu, MEM_MARGIN);
+        let p2 = ParallelismConfig::new(2, 1).kv_pool_bytes(&arch, &gpu, MEM_MARGIN);
+        // Two GPUs hold the same weights but twice the capacity: the pool
+        // more than doubles.
+        assert!(p2 > 2 * p1, "p1 {p1}, p2 {p2}");
+        // A 13B model on one A100 leaves roughly 80·0.9 − 26 ≈ 46 GB.
+        let gb = p1 as f64 / 1e9;
+        assert!((35.0..55.0).contains(&gb), "pool {gb} GB");
+    }
+
+    #[test]
+    fn oversized_shard_gives_zero_pool() {
+        let arch = OptModel::Opt175B.arch();
+        let pool = ParallelismConfig::SINGLE.kv_pool_bytes(&arch, &GpuSpec::a100_80g(), MEM_MARGIN);
+        assert_eq!(pool, 0);
     }
 
     #[test]
     fn enumerate_respects_all_constraints() {
         let arch = OptModel::Opt66B.arch(); // 72 heads, 64 layers, 132 GB.
         let gpu = GpuSpec::a100_80g();
-        let configs = ParallelismConfig::enumerate(&arch, &gpu, DType::F16, 8, 4);
+        let configs = ParallelismConfig::enumerate(&arch, &gpu, 8, 4);
         assert!(!configs.is_empty());
         for cfg in &configs {
-            assert!(cfg.validate_memory(&arch, &gpu, DType::F16).is_ok());
+            assert!(cfg.validate_memory(&arch, &gpu).is_ok());
             assert!(cfg.tp <= 8 && cfg.pp <= 4);
         }
         // tp=1, pp=1 puts 132 GB on one 80 GB GPU: must be excluded.

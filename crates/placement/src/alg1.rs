@@ -14,10 +14,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use serde::{Deserialize, Serialize};
 
-use distserve_models::{CostModel, DType, GpuSpec, ModelArch, ParallelismConfig};
+use distserve_engine::SimConfig;
+use distserve_models::{CostModel, GpuSpec, ModelArch, ParallelismConfig};
 
 use crate::goodput::{max_goodput, probe_count_with};
-use crate::phase_sim::{decode_attainment, prefill_attainment, PhaseSimConfig};
+use crate::phase_sim::{decode_attainment, prefill_attainment};
 use crate::slo::SloSpec;
 use crate::source::TraceSource;
 
@@ -153,20 +154,18 @@ impl HighPlacement {
 /// Runs Algorithm 1. Returns `None` if no legal configuration exists
 /// (e.g. the model does not fit the GPU budget at all).
 #[must_use]
-#[allow(clippy::too_many_arguments)]
 pub fn high_affinity_placement(
     cost: &dyn CostModel,
     gpu: &GpuSpec,
     arch: &ModelArch,
-    dtype: DType,
     source: &dyn TraceSource,
     slo: SloSpec,
     rate: f64,
     params: &SearchParams,
 ) -> Option<HighPlacement> {
-    let configs = ParallelismConfig::enumerate(arch, gpu, dtype, params.max_tp, params.max_pp);
+    let configs = ParallelismConfig::enumerate(arch, gpu, params.max_tp, params.max_pp);
+    let cfg = SimConfig::new(arch.clone());
     let goodputs = params.evaluate(&configs, |&par| {
-        let cfg = PhaseSimConfig::new(arch.clone(), gpu.clone());
         let pf = max_goodput(
             |r| {
                 let n = probe_count_with(r, params.probe_requests, params.probe_secs);
@@ -181,7 +180,7 @@ pub fn high_affinity_placement(
             |r| {
                 let n = probe_count_with(r, params.probe_requests, params.probe_secs);
                 let trace = source.make_trace(r, n, params.seed);
-                decode_attainment(cost, &cfg, par, &trace, slo.tpot)
+                decode_attainment(cost, &cfg, gpu, par, &trace, slo.tpot)
             },
             slo.target,
             1.0,
@@ -251,17 +250,8 @@ mod tests {
         let gpu = GpuSpec::a100_80g();
         let arch = OptModel::Opt13B.arch();
         let slo = SloSpec::new(0.25, 0.1);
-        let plm = high_affinity_placement(
-            &cost,
-            &gpu,
-            &arch,
-            DType::F16,
-            &source(),
-            slo,
-            6.0,
-            &quick_params(),
-        )
-        .expect("13B fits easily");
+        let plm = high_affinity_placement(&cost, &gpu, &arch, &source(), slo, 6.0, &quick_params())
+            .expect("13B fits easily");
         assert!(plm.prefill.goodput > 0.0);
         assert!(plm.decode.goodput > 0.0);
         assert!(plm.num_prefill >= 1 && plm.num_decode >= 1);
@@ -293,7 +283,6 @@ mod tests {
             &cost,
             &gpu,
             &arch,
-            DType::F16,
             &source(),
             SloSpec::new(4.0, 0.2),
             1.0,
@@ -312,10 +301,8 @@ mod tests {
         p1.threads = 1;
         let mut p4 = quick_params();
         p4.threads = 4;
-        let a = high_affinity_placement(&cost, &gpu, &arch, DType::F16, &source(), slo, 4.0, &p1)
-            .unwrap();
-        let b = high_affinity_placement(&cost, &gpu, &arch, DType::F16, &source(), slo, 4.0, &p4)
-            .unwrap();
+        let a = high_affinity_placement(&cost, &gpu, &arch, &source(), slo, 4.0, &p1).unwrap();
+        let b = high_affinity_placement(&cost, &gpu, &arch, &source(), slo, 4.0, &p4).unwrap();
         assert_eq!(a.prefill.par, b.prefill.par);
         assert_eq!(a.decode.par, b.decode.par);
         assert_eq!(a.num_prefill, b.num_prefill);
@@ -332,7 +319,6 @@ mod tests {
             &cost,
             &gpu,
             &arch,
-            DType::F16,
             &source(),
             SloSpec::new(0.8, 0.1),
             4.0,
@@ -343,7 +329,6 @@ mod tests {
             &cost,
             &gpu,
             &arch,
-            DType::F16,
             &source(),
             SloSpec::new(0.12, 0.1),
             4.0,

@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 
 use distserve_cluster::Cluster;
 use distserve_engine::{InstanceRole, InstanceSpec};
-use distserve_models::{CostModel, DType, ModelArch, ParallelismConfig};
+use distserve_models::{CostModel, ModelArch, ParallelismConfig};
 
 use crate::alg1::SearchParams;
 use crate::goodput::{max_goodput, served_attainment};
@@ -171,12 +171,10 @@ pub fn unit_specs(
 
 /// Runs Algorithm 2. Returns `None` if no unit configuration fits a node.
 #[must_use]
-#[allow(clippy::too_many_arguments)]
 pub fn low_affinity_placement(
     cost: &dyn CostModel,
     cluster: &Cluster,
     arch: &ModelArch,
-    dtype: DType,
     source: &dyn TraceSource,
     slo: SloSpec,
     rate: f64,
@@ -186,8 +184,7 @@ pub fn low_affinity_placement(
     // Enumerate unit divisions subject to NVLink-only transfers: either
     // both instances fit one node, or (for big models) the instances
     // share a pipeline depth and each stage pair shares a node.
-    let singles =
-        ParallelismConfig::enumerate(arch, cluster.gpu_spec(), dtype, m, cluster.num_nodes());
+    let singles = ParallelismConfig::enumerate(arch, cluster.gpu_spec(), m, cluster.num_nodes());
     let mut combos: Vec<(ParallelismConfig, ParallelismConfig)> = Vec::new();
     for &p in &singles {
         for &d in &singles {
@@ -206,7 +203,7 @@ pub fn low_affinity_placement(
             return 0.0;
         };
         max_goodput(
-            |r| served_attainment(cost, cluster, arch, dtype, &specs, source, slo, r, params),
+            |r| served_attainment(cost, cluster, arch, &specs, source, slo, r, params),
             slo.target,
             0.5,
             params.search_iters,
@@ -295,17 +292,9 @@ mod tests {
         let cluster = Cluster::paper_testbed();
         let arch = OptModel::Opt13B.arch();
         let slo = SloSpec::new(0.25, 0.1);
-        let plm = low_affinity_placement(
-            &cost,
-            &cluster,
-            &arch,
-            DType::F16,
-            &source(),
-            slo,
-            8.0,
-            &quick_params(),
-        )
-        .expect("13B fits");
+        let plm =
+            low_affinity_placement(&cost, &cluster, &arch, &source(), slo, 8.0, &quick_params())
+                .expect("13B fits");
         assert!(plm.unit_goodput > 0.0);
         assert!(plm.unit_gpus() <= 8);
         assert!(plm.num_units >= 1);
@@ -357,17 +346,8 @@ mod tests {
             threads: 0,
             seed: 0,
         };
-        let plm = low_affinity_placement(
-            &cost,
-            &cluster,
-            &arch,
-            DType::F16,
-            &source(),
-            slo,
-            1.0,
-            &params,
-        )
-        .expect("175B places via segment pairing");
+        let plm = low_affinity_placement(&cost, &cluster, &arch, &source(), slo, 1.0, &params)
+            .expect("175B places via segment pairing");
         assert!(plm.unit_goodput > 0.0);
         // The unit cannot fit one node: it must be segment-paired.
         assert!(plm.unit_gpus() > cluster.gpus_per_node());

@@ -9,7 +9,7 @@
 
 use distserve_cluster::Cluster;
 use distserve_engine::{InstanceSpec, ServingSim, SimConfig};
-use distserve_models::{CostModel, DType, ModelArch};
+use distserve_models::{CostModel, ModelArch};
 
 use crate::alg1::SearchParams;
 use crate::slo::SloSpec;
@@ -42,24 +42,24 @@ pub const MAX_PROBE_REQUESTS: usize = 8_000;
 
 /// One full-simulator probe: the SLO attainment of the fixed deployment
 /// `specs` on `cluster` serving a [`probe_count_with`]-request trace of
-/// `source` at `rate`. `0.0` when the simulator rejects the deployment.
-/// Algorithm 2 probes its units and vLLM++ its colocated instances with it.
+/// `source` at `rate` (at least `params.probe_requests`, covering
+/// `params.probe_secs`), trace and simulator both seeded with
+/// `params.seed`. `0.0` when the simulator rejects the deployment.
+/// Algorithm 2 probes its units, vLLM++ its colocated instances and the
+/// figure harnesses their fixed deployments with it.
 #[must_use]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn served_attainment(
+pub fn served_attainment(
     cost: &dyn CostModel,
     cluster: &Cluster,
     arch: &ModelArch,
-    dtype: DType,
     specs: &[InstanceSpec],
     source: &dyn TraceSource,
     slo: SloSpec,
     rate: f64,
     params: &SearchParams,
 ) -> f64 {
-    let mut cfg = SimConfig::new(arch.clone());
-    cfg.dtype = dtype;
-    cfg.seed = params.seed;
+    let cfg = SimConfig::new(arch.clone()).with_seed(params.seed);
     let Ok(sim) = ServingSim::new(cfg, cost, cluster, specs.to_vec()) else {
         return 0.0;
     };

@@ -5,17 +5,17 @@
 //! a prefill-only instance under Poisson arrivals; the decoding simulator
 //! measures TPOT attainment of a decoding-only instance that receives KV
 //! caches for free (the other phase is assumed elsewhere and ideal). Both
-//! reuse the engine's pipeline-occupancy model and batching policies, so
-//! phase-level estimates are consistent with the full-system simulator.
+//! read the engine's [`SimConfig`] and reuse its pipeline-occupancy model,
+//! batching policies and KV-pool rule, so phase-level estimates are
+//! consistent with the full-system simulator.
 
 use std::collections::VecDeque;
 
 use distserve_engine::batching::{PrefillItem, PrefillQueue};
+use distserve_engine::kvcache::BLOCK_TOKENS;
 use distserve_engine::pipeline::Pipeline;
-use distserve_engine::KvBlockManager;
-use distserve_models::{
-    CostModel, DType, DecodeBatch, GpuSpec, ModelArch, ParallelismConfig, PrefillBatch,
-};
+use distserve_engine::{KvBlockManager, SimConfig};
+use distserve_models::{CostModel, DecodeBatch, GpuSpec, ParallelismConfig, PrefillBatch};
 use distserve_simcore::{EventQueue, SimTime, Summary};
 use distserve_telemetry::{metrics, Event, LifecycleEvent, Slice, TelemetrySink, NOOP};
 use distserve_workload::{RequestId, Trace};
@@ -30,48 +30,13 @@ fn emit(sink: &dyn TelemetrySink, id: RequestId, t: SimTime, kind: LifecycleEven
     });
 }
 
-/// Shared knobs for the phase simulators.
-#[derive(Debug, Clone)]
-pub struct PhaseSimConfig {
-    /// Model served.
-    pub arch: ModelArch,
-    /// Precision.
-    pub dtype: DType,
-    /// GPU description (memory sizing for the decode simulator).
-    pub gpu: GpuSpec,
-    /// Prefill batching token budget `L_m`.
-    pub l_m: u32,
-    /// Fraction of GPU memory reserved beyond weights.
-    pub mem_margin: f64,
-    /// PagedAttention block size.
-    pub block_size: u32,
-    /// Maximum decoding batch per micro-batch group.
-    pub max_decode_batch: usize,
-}
-
-impl PhaseSimConfig {
-    /// Defaults matching the engine's [`distserve_engine::SimConfig`].
-    #[must_use]
-    pub fn new(arch: ModelArch, gpu: GpuSpec) -> Self {
-        PhaseSimConfig {
-            arch,
-            dtype: DType::F16,
-            gpu,
-            l_m: 512,
-            mem_margin: 0.10,
-            block_size: 16,
-            max_decode_batch: 256,
-        }
-    }
-}
-
 /// Fraction of requests in `trace` meeting `ttft_slo` when served by one
 /// prefill-only instance with parallelism `par` (the paper's
 /// `simu_prefill`).
 #[must_use]
 pub fn prefill_attainment(
     cost: &dyn CostModel,
-    cfg: &PhaseSimConfig,
+    cfg: &SimConfig,
     par: ParallelismConfig,
     trace: &Trace,
     ttft_slo: f64,
@@ -88,7 +53,7 @@ pub fn prefill_attainment(
 #[must_use]
 pub fn prefill_ttfts(
     cost: &dyn CostModel,
-    cfg: &PhaseSimConfig,
+    cfg: &SimConfig,
     par: ParallelismConfig,
     trace: &Trace,
 ) -> Summary {
@@ -100,7 +65,7 @@ pub fn prefill_ttfts(
 #[must_use]
 pub fn prefill_ttfts_with_sink(
     cost: &dyn CostModel,
-    cfg: &PhaseSimConfig,
+    cfg: &SimConfig,
     par: ParallelismConfig,
     trace: &Trace,
     sink: &dyn TelemetrySink,
@@ -192,37 +157,40 @@ pub fn prefill_ttfts_with_sink(
 }
 
 /// Fraction of requests in `trace` meeting `tpot_slo` when decoded by one
-/// decoding-only instance with parallelism `par`, KV caches arriving for
-/// free at the request's arrival instant (the paper's `simu_decode`).
+/// decoding-only instance with parallelism `par` on `gpu`s, KV caches
+/// arriving for free at the request's arrival instant (the paper's
+/// `simu_decode`).
 ///
 /// Single-token requests never reach a decoding instance and are counted
 /// as trivially meeting the SLO (TPOT zero).
 #[must_use]
 pub fn decode_attainment(
     cost: &dyn CostModel,
-    cfg: &PhaseSimConfig,
+    cfg: &SimConfig,
+    gpu: &GpuSpec,
     par: ParallelismConfig,
     trace: &Trace,
     tpot_slo: f64,
 ) -> f64 {
-    let s = decode_tpots(cost, cfg, par, trace);
+    let s = decode_tpots(cost, cfg, gpu, par, trace);
     if s.is_empty() {
         return 0.0;
     }
     s.fraction_at_most(tpot_slo)
 }
 
-/// Per-request TPOTs of a decoding-only instance. A configuration whose
-/// weight shard does not fit returns an empty summary. Single-token
-/// requests record a TPOT of zero.
+/// Per-request TPOTs of a decoding-only instance on `gpu`s. A
+/// configuration whose weight shard does not fit returns an empty
+/// summary. Single-token requests record a TPOT of zero.
 #[must_use]
 pub fn decode_tpots(
     cost: &dyn CostModel,
-    cfg: &PhaseSimConfig,
+    cfg: &SimConfig,
+    gpu: &GpuSpec,
     par: ParallelismConfig,
     trace: &Trace,
 ) -> Summary {
-    decode_tpots_with_sink(cost, cfg, par, trace, &NOOP)
+    decode_tpots_with_sink(cost, cfg, gpu, par, trace, &NOOP)
 }
 
 /// [`decode_tpots`] with telemetry routed into `sink`: lifecycle events
@@ -230,7 +198,8 @@ pub fn decode_tpots(
 #[must_use]
 pub fn decode_tpots_with_sink(
     cost: &dyn CostModel,
-    cfg: &PhaseSimConfig,
+    cfg: &SimConfig,
+    gpu: &GpuSpec,
     par: ParallelismConfig,
     trace: &Trace,
     sink: &dyn TelemetrySink,
@@ -254,16 +223,12 @@ pub fn decode_tpots_with_sink(
         output_len: u32,
         generated: u32,
     }
-    // KV pool sized like the engine does for an instance.
-    let shard = par.shard_weight_bytes(&cfg.arch, cfg.dtype);
-    let margin = (cfg.gpu.mem_capacity as f64 * cfg.mem_margin) as u64;
-    let per_gpu = cfg.gpu.mem_capacity.saturating_sub(shard + margin);
-    let pool = per_gpu * u64::from(par.num_gpus());
+    // KV pool sized as the engine sizes an instance's.
+    let pool = par.kv_pool_bytes(&cfg.arch, gpu, cfg.mem_margin);
     if pool == 0 {
         return out;
     }
-    let mut kv =
-        KvBlockManager::from_bytes(pool, cfg.arch.kv_bytes_per_token(cfg.dtype), cfg.block_size);
+    let mut kv = KvBlockManager::from_bytes(pool, cfg.arch.kv_bytes_per_token(), BLOCK_TOKENS);
 
     let mut slots: Vec<Slot> = trace
         .requests()
@@ -416,8 +381,12 @@ mod tests {
     use distserve_models::{OptModel, RooflineModel};
     use distserve_workload::datasets::FixedLengths;
 
-    fn cfg13b() -> PhaseSimConfig {
-        PhaseSimConfig::new(OptModel::Opt13B.arch(), GpuSpec::a100_80g())
+    fn cfg13b() -> SimConfig {
+        SimConfig::new(OptModel::Opt13B.arch())
+    }
+
+    fn a100() -> GpuSpec {
+        GpuSpec::a100_80g()
     }
 
     fn fixed() -> FixedLengths {
@@ -458,7 +427,7 @@ mod tests {
         let cost = RooflineModel::a100();
         let cfg = cfg13b();
         let trace = fixed().make_trace(8.0, 200, 3);
-        let a = decode_attainment(&cost, &cfg, ParallelismConfig::SINGLE, &trace, 0.1);
+        let a = decode_attainment(&cost, &cfg, &a100(), ParallelismConfig::SINGLE, &trace, 0.1);
         assert!(a > 0.9, "decode attainment {a}");
     }
 
@@ -468,16 +437,23 @@ mod tests {
         let cfg = cfg13b();
         let trace = fixed().make_trace(1.0, 50, 4);
         // A 13B decoding step takes ≥ 15 ms; 1 ms TPOT is unattainable.
-        let a = decode_attainment(&cost, &cfg, ParallelismConfig::SINGLE, &trace, 0.001);
+        let a = decode_attainment(
+            &cost,
+            &cfg,
+            &a100(),
+            ParallelismConfig::SINGLE,
+            &trace,
+            0.001,
+        );
         assert!(a < 0.05, "impossible SLO attained {a}");
     }
 
     #[test]
     fn decode_oversized_model_scores_zero() {
         let cost = RooflineModel::a100();
-        let cfg = PhaseSimConfig::new(OptModel::Opt175B.arch(), GpuSpec::a100_80g());
+        let cfg = SimConfig::new(OptModel::Opt175B.arch());
         let trace = fixed().make_trace(1.0, 20, 5);
-        let a = decode_attainment(&cost, &cfg, ParallelismConfig::SINGLE, &trace, 1.0);
+        let a = decode_attainment(&cost, &cfg, &a100(), ParallelismConfig::SINGLE, &trace, 1.0);
         assert_eq!(a, 0.0);
     }
 
@@ -490,7 +466,14 @@ mod tests {
             output_len: 1,
         };
         let trace = single.make_trace(5.0, 50, 6);
-        let a = decode_attainment(&cost, &cfg, ParallelismConfig::SINGLE, &trace, 1e-9);
+        let a = decode_attainment(
+            &cost,
+            &cfg,
+            &a100(),
+            ParallelismConfig::SINGLE,
+            &trace,
+            1e-9,
+        );
         assert_eq!(a, 1.0);
     }
 
@@ -518,8 +501,8 @@ mod tests {
         );
 
         let rec = distserve_telemetry::Recorder::new();
-        let plain = decode_tpots(&cost, &cfg, par, &trace);
-        let recorded = decode_tpots_with_sink(&cost, &cfg, par, &trace, &rec);
+        let plain = decode_tpots(&cost, &cfg, &a100(), par, &trace);
+        let recorded = decode_tpots_with_sink(&cost, &cfg, &a100(), par, &trace, &rec);
         assert_eq!(plain.samples(), recorded.samples());
         let snap = rec.snapshot();
         for lc in snap.lifecycles().values() {
@@ -543,7 +526,7 @@ mod tests {
             0.0
         );
         assert_eq!(
-            decode_attainment(&cost, &cfg, ParallelismConfig::SINGLE, &empty, 1.0),
+            decode_attainment(&cost, &cfg, &a100(), ParallelismConfig::SINGLE, &empty, 1.0),
             0.0
         );
     }

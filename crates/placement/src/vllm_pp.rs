@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use distserve_cluster::Cluster;
 use distserve_engine::{InstanceRole, InstanceSpec};
-use distserve_models::{CostModel, DType, ModelArch, ParallelismConfig};
+use distserve_models::{CostModel, ModelArch, ParallelismConfig};
 
 use crate::alg1::SearchParams;
 use crate::goodput::{max_goodput, served_attainment};
@@ -74,12 +74,10 @@ pub fn coloc_spec(cluster: &Cluster, par: ParallelismConfig) -> Result<InstanceS
 /// Measures the goodput of a *fixed* colocated parallelism — this is
 /// plain vLLM with the paper's default settings.
 #[must_use]
-#[allow(clippy::too_many_arguments)]
 pub fn vllm_goodput(
     cost: &dyn CostModel,
     cluster: &Cluster,
     arch: &ModelArch,
-    dtype: DType,
     par: ParallelismConfig,
     source: &dyn TraceSource,
     slo: SloSpec,
@@ -90,7 +88,7 @@ pub fn vllm_goodput(
     };
     let specs = [spec];
     max_goodput(
-        |r| served_attainment(cost, cluster, arch, dtype, &specs, source, slo, r, params),
+        |r| served_attainment(cost, cluster, arch, &specs, source, slo, r, params),
         slo.target,
         0.5,
         params.search_iters,
@@ -99,12 +97,10 @@ pub fn vllm_goodput(
 
 /// Runs the vLLM++ search over tensor-parallel degrees.
 #[must_use]
-#[allow(clippy::too_many_arguments)]
 pub fn vllm_plus_plus(
     cost: &dyn CostModel,
     cluster: &Cluster,
     arch: &ModelArch,
-    dtype: DType,
     source: &dyn TraceSource,
     slo: SloSpec,
     rate: f64,
@@ -112,9 +108,9 @@ pub fn vllm_plus_plus(
 ) -> Option<ColocPlacement> {
     // vLLM supports only intra-op parallelism (§6.1), so pp = 1.
     let candidates: Vec<ParallelismConfig> =
-        ParallelismConfig::enumerate(arch, cluster.gpu_spec(), dtype, params.max_tp, 1);
+        ParallelismConfig::enumerate(arch, cluster.gpu_spec(), params.max_tp, 1);
     let goodputs = params.evaluate(&candidates, |&par| {
-        vllm_goodput(cost, cluster, arch, dtype, par, source, slo, params)
+        vllm_goodput(cost, cluster, arch, par, source, slo, params)
     });
     let (par, goodput) = candidates.into_iter().zip(goodputs).max_by(|a, b| {
         (a.1 / f64::from(a.0.num_gpus())).total_cmp(&(b.1 / f64::from(b.0.num_gpus())))
@@ -171,17 +167,8 @@ mod tests {
         let cluster = Cluster::paper_testbed();
         let arch = OptModel::Opt13B.arch();
         let slo = SloSpec::new(0.25, 0.1);
-        let plm = vllm_plus_plus(
-            &cost,
-            &cluster,
-            &arch,
-            DType::F16,
-            &source(),
-            slo,
-            2.0,
-            &quick_params(),
-        )
-        .expect("13B fits");
+        let plm = vllm_plus_plus(&cost, &cluster, &arch, &source(), slo, 2.0, &quick_params())
+            .expect("13B fits");
         assert!(plm.goodput > 0.0);
         assert!(plm.num_replicas >= 1);
         assert!(plm.per_gpu_goodput() > 0.0);
@@ -197,7 +184,6 @@ mod tests {
             &cost,
             &cluster,
             &arch,
-            DType::F16,
             ParallelismConfig::SINGLE,
             &source(),
             slo,

@@ -14,11 +14,12 @@
 
 use std::collections::HashMap;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use distserve::cluster::Cluster;
 use distserve::core::{rate_sweep, serve_trace, Planner, Table};
 use distserve::engine::FidelityConfig;
-use distserve::models::{DType, LlamaModel, ModelArch, OptModel, ParallelismConfig, RooflineModel};
+use distserve::models::{LlamaModel, ModelArch, OptModel, ParallelismConfig, RooflineModel};
 use distserve::placement::alg1::SearchParams;
 use distserve::placement::deploy::Deployment;
 use distserve::placement::{SloSpec, TraceSource};
@@ -62,13 +63,32 @@ impl Args {
         }
     }
 
-    fn get_usize(&self, key: &str, default: usize) -> Result<usize, String> {
+    /// A rate or latency bound: finite and greater than zero.
+    fn get_positive(&self, key: &str, default: f64) -> Result<f64, String> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(v) => positive(key, v),
+        }
+    }
+
+    fn get_int<T: FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.get(key) {
             None => Ok(default),
             Some(v) => v
                 .parse()
-                .map_err(|_| format!("--{key} expects an integer, got '{v}'")),
+                .map_err(|_| format!("--{key} expects a non-negative integer, got '{v}'")),
         }
+    }
+}
+
+/// Parses `v` as a finite number greater than zero, naming `--key` in
+/// the error.
+fn positive(key: &str, v: &str) -> Result<f64, String> {
+    match v.trim().parse::<f64>() {
+        Ok(x) if x.is_finite() && x > 0.0 => Ok(x),
+        _ => Err(format!(
+            "--{key} expects a finite number greater than 0, got '{v}'"
+        )),
     }
 }
 
@@ -152,7 +172,7 @@ fn planner<'a>(
 ) -> Result<Planner<'a>, String> {
     let mut p = Planner::new(cost, cluster, arch);
     p.params = SearchParams {
-        probe_requests: args.get_usize("probe-requests", 256)?,
+        probe_requests: args.get_int("probe-requests", 256)?,
         probe_secs: args.get_f64("probe-secs", 60.0)?,
         search_iters: 6,
         ..p.params
@@ -232,7 +252,7 @@ fn cmd_models() -> Result<(), String> {
             arch.hidden.to_string(),
             format!("{} ({})", arch.num_heads, arch.kv_heads),
             format!("{:.1}B", arch.param_count() as f64 / 1e9),
-            format!("{:.0} GB", arch.weight_bytes(DType::F16) as f64 / 1e9),
+            format!("{:.0} GB", arch.weight_bytes() as f64 / 1e9),
         ]);
     }
     print!("{}", table.render());
@@ -244,7 +264,10 @@ fn common_setup(
 ) -> Result<(ModelArch, Dataset, SloSpec, Cluster, RooflineModel), String> {
     let arch = model_by_name(&args.get_or("model", "opt-13b"))?;
     let dataset = dataset_by_name(&args.get_or("dataset", "sharegpt"))?;
-    let slo = SloSpec::new(args.get_f64("ttft", 0.2)?, args.get_f64("tpot", 0.1)?);
+    let slo = SloSpec::new(
+        args.get_positive("ttft", 0.2)?,
+        args.get_positive("tpot", 0.1)?,
+    );
     let cluster = cluster_by_spec(&args.get_or("cluster", "4x8"))?;
     let cost = engine_by_name(&args.get_or("engine", "conservative"))?;
     Ok((arch, dataset, slo, cluster, cost))
@@ -252,7 +275,7 @@ fn common_setup(
 
 fn cmd_plan(args: &Args) -> Result<(), String> {
     let (arch, dataset, slo, cluster, cost) = common_setup(args)?;
-    let rate = args.get_f64("rate", 4.0)?;
+    let rate = args.get_positive("rate", 4.0)?;
     let planner = planner(&cost, &cluster, arch, args)?;
     let deployment = build_deployment(&planner, args, dataset, slo, rate)?;
     println!("placement: {}", describe(&deployment));
@@ -264,9 +287,9 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let (arch, dataset, slo, cluster, cost) = common_setup(args)?;
-    let rate = args.get_f64("rate", 4.0)?;
-    let requests = args.get_usize("requests", 500)?;
-    let seed = args.get_f64("seed", 0.0)? as u64;
+    let rate = args.get_positive("rate", 4.0)?;
+    let requests = args.get_int("requests", 500)?;
+    let seed = args.get_int("seed", 0)?;
     let planner = planner(&cost, &cluster, arch.clone(), args)?;
     let deployment = build_deployment(&planner, args, dataset, slo, rate)?;
     println!("placement: {}", describe(&deployment));
@@ -328,11 +351,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     let rates: Vec<f64> = args
         .get_or("rates", "0.5,1,2,4")
         .split(',')
-        .map(|s| {
-            s.trim()
-                .parse()
-                .map_err(|_| format!("bad rate '{s}' in --rates"))
-        })
+        .map(|s| positive("rates", s))
         .collect::<Result<_, _>>()?;
     let plan_rate = rates.iter().copied().fold(f64::NAN, f64::max);
     let planner = planner(&cost, &cluster, arch.clone(), args)?;

@@ -1,7 +1,7 @@
 //! Claims that cross tiers: the real engine's storage against the
 //! simulators' accounting of the same model shape.
 
-use distserve::models::{DType, ModelArch};
+use distserve::models::ModelArch;
 use distserve::tinyllm::model::Weights;
 use distserve::tinyllm::tensor::Matrix;
 use distserve::tinyllm::{Model, TinyConfig};
@@ -38,14 +38,15 @@ fn bytes<T>(m: &Matrix<T>) -> u64 {
 }
 
 /// The KV pool tinyllm serves from costs, per token position, exactly
-/// the bytes the simulators bill for it (`2 · layers · hidden · 2` at
-/// bf16), so capacity and transfer volume mean the same in both tiers.
+/// the bytes the simulators bill for it (`2 · layers · hidden` elements
+/// of 2 bytes, the simulators' fixed element and tinyllm's bf16), so
+/// capacity and transfer volume mean the same in both tiers.
 #[test]
 fn tinyllm_kv_bytes_per_token_match_simulator_accounting() {
     for cfg in [TinyConfig::tiny(), TinyConfig::small(), bench_shape()] {
         let kv = Model::random(&cfg, 7).make_kv(64, 16);
         let bytes = u64::try_from(kv.bytes_per_token()).expect("fits u64");
-        assert_eq!(bytes, arch(&cfg).kv_bytes_per_token(DType::BF16), "{cfg:?}");
+        assert_eq!(bytes, arch(&cfg).kv_bytes_per_token(), "{cfg:?}");
         if cfg == bench_shape() {
             // 6 layers × 256 elements of K and of V, 2 bytes each.
             assert_eq!(bytes, 6_144);
@@ -54,14 +55,14 @@ fn tinyllm_kv_bytes_per_token_match_simulator_accounting() {
 }
 
 /// tinyllm's stored weights cost the bytes the simulators bill for the
-/// same shape at bf16: each layer's dense projections match
+/// same shape at 2 bytes an element: each layer's dense projections match
 /// `dense_weight_bytes_per_layer`, and the embedding plus position
 /// tables take `(vocab + max_seq) · hidden` two-byte elements.
 #[test]
 fn tinyllm_weight_bytes_match_simulator_accounting() {
     for cfg in [TinyConfig::tiny(), TinyConfig::small(), bench_shape()] {
         let w = Weights::random(&cfg, 7);
-        let per_layer = arch(&cfg).dense_weight_bytes_per_layer(DType::BF16);
+        let per_layer = arch(&cfg).dense_weight_bytes_per_layer();
         for lw in &w.layers {
             let dense = bytes(&lw.wqkv) + bytes(&lw.wo) + bytes(&lw.w1) + bytes(&lw.w2);
             assert_eq!(dense, per_layer, "{cfg:?}");

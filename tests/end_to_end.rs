@@ -6,7 +6,7 @@ use distserve::engine::{FidelityConfig, InstanceSpec};
 use distserve::models::RooflineModel;
 use distserve::placement::alg1::SearchParams;
 use distserve::placement::deploy::Deployment;
-use distserve::placement::goodput::{max_goodput, probe_count_with};
+use distserve::placement::goodput::{max_goodput, served_attainment};
 use distserve::placement::TraceSource;
 
 /// Per-GPU goodput of a fixed deployment measured with the full
@@ -17,28 +17,20 @@ fn per_gpu_goodput(
     app: Application,
     specs: &[InstanceSpec],
 ) -> f64 {
-    let arch = app.model().arch();
-    let slo = app.slo();
+    let (arch, slo, dataset) = (app.model().arch(), app.slo(), app.dataset());
+    let params = SearchParams {
+        probe_requests: 200,
+        probe_secs: 60.0,
+        search_iters: 6,
+        seed: 13,
+        ..SearchParams::default()
+    };
     let gpus: u32 = specs.iter().map(InstanceSpec::num_gpus).sum();
     let total = max_goodput(
-        |rate| {
-            let n = probe_count_with(rate, 200, 60.0);
-            let trace = app.dataset().make_trace(rate, n, 13);
-            serve_trace(
-                cost,
-                cluster,
-                &arch,
-                specs.to_vec(),
-                &trace,
-                FidelityConfig::ideal(),
-                13,
-            )
-            .map(|o| o.attainment(slo.ttft, slo.tpot))
-            .unwrap_or(0.0)
-        },
+        |rate| served_attainment(cost, cluster, &arch, specs, &dataset, slo, rate, &params),
         slo.target,
         0.5,
-        6,
+        params.search_iters,
     );
     total / f64::from(gpus)
 }

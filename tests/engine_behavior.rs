@@ -256,10 +256,9 @@ fn queue_depth_gauges_fall_to_zero_after_drain() {
 /// a different code path.
 #[test]
 fn phase_sim_queue_depth_gauge_falls_to_zero() {
-    use distserve::placement::phase_sim::{prefill_ttfts_with_sink, PhaseSimConfig};
+    use distserve::placement::phase_sim::prefill_ttfts_with_sink;
 
-    let cluster = Cluster::single_node(1);
-    let cfg = PhaseSimConfig::new(OptModel::Opt13B.arch(), cluster.gpu_spec().clone());
+    let cfg = SimConfig::new(OptModel::Opt13B.arch());
     let trace = FixedLengths {
         input_len: 256,
         output_len: 8,

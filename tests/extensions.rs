@@ -8,8 +8,7 @@ use distserve::engine::{
     ColocatedPolicy, FidelityConfig, InstanceRole, InstanceSpec, ServingSim, SimConfig,
 };
 use distserve::models::{
-    CostModel, DType, DecodeBatch, LlamaModel, ModelArch, OptModel, ParallelismConfig,
-    RooflineModel,
+    CostModel, DecodeBatch, LlamaModel, ModelArch, OptModel, ParallelismConfig, RooflineModel,
 };
 use distserve::placement::TraceSource;
 use distserve::simcore::SimRng;
@@ -53,10 +52,7 @@ fn gqa_strictly_cheaper_to_decode() {
         let t_mha = cost.decode_stage_time(&mha, par, &batch).total();
         assert!(t_gqa < t_mha, "bs={bs}: GQA {t_gqa} !< MHA {t_mha}");
     }
-    assert_eq!(
-        gqa.kv_bytes_per_token(DType::F16) * 8,
-        mha.kv_bytes_per_token(DType::F16)
-    );
+    assert_eq!(gqa.kv_bytes_per_token() * 8, mha.kv_bytes_per_token());
 }
 
 /// Bimodal prompts: mostly short, occasionally very long.
