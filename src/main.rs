@@ -213,8 +213,8 @@ fn build_deployment(
         "distserve-high" => planner.plan_distserve_high(&dataset, slo, rate),
         "distserve-low" => planner.plan_distserve_low(&dataset, slo, rate),
         "vllm" => {
-            let tp = args.get_f64("tp", 1.0)? as u32;
-            let replicas = args.get_f64("replicas", 1.0)? as u32;
+            let tp = args.get_int("tp", 1)?;
+            let replicas = args.get_int("replicas", 1)?;
             planner.plan_vllm(ParallelismConfig::new(tp, 1), replicas)
         }
         "vllm++" => planner.plan_vllm_plus_plus(&dataset, slo, rate),

@@ -4,8 +4,8 @@
 use std::process::Command;
 
 /// Rates and SLO bounds that are zero, negative or not finite, and a
-/// seed that is not a non-negative integer: each must fail before any
-/// planning starts, naming the flag.
+/// seed or parallel degree that is not a non-negative integer: each must
+/// fail before any planning starts, naming the flag.
 #[test]
 fn bad_numbers_are_errors_not_panics() {
     for args in [
@@ -13,6 +13,7 @@ fn bad_numbers_are_errors_not_panics() {
         &["serve", "--rate", "-2"],
         &["serve", "--rate", "nan"],
         &["serve", "--seed", "-3"],
+        &["plan", "--system", "vllm", "--tp", "2.5"],
         &["sweep", "--rates", "0,-1"],
         &["plan", "--ttft", "-1"],
         &["plan", "--tpot", "inf"],

@@ -1,7 +1,7 @@
 //! Claims that cross tiers: the real engine's storage against the
 //! simulators' accounting of the same model shape.
 
-use distserve::models::ModelArch;
+use distserve::models::{ModelArch, BYTES_PER_ELEMENT};
 use distserve::tinyllm::model::Weights;
 use distserve::tinyllm::tensor::Matrix;
 use distserve::tinyllm::{Model, TinyConfig};
@@ -55,9 +55,9 @@ fn tinyllm_kv_bytes_per_token_match_simulator_accounting() {
 }
 
 /// tinyllm's stored weights cost the bytes the simulators bill for the
-/// same shape at 2 bytes an element: each layer's dense projections match
-/// `dense_weight_bytes_per_layer`, and the embedding plus position
-/// tables take `(vocab + max_seq) · hidden` two-byte elements.
+/// same shape: each layer's dense projections match
+/// `dense_weight_bytes_per_layer`, and the embedding plus position tables
+/// take `(vocab + max_seq) · hidden` elements of `BYTES_PER_ELEMENT`.
 #[test]
 fn tinyllm_weight_bytes_match_simulator_accounting() {
     for cfg in [TinyConfig::tiny(), TinyConfig::small(), bench_shape()] {
@@ -67,7 +67,8 @@ fn tinyllm_weight_bytes_match_simulator_accounting() {
             let dense = bytes(&lw.wqkv) + bytes(&lw.wo) + bytes(&lw.w1) + bytes(&lw.w2);
             assert_eq!(dense, per_layer, "{cfg:?}");
         }
-        let tables = u64::try_from((cfg.vocab + cfg.max_seq) * cfg.hidden * 2).expect("fits u64");
+        let elements = u64::try_from((cfg.vocab + cfg.max_seq) * cfg.hidden).expect("fits u64");
+        let tables = elements * BYTES_PER_ELEMENT;
         assert_eq!(bytes(&w.embed) + bytes(&w.pos), tables, "{cfg:?}");
         if cfg == bench_shape() {
             // (4 · 256² + 2 · 256 · 1024) weights of 2 bytes per layer.
