@@ -54,16 +54,7 @@ impl Args {
         self.get(key).unwrap_or(default).to_string()
     }
 
-    fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key} expects a number, got '{v}'")),
-        }
-    }
-
-    /// A rate or latency bound: finite and greater than zero.
+    /// A rate, latency bound or duration: finite and greater than zero.
     fn get_positive(&self, key: &str, default: f64) -> Result<f64, String> {
         match self.get(key) {
             None => Ok(default),
@@ -173,7 +164,7 @@ fn planner<'a>(
     let mut p = Planner::new(cost, cluster, arch);
     p.params = SearchParams {
         probe_requests: args.get_int("probe-requests", 256)?,
-        probe_secs: args.get_f64("probe-secs", 60.0)?,
+        probe_secs: args.get_positive("probe-secs", 60.0)?,
         search_iters: 6,
         ..p.params
     };

@@ -3,9 +3,9 @@
 
 use std::process::Command;
 
-/// Rates and SLO bounds that are zero, negative or not finite, and a
-/// seed or parallel degree that is not a non-negative integer: each must
-/// fail before any planning starts, naming the flag.
+/// Rates, SLO bounds and probe durations that are zero, negative or not
+/// finite, and a seed or parallel degree that is not a non-negative
+/// integer: each must fail before any planning starts, naming the flag.
 #[test]
 fn bad_numbers_are_errors_not_panics() {
     for args in [
@@ -17,6 +17,7 @@ fn bad_numbers_are_errors_not_panics() {
         &["sweep", "--rates", "0,-1"],
         &["plan", "--ttft", "-1"],
         &["plan", "--tpot", "inf"],
+        &["plan", "--probe-secs", "-5"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_distserve"))
             .args(args)
