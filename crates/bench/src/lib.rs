@@ -16,7 +16,7 @@ use distserve_core::serve_trace;
 use distserve_engine::{FidelityConfig, InstanceSpec};
 use distserve_models::{ModelArch, RooflineModel};
 use distserve_placement::alg1::SearchParams;
-use distserve_placement::goodput::{max_goodput, probe_count_with, served_attainment};
+use distserve_placement::goodput::{max_goodput, probe_count_with, served_goodput};
 use distserve_placement::{SloSpec, TraceSource};
 use distserve_router::ScaleOutcome;
 
@@ -88,13 +88,7 @@ pub fn per_gpu_goodput(
         ..SearchParams::default()
     };
     let gpus: u32 = specs.iter().map(InstanceSpec::num_gpus).sum();
-    let total = max_goodput(
-        |rate| served_attainment(cost, cluster, arch, specs, source, slo, rate, &params),
-        slo.target,
-        0.5,
-        params.search_iters,
-    );
-    total / f64::from(gpus)
+    served_goodput(cost, cluster, arch, specs, source, slo, &params) / f64::from(gpus)
 }
 
 /// Finds the most stringent SLO scale a deployment withstands at a fixed

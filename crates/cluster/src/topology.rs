@@ -209,12 +209,6 @@ impl Cluster {
         self.failed.binary_search(&gpu).is_ok()
     }
 
-    /// The failed GPUs, ascending.
-    #[must_use]
-    pub fn failed_gpus(&self) -> &[GpuId] {
-        &self.failed
-    }
-
     /// Iterates over every *healthy* GPU, node-major.
     pub fn healthy_gpus(&self) -> impl Iterator<Item = GpuId> + '_ {
         self.all_gpus().filter(move |g| !self.is_failed(*g))
@@ -224,18 +218,6 @@ impl Cluster {
     #[must_use]
     pub fn gpu_spec(&self) -> &GpuSpec {
         &self.gpu
-    }
-
-    /// Intra-node link (NVLink).
-    #[must_use]
-    pub fn intra_node_link(&self) -> LinkSpec {
-        self.intra_node
-    }
-
-    /// Cross-node link (Ethernet or InfiniBand).
-    #[must_use]
-    pub fn cross_node_link(&self) -> LinkSpec {
-        self.cross_node
     }
 
     /// Constructs a [`GpuId`], checking bounds.
@@ -309,9 +291,9 @@ mod tests {
         let a = c.gpu(0, 0);
         let b = c.gpu(0, 7);
         let x = c.gpu(3, 0);
-        assert_eq!(c.link_between(a, b), c.intra_node_link());
-        assert_eq!(c.link_between(a, x), c.cross_node_link());
-        assert_eq!(c.link_between(a, a), c.intra_node_link());
+        assert_eq!(c.link_between(a, b), LinkSpec::nvlink());
+        assert_eq!(c.link_between(a, x), LinkSpec::ethernet_25g());
+        assert_eq!(c.link_between(a, a), LinkSpec::nvlink());
     }
 
     #[test]
@@ -377,17 +359,5 @@ mod tests {
         assert!(c.remove_node(4).is_err());
         // Removing the same node again removes nothing further.
         assert_eq!(c.remove_node(2).unwrap(), 0);
-    }
-
-    #[test]
-    fn failed_gpus_sorted_ascending() {
-        let mut c = Cluster::paper_testbed();
-        c.fail_gpu(c.gpu(3, 1)).unwrap();
-        c.fail_gpu(c.gpu(0, 5)).unwrap();
-        c.fail_gpu(c.gpu(1, 2)).unwrap();
-        let failed = c.failed_gpus().to_vec();
-        let mut sorted = failed.clone();
-        sorted.sort();
-        assert_eq!(failed, sorted);
     }
 }

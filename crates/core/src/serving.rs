@@ -35,7 +35,8 @@ pub struct Planner<'a> {
 
 impl<'a> Planner<'a> {
     /// Creates a planner with default search parameters sized to the
-    /// cluster (`max_tp` = GPUs per node, `max_pp` = node count).
+    /// cluster (`max_tp` = GPUs per node, `max_pp` = node count, at most
+    /// 4).
     #[must_use]
     pub fn new(cost: &'a dyn CostModel, cluster: &'a Cluster, arch: ModelArch) -> Self {
         let params = SearchParams {
@@ -121,13 +122,14 @@ impl<'a> Planner<'a> {
         .ok_or_else(|| format!("no feasible low-affinity placement for {}", self.arch.name))
     }
 
-    /// Builds the plain-vLLM baseline deployment at a fixed parallelism
-    /// (§6.1's defaults), with enough replicas for `rate` assuming each
-    /// replica sustains `per_replica_goodput`.
+    /// Builds the plain-vLLM baseline deployment: `num_replicas`
+    /// colocated instances at the fixed parallelism `par` (§6.1's
+    /// defaults), with no goodput measured.
     ///
     /// # Errors
     ///
-    /// Returns a message when the config is invalid for the model.
+    /// Returns a message when the config is invalid for the model or
+    /// `num_replicas` is zero.
     pub fn plan_vllm(
         &self,
         par: ParallelismConfig,
@@ -135,6 +137,9 @@ impl<'a> Planner<'a> {
     ) -> Result<Deployment, String> {
         par.validate_memory(&self.arch, self.cluster.gpu_spec())
             .map_err(|e| e.to_string())?;
+        if num_replicas == 0 {
+            return Err("a vLLM deployment needs at least one replica".into());
+        }
         Ok(Deployment::Coloc(ColocPlacement {
             par,
             goodput: 0.0,
@@ -625,5 +630,6 @@ mod tests {
         let planner = Planner::new(&cost, &cluster, OptModel::Opt175B.arch());
         assert!(planner.plan_vllm(ParallelismConfig::SINGLE, 1).is_err());
         assert!(planner.plan_vllm(ParallelismConfig::new(8, 1), 1).is_ok());
+        assert!(planner.plan_vllm(ParallelismConfig::new(8, 1), 0).is_err());
     }
 }

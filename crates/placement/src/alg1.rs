@@ -16,8 +16,9 @@ use serde::{Deserialize, Serialize};
 
 use distserve_engine::SimConfig;
 use distserve_models::{CostModel, GpuSpec, ModelArch, ParallelismConfig};
+use distserve_workload::Trace;
 
-use crate::goodput::{max_goodput, probe_count_with};
+use crate::goodput::{best_per_gpu, max_goodput, probe_count_with, replicas};
 use crate::phase_sim::{decode_attainment, prefill_attainment};
 use crate::slo::SloSpec;
 use crate::source::TraceSource;
@@ -25,10 +26,11 @@ use crate::source::TraceSource;
 /// Knobs of the placement search.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SearchParams {
-    /// Maximum tensor-parallel degree (GPUs per node, `M`).
+    /// Maximum tensor-parallel degree of an instance (a TP group shares
+    /// a node, so at most the GPUs per node, `M`).
     pub max_tp: u32,
-    /// Maximum pipeline-parallel degree (node limit per instance, `N`,
-    /// times nothing — stages may span nodes on high-affinity clusters).
+    /// Maximum pipeline-parallel degree of an instance (vLLM++ searches
+    /// `pp = 1` only).
     pub max_pp: u32,
     /// Minimum requests per simulation probe.
     pub probe_requests: usize,
@@ -61,6 +63,22 @@ impl Default for SearchParams {
 }
 
 impl SearchParams {
+    /// The parallelism configs every algorithm searches: those of `arch`
+    /// on `gpu` up to `max_tp` × `max_pp`, in `ParallelismConfig::enumerate`
+    /// order.
+    #[must_use]
+    pub(crate) fn candidates(&self, arch: &ModelArch, gpu: &GpuSpec) -> Vec<ParallelismConfig> {
+        ParallelismConfig::enumerate(arch, gpu, self.max_tp, self.max_pp)
+    }
+
+    /// The probe trace at `rate`: [`probe_count_with`] requests of
+    /// `source` (at least `probe_requests`, covering `probe_secs`),
+    /// seeded with `seed`.
+    pub(crate) fn probe_trace(&self, source: &dyn TraceSource, rate: f64) -> Trace {
+        let n = probe_count_with(rate, self.probe_requests, self.probe_secs);
+        source.make_trace(rate, n, self.seed)
+    }
+
     /// Evaluates `f` on every candidate, fanned out over the worker
     /// threads, and returns the results in candidate order whatever
     /// order the threads finish in.
@@ -163,48 +181,23 @@ pub fn high_affinity_placement(
     rate: f64,
     params: &SearchParams,
 ) -> Option<HighPlacement> {
-    let configs = ParallelismConfig::enumerate(arch, gpu, params.max_tp, params.max_pp);
+    let configs = params.candidates(arch, gpu);
     let cfg = SimConfig::new(arch.clone());
     let goodputs = params.evaluate(&configs, |&par| {
-        let pf = max_goodput(
-            |r| {
-                let n = probe_count_with(r, params.probe_requests, params.probe_secs);
-                let trace = source.make_trace(r, n, params.seed);
-                prefill_attainment(cost, &cfg, par, &trace, slo.ttft)
-            },
-            slo.target,
-            1.0,
-            params.search_iters,
-        );
-        let dc = max_goodput(
-            |r| {
-                let n = probe_count_with(r, params.probe_requests, params.probe_secs);
-                let trace = source.make_trace(r, n, params.seed);
-                decode_attainment(cost, &cfg, gpu, par, &trace, slo.tpot)
-            },
-            slo.target,
-            1.0,
-            params.search_iters,
-        );
+        let search = |probe: &dyn Fn(&Trace) -> f64| {
+            let attainment = |r| probe(&params.probe_trace(source, r));
+            max_goodput(attainment, slo.target, 1.0, params.search_iters)
+        };
+        let pf = search(&|t| prefill_attainment(cost, &cfg, par, t, slo.ttft));
+        let dc = search(&|t| decode_attainment(cost, &cfg, gpu, par, t, slo.tpot));
         (pf, dc)
     });
-
-    // The best per-GPU goodput of one phase; the last of equals, in
-    // candidate order.
-    let best = |phase: fn(&(f64, f64)) -> f64| {
-        configs
-            .iter()
-            .zip(&goodputs)
-            .map(|(&par, g)| (par, phase(g)))
-            .max_by(|a, b| {
-                (a.1 / f64::from(a.0.num_gpus())).total_cmp(&(b.1 / f64::from(b.0.num_gpus())))
-            })
+    let phase = |pick: fn(&(f64, f64)) -> f64| {
+        let scored = configs.iter().copied().zip(goodputs.iter().map(pick));
+        best_per_gpu(scored, ParallelismConfig::num_gpus)
     };
-    let (p_par, p_good) = best(|g| g.0)?;
-    let (d_par, d_good) = best(|g| g.1)?;
-    if p_good <= 0.0 || d_good <= 0.0 {
-        return None;
-    }
+    let (p_par, p_good) = phase(|g| g.0)?;
+    let (d_par, d_good) = phase(|g| g.1)?;
     Some(HighPlacement {
         prefill: PhaseChoice {
             par: p_par,
@@ -214,8 +207,8 @@ pub fn high_affinity_placement(
             par: d_par,
             goodput: d_good,
         },
-        num_prefill: (rate / p_good).ceil().max(1.0) as u32,
-        num_decode: (rate / d_good).ceil().max(1.0) as u32,
+        num_prefill: replicas(rate, p_good),
+        num_decode: replicas(rate, d_good),
     })
 }
 

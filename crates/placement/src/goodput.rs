@@ -5,7 +5,9 @@
 //! finds the maximum rate that meets the SLO attainment target with
 //! simulation trials." [`max_goodput`] is that search, generic over the
 //! attainment probe (a phase simulator or the full-system simulator).
-//! `served_attainment` is the full-system probe of a fixed deployment.
+//! [`served_goodput`] is that search over full-system probes of a fixed
+//! deployment, and `best_per_gpu` every algorithm's pick among scored
+//! candidates.
 
 use distserve_cluster::Cluster;
 use distserve_engine::{InstanceSpec, ServingSim, SimConfig};
@@ -40,32 +42,54 @@ pub const PROBE_SECS: f64 = 60.0;
 /// the doubling phase visits very high rates).
 pub const MAX_PROBE_REQUESTS: usize = 8_000;
 
-/// One full-simulator probe: the SLO attainment of the fixed deployment
-/// `specs` on `cluster` serving a [`probe_count_with`]-request trace of
-/// `source` at `rate` (at least `params.probe_requests`, covering
-/// `params.probe_secs`), trace and simulator both seeded with
-/// `params.seed`. `0.0` when the simulator rejects the deployment.
-/// Algorithm 2 probes its units, vLLM++ its colocated instances and the
-/// figure harnesses their fixed deployments with it.
+/// The goodput of the fixed deployment `specs` on `cluster`,
+/// requests/second: the largest rate whose full-simulator SLO attainment
+/// meets `slo.target`, bisected for `params.search_iters` rounds from
+/// 0.5 rps. Each probe serves `params`' probe trace of `source` (at least
+/// `params.probe_requests`, covering `params.probe_secs`), trace and
+/// simulator both seeded with `params.seed`; `0.0` when the simulator
+/// rejects the deployment. Algorithm 2 measures its units, vLLM++ its
+/// colocated instances and the figure harnesses their fixed deployments
+/// with it.
 #[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn served_attainment(
+pub fn served_goodput(
     cost: &dyn CostModel,
     cluster: &Cluster,
     arch: &ModelArch,
     specs: &[InstanceSpec],
     source: &dyn TraceSource,
     slo: SloSpec,
-    rate: f64,
     params: &SearchParams,
 ) -> f64 {
-    let cfg = SimConfig::new(arch.clone()).with_seed(params.seed);
-    let Ok(sim) = ServingSim::new(cfg, cost, cluster, specs.to_vec()) else {
-        return 0.0;
+    let attainment = |rate| {
+        let cfg = SimConfig::new(arch.clone()).with_seed(params.seed);
+        let Ok(sim) = ServingSim::new(cfg, cost, cluster, specs.to_vec()) else {
+            return 0.0;
+        };
+        sim.run(&params.probe_trace(source, rate))
+            .attainment(slo.ttft, slo.tpot)
     };
-    let n = probe_count_with(rate, params.probe_requests, params.probe_secs);
-    let trace = source.make_trace(rate, n, params.seed);
-    sim.run(&trace).attainment(slo.ttft, slo.tpot)
+    max_goodput(attainment, slo.target, 0.5, params.search_iters)
+}
+
+/// The scored candidate with the highest goodput per GPU (`gpus` counts
+/// a candidate's GPUs), the last of equals in candidate order; `None`
+/// when there is no candidate or the best goodput is not positive.
+pub(crate) fn best_per_gpu<C>(
+    scored: impl IntoIterator<Item = (C, f64)>,
+    gpus: impl Fn(&C) -> u32,
+) -> Option<(C, f64)> {
+    let per_gpu = |(c, g): &(C, f64)| g / f64::from(gpus(c));
+    scored
+        .into_iter()
+        .max_by(|a, b| per_gpu(a).total_cmp(&per_gpu(b)))
+        .filter(|&(_, g)| g > 0.0)
+}
+
+/// Replicas of a `goodput`-rps instance or unit that carry `rate`: at
+/// least one.
+pub(crate) fn replicas(rate: f64, goodput: f64) -> u32 {
+    (rate / goodput).ceil().max(1.0) as u32
 }
 
 /// Finds the largest rate `r` (requests/second) with `probe(r) >= target`.

@@ -23,7 +23,8 @@
 //!   ride NVLink.
 //! * [`vllm_pp`] — the "vLLM++" ablation: parallelism search for the
 //!   colocated baseline (Figure 11).
-//! * [`deploy`] — materialize a chosen placement onto physical GPUs.
+//! * [`deploy`] — materialize a chosen placement onto physical GPUs; the
+//!   one layout rule, which Algorithm 2 and vLLM++ also probe.
 
 pub mod alg1;
 pub mod alg2;

@@ -41,18 +41,6 @@ impl SloSpec {
         }
     }
 
-    /// Overrides the attainment target.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `target` lies in `(0, 1]`.
-    #[must_use]
-    pub fn with_target(mut self, target: f64) -> Self {
-        assert!(target > 0.0 && target <= 1.0, "target must be in (0, 1]");
-        self.target = target;
-        self
-    }
-
     /// Scales both latency bounds by `scale` (Figure 8's *SLO Scale*
     /// sweep: smaller is more stringent).
     ///
@@ -85,20 +73,8 @@ mod tests {
     }
 
     #[test]
-    fn target_override() {
-        let slo = SloSpec::new(1.0, 1.0).with_target(0.99);
-        assert_eq!(slo.target, 0.99);
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn zero_bound_rejected() {
         let _ = SloSpec::new(0.0, 0.1);
-    }
-
-    #[test]
-    #[should_panic(expected = "(0, 1]")]
-    fn bad_target_rejected() {
-        let _ = SloSpec::new(0.1, 0.1).with_target(1.5);
     }
 }

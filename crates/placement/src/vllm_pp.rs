@@ -10,11 +10,12 @@
 use serde::{Deserialize, Serialize};
 
 use distserve_cluster::Cluster;
-use distserve_engine::{InstanceRole, InstanceSpec};
+use distserve_engine::InstanceSpec;
 use distserve_models::{CostModel, ModelArch, ParallelismConfig};
 
 use crate::alg1::SearchParams;
-use crate::goodput::{max_goodput, served_attainment};
+use crate::deploy::{materialize, Deployment};
+use crate::goodput::{best_per_gpu, replicas, served_goodput};
 use crate::slo::SloSpec;
 use crate::source::TraceSource;
 
@@ -43,59 +44,24 @@ impl ColocPlacement {
     }
 }
 
-/// Builds a single colocated instance spec on node 0 of `cluster`.
+/// The spec of one colocated instance on `cluster`, as [`materialize`]
+/// lays it out.
 ///
 /// # Errors
 ///
-/// Returns a message if the config does not fit one node per stage.
+/// Returns `materialize`'s message when the instance does not fit.
 pub fn coloc_spec(cluster: &Cluster, par: ParallelismConfig) -> Result<InstanceSpec, String> {
-    if par.tp > cluster.gpus_per_node() {
-        return Err(format!(
-            "tp={} exceeds node width {}",
-            par.tp,
-            cluster.gpus_per_node()
-        ));
-    }
-    if par.pp > cluster.num_nodes() * (cluster.gpus_per_node() / par.tp) {
-        return Err("not enough GPU groups for the pipeline stages".into());
-    }
-    // Pack stages node-major: each stage's TP group on one node.
-    let per_node = cluster.gpus_per_node() / par.tp;
-    let stages = (0..par.pp)
-        .map(|s| {
-            let node = s / per_node;
-            let base = (s % per_node) * par.tp;
-            (0..par.tp).map(|k| cluster.gpu(node, base + k)).collect()
-        })
-        .collect();
-    InstanceSpec::new(InstanceRole::Colocated, par, stages)
-}
-
-/// Measures the goodput of a *fixed* colocated parallelism — this is
-/// plain vLLM with the paper's default settings.
-#[must_use]
-pub fn vllm_goodput(
-    cost: &dyn CostModel,
-    cluster: &Cluster,
-    arch: &ModelArch,
-    par: ParallelismConfig,
-    source: &dyn TraceSource,
-    slo: SloSpec,
-    params: &SearchParams,
-) -> f64 {
-    let Ok(spec) = coloc_spec(cluster, par) else {
-        return 0.0;
+    let replica = ColocPlacement {
+        par,
+        goodput: 0.0,
+        num_replicas: 1,
     };
-    let specs = [spec];
-    max_goodput(
-        |r| served_attainment(cost, cluster, arch, &specs, source, slo, r, params),
-        slo.target,
-        0.5,
-        params.search_iters,
-    )
+    let mut specs = materialize(cluster, &Deployment::Coloc(replica))?;
+    Ok(specs.remove(0))
 }
 
-/// Runs the vLLM++ search over tensor-parallel degrees.
+/// Runs the vLLM++ search over the candidates with `pp = 1` that fit
+/// `cluster`.
 #[must_use]
 pub fn vllm_plus_plus(
     cost: &dyn CostModel,
@@ -107,21 +73,22 @@ pub fn vllm_plus_plus(
     params: &SearchParams,
 ) -> Option<ColocPlacement> {
     // vLLM supports only intra-op parallelism (§6.1), so pp = 1.
-    let candidates: Vec<ParallelismConfig> =
-        ParallelismConfig::enumerate(arch, cluster.gpu_spec(), params.max_tp, 1);
-    let goodputs = params.evaluate(&candidates, |&par| {
-        vllm_goodput(cost, cluster, arch, par, source, slo, params)
+    let candidates: Vec<(ParallelismConfig, InstanceSpec)> = params
+        .candidates(arch, cluster.gpu_spec())
+        .into_iter()
+        .filter(|par| par.pp == 1)
+        .filter_map(|par| Some((par, coloc_spec(cluster, par).ok()?)))
+        .collect();
+    let goodputs = params.evaluate(&candidates, |(_, spec)| {
+        let specs = std::slice::from_ref(spec);
+        served_goodput(cost, cluster, arch, specs, source, slo, params)
     });
-    let (par, goodput) = candidates.into_iter().zip(goodputs).max_by(|a, b| {
-        (a.1 / f64::from(a.0.num_gpus())).total_cmp(&(b.1 / f64::from(b.0.num_gpus())))
-    })?;
-    if goodput <= 0.0 {
-        return None;
-    }
+    let scored = candidates.into_iter().map(|(par, _)| par).zip(goodputs);
+    let (par, goodput) = best_per_gpu(scored, ParallelismConfig::num_gpus)?;
     Some(ColocPlacement {
         par,
         goodput,
-        num_replicas: (rate / goodput).ceil().max(1.0) as u32,
+        num_replicas: replicas(rate, goodput),
     })
 }
 
@@ -151,17 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn coloc_spec_shapes() {
-        let cluster = Cluster::paper_testbed();
-        let spec = coloc_spec(&cluster, ParallelismConfig::new(4, 2)).unwrap();
-        assert_eq!(spec.stages.len(), 2);
-        assert_eq!(spec.stages[0].len(), 4);
-        // Both stages fit on node 0 (two groups of four).
-        assert!(spec.stages.iter().flatten().all(|g| g.node.0 == 0));
-        assert!(coloc_spec(&cluster, ParallelismConfig::new(16, 1)).is_err());
-    }
-
-    #[test]
     fn vllm_plus_plus_finds_something_for_13b() {
         let cost = RooflineModel::a100();
         let cluster = Cluster::paper_testbed();
@@ -180,15 +136,9 @@ mod tests {
         let cluster = Cluster::paper_testbed();
         let arch = OptModel::Opt13B.arch();
         let slo = SloSpec::new(0.25, 0.1);
-        let g = vllm_goodput(
-            &cost,
-            &cluster,
-            &arch,
-            ParallelismConfig::SINGLE,
-            &source(),
-            slo,
-            &quick_params(),
-        );
+        let specs = [coloc_spec(&cluster, ParallelismConfig::SINGLE).unwrap()];
+        let (source, params) = (source(), quick_params());
+        let g = served_goodput(&cost, &cluster, &arch, &specs, &source, slo, &params);
         assert!(g > 0.0, "vLLM goodput {g}");
         // The colocated baseline is interference-bound well below the
         // prefill-only capacity (~1/0.08 ≈ 12 rps).

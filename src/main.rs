@@ -70,6 +70,19 @@ impl Args {
                 .map_err(|_| format!("--{key} expects a non-negative integer, got '{v}'")),
         }
     }
+
+    /// A count of requests or replicas: an integer of at least 1.
+    fn get_count(&self, key: &str, default: u32) -> Result<u32, String> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(v) => match v.parse() {
+                Ok(n) if n >= 1 => Ok(n),
+                _ => Err(format!(
+                    "--{key} expects an integer of at least 1, got '{v}'"
+                )),
+            },
+        }
+    }
 }
 
 /// Parses `v` as a finite number greater than zero, naming `--key` in
@@ -205,7 +218,7 @@ fn build_deployment(
         "distserve-low" => planner.plan_distserve_low(&dataset, slo, rate),
         "vllm" => {
             let tp = args.get_int("tp", 1)?;
-            let replicas = args.get_int("replicas", 1)?;
+            let replicas = args.get_count("replicas", 1)?;
             planner.plan_vllm(ParallelismConfig::new(tp, 1), replicas)
         }
         "vllm++" => planner.plan_vllm_plus_plus(&dataset, slo, rate),
@@ -279,7 +292,7 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let (arch, dataset, slo, cluster, cost) = common_setup(args)?;
     let rate = args.get_positive("rate", 4.0)?;
-    let requests = args.get_int("requests", 500)?;
+    let requests = args.get_count("requests", 500)? as usize;
     let seed = args.get_int("seed", 0)?;
     let planner = planner(&cost, &cluster, arch.clone(), args)?;
     let deployment = build_deployment(&planner, args, dataset, slo, rate)?;

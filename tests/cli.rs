@@ -4,8 +4,9 @@
 use std::process::Command;
 
 /// Rates, SLO bounds and probe durations that are zero, negative or not
-/// finite, and a seed or parallel degree that is not a non-negative
-/// integer: each must fail before any planning starts, naming the flag.
+/// finite, a seed or parallel degree that is not a non-negative integer,
+/// and a request or replica count of zero: each must fail before any
+/// planning starts, naming the flag.
 #[test]
 fn bad_numbers_are_errors_not_panics() {
     for args in [
@@ -18,6 +19,9 @@ fn bad_numbers_are_errors_not_panics() {
         &["plan", "--ttft", "-1"],
         &["plan", "--tpot", "inf"],
         &["plan", "--probe-secs", "-5"],
+        &["serve", "--requests", "0"],
+        &["plan", "--system", "vllm", "--replicas", "0"],
+        &["sweep", "--system", "vllm", "--replicas", "0"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_distserve"))
             .args(args)

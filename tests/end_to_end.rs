@@ -6,7 +6,7 @@ use distserve::engine::{FidelityConfig, InstanceSpec};
 use distserve::models::RooflineModel;
 use distserve::placement::alg1::SearchParams;
 use distserve::placement::deploy::Deployment;
-use distserve::placement::goodput::{max_goodput, served_attainment};
+use distserve::placement::goodput::served_goodput;
 use distserve::placement::TraceSource;
 
 /// Per-GPU goodput of a fixed deployment measured with the full
@@ -26,13 +26,7 @@ fn per_gpu_goodput(
         ..SearchParams::default()
     };
     let gpus: u32 = specs.iter().map(InstanceSpec::num_gpus).sum();
-    let total = max_goodput(
-        |rate| served_attainment(cost, cluster, &arch, specs, &dataset, slo, rate, &params),
-        slo.target,
-        0.5,
-        params.search_iters,
-    );
-    total / f64::from(gpus)
+    served_goodput(cost, cluster, &arch, specs, &dataset, slo, &params) / f64::from(gpus)
 }
 
 fn quick_params() -> SearchParams {
@@ -352,6 +346,20 @@ fn plan_line(plan: &Deployment) -> String {
     }
 }
 
+/// The planner golden's search: instances up to tp4 × pp2, 64-request
+/// probes covering 10 s, 10 bisection rounds, two threads.
+fn golden_params() -> SearchParams {
+    SearchParams {
+        max_tp: 4,
+        max_pp: 2,
+        probe_requests: 64,
+        probe_secs: 10.0,
+        search_iters: 10,
+        threads: 2,
+        seed: 0,
+    }
+}
+
 /// Planner golden: the OPT-13B chatbot planned by Algorithm 1 on a
 /// high-affinity cluster, by Algorithm 2 on the paper testbed and by
 /// vLLM++, each pinned by parallelism, replica and unit counts and the
@@ -363,18 +371,9 @@ fn planner_plans_match_golden() {
     let app = Application::ChatbotOpt13B;
     let cost = RooflineModel::a100_conservative();
     let (slo, dataset) = (app.slo(), app.dataset());
-    let params = SearchParams {
-        max_tp: 4,
-        max_pp: 2,
-        probe_requests: 64,
-        probe_secs: 10.0,
-        search_iters: 10,
-        threads: 2,
-        seed: 0,
-    };
     let planner = |cluster| {
         let mut p = Planner::new(&cost, cluster, app.model().arch());
-        p.params = params.clone();
+        p.params = golden_params();
         p
     };
     let (high, testbed) = (Cluster::high_affinity(4, 8), Cluster::paper_testbed());
@@ -401,4 +400,42 @@ fn planner_plans_match_golden() {
         "plans drifted from the golden fixture; if the change is \
          intentional, regenerate with UPDATE_GOLDEN=1 and say why"
     );
+}
+
+/// Plans on a shrunk cluster, as a capacity replan hands the planner
+/// (§4.3), must deploy there: on the paper testbed with GPUs 3–7 of every
+/// node failed, Algorithm 2 (the OPT-13B chatbot at 8 req/s, instances up
+/// to tp4 × pp2, default probes) and vLLM++ (the golden's search at
+/// 6 req/s) each return a plan that materializes, because both probe the
+/// layouts `materialize` gives the healthy GPUs.
+#[test]
+fn plans_on_a_degraded_cluster_materialize() {
+    let app = Application::ChatbotOpt13B;
+    let cost = RooflineModel::a100_conservative();
+    let (slo, dataset) = (app.slo(), app.dataset());
+    let mut cluster = Cluster::paper_testbed();
+    for node in 0..cluster.num_nodes() {
+        for index in 3..cluster.gpus_per_node() {
+            cluster.fail_gpu(cluster.gpu(node, index)).unwrap();
+        }
+    }
+    let mut planner = Planner::new(&cost, &cluster, app.model().arch());
+    planner.params = SearchParams {
+        max_tp: 4,
+        max_pp: 2,
+        threads: 2,
+        ..planner.params.clone()
+    };
+    let low = planner
+        .plan_distserve_low(&dataset, slo, 8.0)
+        .expect("Algorithm 2 plans");
+    planner.params = golden_params();
+    let coloc = planner
+        .plan_vllm_plus_plus(&dataset, slo, 6.0)
+        .expect("vLLM++ plans");
+    for plan in [low, coloc] {
+        if let Err(e) = planner.materialize(&plan) {
+            panic!("{} does not deploy: {e}", plan_line(&plan));
+        }
+    }
 }
