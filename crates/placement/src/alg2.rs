@@ -138,6 +138,40 @@ mod tests {
     }
 
     #[test]
+    fn unit_specs_pack_one_node() {
+        let cluster = Cluster::paper_testbed();
+        let specs = unit_specs(
+            &cluster,
+            ParallelismConfig::new(4, 1),
+            ParallelismConfig::new(2, 2),
+        )
+        .unwrap();
+        assert_eq!(specs.len(), 2);
+        let all: Vec<_> = specs
+            .iter()
+            .flat_map(|s| s.stages.iter().flatten())
+            .collect();
+        assert_eq!(all.len(), 8);
+        assert!(all.iter().all(|g| g.node.0 == 0));
+        // No GPU shared between the two instances.
+        let mut unique = all.clone();
+        unique.sort();
+        unique.dedup();
+        assert_eq!(unique.len(), 8);
+    }
+
+    #[test]
+    fn unit_too_large_rejected() {
+        let cluster = Cluster::paper_testbed(); // 8 GPUs per node.
+        assert!(unit_specs(
+            &cluster,
+            ParallelismConfig::new(8, 1),
+            ParallelismConfig::new(1, 1),
+        )
+        .is_err());
+    }
+
+    #[test]
     fn finds_unit_for_13b_on_testbed() {
         let cost = RooflineModel::a100();
         let cluster = Cluster::paper_testbed();
@@ -153,6 +187,32 @@ mod tests {
             plm.unit_goodput * f64::from(plm.num_units) >= 8.0 * 0.9,
             "replication misses rate"
         );
+    }
+
+    #[test]
+    fn segment_paired_unit_shape() {
+        // OPT-175B style: stage pairs across nodes, prefill tp3 + decode
+        // tp4, pp = 3 — the Appendix-B 175B placement.
+        let cluster = Cluster::paper_testbed();
+        let p = ParallelismConfig::new(3, 3);
+        let d = ParallelismConfig::new(4, 3);
+        let specs = unit_specs(&cluster, p, d).unwrap();
+        assert_eq!(specs.len(), 2);
+        for s in 0..3usize {
+            let pn = specs[0].stages[s][0].node;
+            let dn = specs[1].stages[s][0].node;
+            // Corresponding stages share a node (NVLink transfers only).
+            assert_eq!(pn, dn, "stage {s} split across nodes");
+            assert!(specs[0].stages[s].iter().all(|g| g.node == pn));
+            assert!(specs[1].stages[s].iter().all(|g| g.node == dn));
+        }
+        // Mismatched depths are rejected for oversized units.
+        assert!(unit_specs(
+            &cluster,
+            ParallelismConfig::new(3, 3),
+            ParallelismConfig::new(4, 1),
+        )
+        .is_err());
     }
 
     #[test]

@@ -118,6 +118,17 @@ mod tests {
     }
 
     #[test]
+    fn coloc_spec_shapes() {
+        let cluster = Cluster::paper_testbed();
+        let spec = coloc_spec(&cluster, ParallelismConfig::new(4, 2)).unwrap();
+        assert_eq!(spec.stages.len(), 2);
+        assert_eq!(spec.stages[0].len(), 4);
+        // Both stages fit on node 0 (two groups of four).
+        assert!(spec.stages.iter().flatten().all(|g| g.node.0 == 0));
+        assert!(coloc_spec(&cluster, ParallelismConfig::new(16, 1)).is_err());
+    }
+
+    #[test]
     fn vllm_plus_plus_finds_something_for_13b() {
         let cost = RooflineModel::a100();
         let cluster = Cluster::paper_testbed();
