@@ -50,21 +50,20 @@ fn main() {
     ]);
     for (max_tp, max_pp, node_gpus) in [(2u32, 1u32, 2u32), (4, 2, 4), (8, 2, 8)] {
         let arch = OptModel::Opt13B.arch();
-        let gpu = cost.gpu.clone();
+        let cluster = Cluster::new(
+            4,
+            node_gpus,
+            cost.gpu.clone(),
+            distserve_models::LinkSpec::nvlink(),
+            distserve_models::LinkSpec::ethernet_25g(),
+        );
         let mut row = vec![format!("{}", max_tp * max_pp)];
         for threads in [1usize, 0] {
             let p = params(max_tp, max_pp, threads);
             let start = Instant::now();
-            let _ = high_affinity_placement(&cost, &gpu, &arch, &dataset, slo, 4.0, &p);
+            let _ = high_affinity_placement(&cost, &cluster, &arch, &dataset, slo, 4.0, &p);
             row.push(format!("{:.2}", start.elapsed().as_secs_f64()));
         }
-        let cluster = Cluster::new(
-            4,
-            node_gpus,
-            gpu.clone(),
-            distserve_models::LinkSpec::nvlink(),
-            distserve_models::LinkSpec::ethernet_25g(),
-        );
         for threads in [1usize, 0] {
             let p = params(max_tp, max_pp, threads);
             let start = Instant::now();
@@ -79,11 +78,18 @@ fn main() {
     // counts, not parameter counts.
     println!("\nmodel-size independence (Alg1, 4 GPUs/instance, all cores):");
     let mut table = Table::new(vec!["model", "running time (s)"]);
+    let cluster = Cluster::new(
+        4,
+        8,
+        cost.gpu.clone(),
+        distserve_models::LinkSpec::nvlink(),
+        distserve_models::LinkSpec::infiniband_800g(),
+    );
     for model in [OptModel::Opt13B, OptModel::Opt66B] {
         let arch = model.arch();
         let p = params(4, 2, 0);
         let start = Instant::now();
-        let _ = high_affinity_placement(&cost, &cost.gpu, &arch, &dataset, slo, 2.0, &p);
+        let _ = high_affinity_placement(&cost, &cluster, &arch, &dataset, slo, 2.0, &p);
         table.row(vec![
             arch.name.clone(),
             format!("{:.2}", start.elapsed().as_secs_f64()),

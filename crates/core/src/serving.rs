@@ -86,7 +86,7 @@ impl<'a> Planner<'a> {
     ) -> Result<Deployment, String> {
         high_affinity_placement(
             self.cost,
-            self.cluster.gpu_spec(),
+            self.cluster,
             &self.arch,
             source,
             slo,

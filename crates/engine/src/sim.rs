@@ -624,13 +624,17 @@ impl<'a> ServingSim<'a> {
                     .declare_track(track_id(i), &format!("{role}[{i}] {}", inst.spec.par));
             }
         }
-        self.states.reserve(trace.len());
-        for (i, r) in trace.requests().iter().enumerate() {
-            self.events.push(r.arrival, Ev::Arrive(i));
-            let mut st = RequestState::new(r.clone());
-            st.cached_tokens = self.draw_cached_tokens(r.id.0, r.input_len);
-            self.states.insert(r.id, st);
+        // Arrivals enter the queue one at a time: arrival `i` holds
+        // sequence number `first + i`, as if the whole (time-sorted) trace
+        // were pushed now, and arrival `i + 1` is pushed when `i` pops. A
+        // request's state is built when it arrives and dropped when it
+        // ends, so live state scales with requests in flight.
+        let requests = trace.requests();
+        let first = self.events.reserve_seqs(requests.len());
+        if let Some(r) = requests.first() {
+            self.events.push_reserved(r.arrival, first, Ev::Arrive(0));
         }
+        self.records.reserve_exact(requests.len());
         let chaos = !self.faults.is_empty();
         if chaos {
             for (idx, f) in self.faults.iter().enumerate() {
@@ -660,6 +664,11 @@ impl<'a> ServingSim<'a> {
             match ev {
                 Ev::Arrive(idx) => {
                     let _prof = distserve_prof::scope("ev_arrive");
+                    if let Some(next) = requests.get(idx + 1) {
+                        let seq = first + idx as u64 + 1;
+                        self.events
+                            .push_reserved(next.arrival, seq, Ev::Arrive(idx + 1));
+                    }
                     self.on_arrive(trace, idx, now);
                 }
                 Ev::PrefillFree(i) => {
@@ -764,7 +773,11 @@ impl<'a> ServingSim<'a> {
     // ------------------------------------------------------------------
 
     fn on_arrive(&mut self, trace: &Trace, idx: usize, now: SimTime) {
-        let id = trace.requests()[idx].id;
+        let r = &trace.requests()[idx];
+        let id = r.id;
+        let mut st = RequestState::new(r.clone());
+        st.cached_tokens = self.draw_cached_tokens(id.0, r.input_len);
+        self.states.insert(id, st);
         self.emit(id, now, LifecycleEvent::Arrived);
         if self.router.is_some() {
             self.route_arrival(trace, idx, now);

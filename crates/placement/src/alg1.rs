@@ -2,9 +2,10 @@
 //!
 //! With fast cross-node interconnect, KV transfers are cheap anywhere, so
 //! the two phases are planned *independently*: enumerate every legal
-//! `(tp, pp)` for a prefill instance and for a decoding instance, estimate
-//! each candidate's goodput with the phase simulators, keep the per-GPU
-//! best of each, then replicate both until the target traffic rate is met.
+//! `(tp, pp)` of which one instance fits the cluster's healthy GPUs,
+//! estimate each candidate's goodput for a prefill instance and for a
+//! decoding instance with the phase simulators, keep the per-GPU best of
+//! each, then replicate both until the target traffic rate is met.
 //!
 //! Candidate evaluations are independent, so the search fans out over
 //! threads (the paper notes the algorithm parallelizes almost linearly —
@@ -14,10 +15,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use serde::{Deserialize, Serialize};
 
+use distserve_cluster::Cluster;
 use distserve_engine::SimConfig;
 use distserve_models::{CostModel, GpuSpec, ModelArch, ParallelismConfig};
 use distserve_workload::Trace;
 
+use crate::deploy::{materialize, Deployment};
 use crate::goodput::{best_per_gpu, max_goodput, probe_count_with, replicas};
 use crate::phase_sim::{decode_attainment, prefill_attainment};
 use crate::slo::SloSpec;
@@ -169,19 +172,34 @@ impl HighPlacement {
     }
 }
 
-/// Runs Algorithm 1. Returns `None` if no legal configuration exists
-/// (e.g. the model does not fit the GPU budget at all).
+/// Runs Algorithm 1 over the configs of which one instance
+/// [`materialize`]s on `cluster`'s healthy GPUs. Returns `None` if no such
+/// config exists (e.g. the model does not fit the GPU budget at all).
 #[must_use]
 pub fn high_affinity_placement(
     cost: &dyn CostModel,
-    gpu: &GpuSpec,
+    cluster: &Cluster,
     arch: &ModelArch,
     source: &dyn TraceSource,
     slo: SloSpec,
     rate: f64,
     params: &SearchParams,
 ) -> Option<HighPlacement> {
-    let configs = params.candidates(arch, gpu);
+    let gpu = cluster.gpu_spec();
+    let configs: Vec<ParallelismConfig> = params
+        .candidates(arch, gpu)
+        .into_iter()
+        .filter(|&par| {
+            let phase = PhaseChoice { par, goodput: 0.0 };
+            let one = HighPlacement {
+                prefill: phase,
+                decode: phase,
+                num_prefill: 1,
+                num_decode: 0,
+            };
+            materialize(cluster, &Deployment::High(one)).is_ok()
+        })
+        .collect();
     let cfg = SimConfig::new(arch.clone());
     let goodputs = params.evaluate(&configs, |&par| {
         let search = |probe: &dyn Fn(&Trace) -> f64| {
@@ -240,11 +258,12 @@ mod tests {
     #[test]
     fn finds_a_placement_for_13b() {
         let cost = RooflineModel::a100();
-        let gpu = GpuSpec::a100_80g();
+        let cluster = Cluster::high_affinity(4, 8);
         let arch = OptModel::Opt13B.arch();
         let slo = SloSpec::new(0.25, 0.1);
-        let plm = high_affinity_placement(&cost, &gpu, &arch, &source(), slo, 6.0, &quick_params())
-            .expect("13B fits easily");
+        let plm =
+            high_affinity_placement(&cost, &cluster, &arch, &source(), slo, 6.0, &quick_params())
+                .expect("13B fits easily");
         assert!(plm.prefill.goodput > 0.0);
         assert!(plm.decode.goodput > 0.0);
         assert!(plm.num_prefill >= 1 && plm.num_decode >= 1);
@@ -264,7 +283,7 @@ mod tests {
     #[test]
     fn oversized_model_yields_none() {
         let cost = RooflineModel::a100();
-        let gpu = GpuSpec::a100_80g();
+        let cluster = Cluster::high_affinity(4, 8);
         let arch = OptModel::Opt175B.arch();
         // 175B cannot fit in 2 GPUs no matter the split.
         let params = SearchParams {
@@ -274,7 +293,7 @@ mod tests {
         };
         let plm = high_affinity_placement(
             &cost,
-            &gpu,
+            &cluster,
             &arch,
             &source(),
             SloSpec::new(4.0, 0.2),
@@ -287,15 +306,15 @@ mod tests {
     #[test]
     fn search_is_deterministic_across_thread_counts() {
         let cost = RooflineModel::a100();
-        let gpu = GpuSpec::a100_80g();
+        let cluster = Cluster::high_affinity(4, 8);
         let arch = OptModel::Opt13B.arch();
         let slo = SloSpec::new(0.25, 0.1);
         let mut p1 = quick_params();
         p1.threads = 1;
         let mut p4 = quick_params();
         p4.threads = 4;
-        let a = high_affinity_placement(&cost, &gpu, &arch, &source(), slo, 4.0, &p1).unwrap();
-        let b = high_affinity_placement(&cost, &gpu, &arch, &source(), slo, 4.0, &p4).unwrap();
+        let a = high_affinity_placement(&cost, &cluster, &arch, &source(), slo, 4.0, &p1).unwrap();
+        let b = high_affinity_placement(&cost, &cluster, &arch, &source(), slo, 4.0, &p4).unwrap();
         assert_eq!(a.prefill.par, b.prefill.par);
         assert_eq!(a.decode.par, b.decode.par);
         assert_eq!(a.num_prefill, b.num_prefill);
@@ -306,11 +325,11 @@ mod tests {
         // Figure 4 / §3.1: a stringent TTFT SLO favors intra-op
         // parallelism for the prefill phase.
         let cost = RooflineModel::a100();
-        let gpu = GpuSpec::a100_80g();
+        let cluster = Cluster::high_affinity(4, 8);
         let arch = OptModel::Opt13B.arch();
         let loose = high_affinity_placement(
             &cost,
-            &gpu,
+            &cluster,
             &arch,
             &source(),
             SloSpec::new(0.8, 0.1),
@@ -320,7 +339,7 @@ mod tests {
         .unwrap();
         let tight = high_affinity_placement(
             &cost,
-            &gpu,
+            &cluster,
             &arch,
             &source(),
             SloSpec::new(0.12, 0.1),

@@ -9,7 +9,8 @@
 //! is allocated wholly inside one, and a wider, segment-paired unit gets
 //! each prefill/decode stage pair on one node, by best fit, so its
 //! stages span nodes. Algorithm 2 and vLLM++ probe the layouts this
-//! module gives one unit or replica, so they measure what deploys.
+//! module gives one unit or replica, so they measure what deploys, and
+//! Algorithm 1 searches only configs of which it places one instance.
 
 use distserve_cluster::{Cluster, GpuAllocator};
 use distserve_engine::{InstanceRole, InstanceSpec};

@@ -86,11 +86,10 @@ pub fn prefill_ttfts_with_sink(
     let mut queue = PrefillQueue::new(cfg.l_m);
     let mut pipeline = Pipeline::new(par.pp);
     let mut events: EventQueue<Ev> = EventQueue::new();
-    let mut arrivals: Vec<SimTime> = Vec::with_capacity(trace.len());
-    for (i, r) in trace.requests().iter().enumerate() {
-        events.push(r.arrival, Ev::Arrive(i));
-        arrivals.push(r.arrival);
-    }
+    let requests = trace.requests();
+    // Arrivals enter the queue one at a time, as `ServingSim`'s do.
+    let first = events.reserve_seqs(requests.len());
+    events.push_reserved(requests[0].arrival, first, Ev::Arrive(0));
     let mut done = 0usize;
     while done < trace.len() {
         let Some((now, ev)) = events.pop() else {
@@ -98,7 +97,10 @@ pub fn prefill_ttfts_with_sink(
         };
         match ev {
             Ev::Arrive(i) => {
-                let r = &trace.requests()[i];
+                if let Some(next) = requests.get(i + 1) {
+                    events.push_reserved(next.arrival, first + i as u64 + 1, Ev::Arrive(i + 1));
+                }
+                let r = &requests[i];
                 emit(sink, r.id, now, LifecycleEvent::Arrived);
                 emit(sink, r.id, now, LifecycleEvent::PrefillQueued);
                 queue.push(PrefillItem {
@@ -130,7 +132,7 @@ pub fn prefill_ttfts_with_sink(
             let commit = pipeline.commit(now, stage_time);
             let members: Vec<(RequestId, SimTime)> = batch
                 .iter()
-                .map(|b| (b.id, arrivals[b.id.0 as usize]))
+                .map(|b| (b.id, requests[b.id.0 as usize].arrival))
                 .collect();
             for (id, _) in &members {
                 emit(sink, *id, commit.start, LifecycleEvent::PrefillStart);
@@ -248,15 +250,24 @@ pub fn decode_tpots_with_sink(
     let mut done = 0usize;
     let mut next_group = 0usize;
 
-    for (i, r) in trace.requests().iter().enumerate() {
+    for r in trace.requests() {
         if r.output_len <= 1 {
             // Never decoded: trivially meets TPOT.
             out.record(0.0);
             done += 1;
-        } else {
-            events.push(r.arrival, Ev::Arrive(i));
         }
     }
+    // Decoded arrivals enter the queue one at a time, as `ServingSim`'s
+    // do: the first at or after index `from` is pushed under its
+    // reserved number.
+    let requests = trace.requests();
+    let first = events.reserve_seqs(requests.len());
+    let push_arrival = |events: &mut EventQueue<Ev>, from: usize| {
+        if let Some(i) = (from..requests.len()).find(|&i| requests[i].output_len > 1) {
+            events.push_reserved(requests[i].arrival, first + i as u64, Ev::Arrive(i));
+        }
+    };
+    push_arrival(&mut events, 0);
 
     let admit = |kv: &mut KvBlockManager,
                  groups: &mut Vec<Vec<usize>>,
@@ -283,6 +294,7 @@ pub fn decode_tpots_with_sink(
         };
         match ev {
             Ev::Arrive(i) => {
+                push_arrival(&mut events, i + 1);
                 emit(sink, RequestId(i as u64), now, LifecycleEvent::Arrived);
                 // FCFS admission: join only behind earlier waiters.
                 if waiting.is_empty()

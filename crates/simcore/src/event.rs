@@ -96,6 +96,36 @@ impl<E> EventQueue<E> {
     /// builds it is caught by an assertion, in release builds the event is
     /// clamped to `now` so the simulation clock never runs backwards.
     pub fn push(&mut self, time: SimTime, event: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.push_keyed(time, seq, event);
+    }
+
+    /// Sets aside the next `n` sequence numbers and returns the first.
+    ///
+    /// An event later pushed with [`EventQueue::push_reserved`] under one
+    /// of them gets the key it would have had if pushed now, so it pops
+    /// in the same place as long as it enters the queue before any event
+    /// keyed after it pops. A simulator feeds a time-sorted trace this
+    /// way, one arrival at a time: reserve a number per request up
+    /// front, then push arrival `i + 1` when arrival `i` pops. Every pop
+    /// matches pushing the whole trace first, while the queue holds only
+    /// one pending arrival.
+    pub fn reserve_seqs(&mut self, n: usize) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += n as u64;
+        first
+    }
+
+    /// Schedules `event` at absolute time `time` under `seq`, a number
+    /// taken from [`EventQueue::reserve_seqs`]. Pushing into the past is
+    /// handled as in [`EventQueue::push`].
+    pub fn push_reserved(&mut self, time: SimTime, seq: u64, event: E) {
+        debug_assert!(seq < self.next_seq, "sequence number {seq} is not reserved");
+        self.push_keyed(time, seq, event);
+    }
+
+    fn push_keyed(&mut self, time: SimTime, seq: u64, event: E) {
         debug_assert!(
             time >= self.now,
             "scheduled event at {time} before current time {}",
@@ -104,8 +134,6 @@ impl<E> EventQueue<E> {
         // The clamp also keeps the key's sign bit clear: `now` starts at
         // `+0.0`, and `SimTime`'s order puts every valid time at or above it.
         let time = time.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let key = u128::from(time.to_bits()) << 64 | u128::from(seq);
         self.heap.push(Entry { key, event });
     }
@@ -211,6 +239,54 @@ mod tests {
                 check_pop(&mut q, &mut model);
             }
             prop_assert!(q.is_empty());
+        }
+
+        /// Arrivals fed one at a time under reserved numbers (arrival
+        /// `i + 1` pushed when arrival `i` pops), interleaved with other
+        /// pushes and pops, pop exactly as if every arrival were pushed
+        /// first.
+        #[test]
+        fn reserved_arrivals_pop_as_if_pushed_first(
+            mut arrivals in prop::collection::vec(0usize..TIMES.len(), 0..32),
+            ops in prop::collection::vec((0usize..TIMES.len(), 0u8..2), 0..96),
+        ) {
+            // `TIMES` ascends, so sorted picks are a time-sorted trace.
+            arrivals.sort_unstable();
+            let at = |p: usize| SimTime::from_secs(TIMES[p]);
+            let n = arrivals.len();
+            let mut eager = EventQueue::new();
+            for (i, &p) in arrivals.iter().enumerate() {
+                eager.push(at(p), i);
+            }
+            let mut lazy = EventQueue::new();
+            let first = lazy.reserve_seqs(n);
+            if let Some(&p) = arrivals.first() {
+                lazy.push_reserved(at(p), first, 0);
+            }
+            let pop_both = |eager: &mut EventQueue<usize>, lazy: &mut EventQueue<usize>| {
+                let got = lazy.pop();
+                if let Some((_, i)) = got {
+                    if i + 1 < n {
+                        lazy.push_reserved(at(arrivals[i + 1]), first + i as u64 + 1, i + 1);
+                    }
+                }
+                let want = eager.pop();
+                let bits = |e: Option<(SimTime, usize)>| e.map(|(t, i)| (t.as_secs().to_bits(), i));
+                prop_assert_eq!(bits(got), bits(want));
+                prop_assert_eq!(lazy.now(), eager.now());
+                got.is_some()
+            };
+            for (k, &(p, op)) in ops.iter().enumerate() {
+                if op == 0 {
+                    pop_both(&mut eager, &mut lazy);
+                } else {
+                    let t = at(p).max(eager.now());
+                    eager.push(t, n + k);
+                    lazy.push(t, n + k);
+                }
+            }
+            while pop_both(&mut eager, &mut lazy) {}
+            prop_assert!(eager.is_empty() && lazy.is_empty());
         }
     }
 

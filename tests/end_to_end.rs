@@ -7,7 +7,7 @@ use distserve::models::RooflineModel;
 use distserve::placement::alg1::SearchParams;
 use distserve::placement::deploy::Deployment;
 use distserve::placement::goodput::served_goodput;
-use distserve::placement::TraceSource;
+use distserve::placement::{HighPlacement, TraceSource};
 
 /// Per-GPU goodput of a fixed deployment measured with the full
 /// simulator: the largest per-GPU rate whose attainment meets the target.
@@ -402,23 +402,33 @@ fn planner_plans_match_golden() {
     );
 }
 
-/// Plans on a shrunk cluster, as a capacity replan hands the planner
-/// (§4.3), must deploy there: on the paper testbed with GPUs 3–7 of every
-/// node failed, Algorithm 2 (the OPT-13B chatbot at 8 req/s, instances up
-/// to tp4 × pp2, default probes) and vLLM++ (the golden's search at
-/// 6 req/s) each return a plan that materializes, because both probe the
-/// layouts `materialize` gives the healthy GPUs.
-#[test]
-fn plans_on_a_degraded_cluster_materialize() {
-    let app = Application::ChatbotOpt13B;
-    let cost = RooflineModel::a100_conservative();
-    let (slo, dataset) = (app.slo(), app.dataset());
-    let mut cluster = Cluster::paper_testbed();
+/// `cluster` with GPUs 3 and up of every node failed.
+fn three_gpus_per_node(mut cluster: Cluster) -> Cluster {
     for node in 0..cluster.num_nodes() {
         for index in 3..cluster.gpus_per_node() {
             cluster.fail_gpu(cluster.gpu(node, index)).unwrap();
         }
     }
+    cluster
+}
+
+/// Plans on a shrunk cluster, as a capacity replan hands the planner
+/// (§4.3), must deploy there: on the paper testbed with GPUs 3–7 of every
+/// node failed, Algorithm 2 (the OPT-13B chatbot at 8 req/s, instances up
+/// to tp4 × pp2, default probes) and vLLM++ (the golden's search at
+/// 6 req/s) each return a plan that materializes, because both probe the
+/// layouts `materialize` gives the healthy GPUs. On `high_affinity(4, 8)`
+/// shrunk the same way, Algorithm 1 (the OPT-66B chatbot at 1 and 2 req/s,
+/// the planner's default instance bounds, 64-request/10 s probes, 6
+/// rounds) picks only instances the healthy GPUs can host: one of each
+/// phase materializes. (Its replica counts at these rates need more than
+/// the 12 healthy GPUs; Algorithm 1 sizes for the rate, not the cluster.)
+#[test]
+fn plans_on_a_degraded_cluster_materialize() {
+    let app = Application::ChatbotOpt13B;
+    let cost = RooflineModel::a100_conservative();
+    let (slo, dataset) = (app.slo(), app.dataset());
+    let cluster = three_gpus_per_node(Cluster::paper_testbed());
     let mut planner = Planner::new(&cost, &cluster, app.model().arch());
     planner.params = SearchParams {
         max_tp: 4,
@@ -436,6 +446,33 @@ fn plans_on_a_degraded_cluster_materialize() {
     for plan in [low, coloc] {
         if let Err(e) = planner.materialize(&plan) {
             panic!("{} does not deploy: {e}", plan_line(&plan));
+        }
+    }
+
+    let app = Application::ChatbotOpt66B;
+    let (slo, dataset) = (app.slo(), app.dataset());
+    let high = three_gpus_per_node(Cluster::high_affinity(4, 8));
+    let mut alg1 = Planner::new(&cost, &high, app.model().arch());
+    alg1.params = SearchParams {
+        probe_requests: 64,
+        probe_secs: 10.0,
+        search_iters: 6,
+        threads: 2,
+        ..alg1.params.clone()
+    };
+    for rate in [1.0, 2.0] {
+        let Ok(Deployment::High(plan)) = alg1.plan_distserve_high(&dataset, slo, rate) else {
+            panic!("Algorithm 1 plans at {rate} req/s");
+        };
+        for (num_prefill, num_decode) in [(1, 0), (0, 1)] {
+            let one = Deployment::High(HighPlacement {
+                num_prefill,
+                num_decode,
+                ..plan.clone()
+            });
+            if let Err(e) = alg1.materialize(&one) {
+                panic!("{} at {rate} req/s does not deploy: {e}", plan_line(&one));
+            }
         }
     }
 }
