@@ -13,9 +13,9 @@ use distserve_engine::SimConfig;
 use distserve_models::{
     CostModel, DecodeBatch, GpuSpec, LlamaModel, ModelArch, ParallelismConfig, MEM_MARGIN,
 };
-use distserve_placement::goodput::{max_goodput, probe_count_with};
+use distserve_placement::alg1::SearchParams;
+use distserve_placement::goodput::max_goodput;
 use distserve_placement::phase_sim::decode_tpots;
-use distserve_placement::TraceSource;
 use distserve_workload::datasets::FixedLengths;
 
 fn mha_twin(gqa: &ModelArch) -> ModelArch {
@@ -49,6 +49,12 @@ fn main() {
         output_len: 128,
     };
     let tpot_slo = 0.15;
+    let probes = SearchParams {
+        probe_requests: 192,
+        probe_secs: 45.0,
+        seed: 6,
+        ..SearchParams::default()
+    };
 
     let mut table = Table::new(vec![
         "variant",
@@ -67,8 +73,7 @@ fn main() {
         let cfg = SimConfig::new(arch.clone());
         let goodput = max_goodput(
             |r| {
-                let n = probe_count_with(r, 192, 45.0);
-                let trace = source.make_trace(r, n, 6);
+                let trace = probes.probe_trace(&source, r);
                 let s = decode_tpots(&cost, &cfg, &gpu, par, &trace);
                 if s.is_empty() {
                     0.0

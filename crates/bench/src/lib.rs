@@ -16,7 +16,7 @@ use distserve_core::serve_trace;
 use distserve_engine::{FidelityConfig, InstanceSpec};
 use distserve_models::{ModelArch, RooflineModel};
 use distserve_placement::alg1::SearchParams;
-use distserve_placement::goodput::{max_goodput, probe_count_with, served_goodput};
+use distserve_placement::goodput::{max_goodput, served_goodput};
 use distserve_placement::{SloSpec, TraceSource};
 use distserve_router::ScaleOutcome;
 
@@ -107,9 +107,13 @@ pub fn min_slo_scale(
     seed: u64,
 ) -> f64 {
     let gpus: u32 = specs.iter().map(InstanceSpec::num_gpus).sum();
-    let total_rate = per_gpu_rate * f64::from(gpus);
-    let n = probe_count_with(total_rate, 200, 45.0);
-    let trace = source.make_trace(total_rate, n, seed);
+    let probes = SearchParams {
+        probe_requests: 200,
+        probe_secs: 45.0,
+        seed,
+        ..SearchParams::default()
+    };
+    let trace = probes.probe_trace(source, per_gpu_rate * f64::from(gpus));
     let Ok(outcome) = serve_trace(
         cost,
         cluster,

@@ -1,15 +1,13 @@
 //! Cluster topology: nodes, GPUs, and the links between them.
 
-use serde::{Deserialize, Serialize};
-
 use distserve_models::{GpuSpec, LinkSpec};
 
 /// Identifies a node within the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 /// Identifies one GPU as `(node, local index)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GpuId {
     /// Hosting node.
     pub node: NodeId,
@@ -39,7 +37,7 @@ impl std::fmt::Display for GpuId {
 /// let other = c.gpu(1, 0);
 /// assert!(c.link_between(a, same).bandwidth > c.link_between(a, other).bandwidth);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cluster {
     num_nodes: u32,
     gpus_per_node: u32,

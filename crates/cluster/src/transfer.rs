@@ -11,8 +11,6 @@
 //! *corresponding* stages, so the per-request time is governed by the
 //! largest share any single link carries.
 
-use serde::{Deserialize, Serialize};
-
 use distserve_models::{ModelArch, ParallelismConfig};
 
 use crate::topology::{Cluster, GpuId};
@@ -41,7 +39,7 @@ use crate::topology::{Cluster, GpuId};
 /// );
 /// assert!(t < 0.01, "NVLink transfer took {t}s");
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KvTransferModel {
     arch: ModelArch,
 }

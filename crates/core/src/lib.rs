@@ -12,8 +12,7 @@
 //!   sweeps behind Figures 8, 9, and 11.
 //! * [`replan`] — the periodic replanning controller, with failure-driven
 //!   capacity triggers.
-//! * [`recovery`] — planned-maintenance schedules and availability-report
-//!   assembly for chaos runs.
+//! * [`recovery`] — availability-report assembly for chaos runs.
 //! * [`report`] — plain-text tables and JSON records for the experiment
 //!   harnesses.
 
@@ -26,7 +25,4 @@ pub mod serving;
 pub use apps::Application;
 pub use replan::{CapacityObservation, ReplanController, SloObservation};
 pub use report::Table;
-pub use serving::{
-    rate_sweep, serve_trace, serve_trace_replayed, serve_trace_routed, serve_trace_with_faults,
-    serve_trace_with_sink, slo_scale_sweep, Planner, SweepPoint,
-};
+pub use serving::{rate_sweep, serve_trace, slo_scale_sweep, Planner, SweepPoint};

@@ -2,40 +2,14 @@
 //!
 //! The engine executes a [`FaultSchedule`] and reports what happened
 //! (terminal requests, per-instance downtime); this module supplies the
-//! orchestration-side glue: builders for *planned* fault schedules
-//! (rolling maintenance drains) and assembly of the
-//! [`AvailabilityReport`] from a run's goodput series plus its schedule
-//! — the numbers the §4.3 replanning loop and CI gate on.
+//! orchestration-side glue: assembly of the [`AvailabilityReport`] from
+//! a run's goodput series plus its schedule — the numbers the §4.3
+//! replanning loop and CI gate on.
 
 use distserve_engine::SimOutcome;
 use distserve_faults::{
     AvailabilityReport, Fault, FaultKind, FaultSchedule, GoodputSample, UnavailabilityWindow,
 };
-
-/// Builds a rolling planned-maintenance schedule: each listed instance
-/// is drained in turn, `spacing_secs` apart starting at `start_s`, and
-/// held down for `maintenance_secs` once idle. Staggering keeps at most
-/// one instance out at a time when `spacing_secs` exceeds the drain +
-/// maintenance window.
-#[must_use]
-pub fn rolling_maintenance(
-    instances: &[usize],
-    start_s: f64,
-    spacing_secs: f64,
-    maintenance_secs: f64,
-) -> FaultSchedule {
-    let mut schedule = FaultSchedule::new();
-    for (i, &instance) in instances.iter().enumerate() {
-        schedule.push(
-            start_s + spacing_secs * i as f64,
-            FaultKind::Drain {
-                instance,
-                maintenance_secs,
-            },
-        );
-    }
-    schedule
-}
 
 /// Derives per-instance unavailability windows from the *declared*
 /// schedule: a crash closes after its declared downtime, a drain after
@@ -118,20 +92,6 @@ mod tests {
             makespan: SimTime::ZERO,
             instances: vec![],
         }
-    }
-
-    #[test]
-    fn rolling_maintenance_staggers_drains() {
-        let s = rolling_maintenance(&[0, 2, 1], 10.0, 30.0, 5.0);
-        assert_eq!(s.len(), 3);
-        let faults = s.faults();
-        assert!((faults[0].at - 10.0).abs() < 1e-12);
-        assert!((faults[1].at - 40.0).abs() < 1e-12);
-        assert!((faults[2].at - 70.0).abs() < 1e-12);
-        assert!(faults
-            .iter()
-            .all(|f| matches!(f.kind, FaultKind::Drain { .. })));
-        assert_eq!(faults[1].kind.instance(), Some(2));
     }
 
     #[test]

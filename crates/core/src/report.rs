@@ -52,11 +52,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Convenience: appends a row of formatted floats.
-    pub fn row_f64(&mut self, cells: &[f64], precision: usize) {
-        self.row(cells.iter().map(|v| format!("{v:.precision$}")).collect());
-    }
-
     /// Number of data rows.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -67,36 +62,6 @@ impl Table {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    /// Sorts the data rows by one column, numerically when every cell in
-    /// that column parses as a number (ignoring a trailing unit suffix
-    /// like `s`, `ms`, or `%`), lexicographically otherwise. Descending
-    /// puts the largest/last value first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col` is out of range.
-    pub fn sorted_by_column(&mut self, col: usize, descending: bool) {
-        assert!(
-            col < self.headers.len(),
-            "column {col} out of range for {} headers",
-            self.headers.len()
-        );
-        let all_numeric = self.rows.iter().all(|r| numeric_value(&r[col]).is_some());
-        self.rows.sort_by(|a, b| {
-            let ord = if all_numeric {
-                let (x, y) = (numeric_value(&a[col]), numeric_value(&b[col]));
-                x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Equal)
-            } else {
-                a[col].cmp(&b[col])
-            };
-            if descending {
-                ord.reverse()
-            } else {
-                ord
-            }
-        });
     }
 
     /// Renders the table with aligned columns: numeric columns
@@ -173,22 +138,14 @@ mod tests {
         let mut t = Table::new(vec!["a", "long_header"]);
         t.row(vec!["1".into(), "2".into()]);
         t.row(vec!["100".into(), "2000".into()]);
+        assert_eq!(t.len(), 2);
+        assert!(!t.is_empty());
         let text = t.render();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 4);
         // All lines equal width (right-aligned columns).
         assert_eq!(lines[0].len(), lines[2].len());
         assert_eq!(lines[2].len(), lines[3].len());
-    }
-
-    #[test]
-    fn float_rows() {
-        let mut t = Table::new(vec!["x", "y"]);
-        t.row_f64(&[1.23456, 7.0], 2);
-        assert!(t.render().contains("1.23"));
-        assert!(t.render().contains("7.00"));
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
     }
 
     #[test]
@@ -216,26 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn sorted_by_column_numeric_and_text() {
-        let mut t = Table::new(vec!["name", "rate"]);
-        t.row(vec!["b".into(), "10.0".into()]);
-        t.row(vec!["a".into(), "9.5".into()]);
-        t.row(vec!["c".into(), "2.0".into()]);
-        // Numeric sort: 10.0 comes after 9.5, not before (no lexicographic
-        // "10" < "9" trap).
-        t.sorted_by_column(1, false);
-        let rates: Vec<&str> = t.rows.iter().map(|r| r[1].as_str()).collect();
-        assert_eq!(rates, ["2.0", "9.5", "10.0"]);
-        t.sorted_by_column(1, true);
-        let rates: Vec<&str> = t.rows.iter().map(|r| r[1].as_str()).collect();
-        assert_eq!(rates, ["10.0", "9.5", "2.0"]);
-        // Text sort falls back to lexicographic.
-        t.sorted_by_column(0, false);
-        let names: Vec<&str> = t.rows.iter().map(|r| r[0].as_str()).collect();
-        assert_eq!(names, ["a", "b", "c"]);
-    }
-
-    #[test]
     fn numeric_detection_tolerates_units() {
         assert_eq!(numeric_value("1.23s"), Some(1.23));
         assert_eq!(numeric_value("45ms"), Some(45.0));
@@ -243,13 +180,6 @@ mod tests {
         assert_eq!(numeric_value("-3"), Some(-3.0));
         assert_eq!(numeric_value("disaggregated"), None);
         assert_eq!(numeric_value(""), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn sort_rejects_bad_column() {
-        let mut t = Table::new(vec!["a"]);
-        t.sorted_by_column(3, false);
     }
 
     #[test]

@@ -8,18 +8,14 @@
 
 use distserve_cluster::Cluster;
 use distserve_engine::{FidelityConfig, InstanceSpec, ServingSim, SimConfig, SimOutcome};
-use distserve_faults::{FaultSchedule, RetryPolicy};
 use distserve_models::{CostModel, ModelArch, ParallelismConfig};
 use distserve_placement::alg1::SearchParams;
 use distserve_placement::deploy::Deployment;
-use distserve_placement::goodput::probe_count;
 use distserve_placement::vllm_pp::ColocPlacement;
 use distserve_placement::{
     high_affinity_placement, low_affinity_placement, materialize, vllm_plus_plus, SloSpec,
     TraceSource,
 };
-use distserve_router::{DecisionRecord, RouterPolicy};
-use distserve_telemetry::TelemetrySink;
 
 /// Plans placements for one model on one cluster.
 pub struct Planner<'a> {
@@ -54,21 +50,33 @@ impl<'a> Planner<'a> {
 
     /// Plans a DistServe placement, choosing the algorithm by cluster
     /// affinity: Algorithm 1 when cross-node bandwidth suffices,
-    /// Algorithm 2 otherwise (§4).
+    /// Algorithm 2 otherwise (§4). The plan deploys on the planner's
+    /// cluster as a whole.
     ///
     /// # Errors
     ///
-    /// Returns a message when no legal placement exists.
+    /// Returns a message when no legal placement exists, or when the
+    /// plan does not materialize on the cluster's healthy GPUs (it names
+    /// the GPUs the plan needs and the GPUs healthy).
     pub fn plan_distserve(
         &self,
         source: &dyn TraceSource,
         slo: SloSpec,
         rate: f64,
     ) -> Result<Deployment, String> {
-        if self.cluster.is_high_affinity() {
+        let plan = if self.cluster.is_high_affinity() {
             self.plan_distserve_high(source, slo, rate)
         } else {
             self.plan_distserve_low(source, slo, rate)
+        }?;
+        match self.materialize(&plan) {
+            Ok(_) => Ok(plan),
+            Err(e) => Err(format!(
+                "the plan for {} at {rate} req/s needs {} GPUs but {} are healthy: {e}",
+                self.arch.name,
+                plan.total_gpus(),
+                self.cluster.available_gpus()
+            )),
         }
     }
 
@@ -181,7 +189,11 @@ impl<'a> Planner<'a> {
     }
 }
 
-/// Serves one trace through a deployment and returns the outcome.
+/// Serves one trace through a deployment and returns the outcome: the
+/// shorthand for `ServingSim::new` with `SimConfig::new(arch)` at `seed`
+/// and `fidelity`. Faults, telemetry sinks and routed or replayed runs
+/// chain `with_faults`, `with_sink` and `new_routed`/`new_replayed` onto
+/// `ServingSim` directly.
 ///
 /// # Errors
 ///
@@ -195,123 +207,9 @@ pub fn serve_trace(
     fidelity: FidelityConfig,
     seed: u64,
 ) -> Result<SimOutcome, String> {
-    serve_trace_with_sink(
-        cost,
-        cluster,
-        arch,
-        specs,
-        trace,
-        fidelity,
-        seed,
-        &distserve_telemetry::NOOP,
-    )
-}
-
-/// [`serve_trace`] with request-lifecycle telemetry routed into `sink`
-/// (e.g. a `distserve_telemetry::Recorder` feeding the Perfetto and
-/// Prometheus exporters). Timestamps are sim-clock seconds.
-///
-/// # Errors
-///
-/// Propagates simulator construction failures (invalid deployments).
-#[allow(clippy::too_many_arguments)]
-pub fn serve_trace_with_sink(
-    cost: &dyn CostModel,
-    cluster: &Cluster,
-    arch: &ModelArch,
-    specs: Vec<InstanceSpec>,
-    trace: &distserve_workload::Trace,
-    fidelity: FidelityConfig,
-    seed: u64,
-    sink: &dyn TelemetrySink,
-) -> Result<SimOutcome, String> {
     let mut cfg = SimConfig::new(arch.clone()).with_seed(seed);
     cfg.fidelity = fidelity;
-    let sim = ServingSim::new(cfg, cost, cluster, specs)?;
-    Ok(sim.with_sink(sink).run(trace))
-}
-
-/// [`serve_trace_with_sink`] under an injected [`FaultSchedule`]: the
-/// engine executes the schedule during the run, recovering per
-/// `policy`, and every lifecycle (including `Failed` terminals and
-/// `Retried` re-dispatches) flows into `sink`. An empty schedule
-/// reproduces [`serve_trace_with_sink`] bit for bit.
-///
-/// # Errors
-///
-/// Propagates simulator construction failures (invalid deployments).
-#[allow(clippy::too_many_arguments)]
-pub fn serve_trace_with_faults(
-    cost: &dyn CostModel,
-    cluster: &Cluster,
-    arch: &ModelArch,
-    specs: Vec<InstanceSpec>,
-    trace: &distserve_workload::Trace,
-    fidelity: FidelityConfig,
-    seed: u64,
-    schedule: &FaultSchedule,
-    policy: RetryPolicy,
-    sink: &dyn TelemetrySink,
-) -> Result<SimOutcome, String> {
-    let mut cfg = SimConfig::new(arch.clone()).with_seed(seed);
-    cfg.fidelity = fidelity;
-    let sim = ServingSim::new(cfg, cost, cluster, specs)?;
-    Ok(sim.with_faults(schedule, policy).with_sink(sink).run(trace))
-}
-
-/// [`serve_trace_with_sink`] in **routed** mode: the cluster router
-/// (`distserve_router::route`) decides every arrival's execution path
-/// under `policy`, mixed split/colocated fleets are allowed, and the
-/// returned decision log replays the run exactly via
-/// [`serve_trace_replayed`]. Telemetry and attribution flow through the
-/// identical sink plumbing as direct runs.
-///
-/// # Errors
-///
-/// Propagates simulator construction failures (invalid deployments or
-/// routed topologies).
-#[allow(clippy::too_many_arguments)]
-pub fn serve_trace_routed(
-    cost: &dyn CostModel,
-    cluster: &Cluster,
-    arch: &ModelArch,
-    specs: Vec<InstanceSpec>,
-    trace: &distserve_workload::Trace,
-    fidelity: FidelityConfig,
-    seed: u64,
-    policy: RouterPolicy,
-    sink: &dyn TelemetrySink,
-) -> Result<(SimOutcome, Vec<DecisionRecord>), String> {
-    let mut cfg = SimConfig::new(arch.clone()).with_seed(seed);
-    cfg.fidelity = fidelity;
-    let sim = ServingSim::new_routed(cfg, cost, cluster, specs, policy)?;
-    Ok(sim.with_sink(sink).run_logged(trace))
-}
-
-/// Replays a routed run from its decision log: with the same
-/// configuration, trace, and seed as the [`serve_trace_routed`] call
-/// that produced `log`, the outcome is byte-identical. The replay
-/// harness in `tests/` gates on this.
-///
-/// # Errors
-///
-/// Propagates simulator construction failures and malformed log records.
-#[allow(clippy::too_many_arguments)]
-pub fn serve_trace_replayed(
-    cost: &dyn CostModel,
-    cluster: &Cluster,
-    arch: &ModelArch,
-    specs: Vec<InstanceSpec>,
-    trace: &distserve_workload::Trace,
-    fidelity: FidelityConfig,
-    seed: u64,
-    log: &[DecisionRecord],
-    sink: &dyn TelemetrySink,
-) -> Result<(SimOutcome, Vec<DecisionRecord>), String> {
-    let mut cfg = SimConfig::new(arch.clone()).with_seed(seed);
-    cfg.fidelity = fidelity;
-    let sim = ServingSim::new_replayed(cfg, cost, cluster, specs, log)?;
-    Ok(sim.with_sink(sink).run_logged(trace))
+    Ok(ServingSim::new(cfg, cost, cluster, specs)?.run(trace))
 }
 
 /// One point of a rate or SLO-scale sweep.
@@ -326,6 +224,16 @@ pub struct SweepPoint {
     pub ttft_attainment: f64,
     /// Fraction meeting only TPOT.
     pub tpot_attainment: f64,
+}
+
+/// The sweeps' probe sizing: at least `probe_requests` covering the
+/// default `probe_secs`, seeded with `seed`.
+fn sweep_probes(probe_requests: usize, seed: u64) -> SearchParams {
+    SearchParams {
+        probe_requests,
+        seed,
+        ..SearchParams::default()
+    }
 }
 
 /// Sweeps per-GPU request rates for a fixed deployment (Figures 8/9, row
@@ -347,11 +255,10 @@ pub fn rate_sweep(
     seed: u64,
 ) -> Result<Vec<SweepPoint>, String> {
     let gpus: u32 = specs.iter().map(InstanceSpec::num_gpus).sum();
+    let probes = sweep_probes(probe_requests, seed);
     let mut out = Vec::with_capacity(per_gpu_rates.len());
     for &r in per_gpu_rates {
-        let total_rate = r * f64::from(gpus);
-        let n = probe_count(total_rate, probe_requests);
-        let trace = source.make_trace(total_rate, n, seed);
+        let trace = probes.probe_trace(source, r * f64::from(gpus));
         let outcome = serve_trace(
             cost,
             cluster,
@@ -391,8 +298,8 @@ pub fn slo_scale_sweep(
     seed: u64,
 ) -> Result<Vec<SweepPoint>, String> {
     let gpus: u32 = specs.iter().map(InstanceSpec::num_gpus).sum();
-    let total_rate = per_gpu_rate * f64::from(gpus);
-    let trace = source.make_trace(total_rate, probe_count(total_rate, probe_requests), seed);
+    let trace =
+        sweep_probes(probe_requests, seed).probe_trace(source, per_gpu_rate * f64::from(gpus));
     let outcome = serve_trace(
         cost,
         cluster,
@@ -545,7 +452,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_trace_with_sink_records_lifecycles() {
+    fn sink_records_every_lifecycle() {
         let cost = RooflineModel::a100();
         let cluster = Cluster::single_node(2);
         let arch = OptModel::Opt13B.arch();
@@ -554,17 +461,11 @@ mod tests {
         let specs = planner.materialize(&vllm).unwrap();
         let trace = source().make_trace(2.0, 40, 3);
         let rec = distserve_telemetry::Recorder::new();
-        let outcome = serve_trace_with_sink(
-            &cost,
-            &cluster,
-            &arch,
-            specs,
-            &trace,
-            FidelityConfig::ideal(),
-            3,
-            &rec,
-        )
-        .unwrap();
+        let cfg = SimConfig::new(arch).with_seed(3);
+        let outcome = ServingSim::new(cfg, &cost, &cluster, specs)
+            .unwrap()
+            .with_sink(&rec)
+            .run(&trace);
         assert_eq!(outcome.records.len(), 40);
         let snap = rec.snapshot();
         assert_eq!(snap.lifecycles().len(), 40);
@@ -587,18 +488,13 @@ mod tests {
         let specs = planner.materialize(&vllm).unwrap();
         let trace = source().make_trace(3.0, 60, 5);
         let rec = distserve_telemetry::Recorder::new();
-        let (outcome, log) = serve_trace_routed(
-            &cost,
-            &cluster,
-            &arch,
-            specs.clone(),
-            &trace,
-            FidelityConfig::ideal(),
-            5,
-            distserve_router::RouterPolicy::default(),
-            &rec,
-        )
-        .unwrap();
+        let cfg = SimConfig::new(arch).with_seed(5);
+        let policy = distserve_router::RouterPolicy::default();
+        let (outcome, log) =
+            ServingSim::new_routed(cfg.clone(), &cost, &cluster, specs.clone(), policy)
+                .unwrap()
+                .with_sink(&rec)
+                .run_logged(&trace);
         assert_eq!(outcome.records.len() + outcome.rejected.len(), 60);
         // Routed runs feed the same lifecycle stream as direct runs.
         let snap = rec.snapshot();
@@ -607,18 +503,9 @@ mod tests {
             lc.validate().unwrap();
         }
         // And the log replays to the identical outcome.
-        let (replayed, _) = serve_trace_replayed(
-            &cost,
-            &cluster,
-            &arch,
-            specs,
-            &trace,
-            FidelityConfig::ideal(),
-            5,
-            &log,
-            &distserve_telemetry::NOOP,
-        )
-        .unwrap();
+        let replayed = ServingSim::new_replayed(cfg, &cost, &cluster, specs, &log)
+            .unwrap()
+            .run(&trace);
         assert_eq!(outcome.records, replayed.records);
         assert_eq!(outcome.rejected, replayed.rejected);
     }

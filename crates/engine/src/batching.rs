@@ -21,7 +21,7 @@ use distserve_telemetry::{metrics, TelemetrySink, TrackId};
 use distserve_workload::RequestId;
 
 /// Order in which queued prefill work is served.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueDiscipline {
     /// First-come-first-served — DistServe's shipped policy (§4.3).
     #[default]
@@ -59,28 +59,22 @@ pub struct PrefillItem {
 pub struct PrefillQueue {
     queue: VecDeque<PrefillItem>,
     token_budget: u32,
-    max_batch: usize,
     discipline: QueueDiscipline,
 }
 
+/// Most requests one prefill batch holds, whatever its token budget.
+const MAX_BATCH: usize = 16;
+
 impl PrefillQueue {
     /// Creates an FCFS queue with a token budget of `l_m` per batch and a
-    /// default cap of 16 requests per batch.
+    /// cap of 16 requests per batch.
     #[must_use]
     pub fn new(l_m: u32) -> Self {
         PrefillQueue {
             queue: VecDeque::new(),
             token_budget: l_m.max(1),
-            max_batch: 16,
             discipline: QueueDiscipline::Fcfs,
         }
-    }
-
-    /// Overrides the per-batch request cap.
-    #[must_use]
-    pub fn with_max_batch(mut self, max_batch: usize) -> Self {
-        self.max_batch = max_batch.max(1);
-        self
     }
 
     /// Overrides the queue discipline.
@@ -170,7 +164,7 @@ impl PrefillQueue {
         let mut batch = vec![self.queue.pop_front().expect("head exists")];
         let mut tokens = head.input_len;
         // A head at or past the budget runs alone.
-        while tokens < self.token_budget && batch.len() < self.max_batch {
+        while tokens < self.token_budget && batch.len() < MAX_BATCH {
             let Some(next) = self.queue.front() else {
                 break;
             };
@@ -262,12 +256,12 @@ mod tests {
 
     #[test]
     fn max_batch_cap() {
-        let mut q = PrefillQueue::new(10_000).with_max_batch(3);
-        for i in 0..10 {
+        let mut q = PrefillQueue::new(10_000);
+        for i in 0..20 {
             q.push(item(i, 10));
         }
         let batch = q.form_batch(|_| true).unwrap();
-        assert_eq!(batch.len(), 3);
+        assert_eq!(batch.len(), 16);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! per-step scheduler overhead, execution-time jitter, and KV-transfer
 //! launch latency.
 
-use serde::{Deserialize, Serialize};
-
 use distserve_simcore::SimRng;
 
 /// Perturbations applied on top of the analytical cost model.
@@ -24,7 +22,7 @@ use distserve_simcore::SimRng;
 /// let detailed = FidelityConfig::detailed();
 /// assert!(detailed.jitter_frac > 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FidelityConfig {
     /// Extra fixed seconds added to every executed batch (scheduler,
     /// tokenization, Python runtime in the real system).

@@ -7,8 +7,6 @@
 //! TPOT metrics that SLO attainment is judged on come straight from the
 //! same timestamps.
 
-use serde::{Deserialize, Serialize};
-
 use distserve_simcore::SimTime;
 use distserve_workload::{Request, RequestId};
 
@@ -18,7 +16,7 @@ use distserve_workload::{Request, RequestId};
 /// that already decoded to prefill again, its stamps keep describing the
 /// attempt that delivered the first token, and the recovery counts as
 /// decoding execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestRecord {
     /// Request identity.
     pub id: RequestId,
@@ -82,7 +80,7 @@ impl RequestRecord {
 }
 
 /// Durations of the five lifecycle stages (§6.3).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StageBreakdown {
     /// Waiting for prefill execution.
     pub prefill_queue: f64,

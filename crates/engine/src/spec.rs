@@ -1,12 +1,10 @@
 //! Instance and simulation configuration.
 
-use serde::{Deserialize, Serialize};
-
 use distserve_cluster::GpuId;
 use distserve_models::{ModelArch, ParallelismConfig, MEM_MARGIN};
 
 /// What work an instance performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InstanceRole {
     /// Disaggregated prefill instance: prompt processing only, buffering
     /// KV until a decoding instance pulls it.
@@ -20,7 +18,7 @@ pub enum InstanceRole {
 }
 
 /// Scheduling policy for a colocated instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColocatedPolicy {
     /// Maximum prompt tokens batched into one prefill step.
     pub prefill_token_budget: u32,
@@ -40,7 +38,7 @@ impl Default for ColocatedPolicy {
 }
 
 /// One serving instance: role, parallelism, and physical placement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstanceSpec {
     /// Role of the instance.
     pub role: InstanceRole,
@@ -116,7 +114,7 @@ impl InstanceSpec {
 /// serves it (split, colocated, or chunked). KV allocation is *not*
 /// discounted: shared blocks still occupy pool memory, exactly as
 /// refcounted `distserve_prefix` sharing keeps blocks resident.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PrefixHitModel {
     /// Probability an arriving prompt finds a cached prefix.
     pub hit_prob: f64,
@@ -143,7 +141,7 @@ impl PrefixHitModel {
 }
 
 /// Global simulation configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Model being served.
     pub arch: ModelArch,
@@ -166,9 +164,7 @@ pub struct SimConfig {
     pub admission_cap: Option<usize>,
     /// RNG seed for jitter and tie-breaking randomness.
     pub seed: u64,
-    /// Analytic prefix-cache hit model (`default` = cold cache, so
-    /// configs serialized before prefix caching existed still parse).
-    #[serde(default)]
+    /// Analytic prefix-cache hit model (`default` = cold cache).
     pub prefix: PrefixHitModel,
 }
 

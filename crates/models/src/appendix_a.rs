@@ -14,8 +14,6 @@
 //! regimes where Appendix A's piecewise assumptions hold) and a much
 //! cheaper evaluator for inner search loops.
 
-use serde::{Deserialize, Serialize};
-
 use crate::arch::ModelArch;
 use crate::batch::{DecodeBatch, PrefillBatch};
 use crate::fit::{FitError, LeastSquares};
@@ -36,7 +34,7 @@ use crate::parallel::ParallelismConfig;
 /// let pred = fitted.prefill_time(&PrefillBatch::single(512));
 /// assert!(pred > 0.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AppendixAModel {
     /// Tensor-parallel degree the constants were fitted for.
     pub tp: u32,

@@ -6,8 +6,6 @@
 //! model and the engines' KV capacity need: FLOP counts, weight bytes, and
 //! KV-cache bytes per token.
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes of one weight or KV-cache element. Every model is served in
 /// FP16 (§6.1), so this is fixed at 2.
 pub const BYTES_PER_ELEMENT: u64 = 2;
@@ -26,7 +24,7 @@ pub const BYTES_PER_ELEMENT: u64 = 2;
 /// let gb = opt13b.weight_bytes() as f64 / 1e9;
 /// assert!((24.0..28.0).contains(&gb));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ModelArch {
     /// Human-readable name, e.g. `"OPT-13B"`.
     pub name: String,
@@ -193,7 +191,7 @@ impl ModelArch {
 }
 
 /// The OPT model family used throughout the paper's evaluation (§6.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OptModel {
     /// OPT-1.3B.
     Opt1_3B,
@@ -243,7 +241,7 @@ impl OptModel {
 
 /// The LLaMA-2 family — the open-source models §5 lists as supported,
 /// with LLaMA-2-70B exercising GQA (§3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LlamaModel {
     /// LLaMA-2-7B (multi-head attention, gated FFN).
     Llama2_7B,

@@ -8,11 +8,9 @@
 //! already-prefilled context tokens, generalizing the attention weight
 //! from `l²` to `new · (prior + new)`.
 
-use serde::{Deserialize, Serialize};
-
 /// One prefill work item: `new` prompt tokens processed against `prior`
 /// context tokens already in the KV cache (zero for whole-prompt prefill).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefillChunk {
     /// Tokens processed this step.
     pub new: u32,
@@ -32,7 +30,7 @@ pub struct PrefillChunk {
 /// assert_eq!(b.total_tokens(), 640);
 /// assert_eq!(b.attention_weight(), 512 * 512 + 128 * 128);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrefillBatch {
     chunks: Vec<PrefillChunk>,
 }
@@ -63,12 +61,6 @@ impl PrefillBatch {
     #[must_use]
     pub fn single(len: u32) -> Self {
         PrefillBatch::new(vec![len])
-    }
-
-    /// Creates a batch from explicit chunks (chunked prefill).
-    #[must_use]
-    pub fn from_chunks(chunks: Vec<PrefillChunk>) -> Self {
-        PrefillBatch { chunks }
     }
 
     /// Appends one chunk.
@@ -123,7 +115,7 @@ impl PrefillBatch {
 /// assert_eq!(b.batch_size(), 2);
 /// assert_eq!(b.total_context(), 1112);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodeBatch {
     context_lens: Vec<u32>,
 }
@@ -214,7 +206,8 @@ mod tests {
         let whole = PrefillBatch::single(512);
         let mut chunked_total = 0u64;
         for (new, prior) in [(256u32, 0u32), (256, 256)] {
-            let b = PrefillBatch::from_chunks(vec![PrefillChunk { new, prior }]);
+            let mut b = PrefillBatch::empty();
+            b.push_chunk(new, prior);
             chunked_total += b.attention_weight();
         }
         // 256·256 + 256·512 = 196608 < 512² = 262144: FlashAttention's

@@ -6,8 +6,6 @@
 //! paths. Presets match the paper's testbed: NVIDIA A100-80GB SXM with
 //! NVLink inside a node and a 25 Gbps cross-node network (§6.1).
 
-use serde::{Deserialize, Serialize};
-
 /// Compute and memory characteristics of one GPU.
 ///
 /// # Examples
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a100.mem_capacity, 80 * (1 << 30));
 /// assert!(a100.effective_flops() < a100.peak_flops);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name, e.g. `"A100-80G-SXM"`.
     pub name: String,
@@ -44,19 +42,6 @@ impl GpuSpec {
             peak_flops: 312e12,
             mem_bandwidth: 2039e9,
             mem_capacity: 80 * (1 << 30),
-            gemm_efficiency: 0.52,
-            mem_efficiency: 0.80,
-        }
-    }
-
-    /// NVIDIA A100-40GB SXM.
-    #[must_use]
-    pub fn a100_40g() -> Self {
-        GpuSpec {
-            name: "A100-40G-SXM".into(),
-            peak_flops: 312e12,
-            mem_bandwidth: 1555e9,
-            mem_capacity: 40 * (1 << 30),
             gemm_efficiency: 0.52,
             mem_efficiency: 0.80,
         }
@@ -101,7 +86,7 @@ impl GpuSpec {
 /// let t = nv.transfer_time(600e9 as u64);
 /// assert!((0.9..2.0).contains(&t));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// Peak unidirectional bandwidth, bytes/s.
     pub bandwidth: f64,
@@ -177,11 +162,7 @@ mod tests {
 
     #[test]
     fn effective_rates_below_peak() {
-        for g in [
-            GpuSpec::a100_80g(),
-            GpuSpec::a100_40g(),
-            GpuSpec::h100_80g(),
-        ] {
+        for g in [GpuSpec::a100_80g(), GpuSpec::h100_80g()] {
             assert!(g.effective_flops() < g.peak_flops);
             assert!(g.effective_bandwidth() < g.mem_bandwidth);
             assert!(g.effective_flops() > 0.0);

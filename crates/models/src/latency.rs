@@ -26,15 +26,13 @@
 //! formulas with the token aggregates summed — this is how the colocated
 //! baseline experiences prefill-decoding interference.
 
-use serde::{Deserialize, Serialize};
-
 use crate::arch::{ModelArch, BYTES_PER_ELEMENT};
 use crate::batch::{DecodeBatch, PrefillBatch};
 use crate::hardware::{GpuSpec, LinkSpec};
 use crate::parallel::ParallelismConfig;
 
 /// Execution-time breakdown for one batch on one instance.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhaseTiming {
     /// GEMM plus attention time (roofline of compute and memory), seconds.
     pub execution: f64,
@@ -135,7 +133,7 @@ pub trait CostModel: Send + Sync {
 /// // A100 — the regime Figure 1 operates in.
 /// assert!((0.03..0.2).contains(&t), "got {t}");
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RooflineModel {
     /// GPU hardware characteristics.
     pub gpu: GpuSpec,

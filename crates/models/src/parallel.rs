@@ -6,7 +6,6 @@
 //! points for a given architecture and GPU budget, which is exactly the
 //! loop structure of Algorithm 1.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::arch::ModelArch;
@@ -29,7 +28,7 @@ pub const MEM_MARGIN: f64 = 0.10;
 /// assert!(cfg.validate(&arch).is_ok());
 /// assert_eq!(cfg.num_gpus(), 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParallelismConfig {
     /// Tensor (intra-operator) parallel degree.
     pub tp: u32,

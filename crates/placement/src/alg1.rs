@@ -13,21 +13,19 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 use distserve_cluster::Cluster;
 use distserve_engine::SimConfig;
 use distserve_models::{CostModel, GpuSpec, ModelArch, ParallelismConfig};
 use distserve_workload::Trace;
 
 use crate::deploy::{materialize, Deployment};
-use crate::goodput::{best_per_gpu, max_goodput, probe_count_with, replicas};
+use crate::goodput::{best_per_gpu, max_goodput, replicas, MAX_PROBE_REQUESTS};
 use crate::phase_sim::{decode_attainment, prefill_attainment};
 use crate::slo::SloSpec;
 use crate::source::TraceSource;
 
 /// Knobs of the placement search.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SearchParams {
     /// Maximum tensor-parallel degree of an instance (a TP group shares
     /// a node, so at most the GPUs per node, `M`).
@@ -74,11 +72,14 @@ impl SearchParams {
         ParallelismConfig::enumerate(arch, gpu, self.max_tp, self.max_pp)
     }
 
-    /// The probe trace at `rate`: [`probe_count_with`] requests of
-    /// `source` (at least `probe_requests`, covering `probe_secs`),
-    /// seeded with `seed`.
-    pub(crate) fn probe_trace(&self, source: &dyn TraceSource, rate: f64) -> Trace {
-        let n = probe_count_with(rate, self.probe_requests, self.probe_secs);
+    /// The probe trace at `rate`, the one probe-sizing rule: `source`'s
+    /// requests covering `probe_secs` of arrivals, at least
+    /// `probe_requests` and at most [`MAX_PROBE_REQUESTS`], seeded with
+    /// `seed`. Short bursts overstate goodput: a whole small trace can
+    /// fit in one decoding batch, so queueing never reaches steady state.
+    #[must_use]
+    pub fn probe_trace(&self, source: &dyn TraceSource, rate: f64) -> Trace {
+        let n = ((rate * self.probe_secs) as usize).clamp(self.probe_requests, MAX_PROBE_REQUESTS);
         source.make_trace(rate, n, self.seed)
     }
 
@@ -126,7 +127,7 @@ impl SearchParams {
 }
 
 /// One phase's chosen configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseChoice {
     /// Parallelism of each instance of this phase.
     pub par: ParallelismConfig,
@@ -143,7 +144,7 @@ impl PhaseChoice {
 }
 
 /// Algorithm 1's output: independent phase configs plus replica counts.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HighPlacement {
     /// Prefill phase configuration.
     pub prefill: PhaseChoice,

@@ -16,8 +16,6 @@
 //! placements like prefill `tp4pp1` + decode `tp2pp2` (one node) and
 //! OPT-175B's `tp3pp3` + `tp4pp3` (three stage pairs) arise.
 
-use serde::{Deserialize, Serialize};
-
 use distserve_cluster::Cluster;
 use distserve_engine::InstanceSpec;
 use distserve_models::{CostModel, ModelArch, ParallelismConfig};
@@ -30,7 +28,7 @@ use crate::source::TraceSource;
 
 /// Algorithm 2's output: a replicated unit of one prefill and one
 /// decoding instance whose KV transfers stay on NVLink.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LowPlacement {
     /// Prefill instance parallelism within the unit.
     pub prefill_par: ParallelismConfig,

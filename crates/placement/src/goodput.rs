@@ -17,29 +17,9 @@ use crate::alg1::SearchParams;
 use crate::slo::SloSpec;
 use crate::source::TraceSource;
 
-/// Number of requests a goodput probe at `rate` should simulate.
-///
-/// Short bursts overstate goodput: a whole small trace can fit in one
-/// decoding batch, so queueing never reaches steady state. Probes
-/// therefore cover at least [`PROBE_SECS`] of simulated arrivals (capped
-/// to keep the search bounded), never fewer than `min_requests`.
-#[must_use]
-pub fn probe_count(rate: f64, min_requests: usize) -> usize {
-    probe_count_with(rate, min_requests, PROBE_SECS)
-}
-
-/// [`probe_count`] with an explicit probe duration.
-#[must_use]
-pub fn probe_count_with(rate: f64, min_requests: usize, probe_secs: f64) -> usize {
-    let by_duration = (rate * probe_secs) as usize;
-    by_duration.clamp(min_requests, MAX_PROBE_REQUESTS)
-}
-
-/// Simulated seconds of arrivals per goodput probe.
-pub const PROBE_SECS: f64 = 60.0;
-
 /// Upper bound on requests per probe (keeps the search bounded even when
-/// the doubling phase visits very high rates).
+/// the doubling phase visits very high rates; see
+/// [`SearchParams::probe_trace`]).
 pub const MAX_PROBE_REQUESTS: usize = 8_000;
 
 /// The goodput of the fixed deployment `specs` on `cluster`,

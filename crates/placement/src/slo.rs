@@ -1,7 +1,5 @@
 //! Service-level objective specifications.
 
-use serde::{Deserialize, Serialize};
-
 /// A latency SLO pair with an attainment target.
 ///
 /// # Examples
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(tight.ttft, 0.1);
 /// assert_eq!(tight.tpot, 0.05);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloSpec {
     /// Time-to-first-token bound, seconds.
     pub ttft: f64,

@@ -7,8 +7,6 @@
 //! keeps the per-GPU best. The paper finds vLLM++ ties plain vLLM on
 //! OPT-13B — interference, not parallelism, is the bottleneck.
 
-use serde::{Deserialize, Serialize};
-
 use distserve_cluster::Cluster;
 use distserve_engine::InstanceSpec;
 use distserve_models::{CostModel, ModelArch, ParallelismConfig};
@@ -20,7 +18,7 @@ use crate::slo::SloSpec;
 use crate::source::TraceSource;
 
 /// A colocated placement: one parallelism config, replicated.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ColocPlacement {
     /// Parallelism of each colocated instance.
     pub par: ParallelismConfig,

@@ -21,10 +21,10 @@
 //! simulator's per-replica caches) are one bounded O(1) LRU type,
 //! `lru::LruMap`.
 //!
-//! The engine integration lives in `distserve-engine` (`with_router` /
-//! replay builders on `ServingSim`), and `distserve-core` exposes
-//! `serve_trace_routed` so routed runs flow through the same telemetry
-//! and attribution as direct runs.
+//! The engine integration lives in `distserve-engine`
+//! (`ServingSim::new_routed` / `new_replayed`); routed runs take the same
+//! `with_sink` as direct runs, so they flow through the same telemetry
+//! and attribution.
 
 pub mod decision;
 pub mod log;

@@ -138,12 +138,6 @@ impl<E> EventQueue<E> {
         self.heap.push(Entry { key, event });
     }
 
-    /// Schedules `event` at `delay` seconds after the current clock.
-    pub fn push_after(&mut self, delay: f64, event: E) {
-        let at = self.now.after(delay);
-        self.push(at, event);
-    }
-
     /// Pops the earliest event, advancing the simulation clock to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let entry = self.heap.pop()?;
@@ -318,16 +312,6 @@ mod tests {
         assert_eq!(q.now(), SimTime::ZERO);
         q.pop();
         assert_eq!(q.now(), SimTime::from_secs(5.0));
-    }
-
-    #[test]
-    fn push_after_uses_current_clock() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(2.0), 0);
-        q.pop();
-        q.push_after(1.5, 1);
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, SimTime::from_secs(3.5));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! rustc-style multiply-rotate hash: one `wrapping_mul` per word, fully
 //! deterministic, and plenty mixed for sequential ids.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiply-rotate hasher (the rustc `FxHash` construction).
@@ -66,9 +66,6 @@ impl Hasher for FxHasher {
 /// `HashMap` with the deterministic fast hasher.
 pub type FastHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// `HashSet` with the deterministic fast hasher.
-pub type FastHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,7 +88,7 @@ mod tests {
             h.write_u64(n);
             h.finish()
         };
-        let mut low = FastHashSet::default();
+        let mut low = std::collections::HashSet::new();
         for i in 0..1024u64 {
             low.insert(h(i) & 0xFFF);
         }

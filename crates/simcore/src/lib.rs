@@ -32,7 +32,7 @@ pub mod stats;
 pub mod time;
 
 pub use event::EventQueue;
-pub use hash::{FastHashMap, FastHashSet, FxHasher};
+pub use hash::{FastHashMap, FxHasher};
 pub use rng::SimRng;
 pub use stats::{Cdf, Histogram, Summary};
 pub use time::SimTime;

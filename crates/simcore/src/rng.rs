@@ -71,14 +71,6 @@ impl SimRng {
         SimRng::seed(mixed)
     }
 
-    /// Derives an independent child generator identified by an index.
-    #[must_use]
-    pub fn split_index(&self, index: u64) -> SimRng {
-        let mixed =
-            self.s[0] ^ self.s[2].rotate_left(29) ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        SimRng::seed(mixed)
-    }
-
     /// Returns the next `u64` from the stream (xoshiro256++).
     #[inline]
     pub fn next_u64_raw(&mut self) -> u64 {
@@ -166,16 +158,6 @@ mod tests {
         let mut c2 = parent.split("beta");
         assert_eq!(c1.next_u64_raw(), c1_again.next_u64_raw());
         assert_ne!(c1.next_u64_raw(), c2.next_u64_raw());
-    }
-
-    #[test]
-    fn split_index_distinct() {
-        let parent = SimRng::seed(5);
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..64 {
-            let mut child = parent.split_index(i);
-            assert!(seen.insert(child.next_u64_raw()));
-        }
     }
 
     #[test]

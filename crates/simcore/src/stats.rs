@@ -6,8 +6,6 @@
 //! bounded (tens of thousands of requests), so [`Summary`] keeps the raw
 //! samples and computes *exact* quantiles rather than approximations.
 
-use serde::{Deserialize, Serialize};
-
 /// A collection of `f64` samples with streaming moments and exact quantiles.
 ///
 /// # Examples
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.percentile(0.5), 3.0);
 /// assert_eq!(s.max(), 5.0);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Summary {
     samples: Vec<f64>,
     // Streaming moments (Welford) so mean/variance stay O(1) even though we
@@ -216,7 +214,7 @@ impl Summary {
 /// assert_eq!(cdf.at(2.5), 0.5);
 /// assert_eq!(cdf.quantile(1.0), 4.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }
@@ -291,7 +289,7 @@ impl Cdf {
 /// assert_eq!(h.bin_count(3), 2);
 /// assert_eq!(h.overflow(), 1);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

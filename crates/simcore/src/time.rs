@@ -7,8 +7,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulated time, in seconds since simulation start.
 ///
 /// # Invariants
@@ -25,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.as_secs(), 0.25);
 /// assert!(SimTime::ZERO < t);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimTime(f64);
 
 impl SimTime {

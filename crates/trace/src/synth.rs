@@ -13,7 +13,9 @@
 //! Outcome flags on the root span come from the lifecycle (`Rejected` →
 //! `SHED`, `Failed` → `FAILED`, any `Retried` → `RETRIED`) plus
 //! optional SLO thresholds ([`SpanSynthesizer::with_slos`]) for
-//! `SLO_MISS`.
+//! `SLO_MISS`, judged by the request records' rule: TTFT ends at the
+//! first `PrefillEnd`, and TPOT spreads completion minus that first
+//! token over the tokens after it.
 
 use std::sync::{Arc, Mutex};
 
@@ -35,6 +37,9 @@ struct Pending {
     prefill_queued: Option<f64>,
     prefill_start: Option<f64>,
     prefill_end: Option<f64>,
+    /// The first `PrefillEnd`: a fault-driven re-prefill emits another,
+    /// but the first token was already out.
+    first_token: Option<f64>,
     kv_start: Option<f64>,
     kv_end: Option<f64>,
     decode_queued: Option<f64>,
@@ -132,17 +137,17 @@ impl SpanSynthesizer {
         if p.retried {
             flags |= span_flags::RETRIED;
         }
-        if matches!(terminal, LifecycleEvent::Finished) {
-            if let (Some(slo), Some(e)) = (self.ttft_slo, p.prefill_end) {
-                if e - p.arrived > slo {
-                    flags |= span_flags::SLO_MISS;
-                }
-            }
-            if let (Some(slo), Some(f), true) = (self.tpot_slo, p.first_step, p.generated > 1) {
-                let tpot = (p.last_step - f) / f64::from(p.generated - 1);
-                if tpot > slo {
-                    flags |= span_flags::SLO_MISS;
-                }
+        if let (LifecycleEvent::Finished, Some(first)) = (terminal, p.first_token) {
+            let ttft = first - p.arrived;
+            let tpot = if p.generated > 1 {
+                (end_s - first) / f64::from(p.generated - 1)
+            } else {
+                0.0
+            };
+            if self.ttft_slo.is_some_and(|slo| ttft > slo)
+                || self.tpot_slo.is_some_and(|slo| tpot > slo)
+            {
+                flags |= span_flags::SLO_MISS;
             }
         }
         self.inner.span(SpanEvent {
@@ -178,7 +183,10 @@ impl TelemetrySink for SpanSynthesizer {
                     }
                 }
                 LifecycleEvent::PrefillStart => p.prefill_start = Some(ev.time_s),
-                LifecycleEvent::PrefillEnd => p.prefill_end = Some(ev.time_s),
+                LifecycleEvent::PrefillEnd => {
+                    p.prefill_end = Some(ev.time_s);
+                    p.first_token.get_or_insert(ev.time_s);
+                }
                 LifecycleEvent::KvMigrateStart => {
                     if p.kv_start.is_none() {
                         p.kv_start = Some(ev.time_s);

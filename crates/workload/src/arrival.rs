@@ -5,8 +5,7 @@
 //! motivates a pull-based KV transfer precisely because arrivals cluster.
 //! [`ArrivalProcess`] therefore also offers gamma-distributed
 //! inter-arrival gaps with a configurable coefficient of variation
-//! (CV > 1 ⇒ burstier than Poisson) and a deterministic process for
-//! queueing-theory validation.
+//! (CV > 1 ⇒ burstier than Poisson).
 
 use distserve_simcore::SimRng;
 
@@ -20,9 +19,6 @@ pub enum ArrivalProcess {
     /// Gamma-distributed gaps: `rate` requests/second with coefficient of
     /// variation `cv` (`cv = 1` reduces to Poisson, `cv > 1` is bursty).
     Bursty(Gamma),
-    /// Fixed gaps of `1/rate` seconds (the "D" in M/D/1 turned around:
-    /// deterministic arrivals for controlled experiments).
-    Deterministic(f64),
 }
 
 impl ArrivalProcess {
@@ -53,24 +49,12 @@ impl ArrivalProcess {
         ArrivalProcess::Bursty(Gamma::new(shape, scale).expect("derived parameters are positive"))
     }
 
-    /// Deterministic arrivals at exactly `rate` requests per second.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not strictly positive.
-    #[must_use]
-    pub fn deterministic(rate: f64) -> Self {
-        assert!(rate > 0.0, "rate must be positive");
-        ArrivalProcess::Deterministic(1.0 / rate)
-    }
-
     /// Draws the next inter-arrival gap in seconds.
     #[must_use]
     pub fn next_gap(&self, rng: &mut SimRng) -> f64 {
         match self {
             ArrivalProcess::Poisson(exp) => exp.sample(rng),
             ArrivalProcess::Bursty(gamma) => gamma.sample(rng),
-            ArrivalProcess::Deterministic(gap) => *gap,
         }
     }
 
@@ -80,7 +64,6 @@ impl ArrivalProcess {
         match self {
             ArrivalProcess::Poisson(exp) => 1.0 / exp.mean().expect("exponential mean exists"),
             ArrivalProcess::Bursty(gamma) => 1.0 / gamma.mean().expect("gamma mean exists"),
-            ArrivalProcess::Deterministic(gap) => 1.0 / gap,
         }
     }
 }
@@ -120,16 +103,6 @@ mod tests {
         let (mean, cv) = gap_stats(&p, 200_000);
         assert!((mean - 0.5).abs() < 0.01);
         assert!((cv - 1.0).abs() < 0.03);
-    }
-
-    #[test]
-    fn deterministic_gaps_constant() {
-        let p = ArrivalProcess::deterministic(5.0);
-        let mut rng = SimRng::seed(1);
-        for _ in 0..100 {
-            assert_eq!(p.next_gap(&mut rng), 0.2);
-        }
-        assert_eq!(p.rate(), 5.0);
     }
 
     #[test]

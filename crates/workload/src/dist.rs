@@ -202,74 +202,6 @@ impl Sample for Gamma {
     }
 }
 
-/// Pareto (power-law) distribution with scale `x_min` and shape `alpha`.
-///
-/// Heavy tails model the occasional very long prompt.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pareto {
-    x_min: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// Creates the distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless both parameters are strictly positive.
-    pub fn new(x_min: f64, alpha: f64) -> Result<Self, String> {
-        if !positive(x_min) || !positive(alpha) {
-            return Err(format!(
-                "pareto parameters must be positive: x_min={x_min} alpha={alpha}"
-            ));
-        }
-        Ok(Pareto { x_min, alpha })
-    }
-}
-
-impl Sample for Pareto {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.x_min / rng.uniform_open().powf(1.0 / self.alpha)
-    }
-
-    fn mean(&self) -> Option<f64> {
-        (self.alpha > 1.0).then(|| self.alpha * self.x_min / (self.alpha - 1.0))
-    }
-}
-
-/// Wraps a sampler, clamping its output into `[lo, hi]` — used to respect
-/// the model's maximum sequence length.
-#[derive(Debug, Clone, Copy)]
-pub struct Clamped<D> {
-    inner: D,
-    lo: f64,
-    hi: f64,
-}
-
-impl<D: Sample> Clamped<D> {
-    /// Clamps `inner` into `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    #[must_use]
-    pub fn new(inner: D, lo: f64, hi: f64) -> Self {
-        assert!(lo <= hi, "clamp range [{lo}, {hi}] is empty");
-        Clamped { inner, lo, hi }
-    }
-}
-
-impl<D: Sample> Sample for Clamped<D> {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.inner.sample(rng).clamp(self.lo, self.hi)
-    }
-
-    fn mean(&self) -> Option<f64> {
-        // Clamping changes the mean; report none rather than a wrong value.
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,26 +271,6 @@ mod tests {
         let (mean, var) = empirical_mean_var(&d, 400_000, 29);
         assert!((mean - 2.0).abs() < 0.05, "mean {mean}");
         assert!((var - 8.0).abs() < 0.4, "var {var}");
-    }
-
-    #[test]
-    fn pareto_tail_and_mean() {
-        let d = Pareto::new(100.0, 2.5).unwrap();
-        let (mean, _) = empirical_mean_var(&d, 400_000, 31);
-        let expected = 2.5 * 100.0 / 1.5;
-        assert!((mean - expected).abs() / expected < 0.03, "mean {mean}");
-        // Mean undefined for alpha <= 1.
-        assert_eq!(Pareto::new(1.0, 0.9).unwrap().mean(), None);
-    }
-
-    #[test]
-    fn clamped_respects_bounds() {
-        let d = Clamped::new(LogNormal::new(5.0, 2.0).unwrap(), 4.0, 2048.0);
-        let mut rng = SimRng::seed(37);
-        for _ in 0..10_000 {
-            let v = d.sample(&mut rng);
-            assert!((4.0..=2048.0).contains(&v));
-        }
     }
 
     #[test]

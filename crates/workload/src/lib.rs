@@ -5,8 +5,8 @@
 //! — sampling request lengths from the datasets and arrival times from a
 //! Poisson process (§6.1). This crate rebuilds that pipeline:
 //!
-//! * [`dist`] — from-scratch samplers (exponential, log-normal, gamma,
-//!   Pareto) so no external distribution crate is needed.
+//! * [`dist`] — from-scratch samplers (exponential, log-normal, gamma)
+//!   so no external distribution crate is needed.
 //! * [`datasets`] — synthetic length-pair generators whose shapes match
 //!   Figure 7, plus empirical distributions that resample recorded pairs.
 //! * [`arrival`] — Poisson and bursty (gamma inter-arrival) processes.

@@ -5,15 +5,13 @@
 //! output length (§6.1: lengths sampled from a dataset, arrivals from a
 //! Poisson process at a target rate).
 
-use serde::{Deserialize, Serialize};
-
 use distserve_simcore::{SimRng, SimTime};
 
 use crate::arrival::ArrivalProcess;
 use crate::datasets::LengthSampler;
 
 /// Unique identifier of a request within one trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RequestId(pub u64);
 
 impl std::fmt::Display for RequestId {
@@ -23,7 +21,7 @@ impl std::fmt::Display for RequestId {
 }
 
 /// One serving request.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Identifier, unique within the trace.
     pub id: RequestId,
@@ -36,8 +34,7 @@ pub struct Request {
     pub output_len: u32,
     /// Tenant the request belongs to: the index of its
     /// `stream::TenantSpec` in a multi-tenant mix, `0` for single-tenant
-    /// workloads (defaulted when deserializing pre-tenant traces).
-    #[serde(default)]
+    /// workloads.
     pub tenant: u32,
 }
 
@@ -50,7 +47,7 @@ impl Request {
 }
 
 /// A time-ordered collection of requests.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     requests: Vec<Request>,
 }

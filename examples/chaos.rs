@@ -19,12 +19,9 @@ use std::sync::Arc;
 use distserve::cluster::Cluster;
 use distserve::core::recovery::assemble_report;
 use distserve::core::replan::ReplanDecision;
-use distserve::core::{
-    serve_trace_with_faults, serve_trace_with_sink, Application, CapacityObservation, Planner,
-    ReplanController,
-};
+use distserve::core::{Application, CapacityObservation, Planner, ReplanController};
 use distserve::engine::spec::InstanceRole;
-use distserve::engine::FidelityConfig;
+use distserve::engine::{ServingSim, SimConfig};
 use distserve::faults::{FaultKind, FaultSchedule, GoodputSample, RetryPolicy};
 use distserve::models::RooflineModel;
 use distserve::observe::ObserverSink;
@@ -98,19 +95,12 @@ fn main() {
     let recorder = Arc::new(Recorder::new());
     let observer = Arc::new(ObserverSink::new(slo.ttft, slo.tpot, 5.0, 128));
     let tee = TeeSink::new(vec![recorder.clone(), observer.clone()]);
-    let outcome_ab = serve_trace_with_faults(
-        &cost,
-        &cluster,
-        &arch,
-        specs.clone(),
-        &trace_ab,
-        FidelityConfig::ideal(),
-        7,
-        &schedule,
-        RetryPolicy::default(),
-        &tee,
-    )
-    .expect("chaos run serves");
+    let cfg = SimConfig::new(arch.clone()).with_seed(7);
+    let outcome_ab = ServingSim::new(cfg, &cost, &cluster, specs.clone())
+        .expect("chaos run serves")
+        .with_faults(&schedule, RetryPolicy::default())
+        .with_sink(&tee)
+        .run(&trace_ab);
     println!(
         "chaos phase: {} finished, {} rejected, {} failed of {} offered",
         outcome_ab.records.len(),
@@ -179,17 +169,11 @@ fn main() {
         })
         .collect();
     let trace_c = Trace::new(shifted);
-    let outcome_c = serve_trace_with_sink(
-        &cost,
-        &cluster,
-        &arch,
-        recovery_specs,
-        &trace_c,
-        FidelityConfig::ideal(),
-        8,
-        &tee,
-    )
-    .expect("recovery deployment serves");
+    let cfg = SimConfig::new(arch).with_seed(8);
+    let outcome_c = ServingSim::new(cfg, &cost, &cluster, recovery_specs)
+        .expect("recovery deployment serves")
+        .with_sink(&tee)
+        .run(&trace_c);
     println!(
         "recovery phase: {} finished, {} rejected, {} failed",
         outcome_c.records.len(),

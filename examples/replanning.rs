@@ -15,8 +15,8 @@
 
 use distserve::cluster::Cluster;
 use distserve::core::replan::ReplanDecision;
-use distserve::core::{serve_trace_with_sink, Application, Planner, ReplanController};
-use distserve::engine::FidelityConfig;
+use distserve::core::{Application, Planner, ReplanController};
+use distserve::engine::{ServingSim, SimConfig};
 use distserve::models::RooflineModel;
 use distserve::observe::ObserverSink;
 use distserve::placement::alg1::SearchParams;
@@ -153,17 +153,11 @@ fn main() {
 
     // Serve the overload through the deployment, observing live.
     let observer = ObserverSink::new(slo.ttft, slo.tpot, 10.0, 64);
-    serve_trace_with_sink(
-        &cost3,
-        &cluster,
-        &arch,
-        specs,
-        &overload,
-        FidelityConfig::ideal(),
-        13,
-        &observer,
-    )
-    .expect("deployment serves the trace");
+    let cfg = SimConfig::new(arch).with_seed(13);
+    let _ = ServingSim::new(cfg, &cost3, &cluster, specs)
+        .expect("deployment serves the trace")
+        .with_sink(&observer)
+        .run(&overload);
     let stats = observer.stats();
     println!(
         "  observed: {} requests, attainment {:.0}% (TTFT {:.0}%, TPOT {:.0}%), goodput {:.2} rps",

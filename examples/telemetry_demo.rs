@@ -23,8 +23,8 @@
 use std::sync::Arc;
 
 use distserve::cluster::Cluster;
-use distserve::core::{serve_trace_with_sink, Table};
-use distserve::engine::{FidelityConfig, InstanceRole, InstanceSpec};
+use distserve::core::Table;
+use distserve::engine::{InstanceRole, InstanceSpec, ServingSim, SimConfig};
 use distserve::models::{OptModel, ParallelismConfig, RooflineModel};
 use distserve::placement::TraceSource;
 use distserve::telemetry::{Recorder, Recording, TelemetrySink};
@@ -57,17 +57,11 @@ fn main() {
     let trace = dataset.make_trace(4.0, 200, 7);
 
     let rec = Recorder::new();
-    let outcome = serve_trace_with_sink(
-        &cost,
-        &cluster,
-        &arch,
-        specs,
-        &trace,
-        FidelityConfig::ideal(),
-        7,
-        &rec,
-    )
-    .expect("deployment is valid");
+    let cfg = SimConfig::new(arch).with_seed(7);
+    let outcome = ServingSim::new(cfg, &cost, &cluster, specs)
+        .expect("deployment is valid")
+        .with_sink(&rec)
+        .run(&trace);
     let snap = rec.snapshot();
     std::fs::write("trace.perfetto.json", validate(&snap, "sim")).expect("write trace");
     std::fs::write("metrics.prom", snap.prometheus_text()).expect("write metrics");

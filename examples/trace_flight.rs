@@ -34,8 +34,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use distserve::cluster::Cluster;
-use distserve::core::{serve_trace_with_faults, ReplanController, SloObservation};
-use distserve::engine::{FidelityConfig, InstanceRole, InstanceSpec};
+use distserve::core::{ReplanController, SloObservation};
+use distserve::engine::{InstanceRole, InstanceSpec, ServingSim, SimConfig};
 use distserve::faults::{FaultSchedule, RetryPolicy, StormConfig};
 use distserve::models::{OptModel, ParallelismConfig, RooflineModel};
 use distserve::observe::{
@@ -272,19 +272,12 @@ fn storm_flight(sampler: &Arc<TailSampler>) -> (distserve::trace::IncidentDump, 
     // Profile the storm run so the incident dump carries a flamegraph of
     // where simulation time went around the trigger.
     distserve::prof::set_enabled(true);
-    let out = serve_trace_with_faults(
-        &cost,
-        &cluster,
-        &OptModel::Opt13B.arch(),
-        specs,
-        &trace,
-        FidelityConfig::ideal(),
-        7,
-        &storm,
-        RetryPolicy::default(),
-        &tee,
-    )
-    .expect("storm run serves");
+    let cfg = SimConfig::new(OptModel::Opt13B.arch()).with_seed(7);
+    let out = ServingSim::new(cfg, &cost, &cluster, specs)
+        .expect("storm run serves")
+        .with_faults(&storm, RetryPolicy::default())
+        .with_sink(&tee)
+        .run(&trace);
     let dump = recorder.dump_incident(&reason);
     distserve::prof::set_enabled(false);
     println!(

@@ -252,7 +252,7 @@ fn high_affinity_plan_on_ib_cluster() {
 /// any intentional routing change.
 #[test]
 fn golden_replay_fixture_reproduces_routed_run() {
-    use distserve::core::{serve_trace_replayed, serve_trace_routed};
+    use distserve::engine::{ServingSim, SimConfig};
     use distserve::models::{OptModel, ParallelismConfig};
     use distserve::router::{log_from_json, log_to_json, RouterPolicy};
     use distserve::workload::Dataset;
@@ -267,18 +267,16 @@ fn golden_replay_fixture_reproduces_routed_run() {
     let specs = planner.materialize(&plan).expect("fits");
     let trace = Dataset::ShareGpt.make_trace(3.0, 40, 21);
 
-    let (live, log) = serve_trace_routed(
+    let cfg = SimConfig::new(arch).with_seed(21);
+    let (live, log) = ServingSim::new_routed(
+        cfg.clone(),
         &cost,
         &cluster,
-        &arch,
         specs.clone(),
-        &trace,
-        FidelityConfig::ideal(),
-        21,
         RouterPolicy::default(),
-        &distserve::telemetry::NOOP,
     )
-    .expect("routed run");
+    .expect("routed run")
+    .run_logged(&trace);
     let json = log_to_json(&log).expect("serializes");
 
     let path = concat!(
@@ -296,18 +294,10 @@ fn golden_replay_fixture_reproduces_routed_run() {
     );
 
     let fixture_log = log_from_json(&golden).expect("fixture parses");
-    let (replayed, replay_log) = serve_trace_replayed(
-        &cost,
-        &cluster,
-        &arch,
-        specs,
-        &trace,
-        FidelityConfig::ideal(),
-        21,
-        &fixture_log,
-        &distserve::telemetry::NOOP,
-    )
-    .expect("replayed run");
+    let (replayed, replay_log) =
+        ServingSim::new_replayed(cfg, &cost, &cluster, specs, &fixture_log)
+            .expect("replayed run")
+            .run_logged(&trace);
     assert_eq!(replayed.records, live.records, "byte-identical outcome");
     assert_eq!(replayed.rejected, live.rejected);
     assert_eq!(replayed.failed, live.failed);
@@ -421,8 +411,10 @@ fn three_gpus_per_node(mut cluster: Cluster) -> Cluster {
 /// shrunk the same way, Algorithm 1 (the OPT-66B chatbot at 1 and 2 req/s,
 /// the planner's default instance bounds, 64-request/10 s probes, 6
 /// rounds) picks only instances the healthy GPUs can host: one of each
-/// phase materializes. (Its replica counts at these rates need more than
-/// the 12 healthy GPUs; Algorithm 1 sizes for the rate, not the cluster.)
+/// phase materializes. Its replica counts at these rates need more than
+/// the 12 healthy GPUs (Algorithm 1 sizes for the rate, not the cluster),
+/// so `plan_distserve` refuses both plans, naming the GPUs needed and the
+/// GPUs healthy; at 0.5 req/s it returns a plan that deploys whole.
 #[test]
 fn plans_on_a_degraded_cluster_materialize() {
     let app = Application::ChatbotOpt13B;
@@ -474,5 +466,24 @@ fn plans_on_a_degraded_cluster_materialize() {
                 panic!("{} at {rate} req/s does not deploy: {e}", plan_line(&one));
             }
         }
+        // The whole plan outgrows the 12 healthy GPUs, so the planner's
+        // entry refuses it and says why.
+        let (need, healthy) = (plan.total_gpus(), high.available_gpus());
+        assert!(need > healthy, "{need} GPUs planned at {rate} req/s");
+        match alg1.plan_distserve(&dataset, slo, rate) {
+            Ok(d) => panic!("{} at {rate} req/s returned Ok", plan_line(&d)),
+            Err(e) => assert!(
+                e.contains(&format!("needs {need} GPUs"))
+                    && e.contains(&format!("{healthy} are healthy")),
+                "{e}"
+            ),
+        }
+    }
+    // At 0.5 req/s the plan fits, and `plan_distserve` returns it whole.
+    let plan = alg1
+        .plan_distserve(&dataset, slo, 0.5)
+        .expect("Algorithm 1 plans at 0.5 req/s");
+    if let Err(e) = alg1.materialize(&plan) {
+        panic!("{} at 0.5 req/s does not deploy: {e}", plan_line(&plan));
     }
 }

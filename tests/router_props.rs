@@ -26,8 +26,8 @@
 use proptest::prelude::*;
 
 use distserve::cluster::Cluster;
-use distserve::core::{serve_trace_replayed, serve_trace_routed, Planner};
-use distserve::engine::FidelityConfig;
+use distserve::core::Planner;
+use distserve::engine::{ServingSim, SimConfig};
 use distserve::faults::InstanceHealth;
 use distserve::models::{OptModel, ParallelismConfig, RooflineModel};
 use distserve::observe::ObserverSink;
@@ -397,35 +397,19 @@ proptest! {
             50,
             seed,
         );
-        let (outcome, log) = serve_trace_routed(
-            &cost,
-            &cluster,
-            &arch,
-            specs.clone(),
-            &trace,
-            FidelityConfig::ideal(),
-            seed,
-            RouterPolicy::default(),
-            &distserve::telemetry::NOOP,
-        )
-        .unwrap();
+        let cfg = SimConfig::new(arch).with_seed(seed);
+        let (outcome, log) =
+            ServingSim::new_routed(cfg.clone(), &cost, &cluster, specs.clone(), RouterPolicy::default())
+                .unwrap()
+                .run_logged(&trace);
         prop_assert_eq!(
             outcome.records.len() + outcome.rejected.len() + outcome.failed.len(),
             trace.len(),
             "request lost or duplicated"
         );
-        let (replayed, replay_log) = serve_trace_replayed(
-            &cost,
-            &cluster,
-            &arch,
-            specs,
-            &trace,
-            FidelityConfig::ideal(),
-            seed,
-            &log,
-            &distserve::telemetry::NOOP,
-        )
-        .unwrap();
+        let (replayed, replay_log) = ServingSim::new_replayed(cfg, &cost, &cluster, specs, &log)
+            .unwrap()
+            .run_logged(&trace);
         prop_assert_eq!(replayed.records, outcome.records);
         prop_assert_eq!(replayed.rejected, outcome.rejected);
         prop_assert_eq!(replayed.failed, outcome.failed);

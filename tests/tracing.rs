@@ -1,5 +1,6 @@
-//! Tracing-pipeline gates: tail-sampling determinism, flat memory, and
-//! the Perfetto export pinned by a golden fixture.
+//! Tracing-pipeline gates: tail-sampling determinism, flat memory, the
+//! Perfetto export pinned by a golden fixture, and synthesized SLO flags
+//! that agree with the request records.
 //!
 //! The tracing design leans on two load-bearing claims:
 //!
@@ -21,12 +22,12 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use distserve::cluster::Cluster;
-use distserve::core::serve_trace_with_sink;
-use distserve::engine::{FidelityConfig, InstanceRole, InstanceSpec};
+use distserve::engine::{InstanceRole, InstanceSpec, ServingSim, SimConfig};
+use distserve::faults::{FaultKind, FaultSchedule, RetryPolicy};
 use distserve::models::{OptModel, ParallelismConfig, RooflineModel};
 use distserve::placement::TraceSource;
 use distserve::router::{Assignment, FleetSpec, RouterPolicy, ScaleSim, ScaleSlo, ServiceProfile};
-use distserve::telemetry::{Recorder, NO_PARENT};
+use distserve::telemetry::{span_flags, Recorder, SpanKind, NO_PARENT};
 use distserve::trace::{SpanSynthesizer, TailSampler, TailSamplerConfig};
 use distserve::workload::datasets::FixedLengths;
 use distserve::workload::{Dataset, RequestStream};
@@ -235,17 +236,12 @@ fn perfetto_export_matches_golden() {
     .make_trace(8.0, 4, 3);
     let rec = Arc::new(Recorder::new());
     let synth = SpanSynthesizer::new(rec.clone(), 3).with_slos(0.4, 0.1);
-    serve_trace_with_sink(
-        &RooflineModel::a100(),
-        &cluster,
-        &OptModel::Opt13B.arch(),
-        specs,
-        &trace,
-        FidelityConfig::ideal(),
-        3,
-        &synth,
-    )
-    .expect("deployment is valid");
+    let cost = RooflineModel::a100();
+    let cfg = SimConfig::new(OptModel::Opt13B.arch()).with_seed(3);
+    let _ = ServingSim::new(cfg, &cost, &cluster, specs)
+        .expect("deployment is valid")
+        .with_sink(&synth)
+        .run(&trace);
     let snap = rec.snapshot();
     assert!(!snap.slices.is_empty() && !snap.events.is_empty() && !snap.spans.is_empty());
     let json = snap.perfetto_json();
@@ -263,4 +259,108 @@ fn perfetto_export_matches_golden() {
         "Perfetto export drifted from the golden fixture; if the format \
          change is intentional, regenerate with UPDATE_GOLDEN=1"
     );
+}
+
+/// Serves `trace` on one node (a prefill instance on GPU 0, then
+/// `decoders` decode instances) under `faults`, OPT-13B at ideal
+/// fidelity and seed 3, through a `SpanSynthesizer` with SLOs
+/// `(ttft, tpot)`. Returns, per request with a root span, whether the
+/// root carries `SLO_MISS` and whether the request's record misses an
+/// SLO (no record: not finished, so no miss), plus how many roots carry
+/// `RETRIED`.
+fn root_flags_and_record_misses(
+    decoders: u32,
+    trace: &distserve::workload::Trace,
+    faults: &FaultSchedule,
+    (ttft, tpot): (f64, f64),
+) -> (Vec<(u64, bool, bool)>, usize) {
+    let cluster = Cluster::single_node(1 + decoders);
+    let instance = |role, gpu| {
+        InstanceSpec::new(
+            role,
+            ParallelismConfig::SINGLE,
+            vec![vec![cluster.gpu(0, gpu)]],
+        )
+        .expect("valid instance")
+    };
+    let specs = std::iter::once(instance(InstanceRole::Prefill, 0))
+        .chain((1..=decoders).map(|g| instance(InstanceRole::Decode, g)))
+        .collect();
+    let rec = Arc::new(Recorder::new());
+    let synth = SpanSynthesizer::new(rec.clone(), 3).with_slos(ttft, tpot);
+    let cost = RooflineModel::a100();
+    let cfg = SimConfig::new(OptModel::Opt13B.arch()).with_seed(3);
+    let outcome = ServingSim::new(cfg, &cost, &cluster, specs)
+        .expect("deployment is valid")
+        .with_faults(faults, RetryPolicy::default())
+        .with_sink(&synth)
+        .run(trace);
+    let roots: Vec<_> = rec
+        .snapshot()
+        .spans
+        .into_iter()
+        .filter(|s| s.kind == SpanKind::Request)
+        .collect();
+    let retried = roots
+        .iter()
+        .filter(|s| s.payload & span_flags::RETRIED != 0)
+        .count();
+    let verdicts = roots
+        .iter()
+        .map(|root| {
+            let record_misses = outcome
+                .records
+                .iter()
+                .find(|r| r.id.0 == root.request)
+                .is_some_and(|r| !(r.ttft() <= ttft && r.tpot() <= tpot));
+            let flagged = root.payload & span_flags::SLO_MISS != 0;
+            (root.request, flagged, record_misses)
+        })
+        .collect();
+    (verdicts, retried)
+}
+
+/// A synthesized root span carries `SLO_MISS` exactly when its request's
+/// record misses an SLO: two-token requests, whose TPOT is the time from
+/// their first token to completion, and requests that a decode crash
+/// sends back through prefill after their first token was out.
+#[test]
+fn synthesized_slo_flags_match_record_verdicts() {
+    let two_tokens = FixedLengths {
+        input_len: 256,
+        output_len: 2,
+    }
+    .make_trace(8.0, 200, 3);
+    let (verdicts, _) =
+        root_flags_and_record_misses(1, &two_tokens, &FaultSchedule::new(), (0.3, 0.02));
+    assert!(
+        verdicts.iter().any(|v| v.2),
+        "some two-token request misses"
+    );
+    assert_flags_match("two-token", &verdicts);
+
+    let crash = FaultSchedule::new().with(
+        4.0,
+        FaultKind::InstanceCrash {
+            instance: 1,
+            downtime_secs: 3.0,
+        },
+    );
+    let long = FixedLengths {
+        input_len: 512,
+        output_len: 64,
+    }
+    .make_trace(3.0, 60, 3);
+    let (verdicts, retried) = root_flags_and_record_misses(2, &long, &crash, (0.3, 0.1));
+    assert!(retried > 0, "the crash re-prefills some request");
+    assert_flags_match("decode crash", &verdicts);
+}
+
+fn assert_flags_match(run: &str, verdicts: &[(u64, bool, bool)]) {
+    for &(id, flagged, record_misses) in verdicts {
+        assert_eq!(
+            flagged, record_misses,
+            "{run}: request {id} flagged {flagged}, record misses {record_misses}"
+        );
+    }
 }
